@@ -1,0 +1,427 @@
+"""Seeded sweep harness and statistics over (K, q, heuristic) grids.
+
+Every run in a sweep is reproducible in isolation: the landscape of
+instance ``i`` in cell ``(k, q)`` and the RNG stream of run ``r`` are both
+derived from the sweep's base seed with :func:`derive_seed`, so repeating a
+configuration reproduces every output byte. All heuristics of a cell share
+the same ``instances`` landscapes; run streams are heuristic-specific.
+Results aggregate into per-cell means (fitness, evaluations, step counters)
+plus the neutral-move statistics used for profile and step-count curves.
+"""
+
+from __future__ import annotations
+
+import csv
+from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import Optional
+
+import numpy as np
+
+from . import heuristics as hx
+from .landscape import MODES, RANDOM, NkqLandscape, generate
+from .neighborhood import EvalCounter
+
+HEURISTIC_IDS = {"hc": 1, "nc": 2, "hc2": 3, "ss": 4}
+
+_LANDSCAPE_STREAM = 101
+_RUN_STREAM = 102
+_SAMPLE_STREAM = 103
+
+SWEEP_HEADER = (
+    "heuristic,n,k,q,runs,mean_fitness,std_fitness,"
+    "mean_evals,mean_steps,mean_flat,mean_gate"
+)
+RECORDS_HEADER = (
+    "heuristic,n,k,q,instance,run,landscape_seed,run_seed,"
+    "fitness_total,steps,flat,gate,evaluations"
+)
+PROFILE_HEADER = "heuristic,degn,steps,p_neutral_step,visits,p_neutral_state"
+STEP_STATS_HEADER = "k,q,runs,mean_steps,mean_flat"
+
+
+def derive_seed(*parts: int) -> int:
+    """Stable 64-bit mix of non-negative integer parts.
+
+    Changing any part changes the stream; repeating the tuple reproduces it.
+    """
+    entropy = [int(p) for p in parts]
+    if any(p < 0 for p in entropy):
+        raise ValueError("seed parts must be non-negative integers")
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+def landscape_seed(base_seed: int, k: int, q: int, instance: int) -> int:
+    """Seed of instance ``instance`` of cell ``(k, q)``; heuristic-agnostic."""
+    return derive_seed(base_seed, _LANDSCAPE_STREAM, k, q, instance)
+
+
+def run_seed(base_seed: int, k: int, q: int, heuristic: str, instance: int,
+             run: int) -> int:
+    """Seed of one run's RNG stream (initial genotype and tie-breaks)."""
+    return derive_seed(base_seed, _RUN_STREAM, k, q,
+                       HEURISTIC_IDS[heuristic], instance, run)
+
+
+@dataclass
+class SweepConfig:
+    """Grid description: which cells to run and with what budgets.
+
+    ``runs`` runs per cell are spread round-robin over ``instances``
+    landscapes (run ``r`` uses instance ``r % instances``). ``keep_traces``
+    retains per-step traces on every record, which the neutral-mutation
+    profile needs.
+    """
+
+    n: int
+    k_values: tuple[int, ...]
+    q_values: tuple[int, ...]
+    base_seed: int
+    heuristics: tuple[str, ...] = ("hc", "nc", "hc2", "ss")
+    runs: int = 100
+    instances: int = 10
+    step_max: int = 300
+    mode: str = RANDOM
+    keep_traces: bool = False
+
+    def __post_init__(self):
+        self.k_values = tuple(int(k) for k in self.k_values)
+        self.q_values = tuple(int(q) for q in self.q_values)
+        self.heuristics = tuple(self.heuristics)
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
+        for k in self.k_values:
+            if not 0 <= k <= self.n - 1:
+                raise ValueError(f"k={k} outside [0, {self.n - 1}]")
+        for q in self.q_values:
+            if q < 2:
+                raise ValueError(f"q={q} must be >= 2")
+        for h in self.heuristics:
+            if h not in HEURISTIC_IDS:
+                raise ValueError(f"unknown heuristic {h!r}")
+        if not self.k_values or not self.q_values or not self.heuristics:
+            raise ValueError("k_values, q_values and heuristics must be non-empty")
+        if self.runs < 1 or self.instances < 1:
+            raise ValueError("runs and instances must be >= 1")
+        if self.step_max < 1:
+            raise ValueError("step_max must be >= 1")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be non-negative")
+
+
+@dataclass
+class RunRecord:
+    """Raw outcome of one run, sufficient to reproduce or re-analyze it."""
+
+    heuristic: str
+    k: int
+    q: int
+    instance: int
+    run: int
+    landscape_seed: int
+    run_seed: int
+    fitness_total: int
+    fitness_norm: float
+    steps: int
+    flat: int
+    gate: int
+    evaluations: int
+    trace: Optional[list] = None
+
+
+@dataclass
+class CellStats:
+    heuristic: str
+    k: int
+    q: int
+    runs: int
+    mean_fitness: float
+    std_fitness: float
+    mean_evals: float
+    mean_steps: float
+    mean_flat: float
+    mean_gate: float
+
+
+@dataclass
+class SweepReport:
+    """All per-run records of a sweep, aggregable per cell in config order."""
+
+    config: SweepConfig
+    records: list[RunRecord] = field(default_factory=list)
+
+    def cell_records(self, heuristic: str, k: int, q: int) -> list[RunRecord]:
+        return [r for r in self.records
+                if r.heuristic == heuristic and r.k == k and r.q == q]
+
+    def cells(self) -> list[CellStats]:
+        """Per-cell statistics, ordered by (heuristic, k, q) config index."""
+        out = []
+        for h in self.config.heuristics:
+            for k in self.config.k_values:
+                for q in self.config.q_values:
+                    recs = self.cell_records(h, k, q)
+                    if not recs:
+                        continue
+                    norm = np.array([r.fitness_norm for r in recs])
+                    out.append(CellStats(
+                        heuristic=h, k=k, q=q, runs=len(recs),
+                        mean_fitness=float(norm.mean()),
+                        std_fitness=float(norm.std()),
+                        mean_evals=float(np.mean([r.evaluations for r in recs])),
+                        mean_steps=float(np.mean([r.steps for r in recs])),
+                        mean_flat=float(np.mean([r.flat for r in recs])),
+                        mean_gate=float(np.mean([r.gate for r in recs])),
+                    ))
+        return out
+
+
+def _dispatch(landscape: NkqLandscape, heuristic: str, rng, step_max: int,
+              trace: bool) -> hx.RunResult:
+    s0 = rng.integers(0, 2, size=landscape.n, dtype=np.uint8)
+    counter = EvalCounter()
+    if heuristic == "hc":
+        return hx.hill_climb(landscape, s0, rng, counter, trace=trace)
+    if heuristic == "nc":
+        return hx.netcrawler(landscape, s0, rng, step_max, counter, trace=trace)
+    if heuristic == "hc2":
+        return hx.hill_climb2(landscape, s0, rng, counter, trace=trace)
+    if heuristic == "ss":
+        return hx.scuba(landscape, s0, rng, counter, trace=trace)
+    raise ValueError(f"unknown heuristic {heuristic!r}")
+
+
+def run_sweep(config: SweepConfig) -> SweepReport:
+    """Run every cell of the grid; uniform-random initial genotypes per run.
+
+    Cells execute and aggregate in config order (heuristic, k, q), so the
+    report and the files written from it never depend on scheduling.
+    """
+    report = SweepReport(config)
+    landscapes: dict[tuple[int, int, int], NkqLandscape] = {}
+    for h in config.heuristics:
+        for k in config.k_values:
+            for q in config.q_values:
+                for r in range(config.runs):
+                    inst = r % config.instances
+                    key = (k, q, inst)
+                    if key not in landscapes:
+                        landscapes[key] = generate(
+                            config.n, k, q, config.mode,
+                            seed=landscape_seed(config.base_seed, k, q, inst),
+                        )
+                    landscape = landscapes[key]
+                    rs = run_seed(config.base_seed, k, q, h, inst, r)
+                    result = _dispatch(landscape, h, np.random.default_rng(rs),
+                                       config.step_max, config.keep_traces)
+                    report.records.append(RunRecord(
+                        heuristic=h, k=k, q=q, instance=inst, run=r,
+                        landscape_seed=landscape.seed, run_seed=rs,
+                        fitness_total=result.fitness.total,
+                        fitness_norm=result.fitness.normalized,
+                        steps=result.steps, flat=result.flat_count,
+                        gate=result.gate_count, evaluations=result.evaluations,
+                        trace=result.trace,
+                    ))
+    return report
+
+
+# -- neutral degree sampling (Table-style statistics) ------------------------
+
+def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
+                                  mode=RANDOM) -> np.ndarray:
+    """Mean neutral degree of uniform-random genotypes, one value per instance."""
+    if samples < 1 or instances < 1:
+        raise ValueError("samples and instances must be >= 1")
+    means = np.empty(instances)
+    chunk = max(1, 4_000_000 // (n * (k + 1)))
+    for inst in range(instances):
+        landscape = generate(n, k, q, mode,
+                             seed=landscape_seed(seed, k, q, inst))
+        rng = np.random.default_rng(derive_seed(seed, _SAMPLE_STREAM, k, q, inst))
+        done = 0
+        acc = 0
+        while done < samples:
+            batch = min(chunk, samples - done)
+            states = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
+            totals, flips = landscape.batch_scan(states)
+            acc += int((flips == totals[:, None]).sum())
+            done += batch
+        means[inst] = acc / samples
+    return means
+
+
+def neutral_degree_stats(n, k, q, samples=1000, instances=10, seed=0,
+                         mode=RANDOM) -> float:
+    """Mean neutral degree over ``instances`` x ``samples`` random genotypes."""
+    return float(neutral_degree_instance_means(
+        n, k, q, samples, instances, seed, mode).mean())
+
+
+# -- neutral-mutation profile and step-count curves ---------------------------
+
+@dataclass
+class ProfileRow:
+    """Neutral-move probability of one heuristic at one neutral degree.
+
+    ``p_neutral_step`` conditions on steps (for the netcrawler: proposals)
+    leaving states of degree ``degn``; ``p_neutral_state`` conditions on
+    visited states, where consecutive occupancy (netcrawler rejections)
+    collapses into one visit and a visit still open at run end is dropped.
+    """
+
+    heuristic: str
+    degn: int
+    steps: int
+    p_neutral_step: float
+    visits: int
+    p_neutral_state: float
+
+
+def neutral_mutation_profile(report: SweepReport,
+                             heuristics=("nc", "ss")) -> list[ProfileRow]:
+    """Empirical P(neutral move | source Degn = d) per heuristic.
+
+    Requires traces on the matching records. Netcrawler bins every proposal
+    by the neutral degree of its source state; scuba bins every move. Bins
+    never observed are absent from the result, not zero.
+    """
+    acc: dict[tuple[str, int], list[int]] = defaultdict(lambda: [0, 0, 0, 0])
+    landscapes: dict[tuple[int, int, int], NkqLandscape] = {}
+    config = report.config
+    for rec in report.records:
+        if rec.heuristic not in heuristics:
+            continue
+        if rec.trace is None:
+            raise ValueError(
+                "neutral_mutation_profile needs traces; run the sweep with "
+                "keep_traces=True"
+            )
+        if len(rec.trace) < 2:
+            continue
+        key = (rec.k, rec.q, rec.landscape_seed)
+        landscape = landscapes.get(key)
+        if landscape is None:
+            landscape = generate(config.n, rec.k, rec.q, config.mode,
+                                 seed=rec.landscape_seed)
+            landscapes[key] = landscape
+        sources = np.stack([step.genotype for step in rec.trace[:-1]])
+        kinds = [step.kind for step in rec.trace[1:]]
+        totals, flips = landscape.batch_scan(sources)
+        degns = (flips == totals[:, None]).sum(axis=1)
+
+        visit_degn = None
+        for d, kind in zip(degns, kinds):
+            entry = acc[(rec.heuristic, int(d))]
+            entry[0] += 1
+            entry[1] += kind == hx.MOVE_NEUTRAL
+            if visit_degn is None:
+                visit_degn = int(d)
+            if kind != hx.MOVE_REJECT:
+                visit = acc[(rec.heuristic, visit_degn)]
+                visit[2] += 1
+                visit[3] += kind == hx.MOVE_NEUTRAL
+                visit_degn = None
+
+    rows = []
+    for (h, d) in sorted(acc, key=lambda key: (key[0], key[1])):
+        steps, neutral, visits, neutral_visits = acc[(h, d)]
+        rows.append(ProfileRow(
+            heuristic=h, degn=d, steps=steps,
+            p_neutral_step=neutral / steps,
+            visits=visits,
+            p_neutral_state=neutral_visits / visits if visits else 0.0,
+        ))
+    return rows
+
+
+@dataclass
+class StepStatsRow:
+    k: int
+    q: int
+    runs: int
+    mean_steps: float
+    mean_flat: float
+
+
+def step_stats(report: SweepReport) -> list[StepStatsRow]:
+    """Scuba per-cell mean total steps (flat+gate) and mean flat moves."""
+    rows = []
+    for k in report.config.k_values:
+        for q in report.config.q_values:
+            recs = report.cell_records("ss", k, q)
+            if not recs:
+                continue
+            rows.append(StepStatsRow(
+                k=k, q=q, runs=len(recs),
+                mean_steps=float(np.mean([r.steps for r in recs])),
+                mean_flat=float(np.mean([r.flat for r in recs])),
+            ))
+    return rows
+
+
+# -- CSV output ---------------------------------------------------------------
+
+def _open_dest(dest):
+    if hasattr(dest, "write"):
+        return dest, False
+    return open(dest, "w", newline=""), True
+
+
+def _write_rows(dest, header: str, rows) -> None:
+    fh, owned = _open_dest(dest)
+    try:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(","))
+        for row in rows:
+            writer.writerow(row)
+    finally:
+        if owned:
+            fh.close()
+
+
+def write_csv(report: SweepReport, dest) -> None:
+    """One row per cell in (heuristic, k, q) config order.
+
+    Header: ``heuristic,n,k,q,runs,mean_fitness,std_fitness,mean_evals,
+    mean_steps,mean_flat,mean_gate``. Fitness columns carry 6 decimals; all
+    formatting is fixed so identical configs produce identical bytes.
+    """
+    n = report.config.n
+    rows = [
+        (c.heuristic, n, c.k, c.q, c.runs,
+         f"{c.mean_fitness:.6f}", f"{c.std_fitness:.6f}",
+         f"{c.mean_evals:.6f}", f"{c.mean_steps:.6f}",
+         f"{c.mean_flat:.6f}", f"{c.mean_gate:.6f}")
+        for c in report.cells()
+    ]
+    _write_rows(dest, SWEEP_HEADER, rows)
+
+
+def write_records(report: SweepReport, dest) -> None:
+    """One row per run: seeds, terminal fitness total and counters."""
+    n = report.config.n
+    rows = [
+        (r.heuristic, n, r.k, r.q, r.instance, r.run,
+         r.landscape_seed, r.run_seed, r.fitness_total,
+         r.steps, r.flat, r.gate, r.evaluations)
+        for r in report.records
+    ]
+    _write_rows(dest, RECORDS_HEADER, rows)
+
+
+def write_profile_csv(rows: list[ProfileRow], dest) -> None:
+    _write_rows(dest, PROFILE_HEADER, [
+        (r.heuristic, r.degn, r.steps, f"{r.p_neutral_step:.6f}",
+         r.visits, f"{r.p_neutral_state:.6f}")
+        for r in rows
+    ])
+
+
+def write_step_stats_csv(rows: list[StepStatsRow], dest) -> None:
+    _write_rows(dest, STEP_STATS_HEADER, [
+        (r.k, r.q, r.runs, f"{r.mean_steps:.6f}", f"{r.mean_flat:.6f}")
+        for r in rows
+    ])

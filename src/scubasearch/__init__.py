@@ -24,6 +24,7 @@ from .experiments import (
     neutral_degree_instance_means,
     neutral_degree_stats,
     neutral_mutation_profile,
+    run_heuristic,
     run_seed,
     run_sweep,
     step_stats,
@@ -35,11 +36,8 @@ from .experiments import (
 from .heuristics import (
     HEURISTICS,
     ImproverContractError,
-    ImproverSpec,
-    PlateauScan,
     RunResult,
     TraceStep,
-    budget,
     generic_scuba,
     greedy_evol_step,
     hill_climb,
@@ -53,6 +51,7 @@ from .heuristics import (
 )
 from .landscape import (
     ADJACENT,
+    MAX_TABLE_ENTRIES,
     MODES,
     RANDOM,
     FitnessValue,
@@ -61,6 +60,7 @@ from .landscape import (
     NkqLandscape,
     adjacent_links,
     as_genotype,
+    check_params,
     component_index,
     deserialize,
     generate,
@@ -77,6 +77,7 @@ from .neighborhood import (
     V2,
     VN,
     EvalCounter,
+    PlateauScan,
     evol,
     evol2,
     extended_scan,

@@ -23,6 +23,7 @@ from .landscape import (
     RANDOM,
     LandscapeError,
     LandscapeFormatError,
+    check_params,
     generate,
     load_landscape,
     save_landscape,
@@ -54,15 +55,11 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _check_params(n: int, k_values, q_values) -> None:
-    if n < 1:
-        raise UsageError(f"--n must be >= 1, got {n}")
+def _check_params(n: int, k_values, q_values, mode) -> None:
+    """Check every (k, q) pair before a seed is drawn or anything is written."""
     for k in k_values:
-        if not 0 <= k <= n - 1:
-            raise UsageError(f"--k value {k} outside [0, n-1] = [0, {n - 1}]")
-    for q in q_values:
-        if q < 2:
-            raise UsageError(f"--q value {q} must be >= 2")
+        for q in q_values:
+            check_params(n, k, q, mode)
 
 
 def _resolve_seed(args) -> int:
@@ -88,40 +85,53 @@ def _add_landscape_params(parser, lists: bool):
                         help="epistatic link layout (default: random)")
 
 
+def _add_landscape_source(parser):
+    """--n/--k/--q/--mode to generate a landscape, or --landscape to load one."""
+    parser.add_argument("--n", type=int, help="number of loci (when generating)")
+    parser.add_argument("--k", type=int, help="epistatic degree (when generating)")
+    parser.add_argument("--q", type=int, help="neutrality parameter (when generating)")
+    parser.add_argument("--mode", choices=MODES, default=RANDOM,
+                        help="epistatic link layout (default: random)")
+    parser.add_argument("--landscape", default=None,
+                        help="landscape file to load instead of generating")
+
+
 def _add_seed(parser):
     parser.add_argument("--seed", type=int, default=None,
                         help="base seed; drawn from system entropy and printed if omitted")
 
 
 def _cmd_gen(args) -> int:
-    _check_params(args.n, [args.k], [args.q])
+    _check_params(args.n, [args.k], [args.q], args.mode)
     seed = _resolve_seed(args)
     landscape = generate(args.n, args.k, args.q, args.mode, seed=seed)
     save_landscape(landscape, args.out)
     return 0
 
 
-def _load_or_generate(args, seed):
+def _load_or_generate(args, seed_of):
+    """The landscape of ``--landscape``, or one generated from ``--n/--k/--q``
+    with seed ``seed_of(args)``; ``seed_of`` is called only when generating."""
     if args.landscape is not None:
         if args.n is not None or args.k is not None or args.q is not None:
             raise UsageError("--landscape conflicts with --n/--k/--q")
         return load_landscape(args.landscape)
     if args.n is None or args.k is None or args.q is None:
         raise UsageError("provide either --landscape or all of --n/--k/--q")
-    _check_params(args.n, [args.k], [args.q])
-    return generate(args.n, args.k, args.q, args.mode,
-                    seed=ex.landscape_seed(seed, args.k, args.q, 0))
+    _check_params(args.n, [args.k], [args.q], args.mode)
+    return generate(args.n, args.k, args.q, args.mode, seed=seed_of(args))
 
 
 def _cmd_run(args) -> int:
     seed = _resolve_seed(args)
-    landscape = _load_or_generate(args, seed)
+    landscape = _load_or_generate(
+        args, lambda a: ex.landscape_seed(seed, a.k, a.q, 0))
     if args.step_max < 1:
         raise UsageError(f"--step-max must be >= 1, got {args.step_max}")
     rs = ex.run_seed(seed, landscape.k, landscape.q, args.heuristic, 0, 0)
     rng = np.random.default_rng(rs)
-    result = ex._dispatch(landscape, args.heuristic, rng, args.step_max,
-                          trace=args.trace)
+    result = ex.run_heuristic(landscape, args.heuristic, rng, args.step_max,
+                              trace=args.trace)
     fv = result.fitness
     print(f"heuristic: {args.heuristic}")
     print(f"landscape: n={landscape.n} k={landscape.k} q={landscape.q} "
@@ -141,7 +151,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_params(args.n, args.k, args.q)
+    _check_params(args.n, args.k, args.q, args.mode)
     seed = _resolve_seed(args)
     try:
         config = ex.SweepConfig(
@@ -164,7 +174,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_degn(args) -> int:
-    _check_params(args.n, args.k, args.q)
+    _check_params(args.n, args.k, args.q, args.mode)
     if args.samples < 1 or args.instances < 1:
         raise UsageError("--samples and --instances must be >= 1")
     seed = _resolve_seed(args)
@@ -184,16 +194,7 @@ def _cmd_degn(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    if args.landscape is not None:
-        if args.n is not None or args.k is not None or args.q is not None:
-            raise UsageError("--landscape conflicts with --n/--k/--q")
-        landscape = load_landscape(args.landscape)
-    else:
-        if args.n is None or args.k is None or args.q is None:
-            raise UsageError("provide either --landscape or all of --n/--k/--q")
-        _check_params(args.n, [args.k], [args.q])
-        landscape = generate(args.n, args.k, args.q, args.mode,
-                             seed=_resolve_seed(args))
+    landscape = _load_or_generate(args, _resolve_seed)
     try:
         graph = pg.build_graph(landscape)
     except pg.GraphSizeError as exc:
@@ -228,13 +229,7 @@ def build_parser() -> _Parser:
                                    + _LANDSCAPE_FORMAT_HELP)
     p.add_argument("--heuristic", required=True, choices=hx.HEURISTICS,
                    help="hc, nc, hc2, or ss")
-    p.add_argument("--n", type=int, help="number of loci (when generating)")
-    p.add_argument("--k", type=int, help="epistatic degree (when generating)")
-    p.add_argument("--q", type=int, help="neutrality parameter (when generating)")
-    p.add_argument("--mode", choices=MODES, default=RANDOM,
-                   help="epistatic link layout (default: random)")
-    p.add_argument("--landscape", default=None,
-                   help="landscape file to load instead of generating")
+    _add_landscape_source(p)
     p.add_argument("--step-max", type=int, default=300,
                    help="netcrawler proposal budget (default: 300)")
     p.add_argument("--trace", action="store_true", help="print the full move trace")
@@ -281,13 +276,7 @@ def build_parser() -> _Parser:
                                    "DOT text. " + _LANDSCAPE_FORMAT_HELP)
     p.add_argument("--heuristic", required=True, choices=pg.GRAPH_KINDS,
                    help="annotation to draw: hc, ss, nc, or hc2")
-    p.add_argument("--n", type=int, help="number of loci (when generating)")
-    p.add_argument("--k", type=int, help="epistatic degree (when generating)")
-    p.add_argument("--q", type=int, help="neutrality parameter (when generating)")
-    p.add_argument("--mode", choices=MODES, default=RANDOM,
-                   help="epistatic link layout (default: random)")
-    p.add_argument("--landscape", default=None,
-                   help="landscape file to load instead of generating")
+    _add_landscape_source(p)
     _add_seed(p)
     p.add_argument("--out", required=True, help="output DOT file")
     p.add_argument("--census", default=None,

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import heuristics as hx
-from .landscape import MODES, RANDOM, NkqLandscape, generate
+from .landscape import RANDOM, NkqLandscape, check_params, generate
 from .neighborhood import EvalCounter
 
 HEURISTIC_IDS = {"hc": 1, "nc": 2, "hc2": 3, "ss": 4}
@@ -88,25 +88,18 @@ class SweepConfig:
         self.k_values = tuple(int(k) for k in self.k_values)
         self.q_values = tuple(int(q) for q in self.q_values)
         self.heuristics = tuple(self.heuristics)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        if not self.k_values or not self.q_values or not self.heuristics:
+            raise ValueError("k_values, q_values and heuristics must be non-empty")
         for k in self.k_values:
-            if not 0 <= k <= self.n - 1:
-                raise ValueError(f"k={k} outside [0, {self.n - 1}]")
-        for q in self.q_values:
-            if q < 2:
-                raise ValueError(f"q={q} must be >= 2")
+            for q in self.q_values:
+                check_params(self.n, k, q, self.mode)
         for h in self.heuristics:
             if h not in HEURISTIC_IDS:
                 raise ValueError(f"unknown heuristic {h!r}")
-        if not self.k_values or not self.q_values or not self.heuristics:
-            raise ValueError("k_values, q_values and heuristics must be non-empty")
         if self.runs < 1 or self.instances < 1:
             raise ValueError("runs and instances must be >= 1")
         if self.step_max < 1:
             raise ValueError("step_max must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
 
@@ -178,8 +171,10 @@ class SweepReport:
         return out
 
 
-def _dispatch(landscape: NkqLandscape, heuristic: str, rng, step_max: int,
-              trace: bool) -> hx.RunResult:
+def run_heuristic(landscape: NkqLandscape, heuristic: str, rng, step_max: int,
+                  trace: bool) -> hx.RunResult:
+    """One run of ``heuristic`` from a uniform-random genotype drawn from
+    ``rng``, which then serves the run's tie-breaks; a fresh counter."""
     s0 = rng.integers(0, 2, size=landscape.n, dtype=np.uint8)
     counter = EvalCounter()
     if heuristic == "hc":
@@ -214,8 +209,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
                         )
                     landscape = landscapes[key]
                     rs = run_seed(config.base_seed, k, q, h, inst, r)
-                    result = _dispatch(landscape, h, np.random.default_rng(rs),
-                                       config.step_max, config.keep_traces)
+                    result = run_heuristic(landscape, h, np.random.default_rng(rs),
+                                           config.step_max, config.keep_traces)
                     report.records.append(RunRecord(
                         heuristic=h, k=k, q=q, instance=inst, run=r,
                         landscape_seed=landscape.seed, run_seed=rs,

@@ -3,7 +3,7 @@
 Four concrete searchers plus a pluggable skeleton:
 
 * ``hill_climb``     - move to a uniformly chosen fittest neighbor until no
-  neighbor is strictly fitter.
+  neighbor is strictly fitter (scuba with an empty neutral phase).
 * ``netcrawler``     - fixed budget of uniform one-bit proposals, accepting
   every non-deleterious move (neutral drift).
 * ``hill_climb2``    - like hill climbing but guided by the distance-2
@@ -25,12 +25,12 @@ scuba ``(1+Degn(s))*n`` per inner-guard evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .landscape import FitnessValue, NkqLandscape, as_genotype
-from .neighborhood import EvalCounter, extended_scan
+from .landscape import FitnessValue, as_genotype
+from .neighborhood import EvalCounter, PlateauScan, extended_scan
 
 MOVE_INIT = "init"
 MOVE_IMPROVE = "improve"
@@ -80,63 +80,6 @@ def _choose(rng: np.random.Generator, candidates: np.ndarray) -> int:
     return int(candidates[rng.integers(candidates.size)])
 
 
-class PlateauScan:
-    """Lazy, counted view of the current point's neighborhood.
-
-    Created fresh for every guard evaluation so that nothing is cached
-    across steps. Each property charges the counter once on first access:
-    ``flip_totals`` costs ``n`` queries, ``neutral_evols`` a further
-    ``Degn * n``.
-    """
-
-    def __init__(self, landscape: NkqLandscape, genotype: np.ndarray, total: int,
-                 counter: EvalCounter):
-        self.landscape = landscape
-        self.genotype = genotype.copy()
-        self.total = total
-        self.counter = counter
-        self._flips: np.ndarray | None = None
-        self._neutral_loci: np.ndarray | None = None
-        self._neutral_evols: np.ndarray | None = None
-
-    @property
-    def flip_totals(self) -> np.ndarray:
-        if self._flips is None:
-            _, flips = self.landscape.batch_scan(self.genotype[None, :])
-            self._flips = flips[0]
-            self.counter.add(self.landscape.n)
-        return self._flips
-
-    @property
-    def neutral_loci(self) -> np.ndarray:
-        if self._neutral_loci is None:
-            self._neutral_loci = np.flatnonzero(self.flip_totals == self.total)
-        return self._neutral_loci
-
-    @property
-    def degn(self) -> int:
-        return int(self.neutral_loci.size)
-
-    @property
-    def evol_total(self) -> int:
-        return max(self.total, int(self.flip_totals.max()))
-
-    @property
-    def neutral_evols(self) -> np.ndarray:
-        """evol total of each neutral neighbor, aligned with ``neutral_loci``."""
-        if self._neutral_evols is None:
-            loci = self.neutral_loci
-            if loci.size:
-                states = np.repeat(self.genotype[None, :], loci.size, axis=0)
-                states[np.arange(loci.size), loci] ^= 1
-                totals, flips = self.landscape.batch_scan(states)
-                self._neutral_evols = np.maximum(totals, flips.max(axis=1))
-                self.counter.add(int(loci.size) * self.landscape.n)
-            else:
-                self._neutral_evols = np.empty(0, dtype=np.int64)
-        return self._neutral_evols
-
-
 # -- improve steps and termination conditions for the generic skeleton ------
 
 def greedy_evol_step(scan: PlateauScan, rng: np.random.Generator) -> Optional[int]:
@@ -176,15 +119,6 @@ def until_local_max(scan: PlateauScan, gate_steps: int) -> bool:
     return int(scan.flip_totals.max()) <= scan.total
 
 
-def budget(limit: int) -> Callable[[PlateauScan, int], bool]:
-    """Phase condition met after ``limit`` improve steps (0 skips the phase)."""
-
-    def condition(scan: PlateauScan, phase_steps: int) -> bool:
-        return phase_steps >= limit
-
-    return condition
-
-
 _IMPROVERS = {
     "greedy-evol": greedy_evol_step,
     "neutral-drift": neutral_drift_step,
@@ -197,67 +131,34 @@ _CONDITIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ImproverSpec:
-    """Named improve-step strategy for :func:`generic_scuba`.
-
-    ``strategy`` is one of "greedy-evol", "neutral-drift" (both
-    fitness-preserving, for the neutral phase) or "jump-to-fittest"
-    (strictly improving, for the jump phase).
-    """
-
-    strategy: str
-
-    def build(self) -> Callable[[PlateauScan, np.random.Generator], Optional[int]]:
-        try:
-            return _IMPROVERS[self.strategy]
-        except KeyError:
-            raise ValueError(f"unknown improver strategy {self.strategy!r}") from None
-
-
-def _resolve_improver(spec):
-    if isinstance(spec, ImproverSpec):
-        return spec.build()
-    if isinstance(spec, str):
-        return ImproverSpec(spec).build()
-    return spec
+def _resolve(spec, registry, what):
+    """The function registered under a name; a callable passes through."""
+    if not isinstance(spec, str):
+        return spec
+    try:
+        return registry[spec]
+    except KeyError:
+        raise ValueError(f"unknown {what} {spec!r}") from None
 
 
 def _resolve_condition(spec):
-    if isinstance(spec, str):
-        try:
-            return _CONDITIONS[spec]
-        except KeyError:
-            raise ValueError(f"unknown termination condition {spec!r}") from None
+    """An integer is a phase budget: met after that many improve steps, so 0
+    skips the phase."""
     if isinstance(spec, int):
-        return budget(spec)
-    return spec
+        return lambda scan, phase_steps: phase_steps >= spec
+    return _resolve(spec, _CONDITIONS, "termination condition")
 
 
 # -- the heuristics ----------------------------------------------------------
 
 def hill_climb(landscape, s0, rng, counter=None, trace=False) -> RunResult:
-    """Steepest-ascent hill climbing; stops at a (non-strict) local maximum."""
-    counter = EvalCounter() if counter is None else counter
-    s = as_genotype(s0, landscape.n).copy()
-    total = landscape.total(s)
-    steps = 0
-    log = [TraceStep(s.copy(), landscape.fitness(total), MOVE_INIT)] if trace else None
-    while True:
-        _, flips = landscape.batch_scan(s[None, :])
-        flips = flips[0]
-        counter.add(landscape.n)
-        best = int(flips.max())
-        if best <= total:
-            break
-        locus = _choose(rng, np.flatnonzero(flips == best))
-        s[locus] ^= 1
-        total = best
-        steps += 1
-        if trace:
-            log.append(TraceStep(s.copy(), landscape.fitness(total), MOVE_IMPROVE))
-    return RunResult(s, landscape.fitness(total), steps, 0, steps,
-                     counter.count, log)
+    """Steepest-ascent hill climbing; stops at a (non-strict) local maximum.
+
+    This is scuba with the neutral phase left out: a zero phase budget skips
+    it, so every step jumps to a uniformly chosen fittest neighbor.
+    """
+    return generic_scuba(landscape, s0, neutral_drift_step, 0, jump_to_fittest,
+                         until_local_max, rng, counter=counter, trace=trace)
 
 
 def netcrawler(landscape, s0, rng, step_max=300, counter=None, trace=False) -> RunResult:
@@ -349,13 +250,15 @@ def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
     flat move); ``improve2`` must strictly increase it, and failing to do so
     when tc2 is unmet raises :class:`ImproverContractError`.
 
-    ``improve1``/``improve2`` accept an :class:`ImproverSpec`, a registered
-    strategy name, or a callable ``(scan, rng) -> locus | None``; ``tc1``/
-    ``tc2`` accept "local-neutral-max"/"local-max", an integer phase budget,
-    or a callable ``(scan, phase_steps) -> bool``.
+    ``improve1``/``improve2`` accept a strategy name ("greedy-evol" or
+    "neutral-drift" for the neutral phase, "jump-to-fittest" for the jump)
+    or a callable ``(scan, rng) -> locus | None``; ``tc1``/``tc2`` accept
+    "local-neutral-max"/"local-max", an integer phase budget, or a callable
+    ``(scan, phase_steps) -> bool``. ``scan`` is a fresh
+    :class:`~.neighborhood.PlateauScan` of the current point.
     """
-    improve1 = _resolve_improver(improve1)
-    improve2 = _resolve_improver(improve2)
+    improve1 = _resolve(improve1, _IMPROVERS, "improver strategy")
+    improve2 = _resolve(improve2, _IMPROVERS, "improver strategy")
     tc1 = _resolve_condition(tc1)
     tc2 = _resolve_condition(tc2)
     counter = EvalCounter() if counter is None else counter

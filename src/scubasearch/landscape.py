@@ -24,6 +24,11 @@ MODES = (ADJACENT, RANDOM)
 
 FORMAT_TAG = "nkq-landscape-1"
 
+# Largest table a landscape may hold, in entries (n * 2**(k+1)). The paper
+# grid peaks at 64 * 2**17 = 2**23; this leaves 16x headroom while keeping a
+# hostile k or file header from asking for terabytes.
+MAX_TABLE_ENTRIES = 2**27
+
 _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
 
 
@@ -78,17 +83,46 @@ class FitnessValue:
 
 
 def as_genotype(s, n: int | None = None) -> np.ndarray:
-    """Coerce ``s`` (sequence of 0/1 or a '0101' string) to a genotype array."""
+    """Coerce ``s`` (bool or integer 0/1 values, or a '0101' string) to a
+    genotype array. Any other dtype, such as floats, is rejected rather than
+    truncated."""
     if isinstance(s, str):
-        s = [int(c) for c in s]
-    arr = np.asarray(s, dtype=np.uint8)
+        if s.strip("01"):
+            raise LandscapeError(f"genotype string must hold only 0 and 1, got {s!r}")
+        s = np.array([int(c) for c in s], dtype=np.uint8)
+    arr = np.asarray(s)
+    if arr.dtype.kind not in "biu":
+        raise LandscapeError(f"genotype alleles must be bool or integer, got dtype {arr.dtype}")
     if arr.ndim != 1:
         raise LandscapeError(f"genotype must be one-dimensional, got shape {arr.shape}")
-    if arr.size and arr.max() > 1:
+    if arr.size and (arr.max() > 1 or (arr.dtype.kind == "i" and arr.min() < 0)):
         raise LandscapeError("genotype alleles must be 0 or 1")
     if n is not None and arr.size != n:
         raise LandscapeError(f"genotype length {arr.size} does not match n={n}")
-    return arr
+    return arr.astype(np.uint8, copy=False)
+
+
+def check_params(n: int, k: int, q: int, mode: str = RANDOM) -> None:
+    """Raise :class:`LandscapeError` unless ``(n, k, q, mode)`` describe a
+    landscape this package can hold: ``n >= 1``, ``0 <= k <= n-1``,
+    ``q >= 2``, a known mode, totals that fit exactly in int64, and at most
+    :data:`MAX_TABLE_ENTRIES` table entries. Allocates nothing."""
+    if n < 1:
+        raise LandscapeError(f"n must be >= 1, got n={n}")
+    if k < 0 or k >= n:
+        raise LandscapeError(f"k must satisfy 0 <= k <= n-1, got k={k} with n={n}")
+    if q < 2:
+        raise LandscapeError(f"q must be >= 2, got q={q}")
+    if mode not in MODES:
+        raise LandscapeError(f"mode must be one of {MODES}, got {mode!r}")
+    if n * (q - 1) >= 2**62:
+        raise LandscapeError("n*(q-1) too large for exact integer totals")
+    # Capping the exponent keeps a huge k from building a huge integer first.
+    if n * 2 ** min(k + 1, 64) > MAX_TABLE_ENTRIES:
+        raise LandscapeError(
+            f"n*2**(k+1) = {n}*2**{k + 1} table entries exceed the limit of "
+            f"2**{MAX_TABLE_ENTRIES.bit_length() - 1}"
+        )
 
 
 def component_index(s, locus: int, links) -> int:
@@ -148,16 +182,7 @@ class NkqLandscape:
     """
 
     def __init__(self, n, k, q, mode, links, tables, seed=None):
-        if n < 1:
-            raise LandscapeError(f"n must be >= 1, got n={n}")
-        if k < 0 or k >= n:
-            raise LandscapeError(f"k must satisfy 0 <= k <= n-1, got k={k} with n={n}")
-        if q < 2:
-            raise LandscapeError(f"q must be >= 2, got q={q}")
-        if mode not in MODES:
-            raise LandscapeError(f"mode must be one of {MODES}, got {mode!r}")
-        if n * (q - 1) >= 2**62:
-            raise LandscapeError("n*(q-1) too large for exact integer totals")
+        check_params(n, k, q, mode)
 
         links = np.array(links, dtype=np.int64).reshape(n, k)
         tables = np.array(tables, dtype=np.int64).reshape(n, 2 ** (k + 1))
@@ -235,14 +260,7 @@ class NkqLandscape:
         reproduce the same instance; bit-equality across other
         implementations of this format is not promised.
         """
-        if n < 1:
-            raise LandscapeError(f"n must be >= 1, got n={n}")
-        if k < 0 or k >= n:
-            raise LandscapeError(f"k must satisfy 0 <= k <= n-1, got k={k} with n={n}")
-        if q < 2:
-            raise LandscapeError(f"q must be >= 2, got q={q}")
-        if mode not in MODES:
-            raise LandscapeError(f"mode must be one of {MODES}, got {mode!r}")
+        check_params(n, k, q, mode)
         if seed is None:
             seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
         rng = np.random.default_rng(seed)
@@ -442,6 +460,10 @@ def deserialize(text: str) -> NkqLandscape:
         raise LandscapeFormatError(f"missing header field(s): {', '.join(missing)}", pos or None)
 
     n, k, q = header["n"], header["k"], header["q"]
+    try:
+        check_params(n, k, q, header["mode"])
+    except LandscapeError as exc:
+        raise LandscapeFormatError(str(exc)) from exc
     if len(rows) != n:
         raise LandscapeFormatError(f"expected {n} locus lines, found {len(rows)}", pos or None)
 

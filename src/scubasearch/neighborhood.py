@@ -12,6 +12,10 @@ point's own fitness is assumed known by the caller and is never charged, so
 a neighborhood scan costs exactly ``n`` queries and an extended scan
 ``n + n*(n-1)/2`` (flip-then-unflip duplicates are deduplicated, never
 recharged). Queries are never cached across separate calls.
+
+Every one-bit scan, the heuristics' included, goes through one counted
+view, :class:`PlateauScan`, and every "evol of each of these points" through
+:func:`evol_rows`; the extended scan is the only other path.
 """
 
 from __future__ import annotations
@@ -44,21 +48,98 @@ class EvalCounter:
         self.count += queries
 
 
+def _flip_states(s: np.ndarray, loci) -> np.ndarray:
+    """One row per locus in ``loci``: ``s`` with that locus flipped."""
+    states = np.repeat(s[None, :], len(loci), axis=0)
+    states[np.arange(len(loci)), loci] ^= 1
+    return states
+
+
 def flip_neighbors(s) -> list[np.ndarray]:
     """The ``n`` genotypes at Hamming distance exactly 1, in locus order."""
     s = as_genotype(s)
-    out = []
-    for locus in range(s.size):
-        mutant = s.copy()
-        mutant[locus] ^= 1
-        out.append(mutant)
-    return out
+    return list(_flip_states(s, np.arange(s.size)))
 
 
-def _flip_states(s: np.ndarray, loci: np.ndarray) -> np.ndarray:
-    states = np.repeat(s[None, :], loci.size, axis=0)
-    states[np.arange(loci.size), loci] ^= 1
-    return states
+def evol_rows(landscape, states: np.ndarray, counter=None) -> np.ndarray:
+    """evol total of each row of ``states``; ``n`` counted queries per row."""
+    if not len(states):
+        return np.empty(0, dtype=np.int64)
+    totals, flips = landscape.batch_scan(states)
+    if counter is not None:
+        counter.add(len(states) * landscape.n)
+    return np.maximum(totals, flips.max(axis=1))
+
+
+class PlateauScan:
+    """Lazy, counted view of one genotype's one-bit neighborhood.
+
+    Build a fresh view for every guard evaluation, so that nothing is cached
+    across steps. ``genotype`` must already be a validated genotype array;
+    the view copies it and does no further checking. ``total`` may be
+    passed by callers that already know it; otherwise the first scan fills
+    it in. Charges, each made once on first access: ``flip_totals`` (and so
+    ``total``, ``neutral_loci``, ``degn``, ``evol_total``) costs ``n``
+    queries, ``neutral_evols`` a further ``Degn * n``; every call of
+    ``member_evols`` costs ``len(loci) * n``.
+    """
+
+    def __init__(self, landscape, genotype: np.ndarray, total=None, counter=None):
+        self.landscape = landscape
+        self.genotype = genotype.copy()
+        self.counter = counter
+        self._total = None if total is None else int(total)
+        self._flips: np.ndarray | None = None
+        self._neutral_loci: np.ndarray | None = None
+        self._neutral_evols: np.ndarray | None = None
+
+    @property
+    def flip_totals(self) -> np.ndarray:
+        if self._flips is None:
+            totals, flips = self.landscape.batch_scan(self.genotype[None, :])
+            self._flips = flips[0]
+            if self._total is None:
+                self._total = int(totals[0])
+            if self.counter is not None:
+                self.counter.add(self.landscape.n)
+        return self._flips
+
+    @property
+    def total(self) -> int:
+        if self._total is None:
+            self.flip_totals
+        return self._total
+
+    @property
+    def neutral_loci(self) -> np.ndarray:
+        if self._neutral_loci is None:
+            self._neutral_loci = np.flatnonzero(self.flip_totals == self.total)
+        return self._neutral_loci
+
+    @property
+    def degn(self) -> int:
+        return int(self.neutral_loci.size)
+
+    @property
+    def evol_total(self) -> int:
+        return max(self.total, int(self.flip_totals.max()))
+
+    def member_evols(self, loci) -> np.ndarray:
+        """evol total of the one-bit mutant at each of ``loci``, in order."""
+        if not len(loci):
+            return np.empty(0, dtype=np.int64)
+        return evol_rows(self.landscape, _flip_states(self.genotype, loci), self.counter)
+
+    @property
+    def neutral_evols(self) -> np.ndarray:
+        """evol total of each neutral neighbor, aligned with ``neutral_loci``."""
+        if self._neutral_evols is None:
+            self._neutral_evols = self.member_evols(self.neutral_loci)
+        return self._neutral_evols
+
+
+def _view(landscape, s, counter, total) -> PlateauScan:
+    return PlateauScan(landscape, as_genotype(s, landscape.n), total, counter)
 
 
 def neighbor_scan(landscape, s, counter=None, total=None):
@@ -66,13 +147,8 @@ def neighbor_scan(landscape, s, counter=None, total=None):
 
     ``total`` may be passed by callers that already know it.
     """
-    s = as_genotype(s, landscape.n)
-    totals, flips = landscape.batch_scan(s[None, :])
-    if total is None:
-        total = int(totals[0])
-    if counter is not None:
-        counter.add(landscape.n)
-    return int(total), flips[0]
+    view = _view(landscape, s, counter, total)
+    return view.total, view.flip_totals
 
 
 def extended_scan(landscape, s, counter=None, total=None):
@@ -92,23 +168,12 @@ def extended_scan(landscape, s, counter=None, total=None):
     return int(total), flip_totals, pair_totals
 
 
-def _member_evols(landscape, s, loci, counter):
-    """evol of each one-bit mutant of ``s`` at ``loci``; ``n`` queries each."""
-    if loci.size == 0:
-        return np.empty(0, dtype=np.int64)
-    totals, flips = landscape.batch_scan(_flip_states(s, loci))
-    if counter is not None:
-        counter.add(int(loci.size) * landscape.n)
-    return np.maximum(totals, flips.max(axis=1))
-
-
 def evol(landscape, s, counter=None, *, total=None) -> FitnessValue:
     """Maximum fitness over the neighborhood of ``s`` (including ``s``).
 
     Costs exactly ``n`` counted queries.
     """
-    total, flips = neighbor_scan(landscape, s, counter, total)
-    return landscape.fitness(max(total, int(flips.max())))
+    return landscape.fitness(_view(landscape, s, counter, total).evol_total)
 
 
 def evol2(landscape, s, counter=None, *, total=None) -> FitnessValue:
@@ -122,15 +187,13 @@ def evol2(landscape, s, counter=None, *, total=None) -> FitnessValue:
 
 def neutral_neighbors(landscape, s, counter=None, *, total=None) -> list[np.ndarray]:
     """Members of ``V(s)`` other than ``s`` with total equal to ``s``'s."""
-    s = as_genotype(s, landscape.n)
-    total, flips = neighbor_scan(landscape, s, counter, total)
-    return [m for m, t in zip(flip_neighbors(s), flips) if int(t) == total]
+    view = _view(landscape, s, counter, total)
+    return list(_flip_states(view.genotype, view.neutral_loci))
 
 
 def neutral_degree(landscape, s, counter=None, *, total=None) -> int:
     """Number of neutral neighbors of ``s`` (``Degn``), in ``[0, n]``."""
-    total, flips = neighbor_scan(landscape, s, counter, total)
-    return int(np.count_nonzero(flips == total))
+    return _view(landscape, s, counter, total).degn
 
 
 def is_local(landscape, s, guide=FITNESS, structure=V, counter=None, *, total=None) -> bool:
@@ -158,34 +221,22 @@ def is_local(landscape, s, guide=FITNESS, structure=V, counter=None, *, total=No
     s = as_genotype(s, landscape.n)
     n = landscape.n
 
-    if guide == FITNESS:
-        if structure == V2:
-            total, flips, pairs = extended_scan(landscape, s, counter, total)
+    if structure == V2:
+        total, flips, pairs = extended_scan(landscape, s, counter, total)
+        if guide == FITNESS:
             return bool(max(int(flips.max()), int(pairs.max())) <= total)
-        total, flips = neighbor_scan(landscape, s, counter, total)
-        if structure == VN:
-            return True
-        return bool(int(flips.max()) <= total)
+        # Every point within distance 2: the n one-bit mutants, then the
+        # C(n,2) two-bit mutants.
+        hi, lo = np.triu_indices(n, k=1)
+        states = _flip_states(s, np.concatenate((np.arange(n), hi)))
+        states[np.arange(n, n + lo.size), lo] ^= 1
+        evols = evol_rows(landscape, states, counter)
+        return bool(int(evols.max()) <= max(total, int(flips.max())))
 
-    if structure in (V, VN):
-        total, flips = neighbor_scan(landscape, s, counter, total)
-        evol_s = max(total, int(flips.max()))
-        loci = np.arange(n) if structure == V else np.flatnonzero(flips == total)
-        evols = _member_evols(landscape, s, loci, counter)
-        return bool(evols.size == 0 or int(evols.max()) <= evol_s)
-
-    total, flips, pairs = extended_scan(landscape, s, counter, total)
-    evol_s = max(total, int(flips.max()))
-    d1 = _member_evols(landscape, s, np.arange(n), counter)
-    hi, lo = np.triu_indices(n, k=1)
-    states = np.repeat(s[None, :], hi.size, axis=0)
-    states[np.arange(hi.size), hi] ^= 1
-    states[np.arange(lo.size), lo] ^= 1
-    if states.shape[0]:
-        totals2, flips2 = landscape.batch_scan(states)
-        if counter is not None:
-            counter.add(states.shape[0] * n)
-        d2_max = int(np.maximum(totals2, flips2.max(axis=1)).max())
-    else:
-        d2_max = evol_s
-    return bool(max(int(d1.max()) if d1.size else evol_s, d2_max) <= evol_s)
+    view = PlateauScan(landscape, s, total, counter)
+    if guide == FITNESS:
+        flips = view.flip_totals
+        return structure == VN or bool(int(flips.max()) <= view.total)
+    evol_s = view.evol_total
+    evols = view.member_evols(view.neutral_loci if structure == VN else np.arange(n))
+    return bool(evols.size == 0 or int(evols.max()) <= evol_s)

@@ -184,6 +184,23 @@ class TestErrorHandling:
                        "--seed", "1") == 2
         assert "malformed" in capsys.readouterr().err
 
+    def test_oversized_tables_are_usage_errors(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        assert run_cli("gen", "--n", "64", "--k", "63", "--q", "2", "--seed", "1",
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "table entries" in err
+        assert not out.exists()
+
+    def test_oversized_landscape_header(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("format nkq-landscape-1\nn 70\nk 40\nq 2\nmode random\n"
+                        "seed 1\n" + "".join(f"{i} 0\n" for i in range(70)))
+        assert run_cli("run", "--heuristic", "hc", "--landscape", str(path),
+                       "--seed", "1") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "malformed landscape file" in err
+
     def test_unwritable_output(self):
         assert run_cli("gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",
                        "--out", "/no/such/dir/file.txt") == 2

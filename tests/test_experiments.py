@@ -18,6 +18,7 @@ from scubasearch import (
     neutral_degree_instance_means,
     neutral_degree_stats,
     neutral_mutation_profile,
+    run_heuristic,
     run_seed,
     run_sweep,
     scuba,
@@ -27,7 +28,6 @@ from scubasearch import (
     write_records,
     write_step_stats_csv,
 )
-from scubasearch.experiments import _dispatch
 
 
 def small_config(**overrides):
@@ -105,7 +105,7 @@ class TestRunSweep:
     def test_dispatch_rejects_unknown(self):
         landscape = generate(6, 1, 2, seed=1)
         with pytest.raises(ValueError):
-            _dispatch(landscape, "sa", np.random.default_rng(0), 300, False)
+            run_heuristic(landscape, "sa", np.random.default_rng(0), 300, False)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -118,6 +118,10 @@ class TestRunSweep:
             small_config(runs=0)
         with pytest.raises(ValueError):
             small_config(base_seed=-1)
+
+    def test_config_rejects_oversized_tables(self):
+        with pytest.raises(ValueError, match="table entries"):
+            small_config(n=64, k_values=(2, 30))
 
 
 class TestCsvOutput:

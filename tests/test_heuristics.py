@@ -7,8 +7,6 @@ from scubasearch import (
     RANDOM,
     EvalCounter,
     ImproverContractError,
-    ImproverSpec,
-    budget,
     evol,
     generate,
     generic_scuba,
@@ -248,7 +246,7 @@ class TestGenericScuba:
     def test_zero_budget_drift_degenerates_to_jumping(self, rng):
         landscape = generate(12, 2, 2, RANDOM, seed=13)
         s0 = rng.integers(0, 2, 12, dtype=np.uint8)
-        result = generic_scuba(landscape, s0, "neutral-drift", budget(0),
+        result = generic_scuba(landscape, s0, "neutral-drift", 0,
                                "jump-to-fittest", "local-max",
                                np.random.default_rng(3))
         assert result.flat_count == 0
@@ -262,7 +260,7 @@ class TestGenericScuba:
             fm = oracles.fitness_map(landscape)
             local = oracles.v_local_set(fm)
             s0 = rng.integers(0, 2, 10, dtype=np.uint8)
-            drift = generic_scuba(landscape, s0, "neutral-drift", budget(20),
+            drift = generic_scuba(landscape, s0, "neutral-drift", 20,
                                   "jump-to-fittest", "local-max",
                                   np.random.default_rng(seed))
             greedy = scuba(landscape, s0, np.random.default_rng(seed))
@@ -272,7 +270,7 @@ class TestGenericScuba:
     def test_drift_preserves_fitness(self, rng):
         landscape = generate(12, 1, 2, RANDOM, seed=14)
         s0 = rng.integers(0, 2, 12, dtype=np.uint8)
-        result = generic_scuba(landscape, s0, "neutral-drift", budget(24),
+        result = generic_scuba(landscape, s0, "neutral-drift", 24,
                                "jump-to-fittest", "local-max",
                                np.random.default_rng(5), trace=True)
         previous = result.trace[0]
@@ -290,7 +288,7 @@ class TestGenericScuba:
 
         with pytest.raises(ImproverContractError):
             generic_scuba(landscape, s0, "greedy-evol", "local-neutral-max",
-                          refuse, budget(10**9), np.random.default_rng(0))
+                          refuse, 10**9, np.random.default_rng(0))
 
     def test_improve1_contract_violation(self):
         landscape = onemax_landscape(6)
@@ -300,13 +298,23 @@ class TestGenericScuba:
             return 0  # flipping a zero raises fitness: not neutral
 
         with pytest.raises(ImproverContractError):
-            generic_scuba(landscape, s0, cheat, budget(1),
+            generic_scuba(landscape, s0, cheat, 1,
                           "jump-to-fittest", "local-max", np.random.default_rng(0))
 
-    def test_improver_spec(self):
-        assert ImproverSpec("neutral-drift").build() is neutral_drift_step
+    def test_improver_spec(self, rng):
+        landscape = generate(12, 1, 2, RANDOM, seed=16)
+        s0 = rng.integers(0, 2, 12, dtype=np.uint8)
+        by_name, by_callable = (
+            generic_scuba(landscape, s0, improver, 5, "jump-to-fittest",
+                          "local-max", np.random.default_rng(2))
+            for improver in ("neutral-drift", neutral_drift_step)
+        )
+        assert by_name.terminal.tolist() == by_callable.terminal.tolist()
+        assert by_name.evaluations == by_callable.evaluations
         with pytest.raises(ValueError):
-            ImproverSpec("magic").build()
+            generic_scuba(onemax_landscape(4), np.zeros(4, dtype=np.uint8),
+                          "magic", "local-neutral-max", "jump-to-fittest",
+                          "local-max", np.random.default_rng(0))
         with pytest.raises(ValueError):
             generic_scuba(onemax_landscape(4), np.zeros(4, dtype=np.uint8),
                           "greedy-evol", "sometimes", "jump-to-fittest",

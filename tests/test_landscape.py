@@ -9,9 +9,11 @@ from scubasearch import (
     EvalCounter,
     FitnessValue,
     LandscapeError,
+    MAX_TABLE_ENTRIES,
     LandscapeFormatError,
     NkqLandscape,
     adjacent_links,
+    check_params,
     component_index,
     deserialize,
     generate,
@@ -75,6 +77,21 @@ class TestGenerate:
         with pytest.raises(LandscapeError):
             generate(n, k, q, RANDOM, seed=0)
 
+    @pytest.mark.parametrize("n,k", [(64, 63), (64, 21), (2**27, 0), (2**40, 2**40 - 1)])
+    def test_oversized_tables_rejected_before_drawing(self, n, k, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("generate drew randomness for an oversized table")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        with pytest.raises(LandscapeError, match="table entries"):
+            generate(n, k, 2, RANDOM, seed=0)
+
+    def test_table_bound_admits_the_paper_grid(self):
+        check_params(64, 16, 100)
+        check_params(MAX_TABLE_ENTRIES // 2**17, 16, 2)
+        with pytest.raises(LandscapeError):
+            check_params(MAX_TABLE_ENTRIES // 2**17 + 1, 16, 2)
+
     def test_arrays_frozen(self):
         landscape = generate(6, 2, 3, RANDOM, seed=0)
         with pytest.raises(ValueError):
@@ -96,6 +113,25 @@ class TestGenotypeCoercion:
             as_genotype([0, 2, 1])
         with pytest.raises(LandscapeError):
             as_genotype([[0, 1]])
+
+    @pytest.mark.parametrize("values", [
+        [0.7, 1.2, 0], np.array([0.0, 1.0]), ["0", "1"], np.array([1, None]), "01a",
+    ])
+    def test_rejects_non_integer_dtypes(self, values):
+        from scubasearch import as_genotype
+
+        with pytest.raises(LandscapeError):
+            as_genotype(values)
+
+    def test_accepts_bool_and_integer_dtypes(self):
+        from scubasearch import as_genotype
+
+        for values in (np.array([True, False]), np.array([1, 0], dtype=np.int64),
+                       np.array([1, 0], dtype=np.uint16), [1, 0]):
+            got = as_genotype(values)
+            assert got.dtype == np.uint8 and got.tolist() == [1, 0]
+        with pytest.raises(LandscapeError):
+            as_genotype(np.array([-1, 0]))
 
 
 class TestComponentIndex:
@@ -299,3 +335,16 @@ class TestSerialization:
         lines[6] = " ".join(fields)
         with pytest.raises(LandscapeFormatError):
             deserialize("\n".join(lines))
+
+    def test_oversized_header_rejected_before_allocation(self, monkeypatch):
+        # 70 short locus lines under a header whose tables would need 2**47
+        # int64 entries: refused from the header alone.
+        doc = ["format nkq-landscape-1", "n 70", "k 40", "q 2", "mode random", "seed 1"]
+        doc += [f"{i} 0" for i in range(70)]
+
+        def no_empty(*args, **kwargs):
+            raise AssertionError("deserialize allocated tables for an oversized header")
+
+        monkeypatch.setattr(np, "empty", no_empty)
+        with pytest.raises(LandscapeFormatError, match="table entries"):
+            deserialize("\n".join(doc) + "\n")

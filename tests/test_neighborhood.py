@@ -171,14 +171,28 @@ class TestIsLocal:
                 if is_local(landscape, arr, "f", "V2"):
                     assert is_local(landscape, arr, "f", "V")
 
+    # Counted queries of every (guide, structure) row of the is_local cost
+    # table as a function of n and d = Degn(s); evol/Vn is scuba's guard.
+    COSTS = {
+        ("f", "V"): lambda n, d: n,
+        ("f", "Vn"): lambda n, d: n,
+        ("f", "V2"): lambda n, d: n + n * (n - 1) // 2,
+        ("evol", "V"): lambda n, d: n + n * n,
+        ("evol", "Vn"): lambda n, d: n + d * n,
+        ("evol", "V2"): lambda n, d: (n + n * (n - 1) // 2) * (1 + n),
+    }
+
     def test_scuba_guard_cost(self, rng):
-        landscape = generate(12, 1, 2, RANDOM, seed=17)
-        for _ in range(10):
-            s = rng.integers(0, 2, 12, dtype=np.uint8)
-            d = neutral_degree(landscape, s)
-            counter = EvalCounter()
-            is_local(landscape, s, "evol", "Vn", counter)
-            assert counter.count == (1 + d) * 12
+        for n, k in ((12, 1), (7, 3), (1, 0)):
+            landscape = generate(n, k, 2, RANDOM, seed=17)
+            for i in range(10):
+                s = rng.integers(0, 2, n, dtype=np.uint8)
+                d = neutral_degree(landscape, s)
+                total = landscape.total(s) if i % 2 else None
+                for (guide, structure), cost in self.COSTS.items():
+                    counter = EvalCounter()
+                    is_local(landscape, s, guide, structure, counter, total=total)
+                    assert counter.count == cost(n, d), (guide, structure, n)
 
     def test_bad_arguments(self):
         landscape = generate(6, 2, 3, RANDOM, seed=5)

@@ -149,13 +149,22 @@ class SweepReport:
         return [r for r in self.records
                 if r.heuristic == heuristic and r.k == k and r.q == q]
 
+    def records_by_cell(self) -> dict[tuple[str, int, int], list[RunRecord]]:
+        """Records grouped by (heuristic, k, q) in one pass, each group in
+        record order."""
+        groups: dict[tuple[str, int, int], list[RunRecord]] = defaultdict(list)
+        for r in self.records:
+            groups[(r.heuristic, r.k, r.q)].append(r)
+        return dict(groups)
+
     def cells(self) -> list[CellStats]:
         """Per-cell statistics, ordered by (heuristic, k, q) config index."""
+        groups = self.records_by_cell()
         out = []
         for h in self.config.heuristics:
             for k in self.config.k_values:
                 for q in self.config.q_values:
-                    recs = self.cell_records(h, k, q)
+                    recs = groups.get((h, k, q))
                     if not recs:
                         continue
                     norm = np.array([r.fitness_norm for r in recs])
@@ -188,38 +197,50 @@ def run_heuristic(landscape: NkqLandscape, heuristic: str, rng, step_max: int,
     raise ValueError(f"unknown heuristic {heuristic!r}")
 
 
+def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]:
+    """Every heuristic's runs on cell ``(k, q)``, keyed by heuristic. The
+    cell's landscapes live only as long as this call."""
+    landscapes = [
+        generate(config.n, k, q, config.mode,
+                 seed=landscape_seed(config.base_seed, k, q, inst))
+        for inst in range(min(config.instances, config.runs))
+    ]
+    out = {}
+    for h in config.heuristics:
+        recs = out[h] = []
+        for r in range(config.runs):
+            inst = r % config.instances
+            landscape = landscapes[inst]
+            rs = run_seed(config.base_seed, k, q, h, inst, r)
+            result = run_heuristic(landscape, h, np.random.default_rng(rs),
+                                   config.step_max, config.keep_traces)
+            recs.append(RunRecord(
+                heuristic=h, k=k, q=q, instance=inst, run=r,
+                landscape_seed=landscape.seed, run_seed=rs,
+                fitness_total=result.fitness.total,
+                fitness_norm=result.fitness.normalized,
+                steps=result.steps, flat=result.flat_count,
+                gate=result.gate_count, evaluations=result.evaluations,
+                trace=result.trace,
+            ))
+    return out
+
+
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run every cell of the grid; uniform-random initial genotypes per run.
 
-    Cells execute and aggregate in config order (heuristic, k, q), so the
-    report and the files written from it never depend on scheduling.
+    Cells run in (k, q, heuristic) order, so only one (k, q) cell's
+    landscapes are held at a time, and the records aggregate in config order
+    (heuristic, k, q, run). Every run has its own seed, so the report and
+    the files written from it never depend on scheduling.
     """
+    cells = {(k, q): _run_cell(config, k, q)
+             for k in config.k_values for q in config.q_values}
     report = SweepReport(config)
-    landscapes: dict[tuple[int, int, int], NkqLandscape] = {}
     for h in config.heuristics:
         for k in config.k_values:
             for q in config.q_values:
-                for r in range(config.runs):
-                    inst = r % config.instances
-                    key = (k, q, inst)
-                    if key not in landscapes:
-                        landscapes[key] = generate(
-                            config.n, k, q, config.mode,
-                            seed=landscape_seed(config.base_seed, k, q, inst),
-                        )
-                    landscape = landscapes[key]
-                    rs = run_seed(config.base_seed, k, q, h, inst, r)
-                    result = run_heuristic(landscape, h, np.random.default_rng(rs),
-                                           config.step_max, config.keep_traces)
-                    report.records.append(RunRecord(
-                        heuristic=h, k=k, q=q, instance=inst, run=r,
-                        landscape_seed=landscape.seed, run_seed=rs,
-                        fitness_total=result.fitness.total,
-                        fitness_norm=result.fitness.normalized,
-                        steps=result.steps, flat=result.flat_count,
-                        gate=result.gate_count, evaluations=result.evaluations,
-                        trace=result.trace,
-                    ))
+                report.records.extend(cells[(k, q)][h])
     return report
 
 
@@ -343,10 +364,11 @@ class StepStatsRow:
 
 def step_stats(report: SweepReport) -> list[StepStatsRow]:
     """Scuba per-cell mean total steps (flat+gate) and mean flat moves."""
+    groups = report.records_by_cell()
     rows = []
     for k in report.config.k_values:
         for q in report.config.q_values:
-            recs = report.cell_records("ss", k, q)
+            recs = groups.get(("ss", k, q))
             if not recs:
                 continue
             rows.append(StepStatsRow(

@@ -207,6 +207,7 @@ class NkqLandscape:
 
         self.max_total = self.n * (self.q - 1)
         self._build_flip_structure()
+        self._pairs = None
 
     @property
     def denominator(self) -> int:
@@ -325,6 +326,19 @@ class NkqLandscape:
             idx = idx + states[:, self.links].astype(np.int64) @ self._link_weights
         return idx
 
+    def _row_deltas(self, states: np.ndarray):
+        """``(idx, vals, totals, deltas)`` of each row of a (batch, n)
+        genotype matrix: component table indices and values, totals, and
+        ``deltas[b, l]``, the change of row b's total when locus l flips."""
+        states = np.ascontiguousarray(states, dtype=np.uint8)
+        idx = self._base_indices(states)
+        vals = self._tab_flat[self._row_offsets + idx]
+        sign = 1 - 2 * states[:, self._aff_owner].astype(np.int64)
+        base = idx[:, self._aff_locus] + self._aff_offsets
+        dvals = self._tab_flat[base + sign * self._aff_weight] - vals[:, self._aff_locus]
+        deltas = np.add.reduceat(dvals, self._aff_starts, axis=1)
+        return idx, vals, vals.sum(axis=1), deltas
+
     def batch_totals(self, states: np.ndarray) -> np.ndarray:
         """Totals of each row of a (batch, n) genotype matrix."""
         states = np.ascontiguousarray(states, dtype=np.uint8)
@@ -338,15 +352,66 @@ class NkqLandscape:
         (batch, n); ``flip_totals[b, l]`` is the total of row b with locus l
         flipped. One gather per affected component, not per genotype.
         """
-        states = np.ascontiguousarray(states, dtype=np.uint8)
-        idx = self._base_indices(states)
-        vals = self._tab_flat[self._row_offsets + idx]
-        totals = vals.sum(axis=1)
-        sign = 1 - 2 * states[:, self._aff_owner].astype(np.int64)
-        base = idx[:, self._aff_locus] + self._aff_offsets
-        dvals = self._tab_flat[base + sign * self._aff_weight] - vals[:, self._aff_locus]
-        deltas = np.add.reduceat(dvals, self._aff_starts, axis=1)
+        _, _, totals, deltas = self._row_deltas(states)
         return totals, totals[:, None] + deltas
+
+    def _pair_structure(self):
+        """Per component, every pair of the loci it reads, built on first use.
+
+        Component j reads k+1 loci: j itself at bit weight 1 and
+        ``links[j, m]`` at weight ``1 << (m+1)``. Each of its C(k+1, 2)
+        pairs is one entry, holding j and both weights.
+        Entries are sorted by the pair key ``a*n + b`` (a < b); ``starts``
+        marks each key's first entry, and ``flat``/``flat_t`` are the
+        positions of (a, b) and (b, a) in the flattened n x n pair matrix.
+        Two threads may both build it; they build the same arrays.
+        Landscapes that never take a distance-2 scan never build this.
+        """
+        if self._pairs is None:
+            n, k = self.n, self.k
+            loci = np.column_stack((np.arange(n, dtype=np.int64), self.links))
+            pa, pb = np.triu_indices(k + 1, 1)
+            comp = np.repeat(np.arange(n, dtype=np.int64), pa.size)
+            la, lb = loci[:, pa].ravel(), loci[:, pb].ravel()
+            wa = np.tile(np.left_shift(1, pa), n)
+            wb = np.tile(np.left_shift(1, pb), n)
+            lo, hi = np.minimum(la, lb), np.maximum(la, lb)
+            order = np.argsort(lo * n + hi, kind="stable")
+            lo, hi = lo[order], hi[order]
+            key = lo * n + hi
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            wa, wb = wa[order], wb[order]
+            self._pairs = (comp[order], wa, wb, wa | wb, starts,
+                           key[starts], hi[starts] * n + lo[starts])
+        return self._pairs
+
+    def pair_scan(self, s):
+        """``(total, flip_totals, pair_totals)`` for a single genotype.
+
+        ``pair_totals[a, b]`` is the total of ``s`` with loci a and b both
+        flipped; the diagonal holds ``total``. Exact in int64: a two-bit
+        move changes the total by ``d[a] + d[b]`` (the one-bit deltas) plus,
+        for every component reading both a and b, the interaction term
+        ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]``, so one one-row scan and
+        n*C(k+1, 2) interaction terms cover the whole distance-2 ball.
+        """
+        s = as_genotype(s, self.n)
+        idx, vals, totals, deltas = self._row_deltas(s[None, :])
+        total, d, vals = totals[0], deltas[0], vals[0]
+        flips = total + d
+        pairs = flips[:, None] + d[None, :]
+        np.fill_diagonal(pairs, total)
+        if self.k:
+            comp, wa, wb, wab, starts, flat, flat_t = self._pair_structure()
+            # Table offsets lie above bit k, so XOR on the flat index flips
+            # only the component's own index bits.
+            base = (self._row_offsets + idx[0])[comp]
+            tab = self._tab_flat
+            terms = tab[base ^ wab] - tab[base ^ wa] - tab[base ^ wb] + vals[comp]
+            sums = np.add.reduceat(terms, starts)
+            pairs.ravel()[flat] += sums
+            pairs.ravel()[flat_t] += sums
+        return int(total), flips, pairs
 
     def scan(self, s):
         """(total, flip totals) for a single genotype."""

@@ -15,7 +15,10 @@ recharged). Queries are never cached across separate calls.
 
 Every one-bit scan, the heuristics' included, goes through one counted
 view, :class:`PlateauScan`, and every "evol of each of these points" through
-:func:`evol_rows`; the extended scan is the only other path.
+:func:`evol_rows`. The extended scan is the only other path: one one-row
+scan plus the pairwise interaction terms of the components that read both
+flipped loci (:meth:`~.landscape.NkqLandscape.pair_scan`), not a scan of
+all ``n`` one-bit mutants. Its charge is unchanged.
 """
 
 from __future__ import annotations
@@ -157,15 +160,11 @@ def extended_scan(landscape, s, counter=None, total=None):
     ``pair_totals[i, j]`` is the total of ``s`` with loci ``i`` and ``j``
     both flipped; the diagonal holds ``total`` itself (flip undone).
     """
-    s = as_genotype(s, landscape.n)
-    n = landscape.n
-    flips_states = _flip_states(s, np.arange(n))
-    flip_totals, pair_totals = landscape.batch_scan(flips_states)
-    if total is None:
-        total = int(pair_totals[0, 0])
+    scanned, flip_totals, pair_totals = landscape.pair_scan(s)
     if counter is not None:
+        n = landscape.n
         counter.add(n + n * (n - 1) // 2)
-    return int(total), flip_totals, pair_totals
+    return int(scanned if total is None else total), flip_totals, pair_totals
 
 
 def evol(landscape, s, counter=None, *, total=None) -> FitnessValue:
@@ -225,12 +224,16 @@ def is_local(landscape, s, guide=FITNESS, structure=V, counter=None, *, total=No
         total, flips, pairs = extended_scan(landscape, s, counter, total)
         if guide == FITNESS:
             return bool(max(int(flips.max()), int(pairs.max())) <= total)
-        # Every point within distance 2: the n one-bit mutants, then the
-        # C(n,2) two-bit mutants.
+        # Every point within distance 2: the n one-bit mutants, whose
+        # neighborhoods the pair matrix already holds (still charged n
+        # queries each), then the C(n,2) two-bit mutants.
+        if counter is not None:
+            counter.add(n * n)
+        evols = np.maximum(flips, pairs.max(axis=1))
         hi, lo = np.triu_indices(n, k=1)
-        states = _flip_states(s, np.concatenate((np.arange(n), hi)))
-        states[np.arange(n, n + lo.size), lo] ^= 1
-        evols = evol_rows(landscape, states, counter)
+        states = _flip_states(s, hi)
+        states[np.arange(lo.size), lo] ^= 1
+        evols = np.concatenate((evols, evol_rows(landscape, states, counter)))
         return bool(int(evols.max()) <= max(total, int(flips.max())))
 
     view = PlateauScan(landscape, s, total, counter)

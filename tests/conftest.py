@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from scubasearch import NkqLandscape
+
+# Property tests draw the same examples on every run and keep no example
+# database, so the suite stays deterministic and its run time bounded.
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          max_examples=100, database=None)
+settings.load_profile("tier1")
 
 
 def constant_landscape(n: int, q: int = 2, value: int | None = None) -> NkqLandscape:

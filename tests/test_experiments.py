@@ -1,4 +1,6 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from scubasearch import (
     SweepConfig,
     SweepReport,
     derive_seed,
+    experiments,
     generate,
     landscape_seed,
     neutral_degree,
@@ -101,6 +104,28 @@ class TestRunSweep:
         for x, y in zip(a.records, b.records):
             assert (x.fitness_total, x.evaluations, x.run_seed) == \
                    (y.fitness_total, y.evaluations, y.run_seed)
+
+    def test_holds_one_cell_of_landscapes_and_keeps_record_order(self, monkeypatch):
+        alive = []
+        most_alive = []
+
+        def tracked_generate(*args, **kwargs):
+            landscape = generate(*args, **kwargs)
+            gc.collect()
+            alive.append(weakref.ref(landscape))
+            most_alive.append(sum(ref() is not None for ref in alive))
+            return landscape
+
+        monkeypatch.setattr(experiments, "generate", tracked_generate)
+        config = small_config(k_values=(0, 2, 3), q_values=(2, 3), runs=5,
+                              instances=2)
+        report = run_sweep(config)
+        assert len(alive) == 3 * 2 * 2
+        assert max(most_alive) == config.instances
+        assert [(r.heuristic, r.k, r.q, r.run) for r in report.records] == [
+            (h, k, q, r) for h in config.heuristics for k in config.k_values
+            for q in config.q_values for r in range(config.runs)
+        ]
 
     def test_dispatch_rejects_unknown(self):
         landscape = generate(6, 1, 2, seed=1)

@@ -6,6 +6,7 @@ from conftest import constant_landscape, onemax_landscape
 from scubasearch import (
     RANDOM,
     EvalCounter,
+    NkqLandscape,
     evol,
     evol2,
     flip_neighbors,
@@ -193,6 +194,28 @@ class TestIsLocal:
                     counter = EvalCounter()
                     is_local(landscape, s, guide, structure, counter, total=total)
                     assert counter.count == cost(n, d), (guide, structure, n)
+
+    def test_v2_evol_scans_only_two_bit_rows(self, rng, monkeypatch):
+        # The one-bit mutants' evolvabilities come from the pair matrix, so
+        # only the C(n,2) two-bit mutants are scanned row by row; the charge
+        # still covers every point within distance 2.
+        rows = []
+        scan = NkqLandscape.batch_scan
+
+        def counting_scan(self, states):
+            rows.append(len(states))
+            return scan(self, states)
+
+        monkeypatch.setattr(NkqLandscape, "batch_scan", counting_scan)
+        for n, k in ((16, 3), (5, 4), (1, 0)):
+            landscape = generate(n, k, 2, RANDOM, seed=23)
+            for _ in range(3):
+                rows.clear()
+                counter = EvalCounter()
+                is_local(landscape, rng.integers(0, 2, n, dtype=np.uint8),
+                         "evol", "V2", counter)
+                assert sum(rows) == n * (n - 1) // 2, (n, rows)
+                assert counter.count == self.COSTS[("evol", "V2")](n, 0)
 
     def test_bad_arguments(self):
         landscape = generate(6, 2, 3, RANDOM, seed=5)

@@ -10,6 +10,12 @@ in ``[0, n*(q-1)]``; the normalized fitness divides by ``n*(q-1)``.
 All fitness comparisons in this package use the integer total, so two
 genotypes are neutral exactly when their totals are equal. Normalization
 happens only at reporting boundaries.
+
+Tables are stored once, in the smallest signed integer dtype that holds
+``q-1`` (int8 for ``q <= 128``, which covers the paper grid). Because the
+dtype is signed, the difference of two entries lies in ``[-(q-1), q-1]``
+and always fits it, so one-bit deltas need no cast; any sum of entries or
+differences accumulates in int64.
 """
 
 from __future__ import annotations
@@ -30,6 +36,16 @@ FORMAT_TAG = "nkq-landscape-1"
 MAX_TABLE_ENTRIES = 2**27
 
 _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
+
+# Entries generate draws per rng call: whole rows, at most 2**16 entries
+# unless a single row is longer, so the int64 draw buffer stays small.
+_DRAW_CHUNK = 2**16
+
+
+def _table_dtype(q: int) -> np.dtype:
+    """Smallest signed integer dtype holding ``-q``, hence every entry in
+    ``[0, q-1]`` and every difference of two entries."""
+    return np.min_scalar_type(-int(q))
 
 
 class LandscapeError(ValueError):
@@ -175,7 +191,10 @@ class NkqLandscape:
     mode : "adjacent" or "random" link layout (metadata for regeneration).
     seed : generation seed, or None for hand-built instances.
     links : (n, k) int array; row i lists the k epistatic loci of locus i.
-    tables : (n, 2**(k+1)) int array of component values.
+    tables : (n, 2**(k+1)) array of component values, in the smallest
+        signed integer dtype holding q-1 (int8 for q <= 128). The
+        difference of two entries fits that dtype; any sum of entries must
+        accumulate in int64.
 
     The arrays are frozen after construction; instances are safe to share
     across concurrently executing runs.
@@ -185,7 +204,10 @@ class NkqLandscape:
         check_params(n, k, q, mode)
 
         links = np.array(links, dtype=np.int64).reshape(n, k)
-        tables = np.array(tables, dtype=np.int64).reshape(n, 2 ** (k + 1))
+        tables = np.asarray(tables)
+        if tables.dtype.kind not in "iu":
+            tables = tables.astype(np.int64)
+        tables = tables.reshape(n, 2 ** (k + 1))
         for i in range(n):
             row = links[i]
             if row.size != len(set(row.tolist())) or i in row:
@@ -194,6 +216,8 @@ class NkqLandscape:
                 raise LandscapeError(f"links[{i}] contains an out-of-range locus")
         if tables.size and (tables.min() < 0 or tables.max() > q - 1):
             raise LandscapeError(f"table entries must lie in [0, {q - 1}]")
+        # astype copies, so the caller's array is never frozen or aliased.
+        tables = tables.astype(_table_dtype(q))
 
         self.n = int(n)
         self.k = int(k)
@@ -220,6 +244,10 @@ class NkqLandscape:
         the packed bit weight of l inside component j; component l itself
         always changes with weight 1. Entries are flattened and grouped by
         flip locus for vectorized gather/segment-sum scans.
+
+        Component j's table starts at ``_row_offsets[j] = j << (k+1)``, above
+        bit k, so XOR with a weight on a flat table index flips only the
+        component's own index bit: every scan kernel flips bits that way.
         """
         n, k = self.n, self.k
         per_flip_locus = [[i] for i in range(n)]
@@ -238,8 +266,6 @@ class NkqLandscape:
         self._aff_weight = np.array(
             [w for group in per_flip_weight for w in group], dtype=np.int64
         )
-        # Owner of each flat entry: the flip locus whose group it belongs to.
-        self._aff_owner = np.repeat(np.arange(n, dtype=np.int64), counts)
 
         self._row_offsets = np.arange(n, dtype=np.int64) << (k + 1)
         self._tab_flat = self.tables.ravel()
@@ -255,11 +281,14 @@ class NkqLandscape:
         """Draw a fresh instance from a PCG64 stream seeded with ``seed``.
 
         Draw order is fixed: link rows for loci 0..n-1 first (random mode
-        only; adjacent links consume no randomness), then every table entry
-        in one uniform-integer draw of shape (n, 2**(k+1)), row-major, i.e.
-        loci ascending and table index ascending. Identical arguments always
-        reproduce the same instance; bit-equality across other
-        implementations of this format is not promised.
+        only; adjacent links consume no randomness), then every table entry,
+        row-major, i.e. loci ascending and table index ascending. Entries
+        are drawn as int64 in chunks of whole rows and stored straight into
+        the compact table; each value comes from the bit generator's own
+        stream, so the chunks consume exactly what one draw of shape
+        (n, 2**(k+1)) would. Identical arguments always reproduce the same
+        instance; bit-equality across other implementations of this format
+        is not promised.
         """
         check_params(n, k, q, mode)
         if seed is None:
@@ -269,7 +298,12 @@ class NkqLandscape:
             links = adjacent_links(n, k)
         else:
             links = _random_links(n, k, rng)
-        tables = rng.integers(0, q, size=(n, 2 ** (k + 1)), dtype=np.int64)
+        width = 2 ** (k + 1)
+        tables = np.empty((n, width), dtype=_table_dtype(q))
+        rows = max(1, _DRAW_CHUNK // width)
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            tables[lo:hi] = rng.integers(0, q, size=(hi - lo, width), dtype=np.int64)
         return cls(n, k, q, mode, links, tables, seed=seed)
 
     # -- evaluation ---------------------------------------------------------
@@ -304,8 +338,8 @@ class NkqLandscape:
         if self.k:
             idx += s[self.links[loci]].astype(np.int64) @ self._link_weights
         base = self._row_offsets[loci] + idx
-        sign = 1 - 2 * int(s[flip_locus])
-        change = self._tab_flat[base + sign * weights] - self._tab_flat[base]
+        tab = self._tab_flat
+        change = tab[base ^ weights] - tab[base]
         return int(total) + int(change.sum())
 
     def delta_evaluate(self, s, total: int, flip_locus: int, counter=None) -> FitnessValue:
@@ -329,21 +363,22 @@ class NkqLandscape:
     def _row_deltas(self, states: np.ndarray):
         """``(idx, vals, totals, deltas)`` of each row of a (batch, n)
         genotype matrix: component table indices and values, totals, and
-        ``deltas[b, l]``, the change of row b's total when locus l flips."""
+        ``deltas[b, l]``, the change of row b's total when locus l flips.
+        ``vals`` keeps the table dtype; totals and deltas are int64."""
         states = np.ascontiguousarray(states, dtype=np.uint8)
         idx = self._base_indices(states)
-        vals = self._tab_flat[self._row_offsets + idx]
-        sign = 1 - 2 * states[:, self._aff_owner].astype(np.int64)
+        tab = self._tab_flat
+        vals = tab[self._row_offsets + idx]
         base = idx[:, self._aff_locus] + self._aff_offsets
-        dvals = self._tab_flat[base + sign * self._aff_weight] - vals[:, self._aff_locus]
-        deltas = np.add.reduceat(dvals, self._aff_starts, axis=1)
-        return idx, vals, vals.sum(axis=1), deltas
+        dvals = tab[base ^ self._aff_weight] - vals[:, self._aff_locus]
+        deltas = np.add.reduceat(dvals, self._aff_starts, axis=1, dtype=np.int64)
+        return idx, vals, vals.sum(axis=1, dtype=np.int64), deltas
 
     def batch_totals(self, states: np.ndarray) -> np.ndarray:
         """Totals of each row of a (batch, n) genotype matrix."""
         states = np.ascontiguousarray(states, dtype=np.uint8)
         idx = self._base_indices(states)
-        return self._tab_flat[self._row_offsets + idx].sum(axis=1)
+        return self._tab_flat[self._row_offsets + idx].sum(axis=1, dtype=np.int64)
 
     def batch_scan(self, states: np.ndarray):
         """Totals of each row and of every one-bit mutant of each row.
@@ -403,11 +438,11 @@ class NkqLandscape:
         np.fill_diagonal(pairs, total)
         if self.k:
             comp, wa, wb, wab, starts, flat, flat_t = self._pair_structure()
-            # Table offsets lie above bit k, so XOR on the flat index flips
-            # only the component's own index bits.
             base = (self._row_offsets + idx[0])[comp]
             tab = self._tab_flat
-            terms = tab[base ^ wab] - tab[base ^ wa] - tab[base ^ wb] + vals[comp]
+            # A term reaches +-2(q-1), past the table dtype: cast the first.
+            terms = (tab[base ^ wab].astype(np.int64) - tab[base ^ wa]
+                     - tab[base ^ wb] + vals[comp])
             sums = np.add.reduceat(terms, starts)
             pairs.ravel()[flat] += sums
             pairs.ravel()[flat_t] += sums
@@ -534,7 +569,8 @@ def deserialize(text: str) -> NkqLandscape:
 
     width = 1 + k + 2 ** (k + 1)
     links = np.empty((n, k), dtype=np.int64)
-    tables = np.empty((n, 2 ** (k + 1)), dtype=np.int64)
+    # Each line is range-checked before assignment, so the fill never wraps.
+    tables = np.empty((n, 2 ** (k + 1)), dtype=_table_dtype(q))
     for expected, (lineno, parts) in enumerate(rows):
         if len(parts) != width:
             raise LandscapeFormatError(

@@ -92,6 +92,46 @@ class TestGenerate:
         with pytest.raises(LandscapeError):
             check_params(MAX_TABLE_ENTRIES // 2**17 + 1, 16, 2)
 
+    # (q, smallest signed dtype holding q-1) on both sides of each dtype edge.
+    DTYPE_EDGES = [(2, np.int8), (128, np.int8), (129, np.int16), (2**15, np.int16),
+                   (2**15 + 1, np.int32), (2**31, np.int32), (2**31 + 1, np.int64)]
+
+    @pytest.mark.parametrize("q,dtype", DTYPE_EDGES)
+    def test_tables_in_smallest_signed_dtype(self, q, dtype):
+        n, k = 9, 3
+        landscape = generate(n, k, q, RANDOM, seed=q)
+        assert landscape.tables.dtype == dtype
+        if q <= 128:
+            assert landscape.tables.nbytes == n * 2 ** (k + 1)
+
+    @pytest.mark.parametrize("q", [q for q, _ in DTYPE_EDGES])
+    @pytest.mark.parametrize("n,k", [(100000, 0), (5000, 3), (17, 16)])
+    def test_tables_match_one_draw(self, q, n, k):
+        # Adjacent links draw nothing, so the table draw starts the stream;
+        # n=100000 at k=0 and n=5000 at k=3 span several draw chunks.
+        got = generate(n, k, q, ADJACENT, seed=11).tables
+        want = np.random.default_rng(11).integers(0, q, size=(n, 2 ** (k + 1)),
+                                                  dtype=np.int64)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+    def test_constructor_copies_its_input(self, dtype):
+        tables = np.array([[0, 2], [1, 1]], dtype=dtype)
+        landscape = NkqLandscape(2, 0, 3, RANDOM, np.empty((2, 0)), tables)
+        tables[0, 0] = 1
+        assert tables.flags.writeable
+        assert landscape.tables.tolist() == [[0, 2], [1, 1]]
+        assert landscape.tables.dtype == np.int8
+
+    @pytest.mark.parametrize("tables", [
+        np.array([[0, 300]], dtype=np.int64),  # would read 44 as int8
+        np.array([[0, 2**63]], dtype=np.uint64),  # would read -2**63 as int64
+        np.array([[-1, 0]], dtype=np.int16),
+    ])
+    def test_constructor_range_checks_before_narrowing(self, tables):
+        with pytest.raises(LandscapeError, match="table entries"):
+            NkqLandscape(1, 0, 100, RANDOM, np.empty((1, 0)), tables)
+
     def test_arrays_frozen(self):
         landscape = generate(6, 2, 3, RANDOM, seed=0)
         with pytest.raises(ValueError):
@@ -338,7 +378,7 @@ class TestSerialization:
 
     def test_oversized_header_rejected_before_allocation(self, monkeypatch):
         # 70 short locus lines under a header whose tables would need 2**47
-        # int64 entries: refused from the header alone.
+        # entries: refused from the header alone.
         doc = ["format nkq-landscape-1", "n 70", "k 40", "q 2", "mode random", "seed 1"]
         doc += [f"{i} 0" for i in range(70)]
 

@@ -1,11 +1,14 @@
-"""Property tests of the distance-2 scan against the brute-force oracles.
+"""Property tests of the scan kernels against the brute-force oracles.
 
 Landscapes and genotypes are drawn by Hypothesis under the deterministic
 profile registered in ``conftest.py``. The large q values keep the scans
 honest about integers: at ``q = 2**40`` totals pass 2**32, and at
 ``q = 2**58`` table values pass 2**53, above which float64 no longer holds
 every integer, so any float arithmetic in a scan path shows as an inexact
-total.
+total. The q values at the edges of the table dtypes (128 | 129,
+2**15 | 2**15+1, 2**31 | 2**31+1) put the largest entries each dtype holds
+into the scans, so a sum or a pair term computed in the table dtype instead
+of int64 wraps and shows.
 """
 
 import numpy as np
@@ -18,13 +21,15 @@ from scubasearch import (
     MODES,
     EvalCounter,
     NkqLandscape,
+    deserialize,
     extended_scan,
     generate,
     is_local,
     neutral_degree_instance_means,
+    serialize,
 )
 
-Q_VALUES = (2, 3, 100, 2**40, 2**58)
+Q_VALUES = (2, 3, 100, 128, 129, 2**15, 2**15 + 1, 2**31, 2**31 + 1, 2**40, 2**58)
 
 
 @st.composite
@@ -44,6 +49,7 @@ def test_extended_scan_matches_oracle(q, data):
     n = landscape.n
     base = tuple(int(b) for b in s)
     total, flips, pairs = extended_scan(landscape, s)
+    # extended_scan returns pair_scan's arrays as they are.
     assert flips.dtype == np.int64 and pairs.dtype == np.int64
     assert total == oracles.naive_total(landscape, base)
     assert flips.tolist() == [
@@ -55,6 +61,46 @@ def test_extended_scan_matches_oracle(q, data):
          for b in range(n)]
         for a in range(n)
     ]
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@given(data=st.data())
+def test_batch_scan_matches_oracle(q, data):
+    landscape, s = data.draw(landscape_and_genotype(q))
+    n = landscape.n
+    rows = [s.tolist()] + data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=3))
+    states = np.array(rows, dtype=np.uint8)
+    totals, flips = landscape.batch_scan(states)
+    assert totals.dtype == np.int64 and flips.dtype == np.int64
+    batch_totals = landscape.batch_totals(states)
+    assert batch_totals.dtype == np.int64
+    for b, row in enumerate(rows):
+        base = tuple(row)
+        assert totals[b] == batch_totals[b] == oracles.naive_total(landscape, base)
+        assert flips[b].tolist() == [
+            oracles.naive_total(landscape, oracles.flip(base, a)) for a in range(n)
+        ]
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@given(data=st.data())
+def test_delta_total_matches_oracle(q, data):
+    landscape, s = data.draw(landscape_and_genotype(q))
+    base = tuple(int(b) for b in s)
+    total = oracles.naive_total(landscape, base)
+    for a in range(landscape.n):
+        assert landscape.delta_total(s, total, a) == oracles.naive_total(
+            landscape, oracles.flip(base, a))
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@given(data=st.data())
+def test_serialization_round_trips_values_and_dtype(q, data):
+    landscape, _ = data.draw(landscape_and_genotype(q))
+    again = deserialize(serialize(landscape))
+    assert again == landscape  # compares the table values too
+    assert again.tables.dtype == landscape.tables.dtype == np.min_scalar_type(-q)
 
 
 @pytest.mark.parametrize("q", Q_VALUES)

@@ -58,6 +58,7 @@ from .landscape import (
     LandscapeError,
     LandscapeFormatError,
     NkqLandscape,
+    ScoreVector,
     adjacent_links,
     as_genotype,
     check_params,
@@ -83,7 +84,6 @@ from .neighborhood import (
     extended_scan,
     flip_neighbors,
     is_local,
-    neighbor_scan,
     neutral_degree,
     neutral_neighbors,
 )

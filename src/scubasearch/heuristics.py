@@ -20,6 +20,14 @@ point's fitness is treated as known and is not charged to the counter; each
 neighborhood scan then costs exactly ``n`` queries, which makes hill
 climbing cost ``n*(steps+1)``, the netcrawler exactly ``step_max``, and
 scuba ``(1+Degn(s))*n`` per inner-guard evaluation.
+
+The one-bit searchers (hill climbing, the netcrawler and scuba) carry one
+:class:`~.landscape.ScoreVector` of the current point across steps instead
+of rescanning it: a proposal at locus l reads ``total + d[l]``, only a move
+updates the vector (from the components that read the flipped locus), and
+scuba's evolvability of a neutral neighbor is one row of its mutant deltas.
+The charges above are the queries, not this compute, so they are the same
+as for a full scan at every step.
 """
 
 from __future__ import annotations
@@ -171,28 +179,28 @@ def netcrawler(landscape, s0, rng, step_max=300, counter=None, trace=False) -> R
     if step_max <= 0:
         raise ValueError(f"step_max must be positive, got {step_max}")
     counter = EvalCounter() if counter is None else counter
-    s = as_genotype(s0, landscape.n).copy()
-    total = landscape.total(s)
+    state = landscape.scores(s0)
     flat = gate = 0
-    log = [TraceStep(s.copy(), landscape.fitness(total), MOVE_INIT)] if trace else None
-    for _ in range(step_max):
-        locus = int(rng.integers(landscape.n))
-        proposal = landscape.delta_total(s, total, locus)
-        counter.add(1)
-        if proposal >= total:
-            s[locus] ^= 1
-            if proposal == total:
+    log = [TraceStep(state.s.copy(), landscape.fitness(state.total), MOVE_INIT)] if trace else None
+    # One draw of all loci takes the same values from the stream as one
+    # scalar draw per step, and leaves the same next draw.
+    for locus in rng.integers(landscape.n, size=step_max).tolist():
+        delta = int(state.d[locus])
+        if delta >= 0:
+            state = state.flip(locus)
+            if delta == 0:
                 flat += 1
                 kind = MOVE_NEUTRAL
             else:
                 gate += 1
                 kind = MOVE_IMPROVE
-            total = proposal
         else:
             kind = MOVE_REJECT
         if trace:
-            log.append(TraceStep(s.copy(), landscape.fitness(total), kind))
-    return RunResult(s, landscape.fitness(total), step_max, flat, gate,
+            log.append(TraceStep(state.s.copy(), landscape.fitness(state.total), kind))
+    # Each proposal is one query, accepted or not.
+    counter.add(step_max)
+    return RunResult(state.s, landscape.fitness(state.total), step_max, flat, gate,
                      counter.count, log)
 
 
@@ -255,20 +263,21 @@ def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
     or a callable ``(scan, rng) -> locus | None``; ``tc1``/``tc2`` accept
     "local-neutral-max"/"local-max", an integer phase budget, or a callable
     ``(scan, phase_steps) -> bool``. ``scan`` is a fresh
-    :class:`~.neighborhood.PlateauScan` of the current point.
+    :class:`~.neighborhood.PlateauScan` of the current point, a view of the
+    score vector the run carries from step to step.
     """
     improve1 = _resolve(improve1, _IMPROVERS, "improver strategy")
     improve2 = _resolve(improve2, _IMPROVERS, "improver strategy")
     tc1 = _resolve_condition(tc1)
     tc2 = _resolve_condition(tc2)
     counter = EvalCounter() if counter is None else counter
-    s = as_genotype(s0, landscape.n).copy()
-    total = landscape.total(s)
+    state = landscape.scores(s0)
+    total = state.total
     flat = gate = 0
-    log = [TraceStep(s.copy(), landscape.fitness(total), MOVE_INIT)] if trace else None
+    log = [TraceStep(state.s.copy(), landscape.fitness(total), MOVE_INIT)] if trace else None
 
     while True:
-        scan = PlateauScan(landscape, s, total, counter)
+        scan = PlateauScan(state, counter)
         phase_steps = 0
         while not tc1(scan, phase_steps):
             locus = improve1(scan, rng)
@@ -277,12 +286,12 @@ def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
                     raise ImproverContractError(
                         "improve1 must preserve the fitness total"
                     )
-                s[locus] ^= 1
+                state = state.flip(locus)
             flat += 1
             phase_steps += 1
             if trace:
-                log.append(TraceStep(s.copy(), landscape.fitness(total), MOVE_NEUTRAL))
-            scan = PlateauScan(landscape, s, total, counter)
+                log.append(TraceStep(state.s.copy(), landscape.fitness(total), MOVE_NEUTRAL))
+            scan = PlateauScan(state, counter)
         if tc2(scan, gate):
             break
         locus = improve2(scan, rng)
@@ -290,13 +299,13 @@ def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
             raise ImproverContractError(
                 "improve2 failed to strictly improve at a non-terminal point"
             )
-        total = int(scan.flip_totals[locus])
-        s[locus] ^= 1
+        state = state.flip(locus)
+        total = state.total
         gate += 1
         if trace:
-            log.append(TraceStep(s.copy(), landscape.fitness(total), MOVE_IMPROVE))
+            log.append(TraceStep(state.s.copy(), landscape.fitness(total), MOVE_IMPROVE))
 
-    return RunResult(s, landscape.fitness(total), flat + gate, flat, gate,
+    return RunResult(state.s, landscape.fitness(total), flat + gate, flat, gate,
                      counter.count, log)
 
 

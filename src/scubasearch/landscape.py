@@ -232,10 +232,7 @@ class NkqLandscape:
         self.max_total = self.n * (self.q - 1)
         self._build_flip_structure()
         self._pairs = None
-
-    @property
-    def denominator(self) -> int:
-        return self.max_total
+        self._mutants = None
 
     def _build_flip_structure(self):
         """Precompute, per flip locus, which components change and by what bit.
@@ -448,6 +445,38 @@ class NkqLandscape:
             pairs.ravel()[flat_t] += sums
         return int(total), flips, pairs
 
+    def _mutant_structure(self):
+        """Per flip locus, every component reading it, built on first use.
+
+        Row l of ``comps`` lists the components that read l, padded to the
+        longest row; ``masks[l, e]`` holds l's bit weight in component
+        ``comps[l, e]`` and 0, so one XOR gives the entry with and without l
+        flipped (a pad has weight 0 and every term of it vanishes).
+        ``targets[l]`` lists, entry by entry, the loci each component reads,
+        in bit order, and ``bits[p]`` is the weight ``1 << p`` of bit p. Two
+        threads may both build it; they build the same arrays. Landscapes
+        that never move a score vector never build this.
+        """
+        if self._mutants is None:
+            n, k = self.n, self.k
+            counts = self._aff_ends - self._aff_starts
+            rows = np.repeat(np.arange(n), counts)
+            cols = np.arange(counts.sum()) - np.repeat(self._aff_starts, counts)
+            comps = np.zeros((n, int(counts.max())), dtype=np.int64)
+            masks = np.zeros((n, 2, comps.shape[1]), dtype=np.int64)
+            comps[rows, cols] = self._aff_locus
+            masks[rows, 0, cols] = self._aff_weight
+            loci = np.column_stack((np.arange(n, dtype=np.int64), self.links))
+            bits = np.left_shift(1, np.arange(k + 1, dtype=np.int64))
+            self._mutants = (comps, masks, loci[comps].reshape(n, -1), bits)
+        return self._mutants
+
+    def scores(self, s) -> "ScoreVector":
+        """The :class:`ScoreVector` of genotype ``s``, from one one-row scan."""
+        s = as_genotype(s, self.n).copy()
+        idx, _, totals, deltas = self._row_deltas(s[None, :])
+        return ScoreVector(self, s, self._row_offsets + idx[0], int(totals[0]), deltas[0])
+
     def scan(self, s):
         """(total, flip totals) for a single genotype."""
         s = as_genotype(s, self.n)
@@ -477,6 +506,73 @@ class NkqLandscape:
             f"NkqLandscape(n={self.n}, k={self.k}, q={self.q}, "
             f"mode={self.mode!r}, seed={self.seed})"
         )
+
+
+class ScoreVector:
+    """A genotype together with what a one-bit search asks of it.
+
+    ``s`` is the genotype, ``idx[j]`` the position of component j's entry
+    in the flattened tables, ``total`` the exact total and ``d[l]`` (int64)
+    the change of the total when locus l flips, so the flip total at l is
+    ``total + d[l]`` without a scan (Whitley & Chen, GECCO 2012). A score
+    vector never changes once built: :meth:`flip` returns the next one, so
+    anything that read an earlier one stays valid. It charges no counter;
+    the caller decides what is a query.
+    """
+
+    __slots__ = ("landscape", "s", "idx", "total", "d")
+
+    def __init__(self, landscape, s, idx, total, d):
+        self.landscape = landscape
+        self.s = s
+        self.idx = idx
+        self.total = total
+        self.d = d
+
+    def _flip_terms(self, loci):
+        """``(targets, terms)`` for one locus l or an array of them: for each
+        component reading l (weight ``wl``, entry ``i``) and each locus m it
+        reads (weight ``wm``), ``targets`` holds m and ``terms`` the change
+        that flipping l brings to the delta at m,
+        ``(T[i^wl^wm] - T[i^wl]) - (T[i^wm] - T[i])``: one row of the pair
+        terms of :meth:`NkqLandscape.pair_scan`. At m = l the terms sum to
+        ``-2 d[l]``."""
+        landscape = self.landscape
+        comps, masks, targets, bits = landscape._mutant_structure()
+        # i ^ wl and i for each component reading l.
+        entries = self.idx[comps[loci]][..., None, :] ^ masks[loci]
+        tab = landscape._tab_flat
+        diffs = tab[entries[..., None] ^ bits] - tab[entries][..., None]
+        # Both differences fit the table dtype; their difference reaches
+        # +-2(q-1), past it, so it is taken in int64.
+        terms = np.subtract(diffs[..., 0, :, :], diffs[..., 1, :, :], dtype=np.int64)
+        return targets[loci], terms
+
+    def mutant_deltas(self, loci) -> np.ndarray:
+        """``(len(loci), n)`` int64: row r holds the one-bit deltas of ``s``
+        with ``loci[r]`` flipped. Flipping l moves the delta at m only
+        through the components that read both l and m."""
+        loci = np.asarray(loci, dtype=np.intp)
+        targets, terms = self._flip_terms(loci)
+        rows = np.repeat(self.d[None, :], loci.size, axis=0)
+        at = targets + np.arange(0, rows.size, self.landscape.n)[:, None]
+        np.add.at(rows.reshape(-1), at.reshape(-1), terms.reshape(-1))
+        return rows
+
+    def flip(self, locus: int) -> "ScoreVector":
+        """The score vector of ``s`` with ``locus`` flipped; ``self`` is left
+        as it is. Its deltas are the row of :meth:`mutant_deltas` for
+        ``locus``."""
+        landscape = self.landscape
+        targets, terms = self._flip_terms(locus)
+        d = self.d.copy()
+        np.add.at(d, targets, terms.reshape(-1))
+        lo, hi = landscape._aff_starts[locus], landscape._aff_ends[locus]
+        idx = self.idx.copy()
+        idx[landscape._aff_locus[lo:hi]] ^= landscape._aff_weight[lo:hi]
+        s = self.s.copy()
+        s[locus] ^= 1
+        return ScoreVector(landscape, s, idx, self.total + int(self.d[locus]), d)
 
 
 def generate(n, k, q, mode=RANDOM, seed=None) -> NkqLandscape:

@@ -11,14 +11,19 @@ Evaluation accounting: every function here takes an optional
 point's own fitness is assumed known by the caller and is never charged, so
 a neighborhood scan costs exactly ``n`` queries and an extended scan
 ``n + n*(n-1)/2`` (flip-then-unflip duplicates are deduplicated, never
-recharged). Queries are never cached across separate calls.
+recharged). Queries are never cached across separate calls: the counter
+models the paper's query cost, not the compute behind it.
 
-Every one-bit scan, the heuristics' included, goes through one counted
-view, :class:`PlateauScan`, and every "evol of each of these points" through
-:func:`evol_rows`. The extended scan is the only other path: one one-row
-scan plus the pairwise interaction terms of the components that read both
-flipped loci (:meth:`~.landscape.NkqLandscape.pair_scan`), not a scan of
-all ``n`` one-bit mutants. Its charge is unchanged.
+Every one-bit question, the heuristics' included, goes through one counted
+view, :class:`PlateauScan`, of a :class:`~.landscape.ScoreVector` (the total
+and one-bit deltas of one genotype); the heuristics carry one score vector
+across steps, while :func:`evol`, :func:`neutral_degree`,
+:func:`neutral_neighbors` and :func:`is_local` build one per call (it yields
+the total too, so a ``total`` passed to them is not needed). The distance-2
+scan is the only other path: one one-row scan plus the pairwise interaction
+terms of the components that read both flipped loci
+(:meth:`~.landscape.NkqLandscape.pair_scan`), with :func:`evol_rows` for the
+two-bit mutants of ``is_local(..., "V2")``. Its charge is unchanged.
 """
 
 from __future__ import annotations
@@ -77,41 +82,44 @@ def evol_rows(landscape, states: np.ndarray, counter=None) -> np.ndarray:
 class PlateauScan:
     """Lazy, counted view of one genotype's one-bit neighborhood.
 
-    Build a fresh view for every guard evaluation, so that nothing is cached
-    across steps. ``genotype`` must already be a validated genotype array;
-    the view copies it and does no further checking. ``total`` may be
-    passed by callers that already know it; otherwise the first scan fills
-    it in. Charges, each made once on first access: ``flip_totals`` (and so
-    ``total``, ``neutral_loci``, ``degn``, ``evol_total``) costs ``n``
-    queries, ``neutral_evols`` a further ``Degn * n``; every call of
-    ``member_evols`` costs ``len(loci) * n``.
+    The view reads a :class:`~.landscape.ScoreVector` (``landscape.scores(s)``),
+    which carries the total and the one-bit deltas across steps, so reading a
+    view scans nothing: the flip totals are ``total + d`` and the evolvability
+    of a neighbor comes from one row of the score vector's mutant deltas. A
+    score vector never changes, so a view stays valid after the search has
+    moved on. Charges are per view, each made once on first access, and are
+    the queries a scan would make: ``flip_totals`` (and so
+    ``neutral_loci``, ``degn``, ``evol_total``) costs ``n`` queries,
+    ``neutral_evols`` a further ``Degn * n``; every call of ``member_evols``
+    costs ``len(loci) * n``. ``total`` is known and never charged.
     """
 
-    def __init__(self, landscape, genotype: np.ndarray, total=None, counter=None):
-        self.landscape = landscape
-        self.genotype = genotype.copy()
+    def __init__(self, state, counter=None):
+        self.state = state
         self.counter = counter
-        self._total = None if total is None else int(total)
         self._flips: np.ndarray | None = None
         self._neutral_loci: np.ndarray | None = None
         self._neutral_evols: np.ndarray | None = None
 
     @property
-    def flip_totals(self) -> np.ndarray:
-        if self._flips is None:
-            totals, flips = self.landscape.batch_scan(self.genotype[None, :])
-            self._flips = flips[0]
-            if self._total is None:
-                self._total = int(totals[0])
-            if self.counter is not None:
-                self.counter.add(self.landscape.n)
-        return self._flips
+    def landscape(self):
+        return self.state.landscape
+
+    @property
+    def genotype(self) -> np.ndarray:
+        return self.state.s
 
     @property
     def total(self) -> int:
-        if self._total is None:
-            self.flip_totals
-        return self._total
+        return self.state.total
+
+    @property
+    def flip_totals(self) -> np.ndarray:
+        if self._flips is None:
+            self._flips = self.state.total + self.state.d
+            if self.counter is not None:
+                self.counter.add(self.landscape.n)
+        return self._flips
 
     @property
     def neutral_loci(self) -> np.ndarray:
@@ -128,10 +136,15 @@ class PlateauScan:
         return max(self.total, int(self.flip_totals.max()))
 
     def member_evols(self, loci) -> np.ndarray:
-        """evol total of the one-bit mutant at each of ``loci``, in order."""
+        """evol total of the one-bit mutant at each of ``loci``, in order:
+        its total plus the best of its own one-bit deltas, or nothing if
+        none is positive."""
         if not len(loci):
             return np.empty(0, dtype=np.int64)
-        return evol_rows(self.landscape, _flip_states(self.genotype, loci), self.counter)
+        if self.counter is not None:
+            self.counter.add(len(loci) * self.landscape.n)
+        best = np.maximum(self.state.mutant_deltas(loci).max(axis=1), 0)
+        return self.total + self.state.d[loci] + best
 
     @property
     def neutral_evols(self) -> np.ndarray:
@@ -141,17 +154,8 @@ class PlateauScan:
         return self._neutral_evols
 
 
-def _view(landscape, s, counter, total) -> PlateauScan:
-    return PlateauScan(landscape, as_genotype(s, landscape.n), total, counter)
-
-
-def neighbor_scan(landscape, s, counter=None, total=None):
-    """``(total, flip_totals)`` for ``s``; costs ``n`` counted queries.
-
-    ``total`` may be passed by callers that already know it.
-    """
-    view = _view(landscape, s, counter, total)
-    return view.total, view.flip_totals
+def _view(landscape, s, counter) -> PlateauScan:
+    return PlateauScan(landscape.scores(s), counter)
 
 
 def extended_scan(landscape, s, counter=None, total=None):
@@ -172,7 +176,7 @@ def evol(landscape, s, counter=None, *, total=None) -> FitnessValue:
 
     Costs exactly ``n`` counted queries.
     """
-    return landscape.fitness(_view(landscape, s, counter, total).evol_total)
+    return landscape.fitness(_view(landscape, s, counter).evol_total)
 
 
 def evol2(landscape, s, counter=None, *, total=None) -> FitnessValue:
@@ -186,13 +190,13 @@ def evol2(landscape, s, counter=None, *, total=None) -> FitnessValue:
 
 def neutral_neighbors(landscape, s, counter=None, *, total=None) -> list[np.ndarray]:
     """Members of ``V(s)`` other than ``s`` with total equal to ``s``'s."""
-    view = _view(landscape, s, counter, total)
+    view = _view(landscape, s, counter)
     return list(_flip_states(view.genotype, view.neutral_loci))
 
 
 def neutral_degree(landscape, s, counter=None, *, total=None) -> int:
     """Number of neutral neighbors of ``s`` (``Degn``), in ``[0, n]``."""
-    return _view(landscape, s, counter, total).degn
+    return _view(landscape, s, counter).degn
 
 
 def is_local(landscape, s, guide=FITNESS, structure=V, counter=None, *, total=None) -> bool:
@@ -236,7 +240,7 @@ def is_local(landscape, s, guide=FITNESS, structure=V, counter=None, *, total=No
         evols = np.concatenate((evols, evol_rows(landscape, states, counter)))
         return bool(int(evols.max()) <= max(total, int(flips.max())))
 
-    view = PlateauScan(landscape, s, total, counter)
+    view = _view(landscape, s, counter)
     if guide == FITNESS:
         flips = view.flip_totals
         return structure == VN or bool(int(flips.max()) <= view.total)

@@ -108,3 +108,94 @@ def neutral_networks(fm: dict) -> list[set[tuple]]:
         seen |= component
         components.append(component)
     return components
+
+
+# -- searchers ----------------------------------------------------------------
+#
+# Pure-Python runs of the library's one-bit searchers, step by step, with the
+# library's draw order: ties go to ``rng.integers(len(candidates))`` over the
+# candidate loci in ascending order, and the netcrawler draws one scalar
+# ``rng.integers(n)`` per step. Each returns the terminal, its total, the
+# step and move counts, the evaluations charged (n per scan of a point's
+# neighbors) and the trace as (kind, total) pairs.
+
+
+def _memo_totals(landscape):
+    memo = {}
+
+    def total(s):
+        if s not in memo:
+            memo[s] = naive_total(landscape, s)
+        return memo[s]
+
+    return total
+
+
+def _run(s, total, steps, flat, gate, evaluations, trace):
+    return {"terminal": s, "total": total, "steps": steps, "flat": flat,
+            "gate": gate, "evaluations": evaluations, "trace": trace}
+
+
+def _climb(landscape, s0, rng, neutral_phase):
+    """Hill climbing, or scuba when ``neutral_phase``: while some neutral
+    neighbor has a strictly higher evolvability than the current point, move
+    to one of highest evolvability (flat move), else jump to a fittest
+    strictly fitter neighbor (gate move)."""
+    f = _memo_totals(landscape)
+    s = tuple(int(b) for b in s0)
+    total = f(s)
+    flat = gate = evaluations = 0
+    trace = [("init", total)]
+    while True:
+        flips = [f(flip(s, locus)) for locus in range(len(s))]
+        evaluations += len(s)
+        if neutral_phase:
+            neutral = [locus for locus in range(len(s)) if flips[locus] == total]
+            evols = [max(f(m) for m in neighborhood(flip(s, locus))) for locus in neutral]
+            evaluations += len(s) * len(neutral)
+            if evols and max(evols) > max([total] + flips):
+                best = max(evols)
+                candidates = [locus for locus, e in zip(neutral, evols) if e == best]
+                s = flip(s, candidates[int(rng.integers(len(candidates)))])
+                flat += 1
+                trace.append(("neutral", total))
+                continue
+        best = max(flips)
+        if best <= total:
+            return _run(s, total, flat + gate, flat, gate, evaluations, trace)
+        candidates = [locus for locus in range(len(s)) if flips[locus] == best]
+        s = flip(s, candidates[int(rng.integers(len(candidates)))])
+        total = best
+        gate += 1
+        trace.append(("improve", total))
+
+
+def hill_climb(landscape, s0, rng):
+    return _climb(landscape, s0, rng, neutral_phase=False)
+
+
+def scuba(landscape, s0, rng):
+    return _climb(landscape, s0, rng, neutral_phase=True)
+
+
+def netcrawler(landscape, s0, rng, step_max):
+    """``step_max`` uniform proposals, each one query; a proposal that does
+    not lower the total is taken."""
+    f = _memo_totals(landscape)
+    s = tuple(int(b) for b in s0)
+    total = f(s)
+    flat = gate = 0
+    trace = [("init", total)]
+    for _ in range(step_max):
+        locus = int(rng.integers(len(s)))
+        proposal = f(flip(s, locus))
+        if proposal >= total:
+            s = flip(s, locus)
+            kind = "neutral" if proposal == total else "improve"
+            flat += proposal == total
+            gate += proposal > total
+            total = proposal
+        else:
+            kind = "reject"
+        trace.append((kind, total))
+    return _run(s, total, step_max, flat, gate, step_max, trace)

@@ -1,4 +1,5 @@
-"""Property tests of the scan kernels against the brute-force oracles.
+"""Property tests of the scan kernels, the score vector and the one-bit
+searchers against the brute-force oracles.
 
 Landscapes and genotypes are drawn by Hypothesis under the deterministic
 profile registered in ``conftest.py``. The large q values keep the scans
@@ -13,7 +14,7 @@ of int64 wraps and shows.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,11 +22,15 @@ from scubasearch import (
     MODES,
     EvalCounter,
     NkqLandscape,
+    PlateauScan,
     deserialize,
     extended_scan,
     generate,
+    hill_climb,
     is_local,
+    netcrawler,
     neutral_degree_instance_means,
+    scuba,
     serialize,
 )
 
@@ -135,3 +140,67 @@ def test_neutral_degree_sampling_never_builds_pair_structure(monkeypatch):
     for k in (0, 2, 5):
         means = neutral_degree_instance_means(8, k, 2, samples=30, instances=2, seed=4)
         assert means.shape == (2,)
+
+
+def _mutants(s, loci):
+    states = np.repeat(s[None, :], len(loci), axis=0)
+    states[np.arange(len(loci)), loci] ^= 1
+    return states
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_score_vector_follows_flips(q, data):
+    landscape, s = data.draw(landscape_and_genotype(q))
+    n = landscape.n
+    state = landscape.scores(s)
+    first = PlateauScan(state)
+    first_flips = landscape.batch_scan(s[None, :])[1][0]
+    for locus in data.draw(st.lists(st.integers(0, n - 1), max_size=12)):
+        state = state.flip(locus)
+        s[locus] ^= 1
+        totals, flips = landscape.batch_scan(s[None, :])
+        assert state.s.tolist() == s.tolist()
+        assert state.total == totals[0]
+        assert state.d.dtype == np.int64
+        assert state.d.tolist() == (flips[0] - totals[0]).tolist()
+    loci = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    rows = state.mutant_deltas(loci)
+    assert rows.dtype == np.int64 and rows.shape == (len(loci), n)
+    totals, flips = landscape.batch_scan(_mutants(s, loci))
+    assert rows.tolist() == (flips - totals[:, None]).tolist()
+    # A view of an earlier score vector still reads that vector.
+    assert first.flip_totals.tolist() == first_flips.tolist()
+
+
+def _as_oracle_run(result):
+    return {"terminal": tuple(int(b) for b in result.terminal),
+            "total": result.fitness.total, "steps": result.steps,
+            "flat": result.flat_count, "gate": result.gate_count,
+            "evaluations": result.evaluations,
+            "trace": [(step.kind, step.fitness.total) for step in result.trace]}
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@given(data=st.data())
+def test_searchers_match_oracles(q, data):
+    landscape, s = data.draw(landscape_and_genotype(q, max_n=8))
+    n = landscape.n
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    step_max = data.draw(st.integers(1, 300))
+    runs = (
+        (hill_climb, oracles.hill_climb, {}),
+        (netcrawler, oracles.netcrawler, {"step_max": step_max}),
+        (scuba, oracles.scuba, {}),
+    )
+    results = []
+    for search, oracle, kwargs in runs:
+        got = _as_oracle_run(
+            search(landscape, s, np.random.default_rng(seed), trace=True, **kwargs))
+        assert got == oracle(landscape, s, np.random.default_rng(seed), **kwargs)
+        results.append(got)
+    hc, nc, ss = results
+    assert hc["evaluations"] == n * (hc["steps"] + 1)
+    assert nc["evaluations"] == nc["steps"] == step_max
+    assert ss["steps"] == ss["flat"] + ss["gate"]

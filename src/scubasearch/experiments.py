@@ -69,8 +69,8 @@ class SweepConfig:
 
     ``runs`` runs per cell are spread round-robin over ``instances``
     landscapes (run ``r`` uses instance ``r % instances``). ``keep_traces``
-    retains per-step traces on every record, which the neutral-mutation
-    profile needs.
+    keeps each run's compact :class:`~.heuristics.Trace` on its record, which
+    the neutral-mutation profile needs.
     """
 
     n: int
@@ -121,7 +121,7 @@ class RunRecord:
     flat: int
     gate: int
     evaluations: int
-    trace: Optional[list] = None
+    trace: Optional[hx.Trace] = None
 
 
 @dataclass
@@ -300,13 +300,16 @@ def neutral_mutation_profile(report: SweepReport,
                              heuristics=("nc", "ss")) -> list[ProfileRow]:
     """Empirical P(neutral move | source Degn = d) per heuristic.
 
-    Requires traces on the matching records. Netcrawler bins every proposal
-    by the neutral degree of its source state; scuba bins every move. Bins
-    never observed are absent from the result, not zero.
+    Requires traces on the matching records, and reads only their neutral
+    degrees and kinds of move: no landscape is built or scanned. Netcrawler
+    bins every proposal by the neutral degree of its source state; scuba
+    bins every move. A rejection keeps the state, so a visit closes on each
+    step that is not a rejection, and that step's source degree is the
+    visit's. Bins never observed are absent from the result, not zero.
     """
-    acc: dict[tuple[str, int], list[int]] = defaultdict(lambda: [0, 0, 0, 0])
-    landscapes: dict[tuple[int, int, int], NkqLandscape] = {}
-    config = report.config
+    width = report.config.n + 1
+    # Per heuristic: steps, neutral steps, visits and neutral visits per degree.
+    acc: dict[str, np.ndarray] = {}
     for rec in report.records:
         if rec.heuristic not in heuristics:
             continue
@@ -315,41 +318,25 @@ def neutral_mutation_profile(report: SweepReport,
                 "neutral_mutation_profile needs traces; run the sweep with "
                 "keep_traces=True"
             )
-        if len(rec.trace) < 2:
-            continue
-        key = (rec.k, rec.q, rec.landscape_seed)
-        landscape = landscapes.get(key)
-        if landscape is None:
-            landscape = generate(config.n, rec.k, rec.q, config.mode,
-                                 seed=rec.landscape_seed)
-            landscapes[key] = landscape
-        sources = np.stack([step.genotype for step in rec.trace[:-1]])
-        kinds = [step.kind for step in rec.trace[1:]]
-        totals, flips = landscape.batch_scan(sources)
-        degns = (flips == totals[:, None]).sum(axis=1)
-
-        visit_degn = None
-        for d, kind in zip(degns, kinds):
-            entry = acc[(rec.heuristic, int(d))]
-            entry[0] += 1
-            entry[1] += kind == hx.MOVE_NEUTRAL
-            if visit_degn is None:
-                visit_degn = int(d)
-            if kind != hx.MOVE_REJECT:
-                visit = acc[(rec.heuristic, visit_degn)]
-                visit[2] += 1
-                visit[3] += kind == hx.MOVE_NEUTRAL
-                visit_degn = None
+        sources = rec.trace.degns[:-1]
+        kinds = rec.trace.kinds[1:]
+        neutral = kinds == hx.MOVE_KINDS.index(hx.MOVE_NEUTRAL)
+        closes = kinds != hx.MOVE_KINDS.index(hx.MOVE_REJECT)
+        counts = acc.setdefault(rec.heuristic, np.zeros((4, width), dtype=np.int64))
+        for row, binned in enumerate((sources, sources[neutral], sources[closes],
+                                      sources[closes & neutral])):
+            counts[row] += np.bincount(binned, minlength=width)
 
     rows = []
-    for (h, d) in sorted(acc, key=lambda key: (key[0], key[1])):
-        steps, neutral, visits, neutral_visits = acc[(h, d)]
-        rows.append(ProfileRow(
-            heuristic=h, degn=d, steps=steps,
-            p_neutral_step=neutral / steps,
-            visits=visits,
-            p_neutral_state=neutral_visits / visits if visits else 0.0,
-        ))
+    for h in sorted(acc):
+        steps, neutral, visits, neutral_visits = acc[h].tolist()
+        for d in np.flatnonzero(acc[h][0]).tolist():
+            rows.append(ProfileRow(
+                heuristic=h, degn=d, steps=steps[d],
+                p_neutral_step=neutral[d] / steps[d],
+                visits=visits[d],
+                p_neutral_state=neutral_visits[d] / visits[d] if visits[d] else 0.0,
+            ))
     return rows
 
 

@@ -28,10 +28,17 @@ updates the vector (from the components that read the flipped locus), and
 scuba's evolvability of a neutral neighbor is one row of its mutant deltas.
 The charges above are the queries, not this compute, so they are the same
 as for a full scan at every step.
+
+With ``trace=True`` a run also returns a compact :class:`Trace`: the start
+genotype plus, per step, the flipped locus, the total, the kind of move and
+the neutral degree of the state arrived at, which each searcher already
+knows from its scan. A trace step's genotype and fitness are rebuilt only
+when read. Without a trace the searchers do no per-step trace work.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +52,9 @@ MOVE_IMPROVE = "improve"
 MOVE_NEUTRAL = "neutral"
 MOVE_DESCEND = "descend"
 MOVE_REJECT = "reject"
+# A trace stores each kind of move as its index in MOVE_KINDS.
+MOVE_KINDS = (MOVE_INIT, MOVE_IMPROVE, MOVE_NEUTRAL, MOVE_DESCEND, MOVE_REJECT)
+_INIT, _IMPROVE, _NEUTRAL, _DESCEND, _REJECT = range(len(MOVE_KINDS))
 
 HEURISTICS = ("hc", "nc", "hc2", "ss")
 
@@ -60,6 +70,72 @@ class TraceStep:
     genotype: np.ndarray
     fitness: FitnessValue
     kind: str
+
+
+class Trace(Sequence):
+    """Read-only trace of one run: the start genotype ``s0`` plus four arrays
+    with one entry per step, the start being entry 0.
+
+    ``loci`` holds the locus flipped to reach the state, or -1 when the state
+    did not change (the start, a netcrawler rejection, a scuba stay-put);
+    ``totals`` (int64) its total; ``kinds`` how it was reached, as an index
+    into :data:`MOVE_KINDS`; ``degns`` its neutral degree. Indexing, slicing
+    and iteration yield :class:`TraceStep` objects built on access, their
+    genotypes from one prefix XOR of ``loci`` over ``s0``.
+    """
+
+    def __init__(self, s0, max_total, loci, totals, kinds, degns):
+        self.s0 = np.array(s0, dtype=np.uint8)
+        self.max_total = max_total
+        self.loci = np.asarray(loci, dtype=np.int32)
+        self.totals = np.asarray(totals, dtype=np.int64)
+        self.kinds = np.asarray(kinds, dtype=np.int8)
+        self.degns = np.asarray(degns, dtype=np.int32)
+        for array in (self.s0, self.loci, self.totals, self.kinds, self.degns):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.loci)
+
+    def genotypes(self) -> np.ndarray:
+        """``(len, n)`` uint8: row i is the genotype of entry i."""
+        rows = np.zeros((len(self), self.s0.size), dtype=np.uint8)
+        moved = np.flatnonzero(self.loci >= 0)
+        rows[moved, self.loci[moved]] = 1
+        rows = np.bitwise_xor.accumulate(rows, axis=0)
+        rows ^= self.s0
+        return rows
+
+    def _step(self, genotype, total, kind) -> TraceStep:
+        total = int(total)
+        return TraceStep(genotype, FitnessValue(total, total / self.max_total),
+                         MOVE_KINDS[kind])
+
+    def __iter__(self):
+        return map(self._step, self.genotypes(), self.totals.tolist(),
+                   self.kinds.tolist())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._step, self.genotypes()[index],
+                            self.totals[index].tolist(), self.kinds[index].tolist()))
+        i = range(len(self))[index]
+        moved = self.loci[1:i + 1]
+        parity = np.bincount(moved[moved >= 0], minlength=self.s0.size) & 1
+        return self._step(self.s0 ^ parity.astype(np.uint8), self.totals[i],
+                          self.kinds[i])
+
+
+def _degn(state) -> int:
+    """Neutral degree of a score vector's genotype: its zero deltas."""
+    return state.d.size - int(np.count_nonzero(state.d))
+
+
+def _pack(s0, landscape, entries) -> Optional[Trace]:
+    """The trace of ``(locus, total, kind, degn)`` entries, or None untraced."""
+    if entries is None:
+        return None
+    return Trace(s0, landscape.max_total, *np.array(entries, dtype=np.int64).T)
 
 
 @dataclass
@@ -80,7 +156,7 @@ class RunResult:
     flat_count: int
     gate_count: int
     evaluations: int
-    trace: Optional[list[TraceStep]] = None
+    trace: Optional[Trace] = None
 
 
 def _choose(rng: np.random.Generator, candidates: np.ndarray) -> int:
@@ -179,9 +255,9 @@ def netcrawler(landscape, s0, rng, step_max=300, counter=None, trace=False) -> R
     if step_max <= 0:
         raise ValueError(f"step_max must be positive, got {step_max}")
     counter = EvalCounter() if counter is None else counter
-    state = landscape.scores(s0)
+    state = start = landscape.scores(s0)
     flat = gate = 0
-    log = [TraceStep(state.s.copy(), landscape.fitness(state.total), MOVE_INIT)] if trace else None
+    log = [(-1, state.total, _INIT, _degn(state))] if trace else None
     # One draw of all loci takes the same values from the stream as one
     # scalar draw per step, and leaves the same next draw.
     for locus in rng.integers(landscape.n, size=step_max).tolist():
@@ -190,18 +266,19 @@ def netcrawler(landscape, s0, rng, step_max=300, counter=None, trace=False) -> R
             state = state.flip(locus)
             if delta == 0:
                 flat += 1
-                kind = MOVE_NEUTRAL
+                kind = _NEUTRAL
             else:
                 gate += 1
-                kind = MOVE_IMPROVE
-        else:
-            kind = MOVE_REJECT
-        if trace:
-            log.append(TraceStep(state.s.copy(), landscape.fitness(state.total), kind))
+                kind = _IMPROVE
+            if trace:
+                log.append((locus, state.total, kind, _degn(state)))
+        elif trace:
+            # A rejection keeps the state, and so its neutral degree.
+            log.append((-1, state.total, _REJECT, log[-1][3]))
     # Each proposal is one query, accepted or not.
     counter.add(step_max)
     return RunResult(state.s, landscape.fitness(state.total), step_max, flat, gate,
-                     counter.count, log)
+                     counter.count, _pack(start.s, landscape, log))
 
 
 def hill_climb2(landscape, s0, rng, counter=None, trace=False) -> RunResult:
@@ -214,12 +291,17 @@ def hill_climb2(landscape, s0, rng, counter=None, trace=False) -> RunResult:
     step scans ``n + n*(n-1)/2`` distinct points.
     """
     counter = EvalCounter() if counter is None else counter
-    s = as_genotype(s0, landscape.n).copy()
+    start = as_genotype(s0, landscape.n)
+    s = start.copy()
     total = landscape.total(s)
     steps = flat = gate = 0
-    log = [TraceStep(s.copy(), landscape.fitness(total), MOVE_INIT)] if trace else None
+    log = [] if trace else None
+    locus, kind = -1, _INIT
     while True:
         _, flips, pairs = extended_scan(landscape, s, counter, total=total)
+        if trace:
+            # Each state is scanned once, on arrival: log it with its degree.
+            log.append((locus, total, kind, int(np.count_nonzero(flips == total))))
         evol_now = max(total, int(flips.max()))
         evol_ext = max(evol_now, int(pairs.max()))
         if evol_ext <= total:
@@ -234,18 +316,16 @@ def hill_climb2(landscape, s0, rng, counter=None, trace=False) -> RunResult:
         s[locus] ^= 1
         if new_total > total:
             gate += 1
-            kind = MOVE_IMPROVE
+            kind = _IMPROVE
         elif new_total == total:
             flat += 1
-            kind = MOVE_NEUTRAL
+            kind = _NEUTRAL
         else:
-            kind = MOVE_DESCEND
+            kind = _DESCEND
         total = new_total
         steps += 1
-        if trace:
-            log.append(TraceStep(s.copy(), landscape.fitness(total), kind))
     return RunResult(s, landscape.fitness(total), steps, flat, gate,
-                     counter.count, log)
+                     counter.count, _pack(start, landscape, log))
 
 
 def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
@@ -271,10 +351,10 @@ def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
     tc1 = _resolve_condition(tc1)
     tc2 = _resolve_condition(tc2)
     counter = EvalCounter() if counter is None else counter
-    state = landscape.scores(s0)
+    state = start = landscape.scores(s0)
     total = state.total
     flat = gate = 0
-    log = [TraceStep(state.s.copy(), landscape.fitness(total), MOVE_INIT)] if trace else None
+    log = [(-1, total, _INIT, _degn(state))] if trace else None
 
     while True:
         scan = PlateauScan(state, counter)
@@ -290,7 +370,8 @@ def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
             flat += 1
             phase_steps += 1
             if trace:
-                log.append(TraceStep(state.s.copy(), landscape.fitness(total), MOVE_NEUTRAL))
+                log.append((-1 if locus is None else locus, total, _NEUTRAL,
+                            _degn(state)))
             scan = PlateauScan(state, counter)
         if tc2(scan, gate):
             break
@@ -303,10 +384,10 @@ def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
         total = state.total
         gate += 1
         if trace:
-            log.append(TraceStep(state.s.copy(), landscape.fitness(total), MOVE_IMPROVE))
+            log.append((locus, total, _IMPROVE, _degn(state)))
 
     return RunResult(state.s, landscape.fitness(total), flat + gate, flat, gate,
-                     counter.count, log)
+                     counter.count, _pack(start.s, landscape, log))
 
 
 def scuba(landscape, s0, rng, counter=None, trace=False) -> RunResult:

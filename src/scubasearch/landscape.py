@@ -680,7 +680,10 @@ def deserialize(text: str) -> NkqLandscape:
             raise LandscapeFormatError(f"non-integer field on locus line: {parts!r}", lineno)
         if values[0] != expected:
             raise LandscapeFormatError(f"locus index {values[0]}, expected {expected}", lineno)
-        links[expected] = values[1 : 1 + k]
+        link = values[1 : 1 + k]
+        if link and (min(link) < 0 or max(link) > n - 1):
+            raise LandscapeFormatError(f"link locus outside [0, {n - 1}]", lineno)
+        links[expected] = link
         entry = values[1 + k :]
         if entry and (min(entry) < 0 or max(entry) > q - 1):
             raise LandscapeFormatError(f"table entry outside [0, {q - 1}]", lineno)
@@ -698,5 +701,11 @@ def save_landscape(landscape: NkqLandscape, path) -> None:
 
 
 def load_landscape(path) -> NkqLandscape:
-    with open(path, "r") as fh:
-        return deserialize(fh.read())
+    """Read a landscape document from ``path``; it must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LandscapeFormatError(f"not UTF-8 text (byte {exc.start})") from None
+    return deserialize(text)

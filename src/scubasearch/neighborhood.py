@@ -19,11 +19,12 @@ view, :class:`PlateauScan`, of a :class:`~.landscape.ScoreVector` (the total
 and one-bit deltas of one genotype); the heuristics carry one score vector
 across steps, while :func:`evol`, :func:`neutral_degree`,
 :func:`neutral_neighbors` and :func:`is_local` build one per call (it yields
-the total too, so a ``total`` passed to them is not needed). The distance-2
-scan is the only other path: one one-row scan plus the pairwise interaction
-terms of the components that read both flipped loci
-(:meth:`~.landscape.NkqLandscape.pair_scan`), with :func:`evol_rows` for the
-two-bit mutants of ``is_local(..., "V2")``. Its charge is unchanged.
+the total too, so the one-bit rows of :func:`is_local` ignore a ``total``
+passed to them). The distance-2 scan is the only other path: one one-row
+scan plus the pairwise interaction terms of the components that read both
+flipped loci (:meth:`~.landscape.NkqLandscape.pair_scan`), with
+:func:`evol_rows` for the two-bit mutants of ``is_local(..., "V2")``. Its
+charge is unchanged.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def extended_scan(landscape, s, counter=None, total=None):
     return int(scanned if total is None else total), flip_totals, pair_totals
 
 
-def evol(landscape, s, counter=None, *, total=None) -> FitnessValue:
+def evol(landscape, s, counter=None) -> FitnessValue:
     """Maximum fitness over the neighborhood of ``s`` (including ``s``).
 
     Costs exactly ``n`` counted queries.
@@ -188,13 +189,13 @@ def evol2(landscape, s, counter=None, *, total=None) -> FitnessValue:
     return landscape.fitness(max(total, int(flips.max()), int(pairs.max())))
 
 
-def neutral_neighbors(landscape, s, counter=None, *, total=None) -> list[np.ndarray]:
+def neutral_neighbors(landscape, s, counter=None) -> list[np.ndarray]:
     """Members of ``V(s)`` other than ``s`` with total equal to ``s``'s."""
     view = _view(landscape, s, counter)
     return list(_flip_states(view.genotype, view.neutral_loci))
 
 
-def neutral_degree(landscape, s, counter=None, *, total=None) -> int:
+def neutral_degree(landscape, s, counter=None) -> int:
     """Number of neutral neighbors of ``s`` (``Degn``), in ``[0, n]``."""
     return _view(landscape, s, counter).degn
 

@@ -199,3 +199,53 @@ def netcrawler(landscape, s0, rng, step_max):
             kind = "reject"
         trace.append((kind, total))
     return _run(s, total, step_max, flat, gate, step_max, trace)
+
+
+def memo_degn(landscape):
+    """Neutral degree of a genotype from naive totals, memoized per landscape."""
+    f = _memo_totals(landscape)
+    return lambda s: sum(f(m) == f(s) for m in neighbors(s))
+
+
+# -- neutral-mutation profile -------------------------------------------------
+
+
+def neutral_mutation_profile(report, heuristics=("nc", "ss")):
+    """The profile by rescanning: regenerate each record's landscape, scan
+    every source state of its trace for its neutral degree, then walk the
+    steps, closing a visit on each step that is not a rejection. Rows are
+    ``(heuristic, degn, steps, p_neutral_step, visits, p_neutral_state)``,
+    sorted by heuristic and degree."""
+    import numpy as np
+
+    from scubasearch import generate
+
+    acc = {}
+    landscapes = {}
+    config = report.config
+    for rec in report.records:
+        if rec.heuristic not in heuristics or len(rec.trace) < 2:
+            continue
+        key = (rec.k, rec.q, rec.landscape_seed)
+        if key not in landscapes:
+            landscapes[key] = generate(config.n, rec.k, rec.q, config.mode,
+                                       seed=rec.landscape_seed)
+        steps = list(rec.trace)
+        sources = np.stack([step.genotype for step in steps[:-1]])
+        totals, flips = landscapes[key].batch_scan(sources)
+        degns = (flips == totals[:, None]).sum(axis=1)
+        visit_degn = None
+        for d, step in zip(degns.tolist(), steps[1:]):
+            entry = acc.setdefault((rec.heuristic, d), [0, 0, 0, 0])
+            entry[0] += 1
+            entry[1] += step.kind == "neutral"
+            if visit_degn is None:
+                visit_degn = d
+            if step.kind != "reject":
+                visit = acc[(rec.heuristic, visit_degn)]
+                visit[2] += 1
+                visit[3] += step.kind == "neutral"
+                visit_degn = None
+    return [(h, d, steps, neutral / steps, visits,
+             neutral_visits / visits if visits else 0.0)
+            for (h, d), (steps, neutral, visits, neutral_visits) in sorted(acc.items())]

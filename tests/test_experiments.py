@@ -11,6 +11,7 @@ from scubasearch import (
     RECORDS_HEADER,
     STEP_STATS_HEADER,
     SWEEP_HEADER,
+    NkqLandscape,
     SweepConfig,
     SweepReport,
     derive_seed,
@@ -238,6 +239,42 @@ class TestNeutralMutationProfile:
             # every scuba step leaves its state, so the two statistics agree
             assert row.steps == row.visits
             assert row.p_neutral_step == row.p_neutral_state
+
+    def test_profile_neither_regenerates_nor_rescans(self, monkeypatch):
+        calls = []
+        original = NkqLandscape.generate.__func__
+
+        def counting_generate(cls, *args, **kwargs):
+            calls.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(NkqLandscape, "generate", classmethod(counting_generate))
+        config = SweepConfig(n=12, k_values=(0, 2), q_values=(2, 3), base_seed=8,
+                             heuristics=("nc", "ss"), runs=5, instances=3,
+                             step_max=80, keep_traces=True)
+        report = run_sweep(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the profile scanned a landscape")
+
+        monkeypatch.setattr(NkqLandscape, "batch_scan", refuse)
+        monkeypatch.setattr(NkqLandscape, "scores", refuse)
+        assert neutral_mutation_profile(report)
+        # One landscape per (cell, instance), built by the sweep alone.
+        assert len(calls) == 2 * 2 * 3
+
+    def test_trace_holds_no_per_step_arrays(self):
+        landscape = generate(64, 2, 2, seed=3)
+        for result in (
+            run_heuristic(landscape, "nc", np.random.default_rng(1), 300, trace=True),
+            run_heuristic(landscape, "ss", np.random.default_rng(2), 300, trace=True),
+        ):
+            trace = result.trace
+            arrays = [value for value in vars(trace).values()
+                      if isinstance(value, np.ndarray)]
+            assert all(isinstance(value, (np.ndarray, int)) for value in vars(trace).values())
+            assert len(arrays) == 5  # s0 and one array per field
+            assert sum(a.nbytes for a in arrays) <= 64 + 24 * len(trace)
 
     def test_profile_csv(self):
         config = SweepConfig(n=12, k_values=(1,), q_values=(2,), base_seed=3,

@@ -59,6 +59,52 @@ class TestHillClimb:
             assert all(a < b for a, b in zip(totals, totals[1:]))
 
 
+class TestTrace:
+    @pytest.mark.parametrize("search", [hill_climb, hill_climb2, scuba, netcrawler])
+    def test_read_paths_agree(self, search):
+        landscape = generate(12, 2, 4, RANDOM, seed=9)
+        s0 = np.random.default_rng(4).integers(0, 2, 12, dtype=np.uint8)
+        result = search(landscape, s0, np.random.default_rng(3), trace=True)
+        trace = result.trace
+        steps = list(trace)
+        assert len(steps) == len(trace) == len(trace.genotypes())
+        assert steps[0].genotype.tolist() == s0.tolist()
+        assert steps[-1].genotype.tolist() == result.terminal.tolist()
+        assert steps[-1].fitness == result.fitness
+        for i, step in enumerate(steps):
+            for other in (trace[i], trace[i - len(trace)]):
+                assert other.genotype.tolist() == step.genotype.tolist()
+                assert other.fitness == step.fitness
+                assert other.fitness.normalized == step.fitness.normalized
+                assert other.kind == step.kind
+            assert landscape.total(step.genotype) == step.fitness.total
+        for part in (slice(1, None), slice(None, -1), slice(2, 9, 3), slice(None, None, -1)):
+            assert [(s.genotype.tolist(), s.fitness.total, s.kind) for s in trace[part]] \
+                == [(s.genotype.tolist(), s.fitness.total, s.kind) for s in steps[part]]
+        with pytest.raises(IndexError):
+            trace[len(trace)]
+
+    def test_loci_name_the_flipped_bit(self, rng):
+        landscape = generate(12, 2, 4, RANDOM, seed=9)
+        result = netcrawler(landscape, rng.integers(0, 2, 12, dtype=np.uint8),
+                            np.random.default_rng(3), 200, trace=True)
+        trace = result.trace
+        genotypes = trace.genotypes()
+        assert trace.loci[0] == -1
+        for i in range(1, len(trace)):
+            changed = np.flatnonzero(genotypes[i] != genotypes[i - 1]).tolist()
+            assert changed == ([] if trace.loci[i] == -1 else [trace.loci[i]])
+            assert (trace.loci[i] == -1) == (trace[i].kind == MOVE_REJECT)
+
+    def test_arrays_are_read_only(self, rng):
+        landscape = generate(8, 1, 2, RANDOM, seed=5)
+        trace = scuba(landscape, rng.integers(0, 2, 8, dtype=np.uint8),
+                      np.random.default_rng(2), trace=True).trace
+        for array in (trace.s0, trace.loci, trace.totals, trace.kinds, trace.degns):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+
 class TestNetcrawler:
     def test_constant_accepts_everything(self):
         landscape = constant_landscape(8)

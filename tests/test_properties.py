@@ -12,27 +12,41 @@ into the scans, so a sum or a pair term computed in the table dtype instead
 of int64 wraps and shows.
 """
 
+import contextlib
+import io
+import os
+import random
+import tempfile
+from math import comb
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from scubasearch import (
     MODES,
+    MOVE_KINDS,
     EvalCounter,
+    LandscapeFormatError,
     NkqLandscape,
     PlateauScan,
+    SweepConfig,
     deserialize,
     extended_scan,
     generate,
     hill_climb,
+    hill_climb2,
     is_local,
     netcrawler,
     neutral_degree_instance_means,
+    neutral_mutation_profile,
+    run_sweep,
     scuba,
     serialize,
 )
+from scubasearch import cli
 
 Q_VALUES = (2, 3, 100, 128, 129, 2**15, 2**15 + 1, 2**31, 2**31 + 1, 2**40, 2**58)
 
@@ -204,3 +218,139 @@ def test_searchers_match_oracles(q, data):
     assert hc["evaluations"] == n * (hc["steps"] + 1)
     assert nc["evaluations"] == nc["steps"] == step_max
     assert ss["steps"] == ss["flat"] + ss["gate"]
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@settings(max_examples=30)
+@given(data=st.data())
+def test_hill_climb2_counter_law_and_trace_kinds(q, data):
+    landscape, s = data.draw(landscape_and_genotype(q))
+    n = landscape.n
+    result = hill_climb2(landscape, s, np.random.default_rng(data.draw(
+        st.integers(0, 2**32 - 1))), trace=True)
+    assert result.evaluations == (n + comb(n, 2)) * (result.steps + 1)
+    kinds = result.trace.kinds
+    assert len(result.trace) == result.steps + 1
+    assert kinds[0] == MOVE_KINDS.index("init")
+    assert np.count_nonzero(kinds == MOVE_KINDS.index("neutral")) == result.flat_count
+    assert np.count_nonzero(kinds == MOVE_KINDS.index("improve")) == result.gate_count
+    assert np.count_nonzero(kinds == MOVE_KINDS.index("descend")) == (
+        result.steps - result.flat_count - result.gate_count)
+
+
+def _profile_as_tuples(rows):
+    return [(r.heuristic, r.degn, r.steps, r.p_neutral_step, r.visits,
+             r.p_neutral_state) for r in rows]
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_profile_matches_rescan_oracle(data):
+    n = data.draw(st.integers(1, 10))
+    config = SweepConfig(
+        n=n, k_values=tuple(sorted(set(data.draw(st.lists(
+            st.integers(0, n - 1), min_size=1, max_size=2))))),
+        q_values=tuple(sorted(set(data.draw(st.lists(
+            st.sampled_from(Q_VALUES), min_size=1, max_size=2))))),
+        base_seed=data.draw(st.integers(0, 2**32 - 1)),
+        heuristics=("nc", "ss", "hc2"), runs=data.draw(st.integers(1, 3)),
+        instances=data.draw(st.integers(1, 2)), step_max=data.draw(st.integers(1, 40)),
+        mode=data.draw(st.sampled_from(MODES)), keep_traces=True)
+    report = run_sweep(config)
+    heuristics = ("nc", "ss", "hc2")
+    assert _profile_as_tuples(neutral_mutation_profile(report, heuristics)) == \
+        oracles.neutral_mutation_profile(report, heuristics)
+    degns = {}
+    for rec in report.records:
+        if (rec.k, rec.q, rec.instance) not in degns:
+            degns[(rec.k, rec.q, rec.instance)] = oracles.memo_degn(generate(
+                n, rec.k, rec.q, config.mode, seed=rec.landscape_seed))
+        degn = degns[(rec.k, rec.q, rec.instance)]
+        for recorded, step in zip(rec.trace.degns.tolist(), rec.trace):
+            assert recorded == degn(tuple(step.genotype.tolist()))
+
+
+# Chunks that keep a document close to valid (integers, signs, separators)
+# are drawn as often as arbitrary bytes.
+_chunk = st.one_of(st.integers(-2**70, 2**70).map(lambda v: str(v).encode()),
+                   st.sampled_from((b"-", b" ", b"\n", b"_", b"none")),
+                   st.binary(min_size=1, max_size=3))
+
+
+@st.composite
+def mutated_document(draw):
+    """A small landscape's document with one to four edits (one field
+    replaced, or bytes replaced, inserted or deleted), then maybe cut short."""
+    n = draw(st.sampled_from(range(1, 7)))
+    landscape = generate(n, draw(st.sampled_from(range(n))),
+                         draw(st.sampled_from((2, 3, 129, 2**40))),
+                         draw(st.sampled_from(MODES)), seed=draw(st.integers(0, 99)))
+    doc = serialize(landscape).encode()
+    # Positions come from a random.Random seeded by the draw, which spreads
+    # them evenly, so edits land in the locus lines as often as their share
+    # of the document (positions drawn by Hypothesis favour the start).
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("field", "replace", "insert", "delete")))
+        chunk = draw(_chunk)
+        if kind == "field":
+            fields = doc.split(b" ")
+            fields[rnd.randrange(len(fields))] = chunk
+            doc = b" ".join(fields)
+            continue
+        at = rnd.randrange(len(doc) + 1)
+        if kind == "insert":
+            doc = doc[:at] + chunk + doc[at:]
+        else:
+            doc = doc[:at] + (chunk if kind == "replace" else b"") + doc[at + len(chunk):]
+    return doc[:rnd.randrange(len(doc) + 1)] if draw(st.booleans()) else doc
+
+
+# A link too large for int64, and a byte that is not UTF-8.
+_OVERFLOWING_LINK = (b"format nkq-landscape-1\nn 2\nk 1\nq 2\nmode random\nseed 1\n"
+                     b"0 99999999999999999999 0 1 1 0\n1 0 1 0 0 1\n")
+_NOT_UTF8 = b"\x80ormat nkq-landscape-1\nn 1\nk 0\nq 2\nmode random\nseed 0\n0 1 1\n"
+
+
+@settings(max_examples=200)
+@example(doc=_OVERFLOWING_LINK)
+@example(doc=_NOT_UTF8)
+@given(doc=mutated_document())
+def test_deserialize_rejects_mutated_documents_with_format_error(doc):
+    try:
+        landscape = deserialize(doc.decode("latin-1"))
+    except LandscapeFormatError:
+        return
+    assert isinstance(landscape, NkqLandscape)
+
+
+def _parses(doc: bytes) -> bool:
+    try:
+        deserialize(doc.decode("utf-8"))
+    except (UnicodeDecodeError, LandscapeFormatError):
+        return False
+    return True
+
+
+@settings(max_examples=40)
+@example(doc=_OVERFLOWING_LINK)
+@example(doc=_NOT_UTF8)
+@given(doc=mutated_document())
+def test_cli_run_reports_mutated_landscape_files_in_one_line(doc):
+    fd, path = tempfile.mkstemp(suffix=".txt")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(doc)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["run", "--heuristic", "hc", "--landscape", path,
+                           "--seed", "1"])
+    finally:
+        os.unlink(path)
+    if _parses(doc):
+        assert rc == 0 and err.getvalue() == ""
+    else:
+        assert rc == 2
+        assert err.getvalue().count("\n") == 1
+        assert "malformed landscape file" in err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -64,7 +64,6 @@ from .landscape import (
     adjacent_links,
     as_genotype,
     check_params,
-    component_index,
     deserialize,
     generate,
     load_landscape,
@@ -84,10 +83,8 @@ from .neighborhood import (
     evol,
     evol2,
     extended_scan,
-    flip_neighbors,
     is_local,
     neutral_degree,
-    neutral_neighbors,
 )
 from .pathgraph import (
     CENSUS_HEADER,

@@ -145,10 +145,6 @@ class SweepReport:
     config: SweepConfig
     records: list[RunRecord] = field(default_factory=list)
 
-    def cell_records(self, heuristic: str, k: int, q: int) -> list[RunRecord]:
-        return [r for r in self.records
-                if r.heuristic == heuristic and r.k == k and r.q == q]
-
     def records_by_cell(self) -> dict[tuple[str, int, int], list[RunRecord]]:
         """Records grouped by (heuristic, k, q) in one pass, each group in
         record order."""

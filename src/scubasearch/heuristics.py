@@ -203,34 +203,12 @@ def until_local_max(scan: PlateauScan, gate_steps: int) -> bool:
     return int(scan.flip_totals.max()) <= scan.total
 
 
-_IMPROVERS = {
-    "greedy-evol": greedy_evol_step,
-    "neutral-drift": neutral_drift_step,
-    "jump-to-fittest": jump_to_fittest,
-}
-
-_CONDITIONS = {
-    "local-neutral-max": until_local_neutral_max,
-    "local-max": until_local_max,
-}
-
-
-def _resolve(spec, registry, what):
-    """The function registered under a name; a callable passes through."""
-    if not isinstance(spec, str):
-        return spec
-    try:
-        return registry[spec]
-    except KeyError:
-        raise ValueError(f"unknown {what} {spec!r}") from None
-
-
 def _resolve_condition(spec):
     """An integer is a phase budget: met after that many improve steps, so 0
     skips the phase."""
     if isinstance(spec, int):
         return lambda scan, phase_steps: phase_steps >= spec
-    return _resolve(spec, _CONDITIONS, "termination condition")
+    return spec
 
 
 # -- the heuristics ----------------------------------------------------------
@@ -293,12 +271,11 @@ def hill_climb2(landscape, s0, rng, counter=None, trace=False) -> RunResult:
     counter = EvalCounter() if counter is None else counter
     start = as_genotype(s0, landscape.n)
     s = start.copy()
-    total = landscape.total(s)
     steps = flat = gate = 0
     log = [] if trace else None
     locus, kind = -1, _INIT
     while True:
-        _, flips, pairs = extended_scan(landscape, s, counter, total=total)
+        total, flips, pairs = extended_scan(landscape, s, counter)
         if trace:
             # Each state is scanned once, on arrival: log it with its degree.
             log.append((locus, total, kind, int(np.count_nonzero(flips == total))))
@@ -322,7 +299,6 @@ def hill_climb2(landscape, s0, rng, counter=None, trace=False) -> RunResult:
             kind = _NEUTRAL
         else:
             kind = _DESCEND
-        total = new_total
         steps += 1
     return RunResult(s, landscape.fitness(total), steps, flat, gate,
                      counter.count, _pack(start, landscape, log))
@@ -338,16 +314,14 @@ def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
     flat move); ``improve2`` must strictly increase it, and failing to do so
     when tc2 is unmet raises :class:`ImproverContractError`.
 
-    ``improve1``/``improve2`` accept a strategy name ("greedy-evol" or
-    "neutral-drift" for the neutral phase, "jump-to-fittest" for the jump)
-    or a callable ``(scan, rng) -> locus | None``; ``tc1``/``tc2`` accept
-    "local-neutral-max"/"local-max", an integer phase budget, or a callable
-    ``(scan, phase_steps) -> bool``. ``scan`` is a fresh
-    :class:`~.neighborhood.PlateauScan` of the current point, a view of the
-    score vector the run carries from step to step.
+    ``improve1``/``improve2`` are callables ``(scan, rng) -> locus | None``
+    such as :func:`greedy_evol_step`, :func:`neutral_drift_step` and
+    :func:`jump_to_fittest`; ``tc1``/``tc2`` are callables
+    ``(scan, phase_steps) -> bool`` such as :func:`until_local_neutral_max`
+    and :func:`until_local_max`, or an integer phase budget. ``scan`` is a
+    fresh :class:`~.neighborhood.PlateauScan` of the current point, a view of
+    the score vector the run carries from step to step.
     """
-    improve1 = _resolve(improve1, _IMPROVERS, "improver strategy")
-    improve2 = _resolve(improve2, _IMPROVERS, "improver strategy")
     tc1 = _resolve_condition(tc1)
     tc2 = _resolve_condition(tc2)
     counter = EvalCounter() if counter is None else counter

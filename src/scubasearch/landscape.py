@@ -141,19 +141,6 @@ def check_params(n: int, k: int, q: int, mode: str = RANDOM) -> None:
         )
 
 
-def component_index(s, locus: int, links) -> int:
-    """Index into locus ``locus``'s component table for genotype ``s``.
-
-    Packing convention: the locus's own allele occupies bit 0 and the allele
-    at ``links[locus][m]`` occupies bit ``m+1``. This convention is part of
-    the serialization format and must not change.
-    """
-    idx = int(s[locus])
-    for m, j in enumerate(links[locus]):
-        idx += int(s[j]) << (m + 1)
-    return idx
-
-
 def adjacent_links(n: int, k: int) -> np.ndarray:
     """Epistatic links to the ``k`` nearest loci under periodic boundaries.
 
@@ -267,11 +254,7 @@ class NkqLandscape:
         self._row_offsets = np.arange(n, dtype=np.int64) << (k + 1)
         self._tab_flat = self.tables.ravel()
         self._aff_offsets = self._row_offsets[self._aff_locus]
-        self._link_weights = (
-            np.left_shift(1, np.arange(1, k + 1, dtype=np.int64))
-            if k
-            else np.empty(0, dtype=np.int64)
-        )
+        self._link_weights = np.left_shift(1, np.arange(1, k + 1, dtype=np.int64))
 
     @classmethod
     def generate(cls, n, k, q, mode=RANDOM, seed=None) -> "NkqLandscape":
@@ -285,11 +268,13 @@ class NkqLandscape:
         stream, so the chunks consume exactly what one draw of shape
         (n, 2**(k+1)) would. Identical arguments always reproduce the same
         instance; bit-equality across other implementations of this format
-        is not promised.
+        is not promised. A negative seed raises :class:`LandscapeError`.
         """
         check_params(n, k, q, mode)
         if seed is None:
             seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
+        elif seed < 0:
+            raise LandscapeError(f"seed must be non-negative, got {seed}")
         rng = np.random.default_rng(seed)
         if mode == ADJACENT:
             links = adjacent_links(n, k)
@@ -316,38 +301,13 @@ class NkqLandscape:
         s = as_genotype(s, self.n)
         return int(self.batch_totals(s[None, :])[0])
 
-    def evaluate(self, s, counter=None) -> FitnessValue:
-        """Fitness of ``s``; ticks ``counter`` by one query if given."""
-        value = self.fitness(self.total(s))
-        if counter is not None:
-            counter.add(1)
-        return value
-
     def delta_total(self, s, total: int, flip_locus: int) -> int:
-        """Total after flipping ``flip_locus``, recomputing only the affected
-        components ({flip_locus} plus every locus linking to it). ``total``
-        must be the current exact total of ``s``; this is not checked."""
-        lo = self._aff_starts[flip_locus]
-        hi = self._aff_ends[flip_locus]
-        loci = self._aff_locus[lo:hi]
-        weights = self._aff_weight[lo:hi]
-        idx = s[loci].astype(np.int64)
-        if self.k:
-            idx += s[self.links[loci]].astype(np.int64) @ self._link_weights
-        base = self._row_offsets[loci] + idx
-        tab = self._tab_flat
-        change = tab[base ^ weights] - tab[base]
-        return int(total) + int(change.sum())
-
-    def delta_evaluate(self, s, total: int, flip_locus: int, counter=None) -> FitnessValue:
-        """Incremental fitness of ``flip(s, flip_locus)``; one counted query."""
-        s = as_genotype(s, self.n)
+        """Total after flipping ``flip_locus``: ``total`` plus the one-bit
+        delta at that locus from :meth:`scores`. ``total`` must be the
+        current exact total of ``s``; this is not checked."""
         if not 0 <= flip_locus < self.n:
             raise LandscapeError(f"flip locus {flip_locus} outside [0, {self.n})")
-        value = self.fitness(self.delta_total(s, total, flip_locus))
-        if counter is not None:
-            counter.add(1)
-        return value
+        return int(total) + int(self.scores(s).d[flip_locus])
 
     # -- vectorized kernels (shared by neighborhood scans and experiments) --
 
@@ -477,12 +437,6 @@ class NkqLandscape:
         idx, _, totals, deltas = self._row_deltas(s[None, :])
         return ScoreVector(self, s, self._row_offsets + idx[0], int(totals[0]), deltas[0])
 
-    def scan(self, s):
-        """(total, flip totals) for a single genotype."""
-        s = as_genotype(s, self.n)
-        totals, flips = self.batch_scan(s[None, :])
-        return int(totals[0]), flips[0]
-
     # -- misc ---------------------------------------------------------------
 
     def __eq__(self, other):
@@ -586,6 +540,9 @@ def serialize(landscape: NkqLandscape) -> str:
     Format: a key/value header (format tag, n, k, q, mode, seed) followed by
     one line per locus holding the locus index, its k link loci in stored
     order, then its 2**(k+1) table entries in index order, space-separated.
+    Entry ``e`` of locus i's table is its value when the allele at i is
+    bit 0 of ``e`` and the allele at ``links[i][m]`` is bit ``m+1``; this
+    packing is part of the format and must not change.
     """
     lines = [
         f"format {FORMAT_TAG}",
@@ -646,6 +603,8 @@ def deserialize(text: str) -> NkqLandscape:
                 header[key] = value
             elif key == "seed":
                 header[key] = None if value == "none" else _parse_header_int(key, value, pos)
+                if header[key] is not None and header[key] < 0:
+                    raise LandscapeFormatError(f"seed must be non-negative, got {value}", pos)
             else:
                 raise LandscapeFormatError(f"unknown header field {key!r}", pos)
         else:

@@ -17,14 +17,12 @@ models the paper's query cost, not the compute behind it.
 Every one-bit question, the heuristics' included, goes through one counted
 view, :class:`PlateauScan`, of a :class:`~.landscape.ScoreVector` (the total
 and one-bit deltas of one genotype); the heuristics carry one score vector
-across steps, while :func:`evol`, :func:`neutral_degree`,
-:func:`neutral_neighbors` and :func:`is_local` build one per call (it yields
-the total too, so the one-bit rows of :func:`is_local` ignore a ``total``
-passed to them). The distance-2 scan is the only other path: one one-row
+across steps, while :func:`evol`, :func:`neutral_degree` and :func:`is_local`
+build one per call. The distance-2 scan is the only other path: one one-row
 scan plus the pairwise interaction terms of the components that read both
-flipped loci (:meth:`~.landscape.NkqLandscape.pair_scan`), with
-:func:`evol_rows` for the two-bit mutants of ``is_local(..., "V2")``. Its
-charge is unchanged.
+flipped loci (:meth:`~.landscape.NkqLandscape.pair_scan`), with one batch
+scan of the two-bit mutants for ``is_local(..., "evol", "V2")``. Its charge
+is unchanged.
 """
 
 from __future__ import annotations
@@ -55,29 +53,6 @@ class EvalCounter:
         if queries < 0:
             raise ValueError("counter can only move forward")
         self.count += queries
-
-
-def _flip_states(s: np.ndarray, loci) -> np.ndarray:
-    """One row per locus in ``loci``: ``s`` with that locus flipped."""
-    states = np.repeat(s[None, :], len(loci), axis=0)
-    states[np.arange(len(loci)), loci] ^= 1
-    return states
-
-
-def flip_neighbors(s) -> list[np.ndarray]:
-    """The ``n`` genotypes at Hamming distance exactly 1, in locus order."""
-    s = as_genotype(s)
-    return list(_flip_states(s, np.arange(s.size)))
-
-
-def evol_rows(landscape, states: np.ndarray, counter=None) -> np.ndarray:
-    """evol total of each row of ``states``; ``n`` counted queries per row."""
-    if not len(states):
-        return np.empty(0, dtype=np.int64)
-    totals, flips = landscape.batch_scan(states)
-    if counter is not None:
-        counter.add(len(states) * landscape.n)
-    return np.maximum(totals, flips.max(axis=1))
 
 
 class PlateauScan:
@@ -159,17 +134,17 @@ def _view(landscape, s, counter) -> PlateauScan:
     return PlateauScan(landscape.scores(s), counter)
 
 
-def extended_scan(landscape, s, counter=None, total=None):
+def extended_scan(landscape, s, counter=None):
     """``(total, flip_totals, pair_totals)``; costs ``n + n*(n-1)/2`` queries.
 
     ``pair_totals[i, j]`` is the total of ``s`` with loci ``i`` and ``j``
     both flipped; the diagonal holds ``total`` itself (flip undone).
     """
-    scanned, flip_totals, pair_totals = landscape.pair_scan(s)
+    scanned = landscape.pair_scan(s)
     if counter is not None:
         n = landscape.n
         counter.add(n + n * (n - 1) // 2)
-    return int(scanned if total is None else total), flip_totals, pair_totals
+    return scanned
 
 
 def evol(landscape, s, counter=None) -> FitnessValue:
@@ -180,19 +155,13 @@ def evol(landscape, s, counter=None) -> FitnessValue:
     return landscape.fitness(_view(landscape, s, counter).evol_total)
 
 
-def evol2(landscape, s, counter=None, *, total=None) -> FitnessValue:
+def evol2(landscape, s, counter=None) -> FitnessValue:
     """Maximum fitness over the extended (distance <= 2) neighborhood.
 
     Costs exactly ``n + n*(n-1)/2`` counted queries.
     """
-    total, flips, pairs = extended_scan(landscape, s, counter, total)
+    total, flips, pairs = extended_scan(landscape, s, counter)
     return landscape.fitness(max(total, int(flips.max()), int(pairs.max())))
-
-
-def neutral_neighbors(landscape, s, counter=None) -> list[np.ndarray]:
-    """Members of ``V(s)`` other than ``s`` with total equal to ``s``'s."""
-    view = _view(landscape, s, counter)
-    return list(_flip_states(view.genotype, view.neutral_loci))
 
 
 def neutral_degree(landscape, s, counter=None) -> int:
@@ -200,7 +169,7 @@ def neutral_degree(landscape, s, counter=None) -> int:
     return _view(landscape, s, counter).degn
 
 
-def is_local(landscape, s, guide=FITNESS, structure=V, counter=None, *, total=None) -> bool:
+def is_local(landscape, s, guide=FITNESS, structure=V, counter=None) -> bool:
     """True iff ``g(s') <= g(s)`` for every ``s'`` in the chosen structure.
 
     ``guide`` selects g as raw fitness ("f") or evolvability ("evol");
@@ -226,19 +195,21 @@ def is_local(landscape, s, guide=FITNESS, structure=V, counter=None, *, total=No
     n = landscape.n
 
     if structure == V2:
-        total, flips, pairs = extended_scan(landscape, s, counter, total)
+        total, flips, pairs = extended_scan(landscape, s, counter)
         if guide == FITNESS:
             return bool(max(int(flips.max()), int(pairs.max())) <= total)
-        # Every point within distance 2: the n one-bit mutants, whose
-        # neighborhoods the pair matrix already holds (still charged n
-        # queries each), then the C(n,2) two-bit mutants.
-        if counter is not None:
-            counter.add(n * n)
-        evols = np.maximum(flips, pairs.max(axis=1))
+        # Every point within distance 2, charged n queries each: the n
+        # one-bit mutants, whose neighborhoods the pair matrix already holds,
+        # then the C(n,2) two-bit mutants, scanned as one batch.
         hi, lo = np.triu_indices(n, k=1)
-        states = _flip_states(s, hi)
-        states[np.arange(lo.size), lo] ^= 1
-        evols = np.concatenate((evols, evol_rows(landscape, states, counter)))
+        if counter is not None:
+            counter.add((n + hi.size) * n)
+        states = np.repeat(s[None, :], hi.size, axis=0)
+        states[np.arange(hi.size), hi] ^= 1
+        states[np.arange(hi.size), lo] ^= 1
+        two, two_flips = landscape.batch_scan(states)
+        evols = np.concatenate((np.maximum(flips, pairs.max(axis=1)),
+                                np.maximum(two, two_flips.max(axis=1))))
         return bool(int(evols.max()) <= max(total, int(flips.max())))
 
     view = _view(landscape, s, counter)

@@ -34,8 +34,8 @@ class LandscapeGraph:
 
     ``totals[v]`` is the exact fitness total of node ``v``;
     ``neighbor_ids[v, l]`` the node reached from ``v`` by flipping locus
-    ``l``. Base edges are all Hamming-distance-1 pairs: ``n * 2**(n-1)``
-    undirected edges over ``2**n`` nodes.
+    ``l``, so the ``2**n`` nodes have ``n * 2**(n-1)`` distinct
+    Hamming-distance-1 pairs.
     """
 
     landscape: NkqLandscape
@@ -49,17 +49,6 @@ class LandscapeGraph:
     @property
     def node_count(self) -> int:
         return 1 << self.n
-
-    @property
-    def base_edge_count(self) -> int:
-        return self.n * (1 << (self.n - 1))
-
-    def base_edges(self):
-        """All undirected Hamming-1 pairs (u, v) with u < v."""
-        for v in range(self.node_count):
-            for u in self.neighbor_ids[v]:
-                if v < u:
-                    yield (v, int(u))
 
     def genotype_of(self, node: int) -> np.ndarray:
         shifts = np.arange(self.n - 1, -1, -1)

@@ -78,12 +78,12 @@ def table_report():
 
 def norms(report_, heuristic, k, q):
     return np.array([r.fitness_norm
-                     for r in report_.cell_records(heuristic, k, q)])
+                     for r in report_.records_by_cell()[(heuristic, k, q)]])
 
 
 def evals(report_, heuristic, k, q):
     return np.array([r.evaluations
-                     for r in report_.cell_records(heuristic, k, q)])
+                     for r in report_.records_by_cell()[(heuristic, k, q)]])
 
 
 def one_sided_p(a, b) -> float:
@@ -293,7 +293,8 @@ def test_a5_netcrawler_neutrality_law():
         landscape = generate(N, k, q, seed=landscape_seed(5150, k, q, index))
         rng = np.random.default_rng(derive_seed(5, index))
         s = rng.integers(0, 2, N, dtype=np.uint8)
-        total, flips = landscape.scan(s)
+        totals, flips = landscape.batch_scan(s[None, :])
+        total, flips = int(totals[0]), flips[0]
         ok &= all(landscape.delta_total(s, total, locus) == flips[locus]
                   for locus in range(N))
         d = int((flips == total).sum())
@@ -334,7 +335,7 @@ def test_a6_steps_strictly_decreasing(q3_ss_report):
     rows = step_stats(q3_ss_report)
     steps = [r.mean_steps for r in rows if r.k > 0]
     ok = all(a > b for a, b in zip(steps, steps[1:]))
-    k0 = q3_ss_report.cell_records("ss", 0, 3)
+    k0 = q3_ss_report.records_by_cell().get(("ss", 0, 3), [])
     ok &= bool(k0) and all(r.flat == 0 and r.steps == r.gate for r in k0)
     detail = ", ".join(f"K={r.k}: {r.mean_steps:.1f}" for r in rows)
     assert report("A6b total steps strictly decreasing from K=2, "

@@ -201,6 +201,15 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "malformed landscape file" in err
 
+    def test_negative_landscape_seed(self, tmp_path, capsys):
+        path = tmp_path / "neg.txt"
+        path.write_text("format nkq-landscape-1\nn 2\nk 0\nq 2\nmode random\n"
+                        "seed -1\n0 0 1\n1 1 0\n")
+        assert run_cli("run", "--heuristic", "hc", "--landscape", str(path),
+                       "--seed", "1") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 6: seed must be non-negative" in err
+
     def test_unwritable_output(self):
         assert run_cli("gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",
                        "--out", "/no/such/dir/file.txt") == 2

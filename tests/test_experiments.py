@@ -311,8 +311,9 @@ class TestStepStats:
         report = run_sweep(config)
         rows = step_stats(report)
         assert [(r.k, r.q) for r in rows] == [(0, 2), (2, 2)]
+        groups = report.records_by_cell()
         for row in rows:
-            recs = report.cell_records("ss", row.k, row.q)
+            recs = groups[("ss", row.k, row.q)]
             assert row.runs == len(recs)
             assert row.mean_steps == pytest.approx(np.mean([r.steps for r in recs]))
             assert row.mean_flat == pytest.approx(np.mean([r.flat for r in recs]))

@@ -10,13 +10,17 @@ from scubasearch import (
     evol,
     generate,
     generic_scuba,
+    greedy_evol_step,
     hill_climb,
     hill_climb2,
     is_local,
+    jump_to_fittest,
     netcrawler,
     neutral_degree,
     neutral_drift_step,
     scuba,
+    until_local_max,
+    until_local_neutral_max,
 )
 from scubasearch.heuristics import MOVE_NEUTRAL, MOVE_REJECT
 
@@ -150,7 +154,8 @@ class TestNetcrawler:
         rng = np.random.default_rng(99)
         s = rng.integers(0, 2, 16, dtype=np.uint8)
         d = neutral_degree(landscape, s)
-        total, flips = landscape.scan(s)
+        totals, flips = landscape.batch_scan(s[None, :])
+        total, flips = totals[0], flips[0]
         proposals = rng.integers(0, 16, size=20000)
         freq = float((flips[proposals] == total).mean())
         p = d / 16
@@ -282,8 +287,8 @@ class TestGenericScuba:
         for seed in range(5):
             s0 = rng.integers(0, 2, 14, dtype=np.uint8)
             a = scuba(landscape, s0, np.random.default_rng(seed))
-            b = generic_scuba(landscape, s0, "greedy-evol", "local-neutral-max",
-                              "jump-to-fittest", "local-max",
+            b = generic_scuba(landscape, s0, greedy_evol_step, until_local_neutral_max,
+                              jump_to_fittest, until_local_max,
                               np.random.default_rng(seed))
             assert a.terminal.tolist() == b.terminal.tolist()
             assert (a.steps, a.flat_count, a.gate_count, a.evaluations) == \
@@ -292,8 +297,8 @@ class TestGenericScuba:
     def test_zero_budget_drift_degenerates_to_jumping(self, rng):
         landscape = generate(12, 2, 2, RANDOM, seed=13)
         s0 = rng.integers(0, 2, 12, dtype=np.uint8)
-        result = generic_scuba(landscape, s0, "neutral-drift", 0,
-                               "jump-to-fittest", "local-max",
+        result = generic_scuba(landscape, s0, neutral_drift_step, 0,
+                               jump_to_fittest, until_local_max,
                                np.random.default_rng(3))
         assert result.flat_count == 0
         assert is_local(landscape, result.terminal, "f", "V")
@@ -306,8 +311,8 @@ class TestGenericScuba:
             fm = oracles.fitness_map(landscape)
             local = oracles.v_local_set(fm)
             s0 = rng.integers(0, 2, 10, dtype=np.uint8)
-            drift = generic_scuba(landscape, s0, "neutral-drift", 20,
-                                  "jump-to-fittest", "local-max",
+            drift = generic_scuba(landscape, s0, neutral_drift_step, 20,
+                                  jump_to_fittest, until_local_max,
                                   np.random.default_rng(seed))
             greedy = scuba(landscape, s0, np.random.default_rng(seed))
             assert tuple(drift.terminal.tolist()) in local
@@ -316,8 +321,8 @@ class TestGenericScuba:
     def test_drift_preserves_fitness(self, rng):
         landscape = generate(12, 1, 2, RANDOM, seed=14)
         s0 = rng.integers(0, 2, 12, dtype=np.uint8)
-        result = generic_scuba(landscape, s0, "neutral-drift", 24,
-                               "jump-to-fittest", "local-max",
+        result = generic_scuba(landscape, s0, neutral_drift_step, 24,
+                               jump_to_fittest, until_local_max,
                                np.random.default_rng(5), trace=True)
         previous = result.trace[0]
         for step in result.trace[1:]:
@@ -333,7 +338,7 @@ class TestGenericScuba:
             return None
 
         with pytest.raises(ImproverContractError):
-            generic_scuba(landscape, s0, "greedy-evol", "local-neutral-max",
+            generic_scuba(landscape, s0, greedy_evol_step, until_local_neutral_max,
                           refuse, 10**9, np.random.default_rng(0))
 
     def test_improve1_contract_violation(self):
@@ -345,26 +350,7 @@ class TestGenericScuba:
 
         with pytest.raises(ImproverContractError):
             generic_scuba(landscape, s0, cheat, 1,
-                          "jump-to-fittest", "local-max", np.random.default_rng(0))
-
-    def test_improver_spec(self, rng):
-        landscape = generate(12, 1, 2, RANDOM, seed=16)
-        s0 = rng.integers(0, 2, 12, dtype=np.uint8)
-        by_name, by_callable = (
-            generic_scuba(landscape, s0, improver, 5, "jump-to-fittest",
-                          "local-max", np.random.default_rng(2))
-            for improver in ("neutral-drift", neutral_drift_step)
-        )
-        assert by_name.terminal.tolist() == by_callable.terminal.tolist()
-        assert by_name.evaluations == by_callable.evaluations
-        with pytest.raises(ValueError):
-            generic_scuba(onemax_landscape(4), np.zeros(4, dtype=np.uint8),
-                          "magic", "local-neutral-max", "jump-to-fittest",
-                          "local-max", np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            generic_scuba(onemax_landscape(4), np.zeros(4, dtype=np.uint8),
-                          "greedy-evol", "sometimes", "jump-to-fittest",
-                          "local-max", np.random.default_rng(0))
+                          jump_to_fittest, until_local_max, np.random.default_rng(0))
 
 
 @pytest.mark.slow

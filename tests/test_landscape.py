@@ -6,7 +6,6 @@ from conftest import constant_landscape, onemax_landscape
 from scubasearch import (
     ADJACENT,
     RANDOM,
-    EvalCounter,
     FitnessValue,
     LandscapeError,
     MAX_TABLE_ENTRIES,
@@ -14,7 +13,6 @@ from scubasearch import (
     NkqLandscape,
     adjacent_links,
     check_params,
-    component_index,
     deserialize,
     generate,
     serialize,
@@ -85,6 +83,14 @@ class TestGenerate:
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         with pytest.raises(LandscapeError, match="table entries"):
             generate(n, k, 2, RANDOM, seed=0)
+
+    def test_negative_seed_rejected_before_drawing(self, monkeypatch):
+        def no_rng(*args, **kwargs):
+            raise AssertionError("generate drew randomness for a negative seed")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        with pytest.raises(LandscapeError, match="seed must be non-negative"):
+            generate(3, 1, 2, seed=-1)
 
     def test_table_bound_admits_the_paper_grid(self):
         check_params(64, 16, 100)
@@ -174,41 +180,55 @@ class TestGenotypeCoercion:
             as_genotype(np.array([-1, 0]))
 
 
+def component_index(landscape, s, locus):
+    """Index into ``locus``'s component table that ``s`` reads, from the
+    score vector's flat table positions."""
+    return int(landscape.scores(s).idx[locus]) - (locus << (landscape.k + 1))
+
+
 class TestComponentIndex:
+    # Packing rule of the landscape format: the locus's own allele is bit 0,
+    # the allele at links[locus][m] is bit m+1.
     def test_all_zeros(self):
         landscape = generate(6, 2, 3, RANDOM, seed=5)
         s = np.zeros(6, dtype=np.uint8)
         for i in range(6):
-            assert component_index(s, i, landscape.links) == 0
+            assert component_index(landscape, s, i) == 0
 
     def test_hand_packed_bits(self):
         links = np.array([[1, 2], [0, 3], [0, 3], [1, 2]])
+        tables = np.zeros((4, 8), dtype=np.int64)
+        tables[2, 3] = 1
+        landscape = NkqLandscape(4, 2, 2, RANDOM, links, tables)
         s = np.array([1, 0, 1, 0], dtype=np.uint8)
         # locus 2: own allele 1, then s[0]=1 -> weight 2, s[3]=0 -> weight 4
-        assert component_index(s, 2, links) == 3
+        assert component_index(landscape, s, 2) == 3
+        assert landscape.total(s) == 1
 
     def test_all_ones(self):
         landscape = generate(7, 3, 2, RANDOM, seed=8)
         s = np.ones(7, dtype=np.uint8)
         for i in range(7):
-            assert component_index(s, i, landscape.links) == 2 ** (3 + 1) - 1
+            assert component_index(landscape, s, i) == 2 ** (3 + 1) - 1
 
 
 class TestEvaluate:
     def test_constant_maximum(self):
         landscape = constant_landscape(6, q=4)
         for s in oracles.all_genotypes(6)[:8]:
-            assert landscape.evaluate(np.array(s, dtype=np.uint8)).normalized == 1.0
+            s = np.array(s, dtype=np.uint8)
+            assert landscape.fitness(landscape.total(s)).normalized == 1.0
 
     def test_constant_zero(self):
         landscape = constant_landscape(6, q=4, value=0)
-        assert landscape.evaluate(np.zeros(6, dtype=np.uint8)).normalized == 0.0
+        s = np.zeros(6, dtype=np.uint8)
+        assert landscape.fitness(landscape.total(s)).normalized == 0.0
 
     def test_hand_example(self):
         # n=2, k=0, q=3 with f_0 = {0: 0, 1: 2}, f_1 = {0: 1, 1: 1}
         tables = np.array([[0, 2], [1, 1]], dtype=np.int64)
         landscape = NkqLandscape(2, 0, 3, RANDOM, np.empty((2, 0)), tables)
-        fv = landscape.evaluate(np.array([1, 1], dtype=np.uint8))
+        fv = landscape.fitness(landscape.total(np.array([1, 1], dtype=np.uint8)))
         assert fv.total == 3
         assert fv.normalized == 3 / 4
 
@@ -231,14 +251,7 @@ class TestEvaluate:
     def test_length_mismatch(self):
         landscape = generate(6, 2, 3, RANDOM, seed=5)
         with pytest.raises(LandscapeError):
-            landscape.evaluate(np.zeros(5, dtype=np.uint8))
-
-    def test_counter_ticks_once(self):
-        landscape = generate(6, 2, 3, RANDOM, seed=5)
-        counter = EvalCounter()
-        landscape.evaluate(np.zeros(6, dtype=np.uint8), counter)
-        landscape.delta_evaluate(np.zeros(6, dtype=np.uint8), landscape.total(np.zeros(6, dtype=np.uint8)), 2, counter)
-        assert counter.count == 2
+            landscape.total(np.zeros(5, dtype=np.uint8))
 
 
 class TestDeltaEvaluate:
@@ -272,8 +285,9 @@ class TestDeltaEvaluate:
     def test_bad_locus(self):
         landscape = generate(6, 2, 3, RANDOM, seed=5)
         s = np.zeros(6, dtype=np.uint8)
-        with pytest.raises(LandscapeError):
-            landscape.delta_evaluate(s, landscape.total(s), 6)
+        for locus in (6, -1):
+            with pytest.raises(LandscapeError, match="outside"):
+                landscape.delta_total(s, landscape.total(s), locus)
 
 
 class TestFitnessValue:
@@ -289,7 +303,8 @@ class TestFitnessValue:
     def test_scan_consistency(self, rng):
         landscape = generate(9, 2, 3, RANDOM, seed=6)
         s = rng.integers(0, 2, 9, dtype=np.uint8)
-        total, flips = landscape.scan(s)
+        totals, flips = landscape.batch_scan(s[None, :])
+        total, flips = totals[0], flips[0]
         assert total == landscape.total(s)
         for locus in range(9):
             flipped = s.copy()
@@ -338,6 +353,13 @@ class TestSerialization:
         fields[-1] = "x"
         lines[8] = " ".join(fields)
         with pytest.raises(LandscapeFormatError, match="line 9"):
+            deserialize("\n".join(lines))
+
+    def test_negative_seed_carries_line_number(self):
+        lines = self._doc_lines()
+        assert lines[5] == "seed 3"
+        lines[5] = "seed -99999999999999999999999"
+        with pytest.raises(LandscapeFormatError, match="line 6: seed must be non-negative"):
             deserialize("\n".join(lines))
 
     def test_missing_locus_line(self):

@@ -18,17 +18,22 @@ def node_tuple(graph, node):
     return tuple(graph.genotype_of(node).tolist())
 
 
+def hamming_pairs(graph):
+    """The distinct undirected pairs (u, v), u < v, of ``neighbor_ids``."""
+    return {(min(v, int(u)), max(v, int(u)))
+            for v in range(graph.node_count) for u in graph.neighbor_ids[v]}
+
+
 class TestBuildGraph:
     def test_n5_counts(self):
         graph = build_graph(generate(5, 2, 2, seed=1))
         assert graph.node_count == 32
-        assert graph.base_edge_count == 80
-        assert len(list(graph.base_edges())) == 80
+        assert len(hamming_pairs(graph)) == 5 * 2**4 == 80
 
     def test_n1_counts(self):
         graph = build_graph(generate(1, 0, 2, seed=1))
         assert graph.node_count == 2
-        assert graph.base_edge_count == 1
+        assert hamming_pairs(graph) == {(0, 1)}
 
     def test_totals_match_reevaluation(self):
         landscape = generate(6, 2, 3, seed=5)
@@ -39,7 +44,9 @@ class TestBuildGraph:
 
     def test_edges_are_hamming_one(self):
         graph = build_graph(generate(4, 1, 2, seed=2))
-        for u, v in graph.base_edges():
+        pairs = hamming_pairs(graph)
+        assert len(pairs) == 4 * 2**3
+        for u, v in pairs:
             assert bin(u ^ v).count("1") == 1
 
     def test_too_large_rejected(self):

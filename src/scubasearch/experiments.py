@@ -346,20 +346,10 @@ class StepStatsRow:
 
 
 def step_stats(report: SweepReport) -> list[StepStatsRow]:
-    """Scuba per-cell mean total steps (flat+gate) and mean flat moves."""
-    groups = report.records_by_cell()
-    rows = []
-    for k in report.config.k_values:
-        for q in report.config.q_values:
-            recs = groups.get(("ss", k, q))
-            if not recs:
-                continue
-            rows.append(StepStatsRow(
-                k=k, q=q, runs=len(recs),
-                mean_steps=float(np.mean([r.steps for r in recs])),
-                mean_flat=float(np.mean([r.flat for r in recs])),
-            ))
-    return rows
+    """Scuba per-cell mean total steps (flat+gate) and mean flat moves: the
+    ``"ss"`` rows of :meth:`SweepReport.cells`."""
+    return [StepStatsRow(c.k, c.q, c.runs, c.mean_steps, c.mean_flat)
+            for c in report.cells() if c.heuristic == "ss"]
 
 
 # -- CSV output ---------------------------------------------------------------

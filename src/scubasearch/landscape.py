@@ -78,10 +78,6 @@ class FitnessValue:
             return NotImplemented
         return self.total == other.total
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         return self.total < other.total
 
@@ -219,42 +215,32 @@ class NkqLandscape:
         self.max_total = self.n * (self.q - 1)
         self._build_flip_structure()
         self._pairs = None
-        self._mutants = None
 
     def _build_flip_structure(self):
-        """Precompute, per flip locus, which components change and by what bit.
+        """Derive the one-bit scan structures from one incidence table.
 
-        Flipping locus l shifts component j's table index by +-w where w is
-        the packed bit weight of l inside component j; component l itself
-        always changes with weight 1. Entries are flattened and grouped by
-        flip locus for vectorized gather/segment-sum scans.
+        ``_loci[j]`` lists the k+1 loci component j reads, j itself first and
+        then ``links[j]``; the allele at ``_loci[j, p]`` is bit p of j's table
+        index, of weight ``_bits[p] = 1 << p``. Flipping locus l XORs l's
+        weight into the index of every component that reads l: the
+        ``_aff_locus``/``_aff_weight`` entries list those components and
+        weights grouped by flip locus, each group spanning
+        ``[_aff_starts[l], _aff_ends[l])``, for gather/segment-sum scans.
 
         Component j's table starts at ``_row_offsets[j] = j << (k+1)``, above
         bit k, so XOR with a weight on a flat table index flips only the
         component's own index bit: every scan kernel flips bits that way.
         """
         n, k = self.n, self.k
-        per_flip_locus = [[i] for i in range(n)]
-        per_flip_weight = [[1] for i in range(n)]
-        for j in range(n):
-            for m in range(k):
-                per_flip_locus[self.links[j, m]].append(j)
-                per_flip_weight[self.links[j, m]].append(1 << (m + 1))
-
-        counts = np.array([len(g) for g in per_flip_locus], dtype=np.int64)
-        self._aff_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self._aff_ends = np.cumsum(counts)
-        self._aff_locus = np.array(
-            [j for group in per_flip_locus for j in group], dtype=np.int64
-        )
-        self._aff_weight = np.array(
-            [w for group in per_flip_weight for w in group], dtype=np.int64
-        )
-
+        self._loci = np.column_stack((np.arange(n, dtype=np.int64), self.links))
+        self._bits = np.left_shift(1, np.arange(k + 1, dtype=np.int64))
+        readers = self._loci.ravel()
+        self._aff_locus, slot = np.divmod(np.argsort(readers, kind="stable"), k + 1)
+        self._aff_weight = self._bits[slot]
+        self._aff_ends = np.cumsum(np.bincount(readers, minlength=n))
+        self._aff_starts = np.concatenate(([0], self._aff_ends[:-1]))
         self._row_offsets = np.arange(n, dtype=np.int64) << (k + 1)
         self._tab_flat = self.tables.ravel()
-        self._aff_offsets = self._row_offsets[self._aff_locus]
-        self._link_weights = np.left_shift(1, np.arange(1, k + 1, dtype=np.int64))
 
     @classmethod
     def generate(cls, n, k, q, mode=RANDOM, seed=None) -> "NkqLandscape":
@@ -312,30 +298,25 @@ class NkqLandscape:
     # -- vectorized kernels (shared by neighborhood scans and experiments) --
 
     def _base_indices(self, states: np.ndarray) -> np.ndarray:
-        idx = states.astype(np.int64)
-        if self.k:
-            idx = idx + states[:, self.links].astype(np.int64) @ self._link_weights
-        return idx
+        """(batch, n) positions in the flattened tables of the entry each
+        component reads for each row of a (batch, n) genotype matrix."""
+        states = np.ascontiguousarray(states, dtype=np.uint8)
+        return states[:, self._loci] @ self._bits + self._row_offsets
 
     def _row_deltas(self, states: np.ndarray):
-        """``(idx, vals, totals, deltas)`` of each row of a (batch, n)
-        genotype matrix: component table indices and values, totals, and
-        ``deltas[b, l]``, the change of row b's total when locus l flips.
-        ``vals`` keeps the table dtype; totals and deltas are int64."""
-        states = np.ascontiguousarray(states, dtype=np.uint8)
-        idx = self._base_indices(states)
+        """``(pos, totals, deltas)`` of each row of a (batch, n) genotype
+        matrix: :meth:`_base_indices`, int64 totals, and ``deltas[b, l]``
+        (int64), the change of row b's total when locus l flips."""
+        pos = self._base_indices(states)
         tab = self._tab_flat
-        vals = tab[self._row_offsets + idx]
-        base = idx[:, self._aff_locus] + self._aff_offsets
-        dvals = tab[base ^ self._aff_weight] - vals[:, self._aff_locus]
+        vals = tab[pos]
+        dvals = tab[pos[:, self._aff_locus] ^ self._aff_weight] - vals[:, self._aff_locus]
         deltas = np.add.reduceat(dvals, self._aff_starts, axis=1, dtype=np.int64)
-        return idx, vals, vals.sum(axis=1, dtype=np.int64), deltas
+        return pos, vals.sum(axis=1, dtype=np.int64), deltas
 
     def batch_totals(self, states: np.ndarray) -> np.ndarray:
         """Totals of each row of a (batch, n) genotype matrix."""
-        states = np.ascontiguousarray(states, dtype=np.uint8)
-        idx = self._base_indices(states)
-        return self._tab_flat[self._row_offsets + idx].sum(axis=1, dtype=np.int64)
+        return self._tab_flat[self._base_indices(states)].sum(axis=1, dtype=np.int64)
 
     def batch_scan(self, states: np.ndarray):
         """Totals of each row and of every one-bit mutant of each row.
@@ -344,37 +325,64 @@ class NkqLandscape:
         (batch, n); ``flip_totals[b, l]`` is the total of row b with locus l
         flipped. One gather per affected component, not per genotype.
         """
-        _, _, totals, deltas = self._row_deltas(states)
+        _, totals, deltas = self._row_deltas(states)
         return totals, totals[:, None] + deltas
 
-    def _pair_structure(self):
-        """Per component, every pair of the loci it reads, built on first use.
+    def _pair_terms(self, i, wa, wb) -> np.ndarray:
+        """int64 interaction term ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]``
+        of table positions ``i`` and bit weights ``wa``, ``wb`` (broadcast
+        together): what flipping both bits adds to the sum of the two one-bit
+        changes (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
+        2014). It is 0 when either weight is 0, and ``2*(T[i] - T[i^wa])``,
+        minus twice a one-bit change, when ``wa == wb``."""
+        tab = self._tab_flat
+        j = i ^ wa
+        # Each difference fits the table dtype; the term reaches +-2(q-1).
+        return np.subtract(tab[j ^ wb] - tab[j], tab[i ^ wb] - tab[i], dtype=np.int64)
 
-        Component j reads k+1 loci: j itself at bit weight 1 and
-        ``links[j, m]`` at weight ``1 << (m+1)``. Each of its C(k+1, 2)
-        pairs is one entry, holding j and both weights.
-        Entries are sorted by the pair key ``a*n + b`` (a < b); ``starts``
-        marks each key's first entry, and ``flat``/``flat_t`` are the
-        positions of (a, b) and (b, a) in the flattened n x n pair matrix.
+    def _pair_structure(self):
+        """``(by_pair, by_locus)`` entries of :meth:`_pair_terms`, built on
+        first use from ``_loci`` and the ``_aff_*`` groups.
+
+        - ``by_pair = (comp, wa, wb, starts, flat, flat_t)``: one entry per
+          pair of loci a component reads, C(k+1, 2) per component, holding
+          the component and the pair's two weights, sorted by the pair key
+          ``a*n + b`` (a < b). ``starts`` marks each key's first entry, and
+          ``flat``/``flat_t`` are the positions of (a, b) and (b, a) in the
+          flattened n x n pair matrix.
+        - ``by_locus = (comps, weights, targets)``: row l of ``comps`` and
+          ``weights`` lists the components reading l and l's weight in each
+          (the ``_aff_*`` group of l), padded to the longest row with
+          component 0 at weight 0, whose terms are 0; ``targets[l]`` is
+          ``_loci[comps[l]]`` flattened, so the terms of ``comps[l]`` at
+          (``weights[l]``, ``_bits``) are what flipping l adds to the
+          one-bit change at each target.
+
         Two threads may both build it; they build the same arrays.
-        Landscapes that never take a distance-2 scan never build this.
+        Landscapes that never take a distance-2 scan or move a score vector
+        never build this.
         """
         if self._pairs is None:
             n, k = self.n, self.k
-            loci = np.column_stack((np.arange(n, dtype=np.int64), self.links))
             pa, pb = np.triu_indices(k + 1, 1)
-            comp = np.repeat(np.arange(n, dtype=np.int64), pa.size)
-            la, lb = loci[:, pa].ravel(), loci[:, pb].ravel()
-            wa = np.tile(np.left_shift(1, pa), n)
-            wb = np.tile(np.left_shift(1, pb), n)
-            lo, hi = np.minimum(la, lb), np.maximum(la, lb)
-            order = np.argsort(lo * n + hi, kind="stable")
-            lo, hi = lo[order], hi[order]
-            key = lo * n + hi
-            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-            wa, wb = wa[order], wb[order]
-            self._pairs = (comp[order], wa, wb, wa | wb, starts,
-                           key[starts], hi[starts] * n + lo[starts])
+            comp = np.repeat(np.arange(n), pa.size)
+            wa, wb = np.tile(self._bits[pa], n), np.tile(self._bits[pb], n)
+            la, lb = self._loci[:, pa].ravel(), self._loci[:, pb].ravel()
+            key = np.minimum(la, lb) * n + np.maximum(la, lb)
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            lo, hi = np.divmod(key[starts], n)
+            by_pair = (comp[order], wa[order], wb[order], starts, key[starts], hi * n + lo)
+
+            counts = self._aff_ends - self._aff_starts
+            rows = np.repeat(np.arange(n), counts)
+            cols = np.arange(rows.size) - np.repeat(self._aff_starts, counts)
+            comps = np.zeros((n, counts.max(), 1), dtype=np.int64)
+            weights = np.zeros_like(comps)
+            comps[rows, cols, 0] = self._aff_locus
+            weights[rows, cols, 0] = self._aff_weight
+            self._pairs = (by_pair, (comps, weights, self._loci[comps].reshape(n, -1)))
         return self._pairs
 
     def pair_scan(self, s):
@@ -383,59 +391,27 @@ class NkqLandscape:
         ``pair_totals[a, b]`` is the total of ``s`` with loci a and b both
         flipped; the diagonal holds ``total``. Exact in int64: a two-bit
         move changes the total by ``d[a] + d[b]`` (the one-bit deltas) plus,
-        for every component reading both a and b, the interaction term
-        ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]``, so one one-row scan and
-        n*C(k+1, 2) interaction terms cover the whole distance-2 ball.
+        for every component reading both a and b, its :meth:`_pair_terms`
+        term, so one one-row scan and n*C(k+1, 2) interaction terms cover
+        the whole distance-2 ball.
         """
         s = as_genotype(s, self.n)
-        idx, vals, totals, deltas = self._row_deltas(s[None, :])
-        total, d, vals = totals[0], deltas[0], vals[0]
+        pos, totals, deltas = self._row_deltas(s[None, :])
+        total, d = totals[0], deltas[0]
         flips = total + d
         pairs = flips[:, None] + d[None, :]
         np.fill_diagonal(pairs, total)
-        if self.k:
-            comp, wa, wb, wab, starts, flat, flat_t = self._pair_structure()
-            base = (self._row_offsets + idx[0])[comp]
-            tab = self._tab_flat
-            # A term reaches +-2(q-1), past the table dtype: cast the first.
-            terms = (tab[base ^ wab].astype(np.int64) - tab[base ^ wa]
-                     - tab[base ^ wb] + vals[comp])
-            sums = np.add.reduceat(terms, starts)
-            pairs.ravel()[flat] += sums
-            pairs.ravel()[flat_t] += sums
+        (comp, wa, wb, starts, flat, flat_t), _ = self._pair_structure()
+        sums = np.add.reduceat(self._pair_terms(pos[0][comp], wa, wb), starts)
+        pairs.ravel()[flat] += sums
+        pairs.ravel()[flat_t] += sums
         return int(total), flips, pairs
-
-    def _mutant_structure(self):
-        """Per flip locus, every component reading it, built on first use.
-
-        Row l of ``comps`` lists the components that read l, padded to the
-        longest row; ``masks[l, e]`` holds l's bit weight in component
-        ``comps[l, e]`` and 0, so one XOR gives the entry with and without l
-        flipped (a pad has weight 0 and every term of it vanishes).
-        ``targets[l]`` lists, entry by entry, the loci each component reads,
-        in bit order, and ``bits[p]`` is the weight ``1 << p`` of bit p. Two
-        threads may both build it; they build the same arrays. Landscapes
-        that never move a score vector never build this.
-        """
-        if self._mutants is None:
-            n, k = self.n, self.k
-            counts = self._aff_ends - self._aff_starts
-            rows = np.repeat(np.arange(n), counts)
-            cols = np.arange(counts.sum()) - np.repeat(self._aff_starts, counts)
-            comps = np.zeros((n, int(counts.max())), dtype=np.int64)
-            masks = np.zeros((n, 2, comps.shape[1]), dtype=np.int64)
-            comps[rows, cols] = self._aff_locus
-            masks[rows, 0, cols] = self._aff_weight
-            loci = np.column_stack((np.arange(n, dtype=np.int64), self.links))
-            bits = np.left_shift(1, np.arange(k + 1, dtype=np.int64))
-            self._mutants = (comps, masks, loci[comps].reshape(n, -1), bits)
-        return self._mutants
 
     def scores(self, s) -> "ScoreVector":
         """The :class:`ScoreVector` of genotype ``s``, from one one-row scan."""
         s = as_genotype(s, self.n).copy()
-        idx, _, totals, deltas = self._row_deltas(s[None, :])
-        return ScoreVector(self, s, self._row_offsets + idx[0], int(totals[0]), deltas[0])
+        pos, totals, deltas = self._row_deltas(s[None, :])
+        return ScoreVector(self, s, pos[0], int(totals[0]), deltas[0])
 
     # -- misc ---------------------------------------------------------------
 
@@ -483,33 +459,17 @@ class ScoreVector:
         self.total = total
         self.d = d
 
-    def _flip_terms(self, loci):
-        """``(targets, terms)`` for one locus l or an array of them: for each
-        component reading l (weight ``wl``, entry ``i``) and each locus m it
-        reads (weight ``wm``), ``targets`` holds m and ``terms`` the change
-        that flipping l brings to the delta at m,
-        ``(T[i^wl^wm] - T[i^wl]) - (T[i^wm] - T[i])``: one row of the pair
-        terms of :meth:`NkqLandscape.pair_scan`. At m = l the terms sum to
-        ``-2 d[l]``."""
-        landscape = self.landscape
-        comps, masks, targets, bits = landscape._mutant_structure()
-        # i ^ wl and i for each component reading l.
-        entries = self.idx[comps[loci]][..., None, :] ^ masks[loci]
-        tab = landscape._tab_flat
-        diffs = tab[entries[..., None] ^ bits] - tab[entries][..., None]
-        # Both differences fit the table dtype; their difference reaches
-        # +-2(q-1), past it, so it is taken in int64.
-        terms = np.subtract(diffs[..., 0, :, :], diffs[..., 1, :, :], dtype=np.int64)
-        return targets[loci], terms
-
     def mutant_deltas(self, loci) -> np.ndarray:
         """``(len(loci), n)`` int64: row r holds the one-bit deltas of ``s``
-        with ``loci[r]`` flipped. Flipping l moves the delta at m only
-        through the components that read both l and m."""
+        with ``loci[r]`` flipped. Flipping l moves the delta at m by the pair
+        terms of the components that read both l and m; at m = l those terms
+        sum to ``-2 d[l]``, negating it."""
         loci = np.asarray(loci, dtype=np.intp)
-        targets, terms = self._flip_terms(loci)
+        landscape = self.landscape
+        comps, weights, targets = landscape._pair_structure()[1]
+        terms = landscape._pair_terms(self.idx[comps[loci]], weights[loci], landscape._bits)
         rows = np.repeat(self.d[None, :], loci.size, axis=0)
-        at = targets + np.arange(0, rows.size, self.landscape.n)[:, None]
+        at = targets[loci] + np.arange(0, rows.size, landscape.n)[:, None]
         np.add.at(rows.reshape(-1), at.reshape(-1), terms.reshape(-1))
         return rows
 
@@ -518,9 +478,10 @@ class ScoreVector:
         as it is. Its deltas are the row of :meth:`mutant_deltas` for
         ``locus``."""
         landscape = self.landscape
-        targets, terms = self._flip_terms(locus)
+        comps, weights, targets = landscape._pair_structure()[1]
+        terms = landscape._pair_terms(self.idx[comps[locus]], weights[locus], landscape._bits)
         d = self.d.copy()
-        np.add.at(d, targets, terms.reshape(-1))
+        np.add.at(d, targets[locus], terms.reshape(-1))
         lo, hi = landscape._aff_starts[locus], landscape._aff_ends[locus]
         idx = self.idx.copy()
         idx[landscape._aff_locus[lo:hi]] ^= landscape._aff_weight[lo:hi]

@@ -50,10 +50,6 @@ class LandscapeGraph:
     def node_count(self) -> int:
         return 1 << self.n
 
-    def genotype_of(self, node: int) -> np.ndarray:
-        shifts = np.arange(self.n - 1, -1, -1)
-        return ((node >> shifts) & 1).astype(np.uint8)
-
 
 def build_graph(landscape: NkqLandscape) -> LandscapeGraph:
     """Enumerate all ``2**n`` genotypes with exact totals; requires n <= 12."""
@@ -88,10 +84,6 @@ class AnnotatedGraph:
     dotted_directed: bool
 
 
-def _first_argmax(values: np.ndarray) -> int:
-    return int(values.argmax())
-
-
 def annotate(graph: LandscapeGraph, kind: str) -> AnnotatedGraph:
     """Pick out the edges the given heuristic could follow from each node.
 
@@ -118,7 +110,7 @@ def annotate(graph: LandscapeGraph, kind: str) -> AnnotatedGraph:
 
     if kind == "hc":
         for v in np.flatnonzero(best > totals):
-            solid.append((int(v), int(nbr_ids[v, _first_argmax(nbr_totals[v])])))
+            solid.append((int(v), int(nbr_ids[v, nbr_totals[v].argmax()])))
 
     elif kind == "ss":
         evol_node = np.maximum(totals, best)
@@ -127,9 +119,9 @@ def annotate(graph: LandscapeGraph, kind: str) -> AnnotatedGraph:
         plateau_best = plateau_evols.max(axis=1)
         for v in range(graph.node_count):
             if plateau_best[v] > evol_node[v]:
-                dotted.append((v, int(nbr_ids[v, _first_argmax(plateau_evols[v])])))
+                dotted.append((v, int(nbr_ids[v, plateau_evols[v].argmax()])))
             elif best[v] > totals[v]:
-                solid.append((v, int(nbr_ids[v, _first_argmax(nbr_totals[v])])))
+                solid.append((v, int(nbr_ids[v, nbr_totals[v].argmax()])))
 
     elif kind == "nc":
         for v in range(graph.node_count):
@@ -147,9 +139,9 @@ def annotate(graph: LandscapeGraph, kind: str) -> AnnotatedGraph:
         for v in np.flatnonzero(evol2_node > totals):
             v = int(v)
             if evol_node[v] == evol2_node[v]:
-                locus = _first_argmax(nbr_totals[v] == evol2_node[v])
+                locus = (nbr_totals[v] == evol2_node[v]).argmax()
             else:
-                locus = _first_argmax(nbr_evols[v] == evol2_node[v])
+                locus = (nbr_evols[v] == evol2_node[v]).argmax()
             solid.append((v, int(nbr_ids[v, locus])))
 
     return AnnotatedGraph(graph, kind, solid, dotted, dotted_directed)

@@ -26,6 +26,12 @@ def all_genotypes(n):
     return [tuple(bits) for bits in itertools.product((0, 1), repeat=n)]
 
 
+def node_genotype(n, node) -> tuple:
+    """Genotype of path-graph node ``node``: the n bits of its value, locus
+    0 most significant."""
+    return tuple((node >> (n - 1 - locus)) & 1 for locus in range(n))
+
+
 def fitness_map(landscape) -> dict:
     """total of every genotype, keyed by tuple."""
     return {s: naive_total(landscape, s) for s in all_genotypes(landscape.n)}

@@ -356,8 +356,7 @@ def test_a7_path_graph_suite():
         ok &= graph.node_count == 32
 
         fm = oracles.fitness_map(landscape)
-        to_tuple = {node: tuple(graph.genotype_of(node).tolist())
-                    for node in range(32)}
+        to_tuple = {node: oracles.node_genotype(graph.n, node) for node in range(32)}
         hc = annotate(graph, "hc")
         sources = [u for u, _ in hc.solid]
         ok &= len(sources) == len(set(sources))

@@ -297,6 +297,8 @@ class TestFitnessValue:
         c = FitnessValue(4, 1.0)
         assert a == b
         assert a != c
+        assert not (a != b)
+        assert FitnessValue(1, 0.5) != 1
         assert a < c and c > a and a <= b and b >= a
         assert hash(a) == hash(b)
 

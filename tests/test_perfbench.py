@@ -1,8 +1,9 @@
-"""Smoke test of the traced benchmark child (``perfbench/child.py``).
+"""Smoke tests of the traced benchmark child (``perfbench/child.py``).
 
 With tracing on, the child wraps a fixed list of library names before it
-calls the CLI, so a rename or deletion of any of them fails here rather
-than only when the benchmark runs.
+calls the CLI, and reads each run's ``Trace`` (its length, first step and
+that step's attributes), so a rename or deletion of any of them fails here
+rather than only when the benchmark runs.
 """
 
 import json
@@ -14,15 +15,30 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_child_runs_gen(tmp_path):
+def run_traced_child(tmp_path, *cli_argv):
+    """Run ``cli_argv`` through the traced child; require rc 0 from the
+    process and in its ``result.json``."""
     child = os.path.join(ROOT, "perfbench", "child.py")
     src = os.path.join(ROOT, "src")
     argv = [sys.executable, child, str(time.monotonic_ns()), src, str(tmp_path), "1",
-            "gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",
-            "--out", str(tmp_path / "l.txt")]
+            *cli_argv]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     with open(tmp_path / "result.json") as fh:
         result = json.load(fh)
     assert result["rc"] == 0
+
+
+def test_traced_child_runs_gen(tmp_path):
+    run_traced_child(tmp_path, "gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",
+                     "--out", str(tmp_path / "l.txt"))
     assert (tmp_path / "l.txt").exists()
+
+
+def test_traced_child_runs_traced_sweep(tmp_path):
+    run_traced_child(tmp_path, "sweep", "--n", "6", "--k", "0,2", "--q", "2",
+                     "--heuristics", "hc,nc,hc2,ss", "--runs", "2", "--instances", "1",
+                     "--step-max", "20", "--seed", "1", "--out", str(tmp_path / "out.csv"),
+                     "--profile-out", str(tmp_path / "profile.csv"))
+    assert (tmp_path / "spans.npz").exists()
+    assert (tmp_path / "profile.csv").exists()

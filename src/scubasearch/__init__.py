@@ -8,7 +8,6 @@ the heuristics themselves (:mod:`.heuristics`), a seeded sweep harness
 """
 
 from .experiments import (
-    HEURISTIC_IDS,
     PROFILE_HEADER,
     RECORDS_HEADER,
     STEP_STATS_HEADER,
@@ -36,20 +35,13 @@ from .experiments import (
 from .heuristics import (
     HEURISTICS,
     MOVE_KINDS,
-    ImproverContractError,
     RunResult,
     Trace,
     TraceStep,
-    generic_scuba,
-    greedy_evol_step,
     hill_climb,
     hill_climb2,
-    jump_to_fittest,
     netcrawler,
-    neutral_drift_step,
     scuba,
-    until_local_max,
-    until_local_neutral_max,
 )
 from .landscape import (
     ADJACENT,

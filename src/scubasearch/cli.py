@@ -123,11 +123,11 @@ def _load_or_generate(args, seed_of):
 
 
 def _cmd_run(args) -> int:
+    if args.step_max < 1:
+        raise UsageError(f"--step-max must be >= 1, got {args.step_max}")
     seed = _resolve_seed(args)
     landscape = _load_or_generate(
         args, lambda a: ex.landscape_seed(seed, a.k, a.q, 0))
-    if args.step_max < 1:
-        raise UsageError(f"--step-max must be >= 1, got {args.step_max}")
     rs = ex.run_seed(seed, landscape.k, landscape.q, args.heuristic, 0, 0)
     rng = np.random.default_rng(rs)
     result = ex.run_heuristic(landscape, args.heuristic, rng, args.step_max,
@@ -242,8 +242,9 @@ def build_parser() -> _Parser:
                                    f"'{ex.SWEEP_HEADER}'. Optional outputs: per-run "
                                    "records, neutral-mutation profile, scuba step curves.")
     _add_landscape_params(p, lists=True)
-    p.add_argument("--heuristics", default="hc,nc,hc2,ss",
-                   help="comma-separated subset of hc,nc,hc2,ss (default: all)")
+    names = ",".join(hx.HEURISTICS)
+    p.add_argument("--heuristics", default=names,
+                   help=f"comma-separated subset of {names} (default: all)")
     p.add_argument("--runs", type=int, default=100, help="runs per cell (default: 100)")
     p.add_argument("--instances", type=int, default=10,
                    help="landscape instances per cell (default: 10)")

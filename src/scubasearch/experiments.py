@@ -22,8 +22,6 @@ from . import heuristics as hx
 from .landscape import RANDOM, NkqLandscape, check_params, generate
 from .neighborhood import EvalCounter
 
-HEURISTIC_IDS = {"hc": 1, "nc": 2, "hc2": 3, "ss": 4}
-
 _LANDSCAPE_STREAM = 101
 _RUN_STREAM = 102
 _SAMPLE_STREAM = 103
@@ -59,8 +57,10 @@ def landscape_seed(base_seed: int, k: int, q: int, instance: int) -> int:
 def run_seed(base_seed: int, k: int, q: int, heuristic: str, instance: int,
              run: int) -> int:
     """Seed of one run's RNG stream (initial genotype and tie-breaks)."""
+    # A heuristic's id in the seed is its position in HEURISTICS plus one,
+    # so reordering HEURISTICS would change every run stream.
     return derive_seed(base_seed, _RUN_STREAM, k, q,
-                       HEURISTIC_IDS[heuristic], instance, run)
+                       hx.HEURISTICS.index(heuristic) + 1, instance, run)
 
 
 @dataclass
@@ -77,7 +77,7 @@ class SweepConfig:
     k_values: tuple[int, ...]
     q_values: tuple[int, ...]
     base_seed: int
-    heuristics: tuple[str, ...] = ("hc", "nc", "hc2", "ss")
+    heuristics: tuple[str, ...] = hx.HEURISTICS
     runs: int = 100
     instances: int = 10
     step_max: int = 300
@@ -94,8 +94,10 @@ class SweepConfig:
             for q in self.q_values:
                 check_params(self.n, k, q, self.mode)
         for h in self.heuristics:
-            if h not in HEURISTIC_IDS:
+            if h not in hx.HEURISTICS:
                 raise ValueError(f"unknown heuristic {h!r}")
+        if len(set(self.heuristics)) != len(self.heuristics):
+            raise ValueError("heuristics must not repeat")
         if self.runs < 1 or self.instances < 1:
             raise ValueError("runs and instances must be >= 1")
         if self.step_max < 1:

@@ -1,6 +1,6 @@
 """Local search heuristics over NKq landscapes.
 
-Four concrete searchers plus a pluggable skeleton:
+Four searchers:
 
 * ``hill_climb``     - move to a uniformly chosen fittest neighbor until no
   neighbor is strictly fitter (scuba with an empty neutral phase).
@@ -11,8 +11,6 @@ Four concrete searchers plus a pluggable skeleton:
 * ``scuba``          - alternates a neutral phase that greedily increases
   evolvability along the current plateau (flat moves) with strict
   fitness-improving jumps (gate moves), until a local maximum.
-* ``generic_scuba``  - the same two-phase skeleton with caller-supplied
-  improvement steps and termination conditions.
 
 Every run owns its RNG stream and its evaluation counter, so arbitrarily
 many runs may execute concurrently over one shared landscape. The initial
@@ -59,10 +57,6 @@ _INIT, _IMPROVE, _NEUTRAL, _DESCEND, _REJECT = range(len(MOVE_KINDS))
 HEURISTICS = ("hc", "nc", "hc2", "ss")
 
 
-class ImproverContractError(RuntimeError):
-    """An improve step broke its contract (wrong fitness effect or failure)."""
-
-
 @dataclass
 class TraceStep:
     """One trace entry: the state arrived at and how it was reached."""
@@ -77,7 +71,7 @@ class Trace(Sequence):
     with one entry per step, the start being entry 0.
 
     ``loci`` holds the locus flipped to reach the state, or -1 when the state
-    did not change (the start, a netcrawler rejection, a scuba stay-put);
+    did not change (the start or a netcrawler rejection);
     ``totals`` (int64) its total; ``kinds`` how it was reached, as an index
     into :data:`MOVE_KINDS`; ``degns`` its neutral degree. Indexing, slicing
     and iteration yield :class:`TraceStep` objects built on access, their
@@ -164,63 +158,50 @@ def _choose(rng: np.random.Generator, candidates: np.ndarray) -> int:
     return int(candidates[rng.integers(candidates.size)])
 
 
-# -- improve steps and termination conditions for the generic skeleton ------
+def _climb(landscape, s0, rng, counter, trace, neutral_phase) -> RunResult:
+    """Hill climbing, or scuba when ``neutral_phase``.
 
-def greedy_evol_step(scan: PlateauScan, rng: np.random.Generator) -> Optional[int]:
-    """Flip to a uniformly chosen neutral neighbor of maximal evolvability."""
-    evols = scan.neutral_evols
-    if evols.size == 0:
-        return None
-    best = int(evols.max())
-    return _choose(rng, scan.neutral_loci[evols == best])
+    At each point: if ``neutral_phase`` and some neutral neighbor has a
+    strictly higher evolvability than the point itself, flip to a uniformly
+    chosen one of highest evolvability (flat move); else, if some neighbor is
+    strictly fitter, flip to a uniformly chosen fittest one (gate move); else
+    stop. Each point is read through one
+    :class:`~.neighborhood.PlateauScan` of the score vector the run carries,
+    which charges ``n`` queries for the flip totals plus ``Degn * n`` for
+    the neutral neighbors' evolvabilities.
+    """
+    counter = EvalCounter() if counter is None else counter
+    state = start = landscape.scores(s0)
+    flat = gate = 0
+    log = [(-1, state.total, _INIT, _degn(state))] if trace else None
+    while True:
+        scan = PlateauScan(state, counter)
+        # Totals are non-negative, so -1 never beats the evolvability.
+        best = int(scan.neutral_evols.max(initial=-1)) if neutral_phase else -1
+        if best > scan.evol_total:
+            locus = _choose(rng, scan.neutral_loci[scan.neutral_evols == best])
+            flat += 1
+            kind = _NEUTRAL
+        else:
+            flips = scan.flip_totals
+            best = int(flips.max())
+            if best <= state.total:
+                break
+            locus = _choose(rng, np.flatnonzero(flips == best))
+            gate += 1
+            kind = _IMPROVE
+        state = state.flip(locus)
+        if trace:
+            log.append((locus, state.total, kind, _degn(state)))
+    return RunResult(state.s, landscape.fitness(state.total), flat + gate, flat, gate,
+                     counter.count, _pack(start.s, landscape, log))
 
-
-def neutral_drift_step(scan: PlateauScan, rng: np.random.Generator) -> Optional[int]:
-    """Flip to a uniformly chosen neutral neighbor; stay put if there is none."""
-    loci = scan.neutral_loci
-    if loci.size == 0:
-        return None
-    return _choose(rng, loci)
-
-
-def jump_to_fittest(scan: PlateauScan, rng: np.random.Generator) -> Optional[int]:
-    """Flip to a uniformly chosen strictly fitter neighbor of maximal fitness."""
-    flips = scan.flip_totals
-    best = int(flips.max())
-    if best <= scan.total:
-        return None
-    return _choose(rng, np.flatnonzero(flips == best))
-
-
-def until_local_neutral_max(scan: PlateauScan, phase_steps: int) -> bool:
-    """True once no neutral neighbor has strictly higher evolvability."""
-    evols = scan.neutral_evols
-    return evols.size == 0 or int(evols.max()) <= scan.evol_total
-
-
-def until_local_max(scan: PlateauScan, gate_steps: int) -> bool:
-    """True once no neighbor is strictly fitter."""
-    return int(scan.flip_totals.max()) <= scan.total
-
-
-def _resolve_condition(spec):
-    """An integer is a phase budget: met after that many improve steps, so 0
-    skips the phase."""
-    if isinstance(spec, int):
-        return lambda scan, phase_steps: phase_steps >= spec
-    return spec
-
-
-# -- the heuristics ----------------------------------------------------------
 
 def hill_climb(landscape, s0, rng, counter=None, trace=False) -> RunResult:
-    """Steepest-ascent hill climbing; stops at a (non-strict) local maximum.
-
-    This is scuba with the neutral phase left out: a zero phase budget skips
-    it, so every step jumps to a uniformly chosen fittest neighbor.
-    """
-    return generic_scuba(landscape, s0, neutral_drift_step, 0, jump_to_fittest,
-                         until_local_max, rng, counter=counter, trace=trace)
+    """Steepest-ascent hill climbing: jump to a uniformly chosen fittest
+    neighbor until none is strictly fitter, a (non-strict) local maximum.
+    Costs ``n`` queries per point visited."""
+    return _climb(landscape, s0, rng, counter, trace, neutral_phase=False)
 
 
 def netcrawler(landscape, s0, rng, step_max=300, counter=None, trace=False) -> RunResult:
@@ -304,66 +285,6 @@ def hill_climb2(landscape, s0, rng, counter=None, trace=False) -> RunResult:
                      counter.count, _pack(start, landscape, log))
 
 
-def generic_scuba(landscape, s0, improve1, tc1, improve2, tc2, rng,
-                  counter=None, trace=False) -> RunResult:
-    """Two-phase skeleton: drift/optimize along the plateau, then jump.
-
-    Repeats { while tc1 unmet: apply improve1 (flat move); if tc2 met:
-    stop; apply improve2 (gate move) }. ``improve1`` must preserve the
-    integer total (returning ``None`` means "stay put", still counted as a
-    flat move); ``improve2`` must strictly increase it, and failing to do so
-    when tc2 is unmet raises :class:`ImproverContractError`.
-
-    ``improve1``/``improve2`` are callables ``(scan, rng) -> locus | None``
-    such as :func:`greedy_evol_step`, :func:`neutral_drift_step` and
-    :func:`jump_to_fittest`; ``tc1``/``tc2`` are callables
-    ``(scan, phase_steps) -> bool`` such as :func:`until_local_neutral_max`
-    and :func:`until_local_max`, or an integer phase budget. ``scan`` is a
-    fresh :class:`~.neighborhood.PlateauScan` of the current point, a view of
-    the score vector the run carries from step to step.
-    """
-    tc1 = _resolve_condition(tc1)
-    tc2 = _resolve_condition(tc2)
-    counter = EvalCounter() if counter is None else counter
-    state = start = landscape.scores(s0)
-    total = state.total
-    flat = gate = 0
-    log = [(-1, total, _INIT, _degn(state))] if trace else None
-
-    while True:
-        scan = PlateauScan(state, counter)
-        phase_steps = 0
-        while not tc1(scan, phase_steps):
-            locus = improve1(scan, rng)
-            if locus is not None:
-                if int(scan.flip_totals[locus]) != total:
-                    raise ImproverContractError(
-                        "improve1 must preserve the fitness total"
-                    )
-                state = state.flip(locus)
-            flat += 1
-            phase_steps += 1
-            if trace:
-                log.append((-1 if locus is None else locus, total, _NEUTRAL,
-                            _degn(state)))
-            scan = PlateauScan(state, counter)
-        if tc2(scan, gate):
-            break
-        locus = improve2(scan, rng)
-        if locus is None or int(scan.flip_totals[locus]) <= total:
-            raise ImproverContractError(
-                "improve2 failed to strictly improve at a non-terminal point"
-            )
-        state = state.flip(locus)
-        total = state.total
-        gate += 1
-        if trace:
-            log.append((locus, total, _IMPROVE, _degn(state)))
-
-    return RunResult(state.s, landscape.fitness(total), flat + gate, flat, gate,
-                     counter.count, _pack(start.s, landscape, log))
-
-
 def scuba(landscape, s0, rng, counter=None, trace=False) -> RunResult:
     """Scuba search: greedy evolvability ascent along each plateau, then a
     strict fitness jump, repeated until a local maximum.
@@ -375,14 +296,4 @@ def scuba(landscape, s0, rng, counter=None, trace=False) -> RunResult:
     evaluation costs exactly ``(1 + Degn(s)) * n`` queries; the jump reuses
     the guard's scan.
     """
-    return generic_scuba(
-        landscape,
-        s0,
-        greedy_evol_step,
-        until_local_neutral_max,
-        jump_to_fittest,
-        until_local_max,
-        rng,
-        counter=counter,
-        trace=trace,
-    )
+    return _climb(landscape, s0, rng, counter, trace, neutral_phase=True)

@@ -114,6 +114,18 @@ def as_genotype(s, n: int | None = None) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
+def _int_array(name: str, values, shape: tuple) -> np.ndarray:
+    """``values`` as an array, which must have ``shape`` and a bool or
+    integer dtype: floats are rejected rather than truncated (an empty array
+    holds nothing to truncate, so any dtype will do)."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "biu":
+        raise LandscapeError(f"{name} must be bool or integer, got dtype {arr.dtype}")
+    if arr.shape != shape:
+        raise LandscapeError(f"{name} must have shape {shape}, got {arr.shape}")
+    return arr
+
+
 def check_params(n: int, k: int, q: int, mode: str = RANDOM) -> None:
     """Raise :class:`LandscapeError` unless ``(n, k, q, mode)`` describe a
     landscape this package can hold: ``n >= 1``, ``0 <= k <= n-1``,
@@ -179,18 +191,17 @@ class NkqLandscape:
         difference of two entries fits that dtype; any sum of entries must
         accumulate in int64.
 
-    The arrays are frozen after construction; instances are safe to share
-    across concurrently executing runs.
+    The constructor takes ``links`` and ``tables`` in exactly these shapes,
+    as bool or integer arrays; floats are refused rather than truncated. The
+    arrays are frozen after construction; instances are safe to share across
+    concurrently executing runs.
     """
 
     def __init__(self, n, k, q, mode, links, tables, seed=None):
         check_params(n, k, q, mode)
 
-        links = np.array(links, dtype=np.int64).reshape(n, k)
-        tables = np.asarray(tables)
-        if tables.dtype.kind not in "iu":
-            tables = tables.astype(np.int64)
-        tables = tables.reshape(n, 2 ** (k + 1))
+        links = _int_array("links", links, (n, k)).astype(np.int64)
+        tables = _int_array("tables", tables, (n, 2 ** (k + 1)))
         for i in range(n):
             row = links[i]
             if row.size != len(set(row.tolist())) or i in row:

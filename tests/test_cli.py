@@ -210,6 +210,13 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "line 6: seed must be non-negative" in err
 
+    def test_bad_step_max_before_seed(self, capsys):
+        # Rejected before a seed is drawn and printed or a landscape is made.
+        assert run_cli("run", "--heuristic", "nc", "--n", "8", "--k", "1",
+                       "--q", "2", "--step-max", "0") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--step-max must be >= 1" in err
+
     def test_unwritable_output(self):
         assert run_cli("gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",
                        "--out", "/no/such/dir/file.txt") == 2

@@ -140,6 +140,8 @@ class TestRunSweep:
             small_config(q_values=(1,))
         with pytest.raises(ValueError):
             small_config(heuristics=("hc", "annealing"))
+        with pytest.raises(ValueError, match="repeat"):
+            small_config(heuristics=("hc", "ss", "hc"))
         with pytest.raises(ValueError):
             small_config(runs=0)
         with pytest.raises(ValueError):

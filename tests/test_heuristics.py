@@ -6,21 +6,14 @@ from conftest import constant_landscape, onemax_landscape
 from scubasearch import (
     RANDOM,
     EvalCounter,
-    ImproverContractError,
     evol,
     generate,
-    generic_scuba,
-    greedy_evol_step,
     hill_climb,
     hill_climb2,
     is_local,
-    jump_to_fittest,
     netcrawler,
     neutral_degree,
-    neutral_drift_step,
     scuba,
-    until_local_max,
-    until_local_neutral_max,
 )
 from scubasearch.heuristics import MOVE_NEUTRAL, MOVE_REJECT
 
@@ -89,16 +82,25 @@ class TestTrace:
             trace[len(trace)]
 
     def test_loci_name_the_flipped_bit(self, rng):
-        landscape = generate(12, 2, 4, RANDOM, seed=9)
-        result = netcrawler(landscape, rng.integers(0, 2, 12, dtype=np.uint8),
-                            np.random.default_rng(3), 200, trace=True)
-        trace = result.trace
-        genotypes = trace.genotypes()
-        assert trace.loci[0] == -1
-        for i in range(1, len(trace)):
-            changed = np.flatnonzero(genotypes[i] != genotypes[i - 1]).tolist()
-            assert changed == ([] if trace.loci[i] == -1 else [trace.loci[i]])
-            assert (trace.loci[i] == -1) == (trace[i].kind == MOVE_REJECT)
+        # Every searcher changes its state at every step but the start and a
+        # netcrawler rejection. At q=2 scuba also makes flat moves.
+        landscape = generate(12, 1, 2, RANDOM, seed=9)
+        scuba_flat = 0
+        for search in (hill_climb, netcrawler, hill_climb2, scuba):
+            for seed in range(3):
+                s0 = rng.integers(0, 2, 12, dtype=np.uint8)
+                result = search(landscape, s0, np.random.default_rng(seed), trace=True)
+                trace = result.trace
+                genotypes = trace.genotypes()
+                assert trace.loci[0] == -1
+                for i in range(1, len(trace)):
+                    changed = np.flatnonzero(genotypes[i] != genotypes[i - 1]).tolist()
+                    assert changed == ([] if trace.loci[i] == -1 else [trace.loci[i]])
+                    assert (trace.loci[i] == -1) == (trace[i].kind == MOVE_REJECT), \
+                        search.__name__
+                if search is scuba:
+                    scuba_flat += result.flat_count
+        assert scuba_flat > 0
 
     def test_arrays_are_read_only(self, rng):
         landscape = generate(8, 1, 2, RANDOM, seed=5)
@@ -279,78 +281,6 @@ class TestScuba:
         assert a.terminal.tolist() == b.terminal.tolist()
         assert (a.steps, a.flat_count, a.gate_count, a.evaluations) == \
                (b.steps, b.flat_count, b.gate_count, b.evaluations)
-
-
-class TestGenericScuba:
-    def test_default_specs_reproduce_scuba(self, rng):
-        landscape = generate(14, 2, 2, RANDOM, seed=12)
-        for seed in range(5):
-            s0 = rng.integers(0, 2, 14, dtype=np.uint8)
-            a = scuba(landscape, s0, np.random.default_rng(seed))
-            b = generic_scuba(landscape, s0, greedy_evol_step, until_local_neutral_max,
-                              jump_to_fittest, until_local_max,
-                              np.random.default_rng(seed))
-            assert a.terminal.tolist() == b.terminal.tolist()
-            assert (a.steps, a.flat_count, a.gate_count, a.evaluations) == \
-                   (b.steps, b.flat_count, b.gate_count, b.evaluations)
-
-    def test_zero_budget_drift_degenerates_to_jumping(self, rng):
-        landscape = generate(12, 2, 2, RANDOM, seed=13)
-        s0 = rng.integers(0, 2, 12, dtype=np.uint8)
-        result = generic_scuba(landscape, s0, neutral_drift_step, 0,
-                               jump_to_fittest, until_local_max,
-                               np.random.default_rng(3))
-        assert result.flat_count == 0
-        assert is_local(landscape, result.terminal, "f", "V")
-        # pure hill-climbing cost: one n-query scan per jump plus the final check
-        assert result.evaluations == 12 * (result.gate_count + 1)
-
-    def test_drift_and_greedy_both_reach_local_maxima(self, rng):
-        for seed in (1, 2, 3):
-            landscape = generate(10, 2, 2, RANDOM, seed=seed)
-            fm = oracles.fitness_map(landscape)
-            local = oracles.v_local_set(fm)
-            s0 = rng.integers(0, 2, 10, dtype=np.uint8)
-            drift = generic_scuba(landscape, s0, neutral_drift_step, 20,
-                                  jump_to_fittest, until_local_max,
-                                  np.random.default_rng(seed))
-            greedy = scuba(landscape, s0, np.random.default_rng(seed))
-            assert tuple(drift.terminal.tolist()) in local
-            assert tuple(greedy.terminal.tolist()) in local
-
-    def test_drift_preserves_fitness(self, rng):
-        landscape = generate(12, 1, 2, RANDOM, seed=14)
-        s0 = rng.integers(0, 2, 12, dtype=np.uint8)
-        result = generic_scuba(landscape, s0, neutral_drift_step, 24,
-                               jump_to_fittest, until_local_max,
-                               np.random.default_rng(5), trace=True)
-        previous = result.trace[0]
-        for step in result.trace[1:]:
-            if step.kind == MOVE_NEUTRAL:
-                assert step.fitness.total == previous.fitness.total
-            previous = step
-
-    def test_improve2_contract_violation(self, rng):
-        landscape = generate(10, 1, 2, RANDOM, seed=15)
-        s0 = rng.integers(0, 2, 10, dtype=np.uint8)
-
-        def refuse(scan, rng_):
-            return None
-
-        with pytest.raises(ImproverContractError):
-            generic_scuba(landscape, s0, greedy_evol_step, until_local_neutral_max,
-                          refuse, 10**9, np.random.default_rng(0))
-
-    def test_improve1_contract_violation(self):
-        landscape = onemax_landscape(6)
-        s0 = np.zeros(6, dtype=np.uint8)
-
-        def cheat(scan, rng_):
-            return 0  # flipping a zero raises fitness: not neutral
-
-        with pytest.raises(ImproverContractError):
-            generic_scuba(landscape, s0, cheat, 1,
-                          jump_to_fittest, until_local_max, np.random.default_rng(0))
 
 
 @pytest.mark.slow

@@ -138,6 +138,24 @@ class TestGenerate:
         with pytest.raises(LandscapeError, match="table entries"):
             NkqLandscape(1, 0, 100, RANDOM, np.empty((1, 0)), tables)
 
+    @pytest.mark.parametrize("links,tables,match", [
+        ([[1], [0]], [[0.9, 0.2, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]], "tables .*dtype"),
+        ([[1.7], [0.0]], [[0, 1, 0, 1], [1, 0, 0, 1]], "links .*dtype"),
+        ([[1], [0]], [[0, 1], [1, 0]], "tables must have shape"),
+        ([[1], [0]], [0, 1, 0, 1, 1, 0, 0, 1], "tables must have shape"),
+        ([1, 0, 1], [[0, 1, 0, 1], [1, 0, 0, 1]], "links must have shape"),
+    ], ids=["float-tables", "float-links", "short-tables", "flat-tables", "flat-links"])
+    def test_constructor_rejects_floats_and_wrong_shapes(self, links, tables, match):
+        with pytest.raises(LandscapeError, match=match):
+            NkqLandscape(2, 1, 2, RANDOM, links, tables)
+
+    def test_constructor_accepts_bool_and_integer_input(self):
+        tables = [[True, False, False, True], [False, True, True, False]]
+        for links in ([[1], [0]], [[True], [False]], np.array([[1], [0]], np.uint8)):
+            landscape = NkqLandscape(2, 1, 2, RANDOM, links, tables)
+            assert landscape.links.tolist() == [[1], [0]]
+            assert landscape.tables.tolist() == [[1, 0, 0, 1], [0, 1, 1, 0]]
+
     def test_arrays_frozen(self):
         landscape = generate(6, 2, 3, RANDOM, seed=0)
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 """Scuba search and comparison heuristics on NKq fitness landscapes.
 
-Core pieces: exact-integer NKq landscapes (:mod:`.landscape`), one-bit
-neighborhood scans with strict evaluation accounting (:mod:`.neighborhood`),
+Core pieces: exact-integer NKq landscapes (:mod:`.landscape`), evaluation
+accounting and the counted distance-2 scan (:mod:`.neighborhood`),
 the heuristics themselves (:mod:`.heuristics`), a seeded sweep harness
 (:mod:`.experiments`), and exhaustive path-graph export for small landscapes
 (:mod:`.pathgraph`). The ``scubasearch`` CLI fronts all of it.
@@ -15,7 +15,6 @@ from .experiments import (
     CellStats,
     ProfileRow,
     RunRecord,
-    StepStatsRow,
     SweepConfig,
     SweepReport,
     derive_seed,
@@ -62,25 +61,9 @@ from .landscape import (
     save_landscape,
     serialize,
 )
-from .neighborhood import (
-    EVOLVABILITY,
-    FITNESS,
-    GUIDES,
-    STRUCTURES,
-    V,
-    V2,
-    VN,
-    EvalCounter,
-    PlateauScan,
-    evol,
-    evol2,
-    extended_scan,
-    is_local,
-    neutral_degree,
-)
+from .neighborhood import EvalCounter, extended_scan
 from .pathgraph import (
     CENSUS_HEADER,
-    GRAPH_KINDS,
     MAX_GRAPH_N,
     AnnotatedGraph,
     Census,

@@ -275,7 +275,7 @@ def build_parser() -> _Parser:
                        description="Enumerate a landscape with n <= 12, annotate the "
                                    "hypercube graph with one heuristic's moves and write "
                                    "DOT text. " + _LANDSCAPE_FORMAT_HELP)
-    p.add_argument("--heuristic", required=True, choices=pg.GRAPH_KINDS,
+    p.add_argument("--heuristic", required=True, choices=hx.HEURISTICS,
                    help="annotation to draw: hc, ss, nc, or hc2")
     _add_landscape_source(p)
     _add_seed(p)

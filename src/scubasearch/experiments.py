@@ -338,20 +338,10 @@ def neutral_mutation_profile(report: SweepReport,
     return rows
 
 
-@dataclass
-class StepStatsRow:
-    k: int
-    q: int
-    runs: int
-    mean_steps: float
-    mean_flat: float
-
-
-def step_stats(report: SweepReport) -> list[StepStatsRow]:
-    """Scuba per-cell mean total steps (flat+gate) and mean flat moves: the
-    ``"ss"`` rows of :meth:`SweepReport.cells`."""
-    return [StepStatsRow(c.k, c.q, c.runs, c.mean_steps, c.mean_flat)
-            for c in report.cells() if c.heuristic == "ss"]
+def step_stats(report: SweepReport) -> list[CellStats]:
+    """The ``"ss"`` rows of :meth:`SweepReport.cells`: scuba's per-cell mean
+    total steps (flat+gate) and mean flat moves, among the rest."""
+    return [c for c in report.cells() if c.heuristic == "ss"]
 
 
 # -- CSV output ---------------------------------------------------------------
@@ -412,7 +402,7 @@ def write_profile_csv(rows: list[ProfileRow], dest) -> None:
     ])
 
 
-def write_step_stats_csv(rows: list[StepStatsRow], dest) -> None:
+def write_step_stats_csv(rows: list[CellStats], dest) -> None:
     _write_rows(dest, STEP_STATS_HEADER, [
         (r.k, r.q, r.runs, f"{r.mean_steps:.6f}", f"{r.mean_flat:.6f}")
         for r in rows

@@ -25,7 +25,10 @@ of rescanning it: a proposal at locus l reads ``total + d[l]``, only a move
 updates the vector (from the components that read the flipped locus), and
 scuba's evolvability of a neutral neighbor is one row of its mutant deltas.
 The charges above are the queries, not this compute, so they are the same
-as for a full scan at every step.
+as for a full scan at every step. Each searcher reads and charges its own
+scans; the locality its rules test (a local maximum over V or V2, scuba's
+evolvability guard over Vn) is stated over every genotype of a small
+landscape by :func:`~.pathgraph.census`.
 
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
 genotype plus, per step, the flipped locus, the total, the kind of move and
@@ -43,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .landscape import FitnessValue, as_genotype
-from .neighborhood import EvalCounter, PlateauScan, extended_scan
+from .neighborhood import EvalCounter, extended_scan
 
 MOVE_INIT = "init"
 MOVE_IMPROVE = "improve"
@@ -165,29 +168,36 @@ def _climb(landscape, s0, rng, counter, trace, neutral_phase) -> RunResult:
     strictly higher evolvability than the point itself, flip to a uniformly
     chosen one of highest evolvability (flat move); else, if some neighbor is
     strictly fitter, flip to a uniformly chosen fittest one (gate move); else
-    stop. Each point is read through one
-    :class:`~.neighborhood.PlateauScan` of the score vector the run carries,
-    which charges ``n`` queries for the flip totals plus ``Degn * n`` for
-    the neutral neighbors' evolvabilities.
+    stop. The point's flip totals are ``total + d``, read as the deltas
+    ``d`` of the score vector the run carries and charged ``n`` queries;
+    scuba's guard reads the neutral neighbors' evolvabilities from their
+    rows of the mutant deltas, charged ``Degn * n`` more.
     """
     counter = EvalCounter() if counter is None else counter
+    n = landscape.n
     state = start = landscape.scores(s0)
     flat = gate = 0
     log = [(-1, state.total, _INIT, _degn(state))] if trace else None
     while True:
-        scan = PlateauScan(state, counter)
-        # Totals are non-negative, so -1 never beats the evolvability.
-        best = int(scan.neutral_evols.max(initial=-1)) if neutral_phase else -1
-        if best > scan.evol_total:
-            locus = _choose(rng, scan.neutral_loci[scan.neutral_evols == best])
-            flat += 1
-            kind = _NEUTRAL
-        else:
-            flips = scan.flip_totals
-            best = int(flips.max())
-            if best <= state.total:
+        counter.add(n)
+        gain = int(state.d.max())
+        locus = -1
+        if neutral_phase:
+            neutral = np.flatnonzero(state.d == 0)
+            counter.add(neutral.size * n)
+            if neutral.size:
+                # A neutral neighbor's evolvability, less the point's total, is
+                # its best one-bit delta; flipping back (delta 0) is one of them.
+                lifts = state.mutant_deltas(neutral).max(axis=1)
+                lift = int(lifts.max())
+                if lift > max(gain, 0):
+                    locus = _choose(rng, neutral[lifts == lift])
+                    flat += 1
+                    kind = _NEUTRAL
+        if locus < 0:
+            if gain <= 0:
                 break
-            locus = _choose(rng, np.flatnonzero(flips == best))
+            locus = _choose(rng, np.flatnonzero(state.d == gain))
             gate += 1
             kind = _IMPROVE
         state = state.flip(locus)

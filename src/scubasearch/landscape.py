@@ -117,8 +117,12 @@ def as_genotype(s, n: int | None = None) -> np.ndarray:
 def _int_array(name: str, values, shape: tuple) -> np.ndarray:
     """``values`` as an array, which must have ``shape`` and a bool or
     integer dtype: floats are rejected rather than truncated (an empty array
-    holds nothing to truncate, so any dtype will do)."""
-    arr = np.asarray(values)
+    holds nothing to truncate, so any dtype will do); ragged nesting is
+    rejected too, as it makes no array at all."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise LandscapeError(f"{name} must be a rectangular array: {exc}") from None
     if arr.size and arr.dtype.kind not in "biu":
         raise LandscapeError(f"{name} must be bool or integer, got dtype {arr.dtype}")
     if arr.shape != shape:

@@ -7,6 +7,10 @@ out the salient edges: the moves hill climbing, scuba, the netcrawler or
 two-step hill climbing could make from each node. Unlike the stochastic
 heuristics, annotations break ties deterministically (lowest flip locus),
 drawing one representative path family so the DOT output is reproducible.
+
+Building the graph also evaluates the paper's six locality predicates
+(fitness or evolvability over V, Vn or V2) at every node in one vectorized
+pass; the annotations read them, and :func:`census` reports them.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .heuristics import HEURISTICS
 from .landscape import NkqLandscape
 
 MAX_GRAPH_N = 12
-
-GRAPH_KINDS = ("hc", "ss", "nc", "hc2")
 
 CENSUS_HEADER = "n,k,q,mode,seed,nodes,v_local,v2_local,ss_terminals,neutral_networks"
 
@@ -35,12 +38,26 @@ class LandscapeGraph:
     ``totals[v]`` is the exact fitness total of node ``v``;
     ``neighbor_ids[v, l]`` the node reached from ``v`` by flipping locus
     ``l``, so the ``2**n`` nodes have ``n * 2**(n-1)`` distinct
-    Hamming-distance-1 pairs.
+    Hamming-distance-1 pairs, and ``neighbor_totals[v, l]`` its total.
+    ``evol_v[v]`` is the evolvability of ``v`` (the best total over its
+    neighborhood V), ``evol_v2[v]`` the best total over its distance-2
+    neighborhood V2, and ``plateau_evols[v, l]`` the evolvability of the
+    neighbor at ``l`` when that neighbor is neutral, else -1.
+
+    ``local[guide, structure]`` is the paper's locality predicate at every
+    node, a boolean array: ``g(s') <= g(s)`` for every ``s'`` in the
+    structure (``"V"``, ``"Vn"`` the neutral neighborhood, or ``"V2"``),
+    with ``g`` the total (guide ``"f"``) or the evolvability (``"evol"``).
     """
 
     landscape: NkqLandscape
     totals: np.ndarray
     neighbor_ids: np.ndarray
+    neighbor_totals: np.ndarray
+    evol_v: np.ndarray
+    evol_v2: np.ndarray
+    plateau_evols: np.ndarray
+    local: dict[tuple[str, str], np.ndarray]
 
     @property
     def n(self) -> int:
@@ -52,7 +69,8 @@ class LandscapeGraph:
 
 
 def build_graph(landscape: NkqLandscape) -> LandscapeGraph:
-    """Enumerate all ``2**n`` genotypes with exact totals; requires n <= 12."""
+    """Enumerate all ``2**n`` genotypes with exact totals and their
+    locality, in one vectorized pass; requires n <= 12."""
     n = landscape.n
     if n > MAX_GRAPH_N:
         raise GraphSizeError(
@@ -64,8 +82,24 @@ def build_graph(landscape: NkqLandscape) -> LandscapeGraph:
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     bits = ((ids[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
     totals = landscape.batch_totals(bits)
-    neighbor_ids = ids[:, None] ^ (1 << shifts)[None, :]
-    return LandscapeGraph(landscape, totals, neighbor_ids)
+    nbr_ids = ids[:, None] ^ (1 << shifts)[None, :]
+    nbr_totals = totals[nbr_ids]
+    evol_v = np.maximum(totals, nbr_totals.max(axis=1))
+    nbr_evols = evol_v[nbr_ids]
+    evol_v2 = np.maximum(evol_v, nbr_evols.max(axis=1))
+    # Totals are non-negative, so -1 never beats an evolvability.
+    plateau_evols = np.where(nbr_totals == totals[:, None], nbr_evols, -1)
+    local = {
+        ("f", "V"): evol_v <= totals,
+        ("f", "Vn"): np.ones(ids.size, dtype=bool),
+        ("f", "V2"): evol_v2 <= totals,
+        ("evol", "V"): nbr_evols.max(axis=1) <= evol_v,
+        ("evol", "Vn"): plateau_evols.max(axis=1) <= evol_v,
+        # V2 is the union of the neighbors' neighborhoods V, node included.
+        ("evol", "V2"): evol_v2[nbr_ids].max(axis=1) <= evol_v,
+    }
+    return LandscapeGraph(landscape, totals, nbr_ids, nbr_totals, evol_v, evol_v2,
+                          plateau_evols, local)
 
 
 @dataclass
@@ -98,29 +132,26 @@ def annotate(graph: LandscapeGraph, kind: str) -> AnnotatedGraph:
          neighbor when a neighbor attains the extended maximum, else to the
          (lowest-locus) neighbor whose own neighborhood attains it.
     """
-    if kind not in GRAPH_KINDS:
-        raise ValueError(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
+    if kind not in HEURISTICS:
+        raise ValueError(f"kind must be one of {HEURISTICS}, got {kind!r}")
     totals = graph.totals
     nbr_ids = graph.neighbor_ids
-    nbr_totals = totals[nbr_ids]
-    best = nbr_totals.max(axis=1)
+    nbr_totals = graph.neighbor_totals
+    local = graph.local
     solid: list[tuple[int, int]] = []
     dotted: list[tuple[int, int]] = []
     dotted_directed = kind != "nc"
 
     if kind == "hc":
-        for v in np.flatnonzero(best > totals):
+        for v in np.flatnonzero(~local["f", "V"]):
             solid.append((int(v), int(nbr_ids[v, nbr_totals[v].argmax()])))
 
     elif kind == "ss":
-        evol_node = np.maximum(totals, best)
-        neutral = nbr_totals == totals[:, None]
-        plateau_evols = np.where(neutral, evol_node[nbr_ids], -1)
-        plateau_best = plateau_evols.max(axis=1)
+        plateau_local, v_local = local["evol", "Vn"], local["f", "V"]
         for v in range(graph.node_count):
-            if plateau_best[v] > evol_node[v]:
-                dotted.append((v, int(nbr_ids[v, plateau_evols[v].argmax()])))
-            elif best[v] > totals[v]:
+            if not plateau_local[v]:
+                dotted.append((v, int(nbr_ids[v, graph.plateau_evols[v].argmax()])))
+            elif not v_local[v]:
                 solid.append((v, int(nbr_ids[v, nbr_totals[v].argmax()])))
 
     elif kind == "nc":
@@ -133,15 +164,13 @@ def annotate(graph: LandscapeGraph, kind: str) -> AnnotatedGraph:
                     dotted.append((v, u))
 
     else:  # hc2
-        evol_node = np.maximum(totals, best)
-        evol2_node = np.maximum(evol_node, evol_node[nbr_ids].max(axis=1))
-        nbr_evols = evol_node[nbr_ids]
-        for v in np.flatnonzero(evol2_node > totals):
+        evol_v, evol_v2 = graph.evol_v, graph.evol_v2
+        for v in np.flatnonzero(~local["f", "V2"]):
             v = int(v)
-            if evol_node[v] == evol2_node[v]:
-                locus = (nbr_totals[v] == evol2_node[v]).argmax()
+            if evol_v[v] == evol_v2[v]:
+                locus = (nbr_totals[v] == evol_v2[v]).argmax()
             else:
-                locus = (nbr_evols[v] == evol2_node[v]).argmax()
+                locus = (evol_v[nbr_ids[v]] == evol_v2[v]).argmax()
             solid.append((v, int(nbr_ids[v, locus])))
 
     return AnnotatedGraph(graph, kind, solid, dotted, dotted_directed)
@@ -194,21 +223,26 @@ class _UnionFind:
 
 @dataclass
 class Census:
-    """Exhaustive structural counts of a small landscape."""
+    """Exhaustive structural counts of a small landscape.
+
+    ``local_nodes[guide, structure]`` holds the nodes where the locality
+    predicate ``LandscapeGraph.local[guide, structure]`` holds, for each of
+    the six pairs of guide (``"f"``, ``"evol"``) and structure (``"V"``,
+    ``"Vn"``, ``"V2"``).
+    """
 
     node_count: int
-    v_local_nodes: frozenset[int]
-    v2_local_nodes: frozenset[int]
+    local_nodes: dict[tuple[str, str], frozenset[int]]
     ss_terminal_nodes: frozenset[int]
     neutral_network_count: int
 
     @property
     def v_local_count(self) -> int:
-        return len(self.v_local_nodes)
+        return len(self.local_nodes["f", "V"])
 
     @property
     def v2_local_count(self) -> int:
-        return len(self.v2_local_nodes)
+        return len(self.local_nodes["f", "V2"])
 
     @property
     def ss_terminal_count(self) -> int:
@@ -224,39 +258,26 @@ class Census:
         )
 
 
+def _nodes(mask: np.ndarray) -> frozenset[int]:
+    return frozenset(np.flatnonzero(mask).tolist())
+
+
 def census(landscape: NkqLandscape) -> Census:
-    """Count local maxima (distance 1 and 2), the terminals reachable by the
-    deterministic scuba annotation from every node, and neutral networks
-    (connected components of the equal-fitness Hamming-1 relation,
-    singletons included)."""
+    """Every locality predicate over all nodes, the nodes where scuba stops,
+    and the neutral networks (connected components of the equal-fitness
+    Hamming-1 relation, singletons included).
+
+    Scuba stops where no neutral neighbor has a higher evolvability and no
+    neighbor is fitter (evol-local over Vn and f-local over V). Each of its
+    moves strictly raises the total, or keeps it and strictly raises the
+    evolvability, so the scuba annotation leads every node to one of these
+    nodes, and each of them is its own end.
+    """
     graph = build_graph(landscape)
-    totals = graph.totals
-    nbr_ids = graph.neighbor_ids
-    nbr_totals = totals[nbr_ids]
-    best = nbr_totals.max(axis=1)
-    evol_node = np.maximum(totals, best)
-    evol2_node = np.maximum(evol_node, evol_node[nbr_ids].max(axis=1))
+    local = graph.local
+    terminals = _nodes(local["evol", "Vn"] & local["f", "V"])
 
-    v_local = frozenset(int(v) for v in np.flatnonzero(best <= totals))
-    v2_local = frozenset(int(v) for v in np.flatnonzero(evol2_node <= totals))
-
-    ss = annotate(graph, "ss")
-    step: dict[int, int] = dict(ss.dotted)
-    step.update(ss.solid)
-    terminal_of: dict[int, int] = {}
-
-    def resolve(v: int) -> int:
-        path = []
-        while v in step and v not in terminal_of:
-            path.append(v)
-            v = step[v]
-        end = terminal_of.get(v, v)
-        for p in path:
-            terminal_of[p] = end
-        return end
-
-    terminals = frozenset(resolve(v) for v in range(graph.node_count))
-
+    totals, nbr_ids, nbr_totals = graph.totals, graph.neighbor_ids, graph.neighbor_totals
     uf = _UnionFind(graph.node_count)
     for v in range(graph.node_count):
         for l in range(graph.n):
@@ -264,4 +285,5 @@ def census(landscape: NkqLandscape) -> Census:
                 uf.union(v, int(nbr_ids[v, l]))
     networks = len({uf.find(v) for v in range(graph.node_count)})
 
-    return Census(graph.node_count, v_local, v2_local, terminals, networks)
+    return Census(graph.node_count, {key: _nodes(mask) for key, mask in local.items()},
+                  terminals, networks)

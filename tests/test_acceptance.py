@@ -22,12 +22,9 @@ from scubasearch import (
     build_graph,
     census,
     derive_seed,
-    evol,
-    evol2,
+    extended_scan,
     generate,
-    is_local,
     landscape_seed,
-    neutral_degree,
     neutral_degree_instance_means,
     run_sweep,
     scuba,
@@ -96,9 +93,10 @@ def one_sided_p(a, b) -> float:
 
 def test_a1_oracle_equivalence():
     """On 20 small instances, exhaustive enumeration must agree with the
-    library on evol/evol2, neutral degrees, all locality predicates and
-    incremental evaluation, and every scuba terminal must be a true local
-    maximum. Zero mismatches allowed."""
+    library on totals, one-bit deltas, neutral degrees, evol and evol2 at
+    every genotype, with the census on all six locality predicates at every
+    node, and every scuba terminal must be a true local maximum. Zero
+    mismatches allowed."""
     rng = np.random.default_rng(20250101)
     mismatches = 0
     for index in range(20):
@@ -109,27 +107,32 @@ def test_a1_oracle_equivalence():
         fm = oracles.fitness_map(landscape)
         genotypes = oracles.all_genotypes(n)
         evol_map = {s: oracles.evol(fm, s) for s in genotypes}
+        census_local = census(landscape).local_nodes
 
-        for s in genotypes:
+        for node, s in enumerate(genotypes):
             arr = np.array(s, dtype=np.uint8)
             total = landscape.total(arr)
             if total != fm[s]:
                 mismatches += 1
-            if evol(landscape, arr).total != evol_map[s]:
+            st = landscape.scores(arr)
+            if max(st.total, st.total + int(st.d.max())) != evol_map[s]:
                 mismatches += 1
             expected_evol2 = max(evol_map[m] for m in oracles.neighborhood(s))
-            if evol2(landscape, arr).total != expected_evol2:
+            _, flips, pairs = extended_scan(landscape, arr)
+            if max(total, int(flips.max()), int(pairs.max())) != expected_evol2:
                 mismatches += 1
-            if neutral_degree(landscape, arr) != oracles.degn(fm, s):
+            if int(np.count_nonzero(st.d == 0)) != oracles.degn(fm, s):
                 mismatches += 1
             for locus in range(n):
-                if landscape.delta_total(arr, total, locus) != fm[oracles.flip(s, locus)]:
+                flipped = fm[oracles.flip(s, locus)]
+                if landscape.delta_total(arr, total, locus) != flipped:
                     mismatches += 1
-            for guide in ("f", "evol"):
-                for structure in ("V", "Vn", "V2"):
-                    got = is_local(landscape, arr, guide, structure)
-                    if got != oracles.is_local(fm, s, guide, structure):
-                        mismatches += 1
+                if st.total + int(st.d[locus]) != flipped:
+                    mismatches += 1
+            # all_genotypes runs in node order: locus 0 is the top bit.
+            for (guide, structure), nodes in census_local.items():
+                if (node in nodes) != oracles.is_local(fm, s, guide, structure):
+                    mismatches += 1
 
         local = oracles.v_local_set(fm)
         starts = genotypes if n <= 8 else [
@@ -366,7 +369,7 @@ def test_a7_path_graph_suite():
 
         summary = census(landscape)
         ok &= summary.v2_local_count <= summary.v_local_count
-        ok &= summary.v_local_nodes == local
+        ok &= summary.local_nodes["f", "V"] == local
 
         nc = annotate(graph, "nc")
         parent = list(range(32))

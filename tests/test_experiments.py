@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import oracles
 from conftest import constant_landscape
 from scubasearch import (
     PROFILE_HEADER,
@@ -18,7 +19,6 @@ from scubasearch import (
     experiments,
     generate,
     landscape_seed,
-    neutral_degree,
     neutral_degree_instance_means,
     neutral_degree_stats,
     neutral_mutation_profile,
@@ -197,7 +197,7 @@ class TestNeutralDegreeStats:
 
     def test_constant_tables_give_full_degree(self):
         landscape = constant_landscape(16)
-        assert neutral_degree(landscape, np.zeros(16, dtype=np.uint8)) == 16
+        assert oracles.memo_degn(landscape)((0,) * 16) == 16
 
     def test_instance_means_shape_and_determinism(self):
         a = neutral_degree_instance_means(12, 2, 3, samples=50, instances=4, seed=9)
@@ -312,7 +312,7 @@ class TestStepStats:
         config = small_config(heuristics=("hc", "ss"), k_values=(0, 2))
         report = run_sweep(config)
         rows = step_stats(report)
-        assert [(r.k, r.q) for r in rows] == [(0, 2), (2, 2)]
+        assert [(r.heuristic, r.k, r.q) for r in rows] == [("ss", 0, 2), ("ss", 2, 2)]
         groups = report.records_by_cell()
         for row in rows:
             recs = groups[("ss", row.k, row.q)]

@@ -144,7 +144,10 @@ class TestGenerate:
         ([[1], [0]], [[0, 1], [1, 0]], "tables must have shape"),
         ([[1], [0]], [0, 1, 0, 1, 1, 0, 0, 1], "tables must have shape"),
         ([1, 0, 1], [[0, 1, 0, 1], [1, 0, 0, 1]], "links must have shape"),
-    ], ids=["float-tables", "float-links", "short-tables", "flat-tables", "flat-links"])
+        ([[1], [0]], [[0, 1, 0, 1], [1, 0]], "tables must be a rectangular array"),
+        ([[1], [0, 1]], [[0, 1, 0, 1], [1, 0, 0, 1]], "links must be a rectangular array"),
+    ], ids=["float-tables", "float-links", "short-tables", "flat-tables", "flat-links",
+            "ragged-tables", "ragged-links"])
     def test_constructor_rejects_floats_and_wrong_shapes(self, links, tables, match):
         with pytest.raises(LandscapeError, match=match):
             NkqLandscape(2, 1, 2, RANDOM, links, tables)

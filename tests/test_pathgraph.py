@@ -215,7 +215,7 @@ class TestCensus:
         assert result.v_local_count == 1
         assert result.v2_local_count == 1
         assert result.ss_terminal_count == 1
-        assert result.v_local_nodes == {0b1111}
+        assert result.local_nodes["f", "V"] == {0b1111}
 
     def test_v2_at_most_v(self):
         for seed in range(6):
@@ -232,10 +232,24 @@ class TestCensus:
                        if node_tuple(graph, u) in oracles.v_local_set(fm)}
             v2_local = {u for u in range(32)
                         if node_tuple(graph, u) in oracles.v2_local_set(fm)}
-            assert result.v_local_nodes == v_local
-            assert result.v2_local_nodes == v2_local
+            assert result.local_nodes["f", "V"] == v_local
+            assert result.local_nodes["f", "V2"] == v2_local
             assert result.neutral_network_count == len(oracles.neutral_networks(fm))
             assert result.ss_terminal_nodes <= v_local
+
+    def test_ss_terminals_are_ends_of_scuba_paths(self):
+        # Follow the scuba annotation from every node to where it stops.
+        for landscape in (generate(6, 2, 2, seed=3), generate(7, 1, 3, seed=8),
+                          constant_landscape(4), onemax_landscape(5)):
+            ss = annotate(build_graph(landscape), "ss")
+            step = dict(ss.dotted)
+            step.update(ss.solid)
+            ends = set()
+            for v in range(1 << landscape.n):
+                while v in step:
+                    v = step[v]
+                ends.add(v)
+            assert census(landscape).ss_terminal_nodes == ends
 
     def test_csv_row(self):
         landscape = generate(5, 2, 2, seed=9)

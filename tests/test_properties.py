@@ -31,14 +31,13 @@ from scubasearch import (
     EvalCounter,
     LandscapeFormatError,
     NkqLandscape,
-    PlateauScan,
     SweepConfig,
+    census,
     deserialize,
     extended_scan,
     generate,
     hill_climb,
     hill_climb2,
-    is_local,
     netcrawler,
     neutral_degree_instance_means,
     neutral_mutation_profile,
@@ -137,11 +136,14 @@ def test_extended_scan_charge(q, data):
 @pytest.mark.parametrize("q", (2, 3))
 @given(data=st.data())
 def test_is_local_v2_matches_oracle(q, data):
+    # All six locality predicates of the census, V2 among them, at the drawn
+    # genotype's node.
     landscape, s = data.draw(landscape_and_genotype(q, max_n=6))
     fm = oracles.fitness_map(landscape)
     base = tuple(int(b) for b in s)
-    for guide in ("f", "evol"):
-        assert is_local(landscape, s, guide, "V2") == oracles.is_local(fm, base, guide, "V2")
+    node = int("".join(map(str, base)), 2)
+    for (guide, structure), local in census(landscape).local_nodes.items():
+        assert (node in local) == oracles.is_local(fm, base, guide, structure)
 
 
 def test_neutral_degree_sampling_never_builds_pair_structure(monkeypatch):
@@ -167,7 +169,7 @@ def test_score_vector_follows_flips(q, data):
     landscape, s = data.draw(landscape_and_genotype(q))
     n = landscape.n
     state = landscape.scores(s)
-    first = PlateauScan(state)
+    first = state
     first_flips = landscape.batch_scan(s[None, :])[1][0]
     for locus in data.draw(st.lists(st.integers(0, n - 1), max_size=12)):
         state = state.flip(locus)
@@ -182,8 +184,8 @@ def test_score_vector_follows_flips(q, data):
     assert rows.dtype == np.int64 and rows.shape == (len(loci), n)
     totals, flips = landscape.batch_scan(_mutants(s, loci))
     assert rows.tolist() == (flips - totals[:, None]).tolist()
-    # A view of an earlier score vector still reads that vector.
-    assert first.flip_totals.tolist() == first_flips.tolist()
+    # A score vector never changes once built.
+    assert (first.total + first.d).tolist() == first_flips.tolist()
 
 
 def _as_oracle_run(result):

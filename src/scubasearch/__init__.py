@@ -1,8 +1,8 @@
 """Scuba search and comparison heuristics on NKq fitness landscapes.
 
-Core pieces: exact-integer NKq landscapes (:mod:`.landscape`), evaluation
-accounting and the counted distance-2 scan (:mod:`.neighborhood`),
-the heuristics themselves (:mod:`.heuristics`), a seeded sweep harness
+Core pieces: exact-integer NKq landscapes (:mod:`.landscape`), the
+distance-2 scan (:mod:`.neighborhood`), the heuristics themselves and
+their query charges (:mod:`.heuristics`), a seeded sweep harness
 (:mod:`.experiments`), and exhaustive path-graph export for small landscapes
 (:mod:`.pathgraph`). The ``scubasearch`` CLI fronts all of it.
 """
@@ -61,7 +61,7 @@ from .landscape import (
     save_landscape,
     serialize,
 )
-from .neighborhood import EvalCounter, extended_scan
+from .neighborhood import extended_scan
 from .pathgraph import (
     CENSUS_HEADER,
     MAX_GRAPH_N,

@@ -193,12 +193,19 @@ def _cmd_degn(args) -> int:
     return 0
 
 
+def _graph_seed(args) -> int:
+    """Refuse a landscape too large to enumerate before its seed is drawn
+    and its tables are generated."""
+    pg.check_graph_size(args.n)
+    return _resolve_seed(args)
+
+
 def _cmd_graph(args) -> int:
-    landscape = _load_or_generate(args, _resolve_seed)
     try:
-        graph = pg.build_graph(landscape)
+        graph = pg.build_graph(_load_or_generate(args, _graph_seed))
     except pg.GraphSizeError as exc:
         raise UsageError(str(exc))
+    landscape = graph.landscape
     dot = pg.to_dot(pg.annotate(graph, args.heuristic))
     with open(args.out, "w", newline="\n") as fh:
         fh.write(dot)

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import heuristics as hx
 from .landscape import RANDOM, NkqLandscape, check_params, generate
-from .neighborhood import EvalCounter
 
 _LANDSCAPE_STREAM = 101
 _RUN_STREAM = 102
@@ -181,17 +180,16 @@ class SweepReport:
 def run_heuristic(landscape: NkqLandscape, heuristic: str, rng, step_max: int,
                   trace: bool) -> hx.RunResult:
     """One run of ``heuristic`` from a uniform-random genotype drawn from
-    ``rng``, which then serves the run's tie-breaks; a fresh counter."""
+    ``rng``, which then serves the run's tie-breaks."""
     s0 = rng.integers(0, 2, size=landscape.n, dtype=np.uint8)
-    counter = EvalCounter()
     if heuristic == "hc":
-        return hx.hill_climb(landscape, s0, rng, counter, trace=trace)
+        return hx.hill_climb(landscape, s0, rng, trace=trace)
     if heuristic == "nc":
-        return hx.netcrawler(landscape, s0, rng, step_max, counter, trace=trace)
+        return hx.netcrawler(landscape, s0, rng, step_max, trace=trace)
     if heuristic == "hc2":
-        return hx.hill_climb2(landscape, s0, rng, counter, trace=trace)
+        return hx.hill_climb2(landscape, s0, rng, trace=trace)
     if heuristic == "ss":
-        return hx.scuba(landscape, s0, rng, counter, trace=trace)
+        return hx.scuba(landscape, s0, rng, trace=trace)
     raise ValueError(f"unknown heuristic {heuristic!r}")
 
 

@@ -12,23 +12,22 @@ Four searchers:
   evolvability along the current plateau (flat moves) with strict
   fitness-improving jumps (gate moves), until a local maximum.
 
-Every run owns its RNG stream and its evaluation counter, so arbitrarily
-many runs may execute concurrently over one shared landscape. The initial
-point's fitness is treated as known and is not charged to the counter; each
-neighborhood scan then costs exactly ``n`` queries, which makes hill
-climbing cost ``n*(steps+1)``, the netcrawler exactly ``step_max``, and
+Every run owns its RNG stream, so arbitrarily many runs may execute
+concurrently over one shared landscape. Each searcher states its own charge
+of fitness queries (``RunResult.evaluations``): the initial point's fitness
+is known and not charged, and each scan of a point's neighbors costs ``n``
+queries, so hill climbing costs ``n*(steps+1)``, the netcrawler
+``step_max``, two-step hill climbing ``(n + n*(n-1)/2)*(steps+1)``, and
 scuba ``(1+Degn(s))*n`` per inner-guard evaluation.
 
-The one-bit searchers (hill climbing, the netcrawler and scuba) carry one
-:class:`~.landscape.ScoreVector` of the current point across steps instead
-of rescanning it: a proposal at locus l reads ``total + d[l]``, only a move
-updates the vector (from the components that read the flipped locus), and
-scuba's evolvability of a neutral neighbor is one row of its mutant deltas.
-The charges above are the queries, not this compute, so they are the same
-as for a full scan at every step. Each searcher reads and charges its own
-scans; the locality its rules test (a local maximum over V or V2, scuba's
-evolvability guard over Vn) is stated over every genotype of a small
-landscape by :func:`~.pathgraph.census`.
+All four searchers carry one :class:`~.landscape.ScoreVector` of the
+current point instead of rescanning it: a proposal at locus l reads
+``total + d[l]``, a move updates the vector from the components that read
+the flipped locus, scuba's evolvability of a neutral neighbor is one row of
+its mutant deltas, and hc2's distance-2 ball is its pair scan. The charges
+are the queries, not this compute. The locality the rules test (a local
+maximum over V or V2, scuba's evolvability guard over Vn) is stated over
+every genotype of a small landscape by :func:`~.pathgraph.census`.
 
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
 genotype plus, per step, the flipped locus, the total, the kind of move and
@@ -45,8 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .landscape import FitnessValue, as_genotype
-from .neighborhood import EvalCounter, extended_scan
+from .landscape import FitnessValue
+from .neighborhood import extended_scan
 
 MOVE_INIT = "init"
 MOVE_IMPROVE = "improve"
@@ -161,7 +160,7 @@ def _choose(rng: np.random.Generator, candidates: np.ndarray) -> int:
     return int(candidates[rng.integers(candidates.size)])
 
 
-def _climb(landscape, s0, rng, counter, trace, neutral_phase) -> RunResult:
+def _climb(landscape, s0, rng, trace, neutral_phase) -> RunResult:
     """Hill climbing, or scuba when ``neutral_phase``.
 
     At each point: if ``neutral_phase`` and some neutral neighbor has a
@@ -173,18 +172,17 @@ def _climb(landscape, s0, rng, counter, trace, neutral_phase) -> RunResult:
     scuba's guard reads the neutral neighbors' evolvabilities from their
     rows of the mutant deltas, charged ``Degn * n`` more.
     """
-    counter = EvalCounter() if counter is None else counter
     n = landscape.n
     state = start = landscape.scores(s0)
-    flat = gate = 0
+    flat = gate = evaluations = 0
     log = [(-1, state.total, _INIT, _degn(state))] if trace else None
     while True:
-        counter.add(n)
+        evaluations += n
         gain = int(state.d.max())
         locus = -1
         if neutral_phase:
             neutral = np.flatnonzero(state.d == 0)
-            counter.add(neutral.size * n)
+            evaluations += neutral.size * n
             if neutral.size:
                 # A neutral neighbor's evolvability, less the point's total, is
                 # its best one-bit delta; flipping back (delta 0) is one of them.
@@ -204,26 +202,26 @@ def _climb(landscape, s0, rng, counter, trace, neutral_phase) -> RunResult:
         if trace:
             log.append((locus, state.total, kind, _degn(state)))
     return RunResult(state.s, landscape.fitness(state.total), flat + gate, flat, gate,
-                     counter.count, _pack(start.s, landscape, log))
+                     evaluations, _pack(start.s, landscape, log))
 
 
-def hill_climb(landscape, s0, rng, counter=None, trace=False) -> RunResult:
+def hill_climb(landscape, s0, rng, trace=False) -> RunResult:
     """Steepest-ascent hill climbing: jump to a uniformly chosen fittest
     neighbor until none is strictly fitter, a (non-strict) local maximum.
     Costs ``n`` queries per point visited."""
-    return _climb(landscape, s0, rng, counter, trace, neutral_phase=False)
+    return _climb(landscape, s0, rng, trace, neutral_phase=False)
 
 
-def netcrawler(landscape, s0, rng, step_max=300, counter=None, trace=False) -> RunResult:
+def netcrawler(landscape, s0, rng, step_max=300, trace=False) -> RunResult:
     """Uniform one-bit proposals for exactly ``step_max`` steps, accepting
     every proposal that does not lower the total (neutral moves accepted).
 
-    Runs the full budget; with a trace, the last improving entry marks the
-    step after which the crawl stopped gaining fitness.
+    Runs the full budget, each proposal one query, accepted or not; with a
+    trace, the last improving entry marks the step after which the crawl
+    stopped gaining fitness.
     """
     if step_max <= 0:
         raise ValueError(f"step_max must be positive, got {step_max}")
-    counter = EvalCounter() if counter is None else counter
     state = start = landscape.scores(s0)
     flat = gate = 0
     log = [(-1, state.total, _INIT, _degn(state))] if trace else None
@@ -244,35 +242,33 @@ def netcrawler(landscape, s0, rng, step_max=300, counter=None, trace=False) -> R
         elif trace:
             # A rejection keeps the state, and so its neutral degree.
             log.append((-1, state.total, _REJECT, log[-1][3]))
-    # Each proposal is one query, accepted or not.
-    counter.add(step_max)
     return RunResult(state.s, landscape.fitness(state.total), step_max, flat, gate,
-                     counter.count, _pack(start.s, landscape, log))
+                     step_max, _pack(start.s, landscape, log))
 
 
-def hill_climb2(landscape, s0, rng, counter=None, trace=False) -> RunResult:
+def hill_climb2(landscape, s0, rng, trace=False) -> RunResult:
     """Hill climbing guided by the distance-2 neighborhood.
 
     While some point within distance 2 beats the current one: if a direct
     neighbor attains the extended maximum, move to it; otherwise move to a
     neighbor whose own neighborhood attains it (such a lookahead move may
     lower the current fitness). Stops at a distance-2 local maximum. Each
-    step scans ``n + n*(n-1)/2`` distinct points.
+    point visited scans ``n + n*(n-1)/2`` distinct points.
     """
-    counter = EvalCounter() if counter is None else counter
-    start = as_genotype(s0, landscape.n)
-    s = start.copy()
+    n = landscape.n
+    state = start = landscape.scores(s0)
     steps = flat = gate = 0
     log = [] if trace else None
     locus, kind = -1, _INIT
     while True:
-        total, flips, pairs = extended_scan(landscape, s, counter)
+        pairs = extended_scan(landscape, state)
         if trace:
             # Each state is scanned once, on arrival: log it with its degree.
-            log.append((locus, total, kind, int(np.count_nonzero(flips == total))))
-        evol_now = max(total, int(flips.max()))
+            log.append((locus, state.total, kind, _degn(state)))
+        flips = state.total + state.d
+        evol_now = max(state.total, int(flips.max()))
         evol_ext = max(evol_now, int(pairs.max()))
-        if evol_ext <= total:
+        if evol_ext <= state.total:
             break
         if evol_now == evol_ext:
             candidates = np.flatnonzero(flips == evol_ext)
@@ -280,22 +276,22 @@ def hill_climb2(landscape, s0, rng, counter=None, trace=False) -> RunResult:
             neighbor_evols = np.maximum(flips, pairs.max(axis=1))
             candidates = np.flatnonzero(neighbor_evols == evol_ext)
         locus = _choose(rng, candidates)
-        new_total = int(flips[locus])
-        s[locus] ^= 1
-        if new_total > total:
+        delta = int(state.d[locus])
+        if delta > 0:
             gate += 1
             kind = _IMPROVE
-        elif new_total == total:
+        elif delta == 0:
             flat += 1
             kind = _NEUTRAL
         else:
             kind = _DESCEND
+        state = state.flip(locus)
         steps += 1
-    return RunResult(s, landscape.fitness(total), steps, flat, gate,
-                     counter.count, _pack(start, landscape, log))
+    return RunResult(state.s, landscape.fitness(state.total), steps, flat, gate,
+                     (steps + 1) * (n + n * (n - 1) // 2), _pack(start.s, landscape, log))
 
 
-def scuba(landscape, s0, rng, counter=None, trace=False) -> RunResult:
+def scuba(landscape, s0, rng, trace=False) -> RunResult:
     """Scuba search: greedy evolvability ascent along each plateau, then a
     strict fitness jump, repeated until a local maximum.
 
@@ -306,4 +302,4 @@ def scuba(landscape, s0, rng, counter=None, trace=False) -> RunResult:
     evaluation costs exactly ``(1 + Degn(s)) * n`` queries; the jump reuses
     the guard's scan.
     """
-    return _climb(landscape, s0, rng, counter, trace, neutral_phase=True)
+    return _climb(landscape, s0, rng, trace, neutral_phase=True)

@@ -20,7 +20,7 @@ differences accumulates in int64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,36 +62,16 @@ class LandscapeFormatError(LandscapeError):
         self.line = line
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, order=True)
 class FitnessValue:
     """Exact fitness: integer ``total`` plus its normalized real value.
 
-    Equality (and therefore neutrality) compares the integer totals only;
-    the float never participates in comparisons.
+    Equality (and therefore neutrality), ordering and hashing use the
+    integer total only; the float never participates in comparisons.
     """
 
     total: int
-    normalized: float
-
-    def __eq__(self, other):
-        if not isinstance(other, FitnessValue):
-            return NotImplemented
-        return self.total == other.total
-
-    def __lt__(self, other):
-        return self.total < other.total
-
-    def __le__(self, other):
-        return self.total <= other.total
-
-    def __gt__(self, other):
-        return self.total > other.total
-
-    def __ge__(self, other):
-        return self.total >= other.total
-
-    def __hash__(self):
-        return hash(self.total)
+    normalized: float = field(compare=False)
 
 
 def as_genotype(s, n: int | None = None) -> np.ndarray:
@@ -132,9 +112,15 @@ def _int_array(name: str, values, shape: tuple) -> np.ndarray:
 
 def check_params(n: int, k: int, q: int, mode: str = RANDOM) -> None:
     """Raise :class:`LandscapeError` unless ``(n, k, q, mode)`` describe a
-    landscape this package can hold: ``n >= 1``, ``0 <= k <= n-1``,
-    ``q >= 2``, a known mode, totals that fit exactly in int64, and at most
-    :data:`MAX_TABLE_ENTRIES` table entries. Allocates nothing."""
+    landscape this package can hold: integer (not bool) ``n``, ``k`` and
+    ``q`` with ``n >= 1``, ``0 <= k <= n-1`` and ``q >= 2``, a known mode,
+    totals that fit exactly in int64, and at most :data:`MAX_TABLE_ENTRIES`
+    table entries. Allocates nothing."""
+    for name, value in (("n", n), ("k", k), ("q", q)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise LandscapeError(f"{name} must be an integer, got {value!r}")
+    # Python ints, so the size checks below cannot overflow.
+    n, k, q = int(n), int(k), int(q)
     if n < 1:
         raise LandscapeError(f"n must be >= 1, got n={n}")
     if k < 0 or k >= n:
@@ -298,7 +284,7 @@ class NkqLandscape:
         return FitnessValue(total, total / self.max_total)
 
     def total(self, s) -> int:
-        """Exact integer fitness total of one genotype (no counter)."""
+        """Exact integer fitness total of one genotype."""
         s = as_genotype(s, self.n)
         return int(self.batch_totals(s[None, :])[0])
 
@@ -400,28 +386,6 @@ class NkqLandscape:
             self._pairs = (by_pair, (comps, weights, self._loci[comps].reshape(n, -1)))
         return self._pairs
 
-    def pair_scan(self, s):
-        """``(total, flip_totals, pair_totals)`` for a single genotype.
-
-        ``pair_totals[a, b]`` is the total of ``s`` with loci a and b both
-        flipped; the diagonal holds ``total``. Exact in int64: a two-bit
-        move changes the total by ``d[a] + d[b]`` (the one-bit deltas) plus,
-        for every component reading both a and b, its :meth:`_pair_terms`
-        term, so one one-row scan and n*C(k+1, 2) interaction terms cover
-        the whole distance-2 ball.
-        """
-        s = as_genotype(s, self.n)
-        pos, totals, deltas = self._row_deltas(s[None, :])
-        total, d = totals[0], deltas[0]
-        flips = total + d
-        pairs = flips[:, None] + d[None, :]
-        np.fill_diagonal(pairs, total)
-        (comp, wa, wb, starts, flat, flat_t), _ = self._pair_structure()
-        sums = np.add.reduceat(self._pair_terms(pos[0][comp], wa, wb), starts)
-        pairs.ravel()[flat] += sums
-        pairs.ravel()[flat_t] += sums
-        return int(total), flips, pairs
-
     def scores(self, s) -> "ScoreVector":
         """The :class:`ScoreVector` of genotype ``s``, from one one-row scan."""
         s = as_genotype(s, self.n).copy()
@@ -459,10 +423,11 @@ class ScoreVector:
     ``s`` is the genotype, ``idx[j]`` the position of component j's entry
     in the flattened tables, ``total`` the exact total and ``d[l]`` (int64)
     the change of the total when locus l flips, so the flip total at l is
-    ``total + d[l]`` without a scan (Whitley & Chen, GECCO 2012). A score
-    vector never changes once built: :meth:`flip` returns the next one, so
-    anything that read an earlier one stays valid. It charges no counter;
-    the caller decides what is a query.
+    ``total + d[l]`` without a scan (Whitley & Chen, GECCO 2012), and the
+    distance-2 ball is :meth:`pair_scan`. A score vector never changes once
+    built: :meth:`flip` returns the next one, so anything that read an
+    earlier one stays valid. It counts no queries; each searcher states its
+    own charge.
     """
 
     __slots__ = ("landscape", "s", "idx", "total", "d")
@@ -487,6 +452,22 @@ class ScoreVector:
         at = targets[loci] + np.arange(0, rows.size, landscape.n)[:, None]
         np.add.at(rows.reshape(-1), at.reshape(-1), terms.reshape(-1))
         return rows
+
+    def pair_scan(self) -> np.ndarray:
+        """``(n, n)`` int64: entry (a, b) is the total of ``s`` with loci a
+        and b both flipped; the diagonal holds ``total``. Exact: a two-bit
+        move changes the total by ``d[a] + d[b]`` plus, for every component
+        reading both a and b, its :meth:`~NkqLandscape._pair_terms` term, so
+        the n*C(k+1, 2) interaction terms at ``idx`` cover the whole
+        distance-2 ball without a scan."""
+        landscape = self.landscape
+        pairs = (self.total + self.d)[:, None] + self.d[None, :]
+        np.fill_diagonal(pairs, self.total)
+        (comp, wa, wb, starts, flat, flat_t), _ = landscape._pair_structure()
+        sums = np.add.reduceat(landscape._pair_terms(self.idx[comp], wa, wb), starts)
+        pairs.ravel()[flat] += sums
+        pairs.ravel()[flat_t] += sums
+        return pairs
 
     def flip(self, locus: int) -> "ScoreVector":
         """The score vector of ``s`` with ``locus`` flipped; ``self`` is left

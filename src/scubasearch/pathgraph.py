@@ -68,16 +68,22 @@ class LandscapeGraph:
         return 1 << self.n
 
 
-def build_graph(landscape: NkqLandscape) -> LandscapeGraph:
-    """Enumerate all ``2**n`` genotypes with exact totals and their
-    locality, in one vectorized pass; requires n <= 12."""
-    n = landscape.n
+def check_graph_size(n: int) -> None:
+    """Raise :class:`GraphSizeError` unless a landscape of ``n`` loci can be
+    enumerated (``n <= MAX_GRAPH_N``)."""
     if n > MAX_GRAPH_N:
         raise GraphSizeError(
             f"n={n} would enumerate 2**{n} nodes; path graphs support "
             f"n <= {MAX_GRAPH_N}. Use the heuristics/experiments modules "
             f"for larger landscapes."
         )
+
+
+def build_graph(landscape: NkqLandscape) -> LandscapeGraph:
+    """Enumerate all ``2**n`` genotypes with exact totals and their
+    locality, in one vectorized pass; requires n <= 12."""
+    n = landscape.n
+    check_graph_size(n)
     ids = np.arange(1 << n, dtype=np.int64)
     shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
     bits = ((ids[:, None] >> shifts[None, :]) & 1).astype(np.uint8)

@@ -118,8 +118,8 @@ def test_a1_oracle_equivalence():
             if max(st.total, st.total + int(st.d.max())) != evol_map[s]:
                 mismatches += 1
             expected_evol2 = max(evol_map[m] for m in oracles.neighborhood(s))
-            _, flips, pairs = extended_scan(landscape, arr)
-            if max(total, int(flips.max()), int(pairs.max())) != expected_evol2:
+            pairs = extended_scan(landscape, st)
+            if max(st.total + int(st.d.max()), int(pairs.max())) != expected_evol2:
                 mismatches += 1
             if int(np.count_nonzero(st.d == 0)) != oracles.degn(fm, s):
                 mismatches += 1

@@ -163,6 +163,17 @@ class TestGraph:
                        "--seed", "1", "--heuristic", "hc",
                        "--out", str(tmp_path / "g.dot")) == 1
 
+    def test_oversized_n_refused_before_seed_and_tables(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_generate(*args, **kwargs):
+            raise AssertionError("generated a landscape too large to enumerate")
+
+        monkeypatch.setattr("scubasearch.cli.generate", no_generate)
+        assert run_cli("graph", "--n", "13", "--k", "1", "--q", "2",
+                       "--heuristic", "hc", "--out", str(tmp_path / "g.dot")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n=13" in err
+
 
 class TestErrorHandling:
     def test_unknown_flag(self):

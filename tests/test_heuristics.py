@@ -5,7 +5,6 @@ import oracles
 from conftest import constant_landscape, onemax_landscape
 from scubasearch import (
     RANDOM,
-    EvalCounter,
     generate,
     hill_climb,
     hill_climb2,
@@ -315,7 +314,7 @@ class TestVanishingNeutrality:
 
 class TestSharedLandscapeConcurrency:
     def test_threaded_runs_match_sequential(self, rng):
-        # one immutable landscape, many runs with private rng/counters
+        # one immutable landscape, many runs with private rngs
         from concurrent.futures import ThreadPoolExecutor
 
         landscape = generate(24, 3, 2, RANDOM, seed=77)
@@ -329,17 +328,3 @@ class TestSharedLandscapeConcurrency:
         for a, b in zip(sequential, threaded):
             assert a.terminal.tolist() == b.terminal.tolist()
             assert a.evaluations == b.evaluations
-
-
-class TestCountersShared:
-    def test_external_counter_accumulates(self, rng):
-        landscape = generate(10, 1, 2, RANDOM, seed=16)
-        counter = EvalCounter()
-        r1 = hill_climb(landscape, rng.integers(0, 2, 10, dtype=np.uint8),
-                        np.random.default_rng(0), counter)
-        after_first = counter.count
-        r2 = hill_climb(landscape, rng.integers(0, 2, 10, dtype=np.uint8),
-                        np.random.default_rng(1), counter)
-        assert r1.evaluations == after_first
-        assert r2.evaluations == counter.count
-        assert counter.count > after_first

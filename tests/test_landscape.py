@@ -75,6 +75,18 @@ class TestGenerate:
         with pytest.raises(LandscapeError):
             generate(n, k, q, RANDOM, seed=0)
 
+    @pytest.mark.parametrize("n,k,q", [(8, 2, 3.0), (8.0, 2, 3), (True, 0, 2),
+                                       (8, False, 2), (8, 2, "3"), (8, None, 3)])
+    def test_non_integer_parameters_rejected(self, n, k, q):
+        with pytest.raises(LandscapeError, match="must be an integer"):
+            generate(n, k, q, RANDOM, seed=0)
+
+    def test_numpy_integer_parameters_accepted(self):
+        landscape = generate(np.int64(8), np.int32(2), np.uint8(3), RANDOM, seed=0)
+        assert landscape == generate(8, 2, 3, RANDOM, seed=0)
+        with pytest.raises(LandscapeError, match="table entries"):
+            check_params(np.int64(64), np.int64(63), np.int64(2))
+
     @pytest.mark.parametrize("n,k", [(64, 63), (64, 21), (2**27, 0), (2**40, 2**40 - 1)])
     def test_oversized_tables_rejected_before_drawing(self, n, k, monkeypatch):
         def no_rng(*args, **kwargs):
@@ -322,6 +334,8 @@ class TestFitnessValue:
         assert FitnessValue(1, 0.5) != 1
         assert a < c and c > a and a <= b and b >= a
         assert hash(a) == hash(b)
+        with pytest.raises(TypeError):
+            FitnessValue(1, 0.5) < 2
 
     def test_scan_consistency(self, rng):
         landscape = generate(9, 2, 3, RANDOM, seed=6)

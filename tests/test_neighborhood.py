@@ -13,7 +13,6 @@ import oracles
 from conftest import constant_landscape, onemax_landscape
 from scubasearch import (
     RANDOM,
-    EvalCounter,
     build_graph,
     census,
     generate,
@@ -115,16 +114,6 @@ class TestNeutralNeighbors:
             for member in self.neutral_members(landscape, s):
                 back = [m.tolist() for m in self.neutral_members(landscape, member)]
                 assert s.tolist() in back
-
-
-class TestEvalCounter:
-    def test_accumulates_and_rejects_negative(self):
-        counter = EvalCounter()
-        counter.add(3)
-        counter.add(0)
-        assert counter.count == 3
-        with pytest.raises(ValueError):
-            counter.add(-1)
 
 
 class TestIsLocal:

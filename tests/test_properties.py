@@ -28,10 +28,10 @@ import oracles
 from scubasearch import (
     MODES,
     MOVE_KINDS,
-    EvalCounter,
     LandscapeFormatError,
     NkqLandscape,
     SweepConfig,
+    build_graph,
     census,
     deserialize,
     extended_scan,
@@ -66,10 +66,11 @@ def test_extended_scan_matches_oracle(q, data):
     landscape, s = data.draw(landscape_and_genotype(q))
     n = landscape.n
     base = tuple(int(b) for b in s)
-    total, flips, pairs = extended_scan(landscape, s)
-    # extended_scan returns pair_scan's arrays as they are.
+    state = landscape.scores(s)
+    pairs = extended_scan(landscape, state)
+    flips = state.total + state.d
     assert flips.dtype == np.int64 and pairs.dtype == np.int64
-    assert total == oracles.naive_total(landscape, base)
+    assert state.total == oracles.naive_total(landscape, base)
     assert flips.tolist() == [
         oracles.naive_total(landscape, oracles.flip(base, a)) for a in range(n)
     ]
@@ -119,18 +120,6 @@ def test_serialization_round_trips_values_and_dtype(q, data):
     again = deserialize(serialize(landscape))
     assert again == landscape  # compares the table values too
     assert again.tables.dtype == landscape.tables.dtype == np.min_scalar_type(-q)
-
-
-@pytest.mark.parametrize("q", Q_VALUES)
-@given(data=st.data())
-def test_extended_scan_charge(q, data):
-    landscape, s = data.draw(landscape_and_genotype(q))
-    n = landscape.n
-    counter = EvalCounter(data.draw(st.integers(0, 1000)))
-    start = counter.count
-    got, _, _ = extended_scan(landscape, s, counter)
-    assert got == landscape.total(s)
-    assert counter.count - start == n + n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("q", (2, 3))
@@ -236,6 +225,73 @@ def test_hill_climb2_counter_law_and_trace_kinds(q, data):
     assert np.count_nonzero(kinds == MOVE_KINDS.index("improve")) == result.gate_count
     assert np.count_nonzero(kinds == MOVE_KINDS.index("descend")) == (
         result.steps - result.flat_count - result.gate_count)
+
+
+def _check_moves(graph, result, kind_names):
+    """The trace of ``result`` read against the exhaustive graph: each entry's
+    total and neutral degree, and for each move its source node, target node,
+    locus and kind. Returns ``(sources, targets, loci, kinds, terminal)``:
+    the first four over the moves that changed the node."""
+    trace = result.trace
+    n = graph.n
+    nodes = trace.genotypes().astype(np.int64) @ (1 << np.arange(n - 1, -1, -1))
+    totals = graph.totals[nodes]
+    assert trace.totals.tolist() == totals.tolist()
+    assert trace.degns.tolist() == (
+        graph.neighbor_totals[nodes] == totals[:, None]).sum(axis=1).tolist()
+    assert set(MOVE_KINDS[kind] for kind in trace.kinds[1:]) <= set(kind_names)
+    moved = np.flatnonzero(trace.loci[1:] >= 0) + 1
+    src, dst, loci = nodes[moved - 1], nodes[moved], trace.loci[moved]
+    assert (graph.neighbor_ids[src, loci] == dst).all()
+    stayed = np.flatnonzero(trace.loci[1:] < 0) + 1
+    assert (nodes[stayed] == nodes[stayed - 1]).all()
+    kinds = [MOVE_KINDS[kind] for kind in trace.kinds[moved]]
+    for u, v, kind in zip(src.tolist(), dst.tolist(), kinds):
+        change = graph.totals[v] - graph.totals[u]
+        assert kind == ("improve" if change > 0 else "neutral" if change == 0
+                        else "descend")
+    return src, dst, loci, kinds, int(nodes[-1])
+
+
+@pytest.mark.parametrize("q", (2, 3, 100))
+@given(data=st.data())
+def test_searchers_follow_the_exhaustive_graph(q, data):
+    # Every move is one the searcher's rule allows at that node, whatever the
+    # tie-break, and every terminal lies in the rule's stop set; the rules are
+    # read off the graph's exhaustive arrays, which share no code with the
+    # score vector the searchers carry.
+    landscape, s = data.draw(landscape_and_genotype(q))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    graph = build_graph(landscape)
+    local = graph.local
+    best = graph.neighbor_totals.max(axis=1)
+    plateau_best = graph.plateau_evols.max(axis=1)
+
+    def run(search, **kwargs):
+        return search(landscape, s, np.random.default_rng(seed), trace=True, **kwargs)
+
+    src, dst, loci, _, end = _check_moves(graph, run(hill_climb), ("improve",))
+    assert (graph.neighbor_totals[src, loci] == best[src]).all()
+    assert local["f", "V"][end] and not local["f", "V"][src].any()
+
+    step_max = data.draw(st.integers(1, 100))
+    _check_moves(graph, run(netcrawler, step_max=step_max),
+                 ("improve", "neutral", "reject"))
+
+    src, dst, loci, kinds, end = _check_moves(graph, run(scuba), ("improve", "neutral"))
+    flat = np.array([kind == "neutral" for kind in kinds], dtype=bool)
+    assert not local["evol", "Vn"][src[flat]].any()
+    assert (graph.plateau_evols[src[flat], loci[flat]] == plateau_best[src[flat]]).all()
+    assert local["evol", "Vn"][src[~flat]].all()
+    assert (graph.neighbor_totals[src[~flat], loci[~flat]] == best[src[~flat]]).all()
+    assert local["evol", "Vn"][end] and local["f", "V"][end]
+
+    src, dst, loci, _, end = _check_moves(graph, run(hill_climb2),
+                                          ("improve", "neutral", "descend"))
+    assert not local["f", "V2"][src].any() and local["f", "V2"][end]
+    direct = graph.evol_v[src] == graph.evol_v2[src]
+    assert (graph.totals[dst[direct]] == graph.evol_v2[src[direct]]).all()
+    assert (graph.evol_v[dst[~direct]] == graph.evol_v2[src[~direct]]).all()
 
 
 def _profile_as_tuples(rows):

@@ -41,6 +41,7 @@ from .heuristics import (
     hill_climb2,
     netcrawler,
     scuba,
+    search,
 )
 from .landscape import (
     ADJACENT,

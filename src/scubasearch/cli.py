@@ -123,8 +123,10 @@ def _load_or_generate(args, seed_of):
 
 
 def _cmd_run(args) -> int:
-    if args.step_max < 1:
-        raise UsageError(f"--step-max must be >= 1, got {args.step_max}")
+    try:
+        hx.check_step_max(args.step_max, "--step-max")
+    except ValueError as exc:
+        raise UsageError(str(exc))
     seed = _resolve_seed(args)
     landscape = _load_or_generate(
         args, lambda a: ex.landscape_seed(seed, a.k, a.q, 0))
@@ -151,17 +153,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _check_params(args.n, args.k, args.q, args.mode)
-    seed = _resolve_seed(args)
     try:
+        # Every parameter is checked before a seed is drawn and printed.
         config = ex.SweepConfig(
-            n=args.n, k_values=args.k, q_values=args.q, base_seed=seed,
+            n=args.n, k_values=args.k, q_values=args.q, base_seed=0,
             heuristics=tuple(args.heuristics.split(",")), runs=args.runs,
             instances=args.instances, step_max=args.step_max, mode=args.mode,
             keep_traces=args.profile_out is not None,
         )
     except ValueError as exc:
         raise UsageError(str(exc))
+    config.base_seed = _resolve_seed(args)
     report = ex.run_sweep(config)
     ex.write_csv(report, args.out)
     if args.records_out is not None:

@@ -99,8 +99,7 @@ class SweepConfig:
             raise ValueError("heuristics must not repeat")
         if self.runs < 1 or self.instances < 1:
             raise ValueError("runs and instances must be >= 1")
-        if self.step_max < 1:
-            raise ValueError("step_max must be >= 1")
+        hx.check_step_max(self.step_max)
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
 
@@ -182,20 +181,12 @@ def run_heuristic(landscape: NkqLandscape, heuristic: str, rng, step_max: int,
     """One run of ``heuristic`` from a uniform-random genotype drawn from
     ``rng``, which then serves the run's tie-breaks."""
     s0 = rng.integers(0, 2, size=landscape.n, dtype=np.uint8)
-    if heuristic == "hc":
-        return hx.hill_climb(landscape, s0, rng, trace=trace)
-    if heuristic == "nc":
-        return hx.netcrawler(landscape, s0, rng, step_max, trace=trace)
-    if heuristic == "hc2":
-        return hx.hill_climb2(landscape, s0, rng, trace=trace)
-    if heuristic == "ss":
-        return hx.scuba(landscape, s0, rng, trace=trace)
-    raise ValueError(f"unknown heuristic {heuristic!r}")
+    return hx.search(landscape, heuristic, [s0], [rng], step_max, trace)[0]
 
 
 def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]:
-    """Every heuristic's runs on cell ``(k, q)``, keyed by heuristic. The
-    cell's landscapes live only as long as this call."""
+    """Every heuristic's runs on cell ``(k, q)``, keyed by heuristic, one
+    batch per landscape. The cell's landscapes live only as long as this."""
     landscapes = [
         generate(config.n, k, q, config.mode,
                  seed=landscape_seed(config.base_seed, k, q, inst))
@@ -203,22 +194,23 @@ def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]
     ]
     out = {}
     for h in config.heuristics:
-        recs = out[h] = []
-        for r in range(config.runs):
-            inst = r % config.instances
-            landscape = landscapes[inst]
-            rs = run_seed(config.base_seed, k, q, h, inst, r)
-            result = run_heuristic(landscape, h, np.random.default_rng(rs),
-                                   config.step_max, config.keep_traces)
-            recs.append(RunRecord(
-                heuristic=h, k=k, q=q, instance=inst, run=r,
-                landscape_seed=landscape.seed, run_seed=rs,
-                fitness_total=result.fitness.total,
-                fitness_norm=result.fitness.normalized,
-                steps=result.steps, flat=result.flat_count,
-                gate=result.gate_count, evaluations=result.evaluations,
-                trace=result.trace,
-            ))
+        recs = out[h] = [None] * config.runs
+        for inst, landscape in enumerate(landscapes):
+            runs = range(inst, config.runs, config.instances)
+            seeds = [run_seed(config.base_seed, k, q, h, inst, r) for r in runs]
+            rngs = [np.random.default_rng(rs) for rs in seeds]
+            starts = [rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs]
+            results = hx.search(landscape, h, starts, rngs, config.step_max, config.keep_traces)
+            for r, rs, result in zip(runs, seeds, results):
+                recs[r] = RunRecord(
+                    heuristic=h, k=k, q=q, instance=inst, run=r,
+                    landscape_seed=landscape.seed, run_seed=rs,
+                    fitness_total=result.fitness.total,
+                    fitness_norm=result.fitness.normalized,
+                    steps=result.steps, flat=result.flat_count,
+                    gate=result.gate_count, evaluations=result.evaluations,
+                    trace=result.trace,
+                )
     return out
 
 

@@ -20,19 +20,25 @@ queries, so hill climbing costs ``n*(steps+1)``, the netcrawler
 ``step_max``, two-step hill climbing ``(n + n*(n-1)/2)*(steps+1)``, and
 scuba ``(1+Degn(s))*n`` per inner-guard evaluation.
 
-All four searchers carry one :class:`~.landscape.ScoreVector` of the
-current point instead of rescanning it: a proposal at locus l reads
-``total + d[l]``, a move updates the vector from the components that read
-the flipped locus, scuba's evolvability of a neutral neighbor is one row of
-its mutant deltas, and hc2's distance-2 ball is its pair scan. The charges
-are the queries, not this compute. The locality the rules test (a local
-maximum over V or V2, scuba's evolvability guard over Vn) is stated over
-every genotype of a small landscape by :func:`~.pathgraph.census`.
+The searchers carry the one-bit deltas ``d`` of the current point instead of
+rescanning it: a proposal at locus l reads ``total + d[l]``, and a move
+updates ``d`` from the components that read the flipped locus. The charges
+are the queries, not this compute. :func:`search` advances one landscape's
+hc, ss or nc runs together in one run state: each round moves every live run
+with one flip update, scuba's guard reads every live run's neutral neighbors
+from one batch of mutant deltas, and the netcrawler jumps each live run to
+its next accepted proposal, since a rejection leaves the state as it is.
+Each run draws from its own stream only, and what it would draw alone (the
+netcrawler's proposals in chunks, which continue one stream), so batching
+cannot change an output; ``hill_climb``, ``netcrawler`` and ``scuba`` are
+batches of one. Only hc2 steps each run alone, reading its distance-2 ball
+off a :class:`~.landscape.ScoreVector`'s pair scan. Locality over every
+genotype of a small landscape is :func:`~.pathgraph.census`.
 
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
 genotype plus, per step, the flipped locus, the total, the kind of move and
 the neutral degree of the state arrived at, which each searcher already
-knows from its scan. A trace step's genotype and fitness are rebuilt only
+knows from its deltas. A trace step's genotype and fitness are rebuilt only
 when read. Without a trace the searchers do no per-step trace work.
 """
 
@@ -40,11 +46,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .landscape import FitnessValue
+from .landscape import FitnessValue, ScoreVector, as_genotype
 from .neighborhood import extended_scan
 
 MOVE_INIT = "init"
@@ -55,8 +60,17 @@ MOVE_REJECT = "reject"
 # A trace stores each kind of move as its index in MOVE_KINDS.
 MOVE_KINDS = (MOVE_INIT, MOVE_IMPROVE, MOVE_NEUTRAL, MOVE_DESCEND, MOVE_REJECT)
 _INIT, _IMPROVE, _NEUTRAL, _DESCEND, _REJECT = range(len(MOVE_KINDS))
+# The kind of a move, indexed by the sign of its gain (-1 is the last).
+_KIND_OF_SIGN = np.array([_NEUTRAL, _IMPROVE, _DESCEND], dtype=np.int8)
 
 HEURISTICS = ("hc", "nc", "hc2", "ss")
+
+# The largest netcrawler budget a run may ask for, far above the paper's 300;
+# a larger one is refused before anything is drawn.
+STEP_MAX_LIMIT = 2**20
+# Netcrawler proposals a run draws at a time, so a batch holds at most
+# runs x _PROPOSALS of them, never runs x step_max.
+_PROPOSALS = 512
 
 
 @dataclass
@@ -122,18 +136,6 @@ class Trace(Sequence):
                           self.kinds[i])
 
 
-def _degn(state) -> int:
-    """Neutral degree of a score vector's genotype: its zero deltas."""
-    return state.d.size - int(np.count_nonzero(state.d))
-
-
-def _pack(s0, landscape, entries) -> Optional[Trace]:
-    """The trace of ``(locus, total, kind, degn)`` entries, or None untraced."""
-    if entries is None:
-        return None
-    return Trace(s0, landscape.max_total, *np.array(entries, dtype=np.int64).T)
-
-
 @dataclass
 class RunResult:
     """Outcome of one heuristic run.
@@ -152,64 +154,162 @@ class RunResult:
     flat_count: int
     gate_count: int
     evaluations: int
-    trace: Optional[Trace] = None
+    trace: Trace | None = None
 
 
-def _choose(rng: np.random.Generator, candidates: np.ndarray) -> int:
-    """Uniform tie-break among candidate loci."""
-    return int(candidates[rng.integers(candidates.size)])
+def check_step_max(step_max, name="step_max") -> None:
+    """Raise ``ValueError`` unless ``1 <= step_max <= STEP_MAX_LIMIT``."""
+    if not 1 <= step_max <= STEP_MAX_LIMIT:
+        bound = ">= 1" if step_max < 1 else f"<= STEP_MAX_LIMIT = {STEP_MAX_LIMIT}"
+        raise ValueError(f"{name} must be {bound}, got {step_max}")
 
 
-def _climb(landscape, s0, rng, trace, neutral_phase) -> RunResult:
-    """Hill climbing, or scuba when ``neutral_phase``.
+class _Runs:
+    """The run state of R runs on one landscape: per run its start genotype
+    (``s0``), its components' positions in the flattened tables (``idx``,
+    whose bit 0 in column j is the allele at locus j) and its one-bit deltas
+    (``d``), all (R, n), its total (``total``) and its neutral, improving and
+    descending moves (``moves``, (R, 3), indexed by the sign of the gain).
+    With a trace it logs every move: ``(runs, entries, loci, totals, kinds,
+    degns)``."""
+
+    def __init__(self, landscape, starts, trace):
+        n = landscape.n
+        self.landscape = landscape
+        self.s0 = np.array([as_genotype(s, n) for s in starts], dtype=np.uint8).reshape(-1, n)
+        self.idx, self.total, self.d = landscape._row_deltas(self.s0)
+        self.moves = np.zeros((len(self.s0), 3), dtype=np.int64)
+        self.log = [] if trace else None
+        runs = np.arange(len(self.s0))
+        self._log(runs, np.zeros_like(runs), np.full_like(runs, -1), np.full_like(runs, _INIT))
+
+    def _log(self, runs, entries, loci, kinds):
+        if self.log is not None:
+            degns = self.landscape.n - np.count_nonzero(self.d[runs], axis=1)
+            self.log.append((runs, entries, loci, self.total[runs], kinds, degns))
+
+    def flip(self, runs, loci, entries):
+        """Flip locus ``loci[i]`` of run ``runs[i]``, reaching its trace
+        entry ``entries[i]``, for every i at once. A move that keeps the
+        total is flat, one that raises it a gate move, one that lowers it
+        (an hc2 lookahead) neither."""
+        gains = self.d[runs, loci]
+        signs = np.sign(gains)
+        self.moves[runs, signs] += 1
+        self.total[runs] += gains
+        self.landscape._flip(self.idx, self.d, runs, loci)
+        self._log(runs, entries, loci, _KIND_OF_SIGN[signs])
+
+    def results(self, steps, evaluations) -> list[RunResult]:
+        """One result per run, with a trace of ``steps[r] + 1`` entries for
+        run r. An entry no move logged is a netcrawler rejection: locus -1,
+        and the total and neutral degree of the entry before it."""
+        landscape = self.landscape
+        traces = [None] * len(self.s0)
+        if self.log is not None:
+            run, entry, locus, total, kind, degn = map(np.concatenate, zip(*self.log))
+            bounds = np.concatenate(([0], np.cumsum(steps + 1)))
+            at = bounds[run] + entry
+            last = np.zeros(bounds[-1], dtype=np.intp)
+            last[at] = at
+            np.maximum.accumulate(last, out=last)
+            loci, kinds = np.full(last.size, -1, np.int32), np.full(last.size, _REJECT, np.int8)
+            totals, degns = np.empty(last.size, np.int64), np.empty(last.size, np.int32)
+            loci[at], kinds[at], totals[at], degns[at] = locus, kind, total, degn
+            columns = loci, totals[last], kinds, degns[last]
+            traces = [Trace(s0, landscape.max_total, *(column[a:b] for column in columns))
+                      for s0, a, b in zip(self.s0, bounds[:-1].tolist(), bounds[1:].tolist())]
+        return [RunResult(s, landscape.fitness(total), *counts, trace)
+                for s, total, *counts, trace in zip(
+                    (self.idx & 1).astype(np.uint8), self.total.tolist(), steps.tolist(),
+                    self.moves[:, 0].tolist(), self.moves[:, 1].tolist(),
+                    evaluations.tolist(), traces)]
+
+
+def _climb(landscape, starts, rngs, trace, neutral_phase) -> list[RunResult]:
+    """Hill climbing, or scuba when ``neutral_phase``, from each start, run
+    i drawing from ``rngs[i]``; each round moves every live run once.
 
     At each point: if ``neutral_phase`` and some neutral neighbor has a
     strictly higher evolvability than the point itself, flip to a uniformly
     chosen one of highest evolvability (flat move); else, if some neighbor is
     strictly fitter, flip to a uniformly chosen fittest one (gate move); else
-    stop. The point's flip totals are ``total + d``, read as the deltas
-    ``d`` of the score vector the run carries and charged ``n`` queries;
-    scuba's guard reads the neutral neighbors' evolvabilities from their
-    rows of the mutant deltas, charged ``Degn * n`` more.
+    stop. Reading ``total + d`` is charged ``n`` queries, and scuba's guard,
+    read from the mutant deltas of the neutral neighbors, ``Degn * n`` more.
     """
     n = landscape.n
-    state = start = landscape.scores(s0)
-    flat = gate = evaluations = 0
-    log = [(-1, state.total, _INIT, _degn(state))] if trace else None
-    while True:
-        evaluations += n
-        gain = int(state.d.max())
-        locus = -1
+    runs = _Runs(landscape, starts, trace)
+    evaluations = np.zeros(len(rngs), dtype=np.int64)
+    live = np.arange(len(rngs))
+    while live.size:
+        d = runs.d[live]
+        gain = d.max(axis=1)
+        evaluations[live] += n
+        picks = d == gain[:, None]
+        moving = gain > 0
         if neutral_phase:
-            neutral = np.flatnonzero(state.d == 0)
-            evaluations += neutral.size * n
-            if neutral.size:
-                # A neutral neighbor's evolvability, less the point's total, is
-                # its best one-bit delta; flipping back (delta 0) is one of them.
-                lifts = state.mutant_deltas(neutral).max(axis=1)
-                lift = int(lifts.max())
-                if lift > max(gain, 0):
-                    locus = _choose(rng, neutral[lifts == lift])
-                    flat += 1
-                    kind = _NEUTRAL
-        if locus < 0:
-            if gain <= 0:
-                break
-            locus = _choose(rng, np.flatnonzero(state.d == gain))
-            gate += 1
-            kind = _IMPROVE
-        state = state.flip(locus)
-        if trace:
-            log.append((locus, state.total, kind, _degn(state)))
-    return RunResult(state.s, landscape.fitness(state.total), flat + gate, flat, gate,
-                     evaluations, _pack(start.s, landscape, log))
+            at, loci = np.nonzero(d == 0)
+            evaluations[live] += n * np.bincount(at, minlength=live.size)
+            # A neutral neighbor's evolvability, less the point's total, is
+            # its best one-bit delta; flipping back (delta 0) is one of them.
+            lifts = landscape._mutant_deltas(runs.idx, runs.d, live[at], loci).max(axis=1)
+            lift = np.full(live.size, -1, dtype=np.int64)
+            np.maximum.at(lift, at, lifts)
+            flat = lift > np.maximum(gain, 0)
+            picks[flat] = False
+            best = flat[at] & (lifts == lift[at])
+            picks[at[best], loci[best]] = True
+            moving |= flat
+        live, picks = live[moving], picks[moving]
+        # Each run draws its tie-break from its own stream, over its
+        # candidate loci in ascending order.
+        draws = [rngs[r].integers(c) for r, c in zip(live.tolist(), picks.sum(axis=1).tolist())]
+        loci = (picks.cumsum(axis=1) > np.array(draws, dtype=np.int64)[:, None]).argmax(axis=1)
+        runs.flip(live, loci, runs.moves[live].sum(axis=1) + 1)
+    return runs.results(runs.moves.sum(axis=1), evaluations)
+
+
+def _crawl(landscape, starts, rngs, step_max, trace) -> list[RunResult]:
+    """The netcrawler from each start, run i drawing from ``rngs[i]``, its
+    proposals ``_PROPOSALS`` at a time. Each round moves every run with an
+    accepted proposal left in the chunk straight to the first one."""
+    check_step_max(step_max)
+    runs = _Runs(landscape, starts, trace)
+    for first in range(0, step_max, _PROPOSALS):
+        width = min(_PROPOSALS, step_max - first)
+        proposals = np.array([rng.integers(landscape.n, size=width) for rng in rngs])
+        cursor = np.zeros(len(rngs), dtype=np.int64)
+        live = np.arange(len(rngs))
+        while live.size:
+            accepted = runs.d[live[:, None], proposals[live]] >= 0
+            accepted &= np.arange(width) >= cursor[live, None]
+            found = accepted.any(axis=1)
+            live = live[found]
+            cursor[live] = accepted[found].argmax(axis=1) + 1
+            runs.flip(live, proposals[live, cursor[live] - 1], first + cursor[live])
+    steps = np.full(len(rngs), step_max, dtype=np.int64)
+    return runs.results(steps, steps)
+
+
+def search(landscape, heuristic, starts, rngs, step_max=300, trace=False) -> list[RunResult]:
+    """One run of ``heuristic`` from each genotype of ``starts``, run i
+    drawing its tie-breaks and proposals from ``rngs[i]`` only, so each
+    result is the one the run gives alone. hc, nc and ss advance the runs
+    together; hc2 steps each run alone."""
+    if heuristic in ("hc", "ss"):
+        return _climb(landscape, starts, rngs, trace, neutral_phase=heuristic == "ss")
+    if heuristic == "nc":
+        return _crawl(landscape, starts, rngs, step_max, trace)
+    if heuristic == "hc2":
+        return [hill_climb2(landscape, s0, rng, trace) for s0, rng in zip(starts, rngs)]
+    raise ValueError(f"unknown heuristic {heuristic!r}")
 
 
 def hill_climb(landscape, s0, rng, trace=False) -> RunResult:
     """Steepest-ascent hill climbing: jump to a uniformly chosen fittest
     neighbor until none is strictly fitter, a (non-strict) local maximum.
     Costs ``n`` queries per point visited."""
-    return _climb(landscape, s0, rng, trace, neutral_phase=False)
+    return _climb(landscape, [s0], [rng], trace, neutral_phase=False)[0]
 
 
 def netcrawler(landscape, s0, rng, step_max=300, trace=False) -> RunResult:
@@ -218,32 +318,10 @@ def netcrawler(landscape, s0, rng, step_max=300, trace=False) -> RunResult:
 
     Runs the full budget, each proposal one query, accepted or not; with a
     trace, the last improving entry marks the step after which the crawl
-    stopped gaining fitness.
+    stopped gaining fitness. ``step_max`` must lie in ``[1,
+    STEP_MAX_LIMIT]``.
     """
-    if step_max <= 0:
-        raise ValueError(f"step_max must be positive, got {step_max}")
-    state = start = landscape.scores(s0)
-    flat = gate = 0
-    log = [(-1, state.total, _INIT, _degn(state))] if trace else None
-    # One draw of all loci takes the same values from the stream as one
-    # scalar draw per step, and leaves the same next draw.
-    for locus in rng.integers(landscape.n, size=step_max).tolist():
-        delta = int(state.d[locus])
-        if delta >= 0:
-            state = state.flip(locus)
-            if delta == 0:
-                flat += 1
-                kind = _NEUTRAL
-            else:
-                gate += 1
-                kind = _IMPROVE
-            if trace:
-                log.append((locus, state.total, kind, _degn(state)))
-        elif trace:
-            # A rejection keeps the state, and so its neutral degree.
-            log.append((-1, state.total, _REJECT, log[-1][3]))
-    return RunResult(state.s, landscape.fitness(state.total), step_max, flat, gate,
-                     step_max, _pack(start.s, landscape, log))
+    return _crawl(landscape, [s0], [rng], step_max, trace)[0]
 
 
 def hill_climb2(landscape, s0, rng, trace=False) -> RunResult:
@@ -256,15 +334,12 @@ def hill_climb2(landscape, s0, rng, trace=False) -> RunResult:
     point visited scans ``n + n*(n-1)/2`` distinct points.
     """
     n = landscape.n
-    state = start = landscape.scores(s0)
-    steps = flat = gate = 0
-    log = [] if trace else None
-    locus, kind = -1, _INIT
+    runs = _Runs(landscape, [s0], trace)
+    steps = 0
     while True:
+        # A view of the run's point, read before the run moves.
+        state = ScoreVector(landscape, runs.idx[0], int(runs.total[0]), runs.d[0])
         pairs = extended_scan(landscape, state)
-        if trace:
-            # Each state is scanned once, on arrival: log it with its degree.
-            log.append((locus, state.total, kind, _degn(state)))
         flips = state.total + state.d
         evol_now = max(state.total, int(flips.max()))
         evol_ext = max(evol_now, int(pairs.max()))
@@ -273,22 +348,12 @@ def hill_climb2(landscape, s0, rng, trace=False) -> RunResult:
         if evol_now == evol_ext:
             candidates = np.flatnonzero(flips == evol_ext)
         else:
-            neighbor_evols = np.maximum(flips, pairs.max(axis=1))
-            candidates = np.flatnonzero(neighbor_evols == evol_ext)
-        locus = _choose(rng, candidates)
-        delta = int(state.d[locus])
-        if delta > 0:
-            gate += 1
-            kind = _IMPROVE
-        elif delta == 0:
-            flat += 1
-            kind = _NEUTRAL
-        else:
-            kind = _DESCEND
-        state = state.flip(locus)
+            candidates = np.flatnonzero(np.maximum(flips, pairs.max(axis=1)) == evol_ext)
         steps += 1
-    return RunResult(state.s, landscape.fitness(state.total), steps, flat, gate,
-                     (steps + 1) * (n + n * (n - 1) // 2), _pack(start.s, landscape, log))
+        runs.flip(np.zeros(1, dtype=np.intp), candidates[[rng.integers(candidates.size)]],
+                  np.array([steps]))
+    steps = np.array([steps])
+    return runs.results(steps, (steps + 1) * (n + n * (n - 1) // 2))[0]
 
 
 def scuba(landscape, s0, rng, trace=False) -> RunResult:
@@ -302,4 +367,4 @@ def scuba(landscape, s0, rng, trace=False) -> RunResult:
     evaluation costs exactly ``(1 + Degn(s)) * n`` queries; the jump reuses
     the guard's scan.
     """
-    return _climb(landscape, s0, rng, trace, neutral_phase=True)
+    return _climb(landscape, [s0], [rng], trace, neutral_phase=True)[0]

@@ -145,15 +145,9 @@ def adjacent_links(n: int, k: int) -> np.ndarray:
     ceil(k/2) loci to the left and floor(k/2) to the right, interleaved
     nearest-first: [i-1, i+1, i-2, i+2, ...].
     """
-    links = np.empty((n, k), dtype=np.int64)
-    offsets = []
-    for d in range(1, k // 2 + k % 2 + 1):
-        offsets.append(-d)
-        if d <= k // 2:
-            offsets.append(d)
-    for i in range(n):
-        links[i] = [(i + off) % n for off in offsets]
-    return links
+    d = np.arange(1, k // 2 + k % 2 + 1)
+    offsets = np.column_stack((-d, d)).ravel()[:k]
+    return (np.arange(n)[:, None] + offsets) % n
 
 
 def _random_links(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -192,12 +186,17 @@ class NkqLandscape:
 
         links = _int_array("links", links, (n, k)).astype(np.int64)
         tables = _int_array("tables", tables, (n, 2 ** (k + 1)))
-        for i in range(n):
-            row = links[i]
-            if row.size != len(set(row.tolist())) or i in row:
-                raise LandscapeError(f"links[{i}] must be {k} distinct loci != {i}")
-            if row.size and (row.min() < 0 or row.max() >= n):
-                raise LandscapeError(f"links[{i}] contains an out-of-range locus")
+        # The first bad locus is named; a repeat or a self-link outranks a
+        # locus out of range. Without links (k = 0) nothing can be bad.
+        ordered = np.sort(links, axis=1)
+        repeats = ((ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+                   | (links == np.arange(n)[:, None]).any(axis=1))
+        bad = np.flatnonzero(repeats | (ordered[:, :1] < 0).any(axis=1)
+                             | (ordered[:, -1:] >= n).any(axis=1))
+        if bad.size:
+            i = bad[0]
+            raise LandscapeError(f"links[{i}] must be {k} distinct loci != {i}" if repeats[i]
+                                 else f"links[{i}] contains an out-of-range locus")
         if tables.size and (tables.min() < 0 or tables.max() > q - 1):
             raise LandscapeError(f"table entries must lie in [0, {q - 1}]")
         # astype copies, so the caller's array is never frozen or aliased.
@@ -360,8 +359,8 @@ class NkqLandscape:
           one-bit change at each target.
 
         Two threads may both build it; they build the same arrays.
-        Landscapes that never take a distance-2 scan or move a score vector
-        never build this.
+        Landscapes that never take a distance-2 scan or move a run never
+        build this.
         """
         if self._pairs is None:
             n, k = self.n, self.k
@@ -386,11 +385,42 @@ class NkqLandscape:
             self._pairs = (by_pair, (comps, weights, self._loci[comps].reshape(n, -1)))
         return self._pairs
 
+    def _flip_terms(self, idx, rows, loci):
+        """``(at, terms)``, two (len(rows), c*(k+1)) arrays, c the most
+        components reading one locus: flipping locus ``loci[r]`` of
+        the genotype whose table positions are row ``rows[r]`` of ``idx``
+        adds ``terms[r, e]`` to its one-bit delta at locus ``at[r, e]``: the
+        pair terms of the components that read both loci. At the flipped
+        locus itself they sum to minus twice its delta, negating it."""
+        comps, weights, targets = self._pair_structure()[1]
+        terms = self._pair_terms(idx[rows[:, None, None], comps[loci]], weights[loci],
+                                 self._bits)
+        return targets[loci], terms.reshape(len(rows), targets.shape[1])
+
+    def _mutant_deltas(self, idx, d, rows, loci) -> np.ndarray:
+        """``(len(rows), n)`` int64: row r holds the one-bit deltas of row
+        ``rows[r]`` of the (R, n) table positions ``idx`` and one-bit deltas
+        ``d`` with locus ``loci[r]`` flipped."""
+        at, terms = self._flip_terms(idx, rows, loci)
+        out = d[rows]
+        np.add.at(out, (np.arange(len(rows))[:, None], at), terms)
+        return out
+
+    def _flip(self, idx, d, rows, loci) -> None:
+        """Flip locus ``loci[r]`` of row ``rows[r]`` of the (R, n) table
+        positions ``idx`` and one-bit deltas ``d``, in place, for every r at
+        once: one gather of pair terms and one scatter for all the rows,
+        which must be distinct."""
+        at, terms = self._flip_terms(idx, rows, loci)
+        np.add.at(d, (rows[:, None], at), terms)
+        comps, weights, _ = self._pair_structure()[1]
+        # Padding entries XOR weight 0 into component 0, which changes nothing.
+        np.bitwise_xor.at(idx, (rows[:, None], comps[loci, :, 0]), weights[loci, :, 0])
+
     def scores(self, s) -> "ScoreVector":
         """The :class:`ScoreVector` of genotype ``s``, from one one-row scan."""
-        s = as_genotype(s, self.n).copy()
-        pos, totals, deltas = self._row_deltas(s[None, :])
-        return ScoreVector(self, s, pos[0], int(totals[0]), deltas[0])
+        pos, totals, deltas = self._row_deltas(as_genotype(s, self.n)[None, :])
+        return ScoreVector(self, pos[0], int(totals[0]), deltas[0])
 
     # -- misc ---------------------------------------------------------------
 
@@ -420,38 +450,21 @@ class NkqLandscape:
 class ScoreVector:
     """A genotype together with what a one-bit search asks of it.
 
-    ``s`` is the genotype, ``idx[j]`` the position of component j's entry
-    in the flattened tables, ``total`` the exact total and ``d[l]`` (int64)
-    the change of the total when locus l flips, so the flip total at l is
-    ``total + d[l]`` without a scan (Whitley & Chen, GECCO 2012), and the
-    distance-2 ball is :meth:`pair_scan`. A score vector never changes once
-    built: :meth:`flip` returns the next one, so anything that read an
-    earlier one stays valid. It counts no queries; each searcher states its
-    own charge.
+    ``idx[j]`` is the position of component j's entry in the flattened
+    tables (its bit 0 is the allele at locus j), ``total`` the exact total and ``d[l]`` (int64) the change of the
+    total when locus l flips, so the flip total at l is ``total + d[l]``
+    without a scan (Whitley & Chen, GECCO 2012), and the distance-2 ball is
+    :meth:`pair_scan`. It counts no queries; each searcher states its own
+    charge.
     """
 
-    __slots__ = ("landscape", "s", "idx", "total", "d")
+    __slots__ = ("landscape", "idx", "total", "d")
 
-    def __init__(self, landscape, s, idx, total, d):
+    def __init__(self, landscape, idx, total, d):
         self.landscape = landscape
-        self.s = s
         self.idx = idx
         self.total = total
         self.d = d
-
-    def mutant_deltas(self, loci) -> np.ndarray:
-        """``(len(loci), n)`` int64: row r holds the one-bit deltas of ``s``
-        with ``loci[r]`` flipped. Flipping l moves the delta at m by the pair
-        terms of the components that read both l and m; at m = l those terms
-        sum to ``-2 d[l]``, negating it."""
-        loci = np.asarray(loci, dtype=np.intp)
-        landscape = self.landscape
-        comps, weights, targets = landscape._pair_structure()[1]
-        terms = landscape._pair_terms(self.idx[comps[loci]], weights[loci], landscape._bits)
-        rows = np.repeat(self.d[None, :], loci.size, axis=0)
-        at = targets[loci] + np.arange(0, rows.size, landscape.n)[:, None]
-        np.add.at(rows.reshape(-1), at.reshape(-1), terms.reshape(-1))
-        return rows
 
     def pair_scan(self) -> np.ndarray:
         """``(n, n)`` int64: entry (a, b) is the total of ``s`` with loci a
@@ -468,22 +481,6 @@ class ScoreVector:
         pairs.ravel()[flat] += sums
         pairs.ravel()[flat_t] += sums
         return pairs
-
-    def flip(self, locus: int) -> "ScoreVector":
-        """The score vector of ``s`` with ``locus`` flipped; ``self`` is left
-        as it is. Its deltas are the row of :meth:`mutant_deltas` for
-        ``locus``."""
-        landscape = self.landscape
-        comps, weights, targets = landscape._pair_structure()[1]
-        terms = landscape._pair_terms(self.idx[comps[locus]], weights[locus], landscape._bits)
-        d = self.d.copy()
-        np.add.at(d, targets[locus], terms.reshape(-1))
-        lo, hi = landscape._aff_starts[locus], landscape._aff_ends[locus]
-        idx = self.idx.copy()
-        idx[landscape._aff_locus[lo:hi]] ^= landscape._aff_weight[lo:hi]
-        s = self.s.copy()
-        s[locus] ^= 1
-        return ScoreVector(landscape, s, idx, self.total + int(self.d[locus]), d)
 
 
 def generate(n, k, q, mode=RANDOM, seed=None) -> NkqLandscape:

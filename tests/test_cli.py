@@ -228,6 +228,23 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--step-max must be >= 1" in err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--heuristic", "nc", "--n", "8", "--k", "0", "--q", "2"],
+        ["sweep", "--n", "8", "--k", "0", "--q", "2", "--heuristics", "nc"],
+    ], ids=["run", "sweep"])
+    def test_oversized_step_max(self, command, tmp_path, capsys):
+        # 2**61 proposals fit in no memory: refused by the bound's name, in
+        # one line, before a seed or a proposal is drawn or a file is written.
+        out = tmp_path / "out.csv"
+        argv = command + ["--step-max", str(2**61)]
+        if command[0] == "sweep":
+            argv += ["--out", str(out)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "STEP_MAX_LIMIT" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_output(self):
         assert run_cli("gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",
                        "--out", "/no/such/dir/file.txt") == 2

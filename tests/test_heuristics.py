@@ -11,7 +11,7 @@ from scubasearch import (
     netcrawler,
     scuba,
 )
-from scubasearch.heuristics import MOVE_NEUTRAL, MOVE_REJECT
+from scubasearch.heuristics import MOVE_NEUTRAL, MOVE_REJECT, STEP_MAX_LIMIT
 
 
 def scan(landscape, s):
@@ -180,6 +180,9 @@ class TestNetcrawler:
         with pytest.raises(ValueError):
             netcrawler(landscape, np.zeros(4, dtype=np.uint8),
                        np.random.default_rng(0), 0)
+        with pytest.raises(ValueError, match="STEP_MAX_LIMIT"):
+            netcrawler(landscape, np.zeros(4, dtype=np.uint8),
+                       np.random.default_rng(0), STEP_MAX_LIMIT + 1)
 
 
 class TestHillClimb2:

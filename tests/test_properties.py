@@ -43,9 +43,11 @@ from scubasearch import (
     neutral_mutation_profile,
     run_sweep,
     scuba,
+    search,
     serialize,
 )
 from scubasearch import cli
+from scubasearch.heuristics import _Runs
 
 Q_VALUES = (2, 3, 100, 128, 129, 2**15, 2**15 + 1, 2**31, 2**31 + 1, 2**40, 2**58)
 
@@ -145,36 +147,38 @@ def test_neutral_degree_sampling_never_builds_pair_structure(monkeypatch):
         assert means.shape == (2,)
 
 
-def _mutants(s, loci):
-    states = np.repeat(s[None, :], len(loci), axis=0)
-    states[np.arange(len(loci)), loci] ^= 1
-    return states
-
-
 @pytest.mark.parametrize("q", Q_VALUES)
 @settings(max_examples=50)
 @given(data=st.data())
 def test_score_vector_follows_flips(q, data):
+    # The run state's flip update, moving several runs at once, against a
+    # fresh scan of every run's genotype.
     landscape, s = data.draw(landscape_and_genotype(q))
     n = landscape.n
-    state = landscape.scores(s)
-    first = state
-    first_flips = landscape.batch_scan(s[None, :])[1][0]
-    for locus in data.draw(st.lists(st.integers(0, n - 1), max_size=12)):
-        state = state.flip(locus)
-        s[locus] ^= 1
-        totals, flips = landscape.batch_scan(s[None, :])
-        assert state.s.tolist() == s.tolist()
-        assert state.total == totals[0]
-        assert state.d.dtype == np.int64
-        assert state.d.tolist() == (flips[0] - totals[0]).tolist()
-    loci = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
-    rows = state.mutant_deltas(loci)
-    assert rows.dtype == np.int64 and rows.shape == (len(loci), n)
-    totals, flips = landscape.batch_scan(_mutants(s, loci))
-    assert rows.tolist() == (flips - totals[:, None]).tolist()
-    # A score vector never changes once built.
-    assert (first.total + first.d).tolist() == first_flips.tolist()
+    states = np.array([s.tolist()] + data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=3)), dtype=np.uint8)
+    runs = _Runs(landscape, states, trace=False)
+    for moves in data.draw(st.lists(st.dictionaries(
+            st.integers(0, len(states) - 1), st.integers(0, n - 1), min_size=1), max_size=8)):
+        rows, loci = np.array(list(moves)), np.array(list(moves.values()))
+        runs.flip(rows, loci, None)
+        states[rows, loci] ^= 1
+        pos, totals, deltas = landscape._row_deltas(states)
+        assert runs.idx.tolist() == pos.tolist()
+        assert runs.total.tolist() == totals.tolist()
+        assert runs.d.dtype == np.int64 and runs.d.tolist() == deltas.tolist()
+    # The batched mutant deltas: row r holds the one-bit deltas of genotype
+    # rows[r] with loci[r] flipped.
+    rows = np.array(data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1,
+                                       max_size=2 * n)))
+    loci = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows.size,
+                                       max_size=rows.size)))
+    got = landscape._mutant_deltas(runs.idx, runs.d, rows, loci)
+    assert got.dtype == np.int64 and got.shape == (rows.size, n)
+    mutants = states[rows]
+    mutants[np.arange(rows.size), loci] ^= 1
+    totals, flips = landscape.batch_scan(mutants)
+    assert got.tolist() == (flips - totals[:, None]).tolist()
 
 
 def _as_oracle_run(result):
@@ -207,6 +211,38 @@ def test_searchers_match_oracles(q, data):
     assert hc["evaluations"] == n * (hc["steps"] + 1)
     assert nc["evaluations"] == nc["steps"] == step_max
     assert ss["steps"] == ss["flat"] + ss["gate"]
+
+
+def _run_arrays(result):
+    """Everything a run reports, each trace array with its dtype."""
+    trace = result.trace
+    return (result.terminal.tolist(), result.fitness.total, result.steps,
+            result.flat_count, result.gate_count, result.evaluations,
+            [(str(a.dtype), a.tolist()) for a in (trace.s0, trace.loci, trace.totals,
+                                                   trace.kinds, trace.degns)])
+
+
+@pytest.mark.parametrize("heuristic", ("hc", "nc", "ss"))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_batch_of_runs_equals_runs_alone(heuristic, data):
+    # Runs advanced together stop in different rounds, and small q gives
+    # ties to break; step_max reaches past one chunk of netcrawler proposals.
+    landscape, _ = data.draw(landscape_and_genotype(data.draw(st.sampled_from(
+        (2, 3, 4, 100, 2**40)))))
+    n = landscape.n
+    runs = data.draw(st.integers(2, 12))
+    starts = [np.array(bits, dtype=np.uint8) for bits in data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=runs, max_size=runs))]
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))
+    step_max = data.draw(st.integers(1, 1100))
+    batch = search(landscape, heuristic, starts, [np.random.default_rng(seed) for seed in seeds],
+                   step_max, trace=True)
+    assert len(batch) == runs
+    for s0, seed, got in zip(starts, seeds, batch):
+        alone = search(landscape, heuristic, [s0], [np.random.default_rng(seed)], step_max,
+                       trace=True)
+        assert _run_arrays(got) == _run_arrays(alone[0])
 
 
 @pytest.mark.parametrize("q", Q_VALUES)

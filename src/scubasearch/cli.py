@@ -127,6 +127,8 @@ def _cmd_run(args) -> int:
         hx.check_step_max(args.step_max, "--step-max")
     except ValueError as exc:
         raise UsageError(str(exc))
+    if args.heuristic == "hc2" and args.n is not None:
+        hx.check_pair_totals(args.n)
     seed = _resolve_seed(args)
     landscape = _load_or_generate(
         args, lambda a: ex.landscape_seed(seed, a.k, a.q, 0))

@@ -97,6 +97,8 @@ class SweepConfig:
                 raise ValueError(f"unknown heuristic {h!r}")
         if len(set(self.heuristics)) != len(self.heuristics):
             raise ValueError("heuristics must not repeat")
+        if "hc2" in self.heuristics:
+            hx.check_pair_totals(self.n)
         if self.runs < 1 or self.instances < 1:
             raise ValueError("runs and instances must be >= 1")
         hx.check_step_max(self.step_max)
@@ -245,14 +247,11 @@ def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
         landscape = generate(n, k, q, mode,
                              seed=landscape_seed(seed, k, q, inst))
         rng = np.random.default_rng(derive_seed(seed, _SAMPLE_STREAM, k, q, inst))
-        done = 0
         acc = 0
-        while done < samples:
-            batch = min(chunk, samples - done)
-            states = rng.integers(0, 2, size=(batch, n), dtype=np.uint8)
+        for done in range(0, samples, chunk):
+            states = rng.integers(0, 2, size=(min(chunk, samples - done), n), dtype=np.uint8)
             totals, flips = landscape.batch_scan(states)
             acc += int((flips == totals[:, None]).sum())
-            done += batch
         means[inst] = acc / samples
     return means
 

@@ -24,16 +24,15 @@ The searchers carry the one-bit deltas ``d`` of the current point instead of
 rescanning it: a proposal at locus l reads ``total + d[l]``, and a move
 updates ``d`` from the components that read the flipped locus. The charges
 are the queries, not this compute. :func:`search` advances one landscape's
-hc, ss or nc runs together in one run state: each round moves every live run
-with one flip update, scuba's guard reads every live run's neutral neighbors
-from one batch of mutant deltas, and the netcrawler jumps each live run to
-its next accepted proposal, since a rejection leaves the state as it is.
-Each run draws from its own stream only, and what it would draw alone (the
+runs together in one run state: each round moves every live run with one
+flip update, scuba's guard reads every live run's neutral neighbors from
+one batch of mutant deltas, hc2 reads their distance-2 balls from one
+batch of pair totals, and the netcrawler jumps each live run to its next
+accepted proposal, since a rejection leaves the state as it is. Each run
+draws from its own stream only, and what it would draw alone (the
 netcrawler's proposals in chunks, which continue one stream), so batching
-cannot change an output; ``hill_climb``, ``netcrawler`` and ``scuba`` are
-batches of one. Only hc2 steps each run alone, reading its distance-2 ball
-off a :class:`~.landscape.ScoreVector`'s pair scan. Locality over every
-genotype of a small landscape is :func:`~.pathgraph.census`.
+cannot change an output; the four searchers are batches of one. Locality
+over every genotype of a small landscape is :func:`~.pathgraph.census`.
 
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
 genotype plus, per step, the flipped locus, the total, the kind of move and
@@ -46,11 +45,11 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .landscape import FitnessValue, ScoreVector, as_genotype
-from .neighborhood import extended_scan
+from .landscape import MAX_TABLE_ENTRIES, FitnessValue, LandscapeError, as_genotype
 
 MOVE_INIT = "init"
 MOVE_IMPROVE = "improve"
@@ -71,6 +70,9 @@ STEP_MAX_LIMIT = 2**20
 # Netcrawler proposals a run draws at a time, so a batch holds at most
 # runs x _PROPOSALS of them, never runs x step_max.
 _PROPOSALS = 512
+# Entries of the (n, n) pair totals one round of hc2 holds, so a batch holds
+# those of at most max(1, _PAIR_ENTRIES // n**2) runs at a time.
+_PAIR_ENTRIES = 2**18
 
 
 @dataclass
@@ -164,6 +166,13 @@ def check_step_max(step_max, name="step_max") -> None:
         raise ValueError(f"{name} must be {bound}, got {step_max}")
 
 
+def check_pair_totals(n) -> None:
+    """Raise ``LandscapeError`` if hc2's (n, n) pair totals exceed ``MAX_TABLE_ENTRIES``."""
+    if n * n > MAX_TABLE_ENTRIES:
+        raise LandscapeError(f"hc2 needs n*n = {n}*{n} pair totals, above MAX_TABLE_ENTRIES "
+                             f"= {MAX_TABLE_ENTRIES}; use n <= {isqrt(MAX_TABLE_ENTRIES)}")
+
+
 class _Runs:
     """The run state of R runs on one landscape: per run its start genotype
     (``s0``), its components' positions in the flattened tables (``idx``,
@@ -226,6 +235,14 @@ class _Runs:
                     evaluations.tolist(), traces)]
 
 
+def _draw(rngs, runs, picks):
+    """The locus each of ``runs`` moves at: run ``runs[i]`` draws one
+    ``integers(#candidates)`` from its own stream over its candidate loci,
+    row i of ``picks``, in ascending order."""
+    draws = [rngs[r].integers(c) for r, c in zip(runs.tolist(), picks.sum(axis=1).tolist())]
+    return (picks.cumsum(axis=1) > np.array(draws, dtype=np.int64)[:, None]).argmax(axis=1)
+
+
 def _climb(landscape, starts, rngs, trace, neutral_phase) -> list[RunResult]:
     """Hill climbing, or scuba when ``neutral_phase``, from each start, run
     i drawing from ``rngs[i]``; each round moves every live run once.
@@ -260,13 +277,38 @@ def _climb(landscape, starts, rngs, trace, neutral_phase) -> list[RunResult]:
             best = flat[at] & (lifts == lift[at])
             picks[at[best], loci[best]] = True
             moving |= flat
-        live, picks = live[moving], picks[moving]
-        # Each run draws its tie-break from its own stream, over its
-        # candidate loci in ascending order.
-        draws = [rngs[r].integers(c) for r, c in zip(live.tolist(), picks.sum(axis=1).tolist())]
-        loci = (picks.cumsum(axis=1) > np.array(draws, dtype=np.int64)[:, None]).argmax(axis=1)
-        runs.flip(live, loci, runs.moves[live].sum(axis=1) + 1)
+        live = live[moving]
+        runs.flip(live, _draw(rngs, live, picks[moving]), runs.moves[live].sum(axis=1) + 1)
     return runs.results(runs.moves.sum(axis=1), evaluations)
+
+
+def _climb2(landscape, starts, rngs, trace) -> list[RunResult]:
+    """:func:`hill_climb2` from each start, run i drawing from ``rngs[i]``;
+    each round moves every live run once, reading the pair totals of
+    ``max(1, _PAIR_ENTRIES // n**2)`` runs at a time."""
+    n = landscape.n
+    check_pair_totals(n)
+    runs = _Runs(landscape, starts, trace)
+    live = np.arange(len(rngs))
+    chunk = max(1, _PAIR_ENTRIES // (n * n))
+    while live.size:
+        moved = []
+        for first in range(0, live.size, chunk):
+            rows = live[first:first + chunk]
+            total, d = runs.total[rows], runs.d[rows]
+            flips = total[:, None] + d
+            # Locus a's best is the best total in the neighborhood of its
+            # one-bit mutant, the point itself (pair (a, a)) included.
+            best = np.maximum(flips, landscape._pair_totals(runs.idx[rows], total, d).max(axis=2))
+            ext = best.max(axis=1)
+            picks = np.where((flips.max(axis=1) == ext)[:, None], flips, best) == ext[:, None]
+            moving = ext > total
+            rows = rows[moving]
+            runs.flip(rows, _draw(rngs, rows, picks[moving]), runs.moves[rows].sum(axis=1) + 1)
+            moved.append(rows)
+        live = np.concatenate(moved)
+    steps = runs.moves.sum(axis=1)
+    return runs.results(steps, (steps + 1) * (n + n * (n - 1) // 2))
 
 
 def _crawl(landscape, starts, rngs, step_max, trace) -> list[RunResult]:
@@ -294,14 +336,13 @@ def _crawl(landscape, starts, rngs, step_max, trace) -> list[RunResult]:
 def search(landscape, heuristic, starts, rngs, step_max=300, trace=False) -> list[RunResult]:
     """One run of ``heuristic`` from each genotype of ``starts``, run i
     drawing its tie-breaks and proposals from ``rngs[i]`` only, so each
-    result is the one the run gives alone. hc, nc and ss advance the runs
-    together; hc2 steps each run alone."""
+    result is the one the run gives alone. The runs advance together."""
     if heuristic in ("hc", "ss"):
         return _climb(landscape, starts, rngs, trace, neutral_phase=heuristic == "ss")
     if heuristic == "nc":
         return _crawl(landscape, starts, rngs, step_max, trace)
     if heuristic == "hc2":
-        return [hill_climb2(landscape, s0, rng, trace) for s0, rng in zip(starts, rngs)]
+        return _climb2(landscape, starts, rngs, trace)
     raise ValueError(f"unknown heuristic {heuristic!r}")
 
 
@@ -331,29 +372,10 @@ def hill_climb2(landscape, s0, rng, trace=False) -> RunResult:
     neighbor attains the extended maximum, move to it; otherwise move to a
     neighbor whose own neighborhood attains it (such a lookahead move may
     lower the current fitness). Stops at a distance-2 local maximum. Each
-    point visited scans ``n + n*(n-1)/2`` distinct points.
+    point visited scans ``n + n*(n-1)/2`` distinct points. Refuses ``n*n``
+    above :data:`~.landscape.MAX_TABLE_ENTRIES`.
     """
-    n = landscape.n
-    runs = _Runs(landscape, [s0], trace)
-    steps = 0
-    while True:
-        # A view of the run's point, read before the run moves.
-        state = ScoreVector(landscape, runs.idx[0], int(runs.total[0]), runs.d[0])
-        pairs = extended_scan(landscape, state)
-        flips = state.total + state.d
-        evol_now = max(state.total, int(flips.max()))
-        evol_ext = max(evol_now, int(pairs.max()))
-        if evol_ext <= state.total:
-            break
-        if evol_now == evol_ext:
-            candidates = np.flatnonzero(flips == evol_ext)
-        else:
-            candidates = np.flatnonzero(np.maximum(flips, pairs.max(axis=1)) == evol_ext)
-        steps += 1
-        runs.flip(np.zeros(1, dtype=np.intp), candidates[[rng.integers(candidates.size)]],
-                  np.array([steps]))
-    steps = np.array([steps])
-    return runs.results(steps, (steps + 1) * (n + n * (n - 1) // 2))[0]
+    return _climb2(landscape, [s0], [rng], trace)[0]
 
 
 def scuba(landscape, s0, rng, trace=False) -> RunResult:

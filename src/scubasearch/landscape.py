@@ -151,12 +151,11 @@ def adjacent_links(n: int, k: int) -> np.ndarray:
 
 
 def _random_links(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    links = np.empty((n, k), dtype=np.int64)
-    everyone = np.arange(n)
-    for i in range(n):
-        others = np.delete(everyone, i)
-        links[i] = rng.choice(others, size=k, replace=False)
-    return links
+    """Row i: ``k`` distinct loci other than i, one ``rng.choice`` of k of
+    the n-1 others per locus, without replacement, loci ascending."""
+    links = np.stack([rng.choice(n - 1, size=k, replace=False) for _ in range(n)])
+    # Draw j names the j-th locus other than i.
+    return links + (links >= np.arange(n)[:, None])
 
 
 class NkqLandscape:
@@ -328,35 +327,21 @@ class NkqLandscape:
         _, totals, deltas = self._row_deltas(states)
         return totals, totals[:, None] + deltas
 
-    def _pair_terms(self, i, wa, wb) -> np.ndarray:
-        """int64 interaction term ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]``
-        of table positions ``i`` and bit weights ``wa``, ``wb`` (broadcast
-        together): what flipping both bits adds to the sum of the two one-bit
-        changes (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
-        2014). It is 0 when either weight is 0, and ``2*(T[i] - T[i^wa])``,
-        minus twice a one-bit change, when ``wa == wb``."""
-        tab = self._tab_flat
-        j = i ^ wa
-        # Each difference fits the table dtype; the term reaches +-2(q-1).
-        return np.subtract(tab[j ^ wb] - tab[j], tab[i ^ wb] - tab[i], dtype=np.int64)
-
     def _pair_structure(self):
-        """``(by_pair, by_locus)`` entries of :meth:`_pair_terms`, built on
-        first use from ``_loci`` and the ``_aff_*`` groups.
+        """``(ball, by_locus)``, built on first use from ``_loci`` and the
+        ``_aff_*`` groups.
 
-        - ``by_pair = (comp, wa, wb, starts, flat, flat_t)``: one entry per
-          pair of loci a component reads, C(k+1, 2) per component, holding
-          the component and the pair's two weights, sorted by the pair key
-          ``a*n + b`` (a < b). ``starts`` marks each key's first entry, and
-          ``flat``/``flat_t`` are the positions of (a, b) and (b, a) in the
-          flattened n x n pair matrix.
+        - ``ball = (masks, pa, pb, keys)``: XORed into a component's table
+          position, ``masks`` reach its distance-2 table ball: 0, the
+          ``_bits``, then the C(k+1, 2) masks ``_bits[pa] | _bits[pb]``;
+          ``keys[j, p]`` is the flat n x n position of the pair
+          (``_loci[j, pa[p]]``, ``_loci[j, pb[p]]``).
         - ``by_locus = (comps, weights, targets)``: row l of ``comps`` and
           ``weights`` lists the components reading l and l's weight in each
           (the ``_aff_*`` group of l), padded to the longest row with
           component 0 at weight 0, whose terms are 0; ``targets[l]`` is
-          ``_loci[comps[l]]`` flattened, so the terms of ``comps[l]`` at
-          (``weights[l]``, ``_bits``) are what flipping l adds to the
-          one-bit change at each target.
+          ``_loci[comps[l]]`` flattened, the loci whose one-bit changes
+          those components' terms at (``weights[l]``, ``_bits``) move.
 
         Two threads may both build it; they build the same arrays.
         Landscapes that never take a distance-2 scan or move a run never
@@ -365,15 +350,8 @@ class NkqLandscape:
         if self._pairs is None:
             n, k = self.n, self.k
             pa, pb = np.triu_indices(k + 1, 1)
-            comp = np.repeat(np.arange(n), pa.size)
-            wa, wb = np.tile(self._bits[pa], n), np.tile(self._bits[pb], n)
-            la, lb = self._loci[:, pa].ravel(), self._loci[:, pb].ravel()
-            key = np.minimum(la, lb) * n + np.maximum(la, lb)
-            order = np.argsort(key, kind="stable")
-            key = key[order]
-            starts = np.flatnonzero(np.diff(key, prepend=-1))
-            lo, hi = np.divmod(key[starts], n)
-            by_pair = (comp[order], wa[order], wb[order], starts, key[starts], hi * n + lo)
+            masks = np.concatenate(([0], self._bits, self._bits[pa] | self._bits[pb]))
+            ball = (masks, pa, pb, self._loci[:, pa] * n + self._loci[:, pb])
 
             counts = self._aff_ends - self._aff_starts
             rows = np.repeat(np.arange(n), counts)
@@ -382,19 +360,49 @@ class NkqLandscape:
             weights = np.zeros_like(comps)
             comps[rows, cols, 0] = self._aff_locus
             weights[rows, cols, 0] = self._aff_weight
-            self._pairs = (by_pair, (comps, weights, self._loci[comps].reshape(n, -1)))
+            self._pairs = (ball, (comps, weights, self._loci[comps].reshape(n, -1)))
         return self._pairs
+
+    def _pair_totals(self, idx, totals, d) -> np.ndarray:
+        """``(R, n, n)`` int64: entry [r, a, b] is the total of row r of the
+        table positions ``idx``, ``totals`` and one-bit deltas ``d`` with
+        loci a and b both flipped, the total itself when a == b. A two-bit
+        move adds ``d[a] + d[b]`` and the terms of the components reading
+        both loci; one gather of each component's distance-2 table ball
+        forms all n*C(k+1, 2) terms, and one scatter sums them by pair."""
+        (masks, pa, pb, keys), _ = self._pair_structure()
+        rows, n = d.shape
+        ball = self._tab_flat[idx[:, :, None] ^ masks]
+        t0, t1, t2 = ball[..., :1], ball[..., 1:self.k + 2], ball[..., self.k + 2:]
+        # Each difference fits the table dtype and a term, +-2(q-1), the
+        # dtype holding -2q; the scatter sums in int64.
+        terms = np.subtract(t2 - t1[..., pa], t1[..., pb] - t0, dtype=_table_dtype(2 * self.q))
+        sums = np.zeros((rows, n, n), dtype=np.int64)
+        np.add.at(sums.reshape(-1), np.add.outer((n * n) * np.arange(rows), keys).ravel(),
+                  terms.astype(np.int64).ravel())
+        pairs = sums + sums.transpose(0, 2, 1)
+        pairs += (totals[:, None] + d)[:, :, None]
+        pairs += d[:, None, :]
+        pairs.reshape(rows, -1)[:, ::n + 1] = totals[:, None]
+        return pairs
 
     def _flip_terms(self, idx, rows, loci):
         """``(at, terms)``, two (len(rows), c*(k+1)) arrays, c the most
         components reading one locus: flipping locus ``loci[r]`` of
         the genotype whose table positions are row ``rows[r]`` of ``idx``
         adds ``terms[r, e]`` to its one-bit delta at locus ``at[r, e]``: the
-        pair terms of the components that read both loci. At the flipped
-        locus itself they sum to minus twice its delta, negating it."""
+        pair terms ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]`` of the
+        components that read both loci, at table position i and weights wa
+        and wb (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
+        2014). At the flipped locus itself they sum to minus twice its
+        delta, negating it."""
         comps, weights, targets = self._pair_structure()[1]
-        terms = self._pair_terms(idx[rows[:, None, None], comps[loci]], weights[loci],
-                                 self._bits)
+        i = idx[rows[:, None, None], comps[loci]]
+        j = i ^ weights[loci]
+        tab = self._tab_flat
+        # Each difference fits the table dtype; a term reaches +-2(q-1).
+        terms = np.subtract(tab[j ^ self._bits] - tab[j], tab[i ^ self._bits] - tab[i],
+                            dtype=np.int64)
         return targets[loci], terms.reshape(len(rows), targets.shape[1])
 
     def _mutant_deltas(self, idx, d, rows, loci) -> np.ndarray:
@@ -424,21 +432,17 @@ class NkqLandscape:
 
     # -- misc ---------------------------------------------------------------
 
+    def _params(self):
+        return (self.n, self.k, self.q, self.mode, self.seed)
+
     def __eq__(self, other):
         if not isinstance(other, NkqLandscape):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.k == other.k
-            and self.q == other.q
-            and self.mode == other.mode
-            and self.seed == other.seed
-            and np.array_equal(self.links, other.links)
-            and np.array_equal(self.tables, other.tables)
-        )
+        return (self._params() == other._params() and np.array_equal(self.links, other.links)
+                and np.array_equal(self.tables, other.tables))
 
     def __hash__(self):
-        return hash((self.n, self.k, self.q, self.mode, self.seed))
+        return hash(self._params())
 
     def __repr__(self):
         return (
@@ -448,15 +452,13 @@ class NkqLandscape:
 
 
 class ScoreVector:
-    """A genotype together with what a one-bit search asks of it.
-
-    ``idx[j]`` is the position of component j's entry in the flattened
-    tables (its bit 0 is the allele at locus j), ``total`` the exact total and ``d[l]`` (int64) the change of the
-    total when locus l flips, so the flip total at l is ``total + d[l]``
-    without a scan (Whitley & Chen, GECCO 2012), and the distance-2 ball is
-    :meth:`pair_scan`. It counts no queries; each searcher states its own
-    charge.
-    """
+    """A genotype together with what a one-bit search asks of it: ``idx[j]``,
+    the position of component j's entry in the flattened tables (its bit 0
+    is the allele at locus j), the exact ``total``, and ``d[l]`` (int64), the
+    change of the total when locus l flips, so the flip total at l is
+    ``total + d[l]`` without a scan (Whitley & Chen, GECCO 2012); the
+    distance-2 ball is :meth:`pair_scan`. It counts no queries; each
+    searcher states its own charge."""
 
     __slots__ = ("landscape", "idx", "total", "d")
 
@@ -467,20 +469,10 @@ class ScoreVector:
         self.d = d
 
     def pair_scan(self) -> np.ndarray:
-        """``(n, n)`` int64: entry (a, b) is the total of ``s`` with loci a
-        and b both flipped; the diagonal holds ``total``. Exact: a two-bit
-        move changes the total by ``d[a] + d[b]`` plus, for every component
-        reading both a and b, its :meth:`~NkqLandscape._pair_terms` term, so
-        the n*C(k+1, 2) interaction terms at ``idx`` cover the whole
-        distance-2 ball without a scan."""
-        landscape = self.landscape
-        pairs = (self.total + self.d)[:, None] + self.d[None, :]
-        np.fill_diagonal(pairs, self.total)
-        (comp, wa, wb, starts, flat, flat_t), _ = landscape._pair_structure()
-        sums = np.add.reduceat(landscape._pair_terms(self.idx[comp], wa, wb), starts)
-        pairs.ravel()[flat] += sums
-        pairs.ravel()[flat_t] += sums
-        return pairs
+        """``(n, n)`` int64: entry (a, b) is the total with loci a and b both
+        flipped, ``total`` when a == b (:meth:`NkqLandscape._pair_totals`)."""
+        return self.landscape._pair_totals(
+            self.idx[None], np.array([self.total], dtype=np.int64), self.d[None])[0]
 
 
 def generate(n, k, q, mode=RANDOM, seed=None) -> NkqLandscape:

@@ -209,24 +209,6 @@ def to_dot(annotated: AnnotatedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 @dataclass
 class Census:
     """Exhaustive structural counts of a small landscape.
@@ -283,13 +265,16 @@ def census(landscape: NkqLandscape) -> Census:
     local = graph.local
     terminals = _nodes(local["evol", "Vn"] & local["f", "V"])
 
-    totals, nbr_ids, nbr_totals = graph.totals, graph.neighbor_ids, graph.neighbor_totals
-    uf = _UnionFind(graph.node_count)
-    for v in range(graph.node_count):
-        for l in range(graph.n):
-            if nbr_totals[v, l] == totals[v]:
-                uf.union(v, int(nbr_ids[v, l]))
-    networks = len({uf.find(v) for v in range(graph.node_count)})
+    # Each node takes the least label over itself and its neutral neighbors,
+    # then that label's own label, until no label falls: then every network
+    # holds one label, one of its own nodes.
+    neutral = graph.neighbor_totals == graph.totals[:, None]
+    labels, previous = np.arange(graph.node_count), None
+    while not np.array_equal(labels, previous):
+        least = np.where(neutral, labels[graph.neighbor_ids], labels[:, None]).min(axis=1)
+        previous, labels = labels, np.minimum(labels, least)
+        labels = labels[labels]
+    networks = np.unique(labels).size
 
     return Census(graph.node_count, {key: _nodes(mask) for key, mask in local.items()},
                   terminals, networks)

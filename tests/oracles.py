@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 
 def naive_total(landscape, s) -> int:
     """Fitness total straight from the definition, one locus at a time."""
@@ -116,14 +118,25 @@ def neutral_networks(fm: dict) -> list[set[tuple]]:
     return components
 
 
+def random_links(n, k, rng):
+    """Random-mode links, one locus at a time: ``k`` distinct loci drawn by
+    ``rng.choice`` from the list of the n-1 loci other than i."""
+    links = np.empty((n, k), dtype=np.int64)
+    everyone = np.arange(n)
+    for i in range(n):
+        links[i] = rng.choice(np.delete(everyone, i), size=k, replace=False)
+    return links
+
+
 # -- searchers ----------------------------------------------------------------
 #
-# Pure-Python runs of the library's one-bit searchers, step by step, with the
+# Pure-Python runs of the library's searchers, step by step, with the
 # library's draw order: ties go to ``rng.integers(len(candidates))`` over the
 # candidate loci in ascending order, and the netcrawler draws one scalar
 # ``rng.integers(n)`` per step. Each returns the terminal, its total, the
 # step and move counts, the evaluations charged (n per scan of a point's
-# neighbors) and the trace as (kind, total) pairs.
+# neighbors, n + n*(n-1)/2 per scan of its distance-2 ball) and the trace as
+# (kind, total) pairs.
 
 
 def _memo_totals(landscape):
@@ -184,6 +197,38 @@ def scuba(landscape, s0, rng):
     return _climb(landscape, s0, rng, neutral_phase=True)
 
 
+def hill_climb2(landscape, s0, rng):
+    """Two-step hill climbing over the distance-2 ball: while some point
+    within distance 2 is strictly fitter, move to a neighbor attaining the
+    best such total if one does, else to a neighbor whose own neighborhood
+    attains it (a lookahead move, which may lower the total). Each point
+    visited is charged ``n + n*(n-1)/2`` queries."""
+    f = _memo_totals(landscape)
+    s = tuple(int(b) for b in s0)
+    n = len(s)
+    total = f(s)
+    flat = gate = steps = 0
+    trace = [("init", total)]
+    while True:
+        flips = [f(flip(s, locus)) for locus in range(n)]
+        reach = [max(f(m) for m in neighborhood(flip(s, locus))) for locus in range(n)]
+        best = max([total] + reach)
+        if best <= total:
+            return _run(s, total, steps, flat, gate, (n + n * (n - 1) // 2) * (steps + 1),
+                        trace)
+        guide = flips if best in flips else reach
+        candidates = [locus for locus in range(n) if guide[locus] == best]
+        locus = candidates[int(rng.integers(len(candidates)))]
+        s = flip(s, locus)
+        kind = "improve" if flips[locus] > total else (
+            "neutral" if flips[locus] == total else "descend")
+        flat += kind == "neutral"
+        gate += kind == "improve"
+        steps += 1
+        total = flips[locus]
+        trace.append((kind, total))
+
+
 def netcrawler(landscape, s0, rng, step_max):
     """``step_max`` uniform proposals, each one query; a proposal that does
     not lower the total is taken."""
@@ -222,8 +267,6 @@ def neutral_mutation_profile(report, heuristics=("nc", "ss")):
     steps, closing a visit on each step that is not a rejection. Rows are
     ``(heuristic, degn, steps, p_neutral_step, visits, p_neutral_state)``,
     sorted by heuristic and degree."""
-    import numpy as np
-
     from scubasearch import generate
 
     acc = {}

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from dotgrammar import validate_dot
-from scubasearch import deserialize, generate, save_landscape
+from scubasearch import NkqLandscape, deserialize, generate, save_landscape
 from scubasearch.cli import main
 
 
@@ -244,6 +244,36 @@ class TestErrorHandling:
         assert err.count("\n") == 1 and "STEP_MAX_LIMIT" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--heuristic", "hc2", "--n", "100000", "--k", "0", "--q", "2"],
+        ["sweep", "--n", "30000", "--k", "0", "--q", "2", "--heuristics", "hc2",
+         "--runs", "1", "--instances", "1"],
+    ], ids=["run", "sweep"])
+    def test_oversized_hc2_pair_totals(self, command, tmp_path, capsys, monkeypatch):
+        # hc2's (n, n) pair totals would take 74.5 or 6.7 GiB: refused in one
+        # line, before a seed is drawn, a landscape made or a file written.
+        def refuse(*args, **kwargs):
+            raise AssertionError("landscape generated")
+
+        monkeypatch.setattr(NkqLandscape, "generate", refuse)
+        out = tmp_path / "out.csv"
+        argv = command + (["--out", str(out)] if command[0] == "sweep" else [])
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "hc2 needs n*n" in err
+        assert not out.exists()
+
+    def test_oversized_hc2_landscape_file(self, tmp_path, capsys):
+        # A loaded landscape is refused by the same check before any search.
+        path = tmp_path / "wide.txt"
+        n = 11586
+        path.write_text(f"format nkq-landscape-1\nn {n}\nk 0\nq 2\nmode random\nseed 1\n"
+                        + "".join(f"{i} 0 1\n" for i in range(n)))
+        assert run_cli("run", "--heuristic", "hc2", "--landscape", str(path),
+                       "--seed", "1") == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "hc2 needs n*n = 11586*11586" in err
 
     def test_unwritable_output(self):
         assert run_cli("gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",

@@ -46,8 +46,9 @@ from scubasearch import (
     search,
     serialize,
 )
-from scubasearch import cli
+from scubasearch import cli, heuristics
 from scubasearch.heuristics import _Runs
+from scubasearch.landscape import _random_links
 
 Q_VALUES = (2, 3, 100, 128, 129, 2**15, 2**15 + 1, 2**31, 2**31 + 1, 2**40, 2**58)
 
@@ -137,6 +138,22 @@ def test_is_local_v2_matches_oracle(q, data):
         assert (node in local) == oracles.is_local(fm, base, guide, structure)
 
 
+@settings(max_examples=30)
+@given(n=st.integers(1, 300), k=st.integers(0, 299), seed=st.integers(0, 2**32 - 1))
+@example(n=64, k=0, seed=1)
+@example(n=64, k=16, seed=2)
+@example(n=64, k=63, seed=3)
+@example(n=3000, k=3, seed=4)
+def test_random_links_match_the_per_locus_loop(n, k, seed):
+    # The same links, and the stream left where the loop leaves it.
+    k %= n
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    links = _random_links(n, k, rng)
+    expected = oracles.random_links(n, k, oracle_rng)
+    assert links.dtype == expected.dtype and links.tolist() == expected.tolist()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_neutral_degree_sampling_never_builds_pair_structure(monkeypatch):
     def refuse(self):
         raise AssertionError("pair structure built")
@@ -200,6 +217,7 @@ def test_searchers_match_oracles(q, data):
         (hill_climb, oracles.hill_climb, {}),
         (netcrawler, oracles.netcrawler, {"step_max": step_max}),
         (scuba, oracles.scuba, {}),
+        (hill_climb2, oracles.hill_climb2, {}),
     )
     results = []
     for search, oracle, kwargs in runs:
@@ -207,10 +225,11 @@ def test_searchers_match_oracles(q, data):
             search(landscape, s, np.random.default_rng(seed), trace=True, **kwargs))
         assert got == oracle(landscape, s, np.random.default_rng(seed), **kwargs)
         results.append(got)
-    hc, nc, ss = results
+    hc, nc, ss, hc2 = results
     assert hc["evaluations"] == n * (hc["steps"] + 1)
     assert nc["evaluations"] == nc["steps"] == step_max
     assert ss["steps"] == ss["flat"] + ss["gate"]
+    assert hc2["evaluations"] == (n + comb(n, 2)) * (hc2["steps"] + 1)
 
 
 def _run_arrays(result):
@@ -222,12 +241,14 @@ def _run_arrays(result):
                                                    trace.kinds, trace.degns)])
 
 
-@pytest.mark.parametrize("heuristic", ("hc", "nc", "ss"))
+@pytest.mark.parametrize("heuristic", ("hc", "nc", "hc2", "ss"))
 @settings(max_examples=60)
 @given(data=st.data())
 def test_batch_of_runs_equals_runs_alone(heuristic, data):
     # Runs advanced together stop in different rounds, and small q gives
-    # ties to break; step_max reaches past one chunk of netcrawler proposals.
+    # ties to break; step_max reaches past one chunk of netcrawler proposals,
+    # and hc2 reads the pair totals of `chunk` runs at a time, so a batch may
+    # span several chunks, the last one short.
     landscape, _ = data.draw(landscape_and_genotype(data.draw(st.sampled_from(
         (2, 3, 4, 100, 2**40)))))
     n = landscape.n
@@ -236,8 +257,11 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
         st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=runs, max_size=runs))]
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))
     step_max = data.draw(st.integers(1, 1100))
-    batch = search(landscape, heuristic, starts, [np.random.default_rng(seed) for seed in seeds],
-                   step_max, trace=True)
+    chunk = data.draw(st.integers(1, runs))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heuristics, "_PAIR_ENTRIES", chunk * n * n)
+        batch = search(landscape, heuristic, starts,
+                       [np.random.default_rng(seed) for seed in seeds], step_max, trace=True)
     assert len(batch) == runs
     for s0, seed, got in zip(starts, seeds, batch):
         alone = search(landscape, heuristic, [s0], [np.random.default_rng(seed)], step_max,

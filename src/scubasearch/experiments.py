@@ -188,23 +188,22 @@ def run_heuristic(landscape: NkqLandscape, heuristic: str, rng, step_max: int,
 
 def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]:
     """Every heuristic's runs on cell ``(k, q)``, keyed by heuristic, one
-    batch per landscape. The cell's landscapes live only as long as this."""
-    landscapes = [
-        generate(config.n, k, q, config.mode,
-                 seed=landscape_seed(config.base_seed, k, q, inst))
-        for inst in range(min(config.instances, config.runs))
-    ]
-    out = {}
-    for h in config.heuristics:
-        recs = out[h] = [None] * config.runs
-        for inst, landscape in enumerate(landscapes):
-            runs = range(inst, config.runs, config.instances)
+    batch per landscape. Each instance's landscape is generated, serves
+    every heuristic's batch and is dropped before the next one is
+    generated, so one landscape is alive at a time; records are filled by
+    run index, so their order does not depend on this."""
+    out = {h: [None] * config.runs for h in config.heuristics}
+    for inst in range(min(config.instances, config.runs)):
+        landscape = generate(config.n, k, q, config.mode,
+                             seed=landscape_seed(config.base_seed, k, q, inst))
+        runs = range(inst, config.runs, config.instances)
+        for h in config.heuristics:
             seeds = [run_seed(config.base_seed, k, q, h, inst, r) for r in runs]
             rngs = [np.random.default_rng(rs) for rs in seeds]
             starts = [rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs]
             results = hx.search(landscape, h, starts, rngs, config.step_max, config.keep_traces)
             for r, rs, result in zip(runs, seeds, results):
-                recs[r] = RunRecord(
+                out[h][r] = RunRecord(
                     heuristic=h, k=k, q=q, instance=inst, run=r,
                     landscape_seed=landscape.seed, run_seed=rs,
                     fitness_total=result.fitness.total,
@@ -213,16 +212,18 @@ def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]
                     gate=result.gate_count, evaluations=result.evaluations,
                     trace=result.trace,
                 )
+        del landscape
     return out
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run every cell of the grid; uniform-random initial genotypes per run.
 
-    Cells run in (k, q, heuristic) order, so only one (k, q) cell's
-    landscapes are held at a time, and the records aggregate in config order
-    (heuristic, k, q, run). Every run has its own seed, so the report and
-    the files written from it never depend on scheduling.
+    Cells run in (k, q) order and each runs its instances one at a time,
+    every heuristic on each, so only one landscape is held at a time; the
+    records aggregate in config order (heuristic, k, q, run). Every run has
+    its own seed, so the report and the files written from it never depend
+    on scheduling.
     """
     cells = {(k, q): _run_cell(config, k, q)
              for k in config.k_values for q in config.q_values}
@@ -242,6 +243,10 @@ def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
     if samples < 1 or instances < 1:
         raise ValueError("samples and instances must be >= 1")
     means = np.empty(instances)
+    # Rows drawn per rng call. batch_scan bounds its own temporaries, so
+    # this bounds only the draw; it stays as it is because a uint8 draw
+    # drops its buffered bytes at the end of each call, so another chunk
+    # would move the stream whenever n is not a multiple of 4.
     chunk = max(1, 4_000_000 // (n * (k + 1)))
     for inst in range(instances):
         landscape = generate(n, k, q, mode,
@@ -253,6 +258,8 @@ def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
             totals, flips = landscape.batch_scan(states)
             acc += int((flips == totals[:, None]).sum())
         means[inst] = acc / samples
+        # Drop this instance's landscape before the next one is generated.
+        del landscape
     return means
 
 

@@ -41,6 +41,11 @@ _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
 # unless a single row is longer, so the int64 draw buffer stays small.
 _DRAW_CHUNK = 2**16
 
+# Gathered table entries (rows x n*(k+1)) batch_scan handles per block of
+# rows, at least one row, so its int64 index temporaries stay near 2**15 * 8
+# bytes each, in cache, whatever the batch size.
+_SCAN_ENTRIES = 2**15
+
 
 def _table_dtype(q: int) -> np.dtype:
     """Smallest signed integer dtype holding ``-q``, hence every entry in
@@ -82,15 +87,24 @@ def as_genotype(s, n: int | None = None) -> np.ndarray:
         if s.strip("01"):
             raise LandscapeError(f"genotype string must hold only 0 and 1, got {s!r}")
         s = np.array([int(c) for c in s], dtype=np.uint8)
+    return _alleles(s, 1, n)
+
+
+def _alleles(s, ndim: int, n: int | None) -> np.ndarray:
+    """``s`` as a uint8 array of ``ndim`` dimensions (a genotype, or a
+    matrix of one genotype per row) whose last axis has length ``n``, if
+    given; its values must be bool or integer 0/1."""
     arr = np.asarray(s)
     if arr.dtype.kind not in "biu":
         raise LandscapeError(f"genotype alleles must be bool or integer, got dtype {arr.dtype}")
-    if arr.ndim != 1:
-        raise LandscapeError(f"genotype must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        what = "genotype must be one" if ndim == 1 else "genotype matrix must be two"
+        raise LandscapeError(f"{what}-dimensional, got shape {arr.shape}")
     if arr.size and (arr.max() > 1 or (arr.dtype.kind == "i" and arr.min() < 0)):
         raise LandscapeError("genotype alleles must be 0 or 1")
-    if n is not None and arr.size != n:
-        raise LandscapeError(f"genotype length {arr.size} does not match n={n}")
+    if n is not None and arr.shape[-1] != n:
+        what = "genotype" if ndim == 1 else "genotype row"
+        raise LandscapeError(f"{what} length {arr.shape[-1]} does not match n={n}")
     return arr.astype(np.uint8, copy=False)
 
 
@@ -305,7 +319,8 @@ class NkqLandscape:
     def _row_deltas(self, states: np.ndarray):
         """``(pos, totals, deltas)`` of each row of a (batch, n) genotype
         matrix: :meth:`_base_indices`, int64 totals, and ``deltas[b, l]``
-        (int64), the change of row b's total when locus l flips."""
+        (int64), the change of row b's total when locus l flips. ``states``
+        is not checked; the public entry points check their input."""
         pos = self._base_indices(states)
         tab = self._tab_flat
         vals = tab[pos]
@@ -313,19 +328,32 @@ class NkqLandscape:
         deltas = np.add.reduceat(dvals, self._aff_starts, axis=1, dtype=np.int64)
         return pos, vals.sum(axis=1, dtype=np.int64), deltas
 
-    def batch_totals(self, states: np.ndarray) -> np.ndarray:
-        """Totals of each row of a (batch, n) genotype matrix."""
+    def batch_totals(self, states) -> np.ndarray:
+        """Totals of each row of a (batch, n) genotype matrix of bool or
+        integer 0/1 alleles."""
+        states = _alleles(states, 2, self.n)
         return self._tab_flat[self._base_indices(states)].sum(axis=1, dtype=np.int64)
 
-    def batch_scan(self, states: np.ndarray):
-        """Totals of each row and of every one-bit mutant of each row.
+    def batch_scan(self, states):
+        """Totals of each row and of every one-bit mutant of each row of a
+        (batch, n) genotype matrix of bool or integer 0/1 alleles.
 
         Returns ``(totals, flip_totals)`` with shapes (batch,) and
         (batch, n); ``flip_totals[b, l]`` is the total of row b with locus l
-        flipped. One gather per affected component, not per genotype.
+        flipped. One gather per affected component, not per genotype. Rows
+        are scanned in blocks of at most :data:`_SCAN_ENTRIES` gathered
+        entries (at least one row) written into the two outputs, so the
+        scan's temporaries stay bounded whatever the batch size.
         """
-        _, totals, deltas = self._row_deltas(states)
-        return totals, totals[:, None] + deltas
+        states = _alleles(states, 2, self.n)
+        totals = np.empty(len(states), dtype=np.int64)
+        flips = np.empty(states.shape, dtype=np.int64)
+        block = max(1, _SCAN_ENTRIES // (self.n * (self.k + 1)))
+        for lo in range(0, len(states), block):
+            hi = lo + block
+            _, totals[lo:hi], deltas = self._row_deltas(states[lo:hi])
+            np.add(totals[lo:hi, None], deltas, out=flips[lo:hi])
+        return totals, flips
 
     def _pair_structure(self):
         """``(ball, by_locus)``, built on first use from ``_loci`` and the

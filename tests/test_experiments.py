@@ -41,6 +41,23 @@ def small_config(**overrides):
     return SweepConfig(**params)
 
 
+def track_landscapes(monkeypatch) -> list[int]:
+    """Patch ``experiments.generate`` to record, as each landscape is made,
+    how many of the landscapes it made are alive; returns those counts."""
+    alive = []
+    most_alive = []
+
+    def tracked_generate(*args, **kwargs):
+        landscape = generate(*args, **kwargs)
+        gc.collect()
+        alive.append(weakref.ref(landscape))
+        most_alive.append(sum(ref() is not None for ref in alive))
+        return landscape
+
+    monkeypatch.setattr(experiments, "generate", tracked_generate)
+    return most_alive
+
+
 class TestSeedDerivation:
     def test_repeatable(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -106,23 +123,13 @@ class TestRunSweep:
             assert (x.fitness_total, x.evaluations, x.run_seed) == \
                    (y.fitness_total, y.evaluations, y.run_seed)
 
-    def test_holds_one_cell_of_landscapes_and_keeps_record_order(self, monkeypatch):
-        alive = []
-        most_alive = []
-
-        def tracked_generate(*args, **kwargs):
-            landscape = generate(*args, **kwargs)
-            gc.collect()
-            alive.append(weakref.ref(landscape))
-            most_alive.append(sum(ref() is not None for ref in alive))
-            return landscape
-
-        monkeypatch.setattr(experiments, "generate", tracked_generate)
+    def test_holds_one_landscape_and_keeps_record_order(self, monkeypatch):
+        most_alive = track_landscapes(monkeypatch)
         config = small_config(k_values=(0, 2, 3), q_values=(2, 3), runs=5,
                               instances=2)
         report = run_sweep(config)
-        assert len(alive) == 3 * 2 * 2
-        assert max(most_alive) == config.instances
+        assert len(most_alive) == 3 * 2 * 2
+        assert max(most_alive) == 1
         assert [(r.heuristic, r.k, r.q, r.run) for r in report.records] == [
             (h, k, q, r) for h in config.heuristics for k in config.k_values
             for q in config.q_values for r in range(config.runs)
@@ -208,6 +215,11 @@ class TestNeutralDegreeStats:
     def test_validation(self):
         with pytest.raises(ValueError):
             neutral_degree_instance_means(8, 0, 2, samples=0)
+
+    def test_holds_one_landscape(self, monkeypatch):
+        most_alive = track_landscapes(monkeypatch)
+        neutral_degree_instance_means(12, 2, 3, samples=50, instances=4, seed=9)
+        assert most_alive == [1, 1, 1, 1]
 
 
 class TestNeutralMutationProfile:

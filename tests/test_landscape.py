@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,56 @@ class TestGenotypeCoercion:
             assert got.dtype == np.uint8 and got.tolist() == [1, 0]
         with pytest.raises(LandscapeError):
             as_genotype(np.array([-1, 0]))
+
+
+class TestBatchGenotypes:
+    """``batch_scan`` and ``batch_totals`` hold genotype matrices to
+    ``as_genotype``'s rules: two dimensions, n columns, bool or integer
+    0/1 alleles."""
+
+    @pytest.mark.parametrize("method", ["batch_scan", "batch_totals"])
+    @pytest.mark.parametrize("states, match", [
+        pytest.param(np.full((2, 8), 0.7), "bool or integer", id="float"),
+        pytest.param(np.zeros((0, 8)), "bool or integer", id="empty-float"),
+        pytest.param([[0, 0, 0, 0, 0, 0, 0, 3]], "0 or 1", id="allele-3"),
+        pytest.param(np.array([[0, 1, 0, 0, 0, 0, 0, -1]]), "0 or 1", id="allele-minus-1"),
+        pytest.param(np.zeros((1, 7), dtype=np.uint8), "length 7 does not match n=8",
+                     id="short-row"),
+        pytest.param(np.zeros(8, dtype=np.uint8), "two-dimensional", id="one-row-flat"),
+        pytest.param(np.zeros((1, 1, 8), dtype=np.uint8), "two-dimensional", id="3-d"),
+    ])
+    def test_rejects_bad_matrices(self, method, states, match):
+        landscape = generate(8, 2, 3, seed=1)
+        with pytest.raises(LandscapeError, match=match):
+            getattr(landscape, method)(states)
+
+    def test_accepts_bool_and_integer_matrices(self):
+        landscape = generate(8, 2, 3, seed=1)
+        bits = [[0, 1, 1, 0, 1, 0, 0, 1], [1, 1, 1, 1, 0, 0, 0, 0]]
+        totals, flips = landscape.batch_scan(np.array(bits, dtype=np.uint8))
+        for states in (np.array(bits, dtype=bool), np.array(bits, dtype=np.int64),
+                       np.array(bits, dtype=np.uint16), bits):
+            assert landscape.batch_totals(states).tolist() == totals.tolist()
+            got_totals, got_flips = landscape.batch_scan(states)
+            assert got_totals.tolist() == totals.tolist()
+            assert got_flips.tolist() == flips.tolist()
+        totals, flips = landscape.batch_scan(np.zeros((0, 8), dtype=bool))
+        assert totals.shape == (0,) and flips.shape == (0, 8)
+        assert landscape.batch_totals(np.zeros((0, 8), dtype=np.int64)).shape == (0,)
+
+    def test_scan_memory_is_bounded_above_its_outputs(self):
+        # 2000 rows at n=64, K=16. Scanned in one block, the gather's index
+        # arrays would take some 33 MB; in blocks they stay near 1 MB, so
+        # the bound is fixed rather than a share of the batch.
+        landscape = generate(64, 16, 2, seed=3)
+        states = np.random.default_rng(3).integers(0, 2, (2000, 64), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            totals, flips = landscape.batch_scan(states)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - totals.nbytes - flips.nbytes <= 2 * 2**20
 
 
 def component_index(landscape, s, locus):

@@ -47,6 +47,7 @@ from scubasearch import (
     serialize,
 )
 from scubasearch import cli, heuristics
+from scubasearch import landscape as landscape_module
 from scubasearch.heuristics import _Runs
 from scubasearch.landscape import _random_links
 
@@ -103,6 +104,55 @@ def test_batch_scan_matches_oracle(q, data):
         assert flips[b].tolist() == [
             oracles.naive_total(landscape, oracles.flip(base, a)) for a in range(n)
         ]
+
+
+def _check_scan(landscape, states, totals, flips, oracle_rows):
+    """``batch_scan``'s ``(totals, flips)`` of ``states`` against each row
+    scanned alone, and against the oracle at ``oracle_rows``."""
+    n = landscape.n
+    assert totals.dtype == np.int64 and totals.shape == (len(states),)
+    assert flips.dtype == np.int64 and flips.shape == (len(states), n)
+    for b, row in enumerate(states):
+        alone_totals, alone_flips = landscape.batch_scan(row[None])
+        assert totals[b] == alone_totals[0]
+        assert flips[b].tolist() == alone_flips[0].tolist()
+    for b in oracle_rows:
+        base = tuple(int(a) for a in states[b])
+        assert totals[b] == oracles.naive_total(landscape, base)
+        assert flips[b].tolist() == [
+            oracles.naive_total(landscape, oracles.flip(base, a)) for a in range(n)
+        ]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_blocked_batch_scan_equals_rows_alone(data):
+    # The block size is drawn from below one row (a block still holds one)
+    # to four rows of gathered entries, and the batch from empty to past
+    # several blocks, the last one short.
+    landscape, _ = data.draw(landscape_and_genotype(data.draw(st.sampled_from(
+        (2, 3, 100, 2**40)))))
+    n, k = landscape.n, landscape.k
+    entries = data.draw(st.integers(1, 4 * n * (k + 1)))
+    rows = data.draw(st.integers(0, 6 * max(1, entries // (n * (k + 1)))))
+    states = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=rows, max_size=rows)),
+        dtype=np.uint8).reshape(rows, n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landscape_module, "_SCAN_ENTRIES", entries)
+        totals, flips = landscape.batch_scan(states)
+    _check_scan(landscape, states, totals, flips, range(rows))
+
+
+def test_blocked_batch_scan_at_paper_scale():
+    # n=64, K=16 with the shipped block size: two whole blocks and a short
+    # one. The oracle reads the rows on each side of every block boundary.
+    landscape = generate(64, 16, 100, seed=15)
+    block = landscape_module._SCAN_ENTRIES // (64 * 17)
+    states = np.random.default_rng(15).integers(0, 2, (2 * block + 7, 64), dtype=np.uint8)
+    totals, flips = landscape.batch_scan(states)
+    _check_scan(landscape, states, totals, flips,
+                (0, block - 1, block, 2 * block - 1, 2 * block, len(states) - 1))
 
 
 @pytest.mark.parametrize("q", Q_VALUES)

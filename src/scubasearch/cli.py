@@ -2,9 +2,9 @@
 neutral-degree grids and path-graph export.
 
 Exit codes: 0 success, 1 usage error (bad flag or parameter range, named in
-the diagnostic), 2 runtime or I/O error. All randomness flows from --seed;
-without it a seed is drawn from system entropy and printed to stderr so the
-invocation can be replayed. Identical argv plus seed produce byte-identical
+the diagnostic), 2 runtime or I/O error, running out of memory included.
+All randomness flows from --seed; without it a seed is drawn from system
+entropy and printed to stderr so the invocation can be replayed. Identical argv plus seed produce byte-identical
 output files.
 """
 
@@ -178,6 +178,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_degn(args) -> int:
+    if not args.k or not args.q:
+        raise UsageError("k_values and q_values must be non-empty")
     _check_params(args.n, args.k, args.q, args.mode)
     if args.samples < 1 or args.instances < 1:
         raise UsageError("--samples and --instances must be >= 1")
@@ -320,6 +322,10 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     except OSError as exc:
         print(f"scubasearch: error: {exc}", file=sys.stderr)
+        return RUNTIME_EXIT
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"scubasearch: error: out of memory{detail}", file=sys.stderr)
         return RUNTIME_EXIT
 
 

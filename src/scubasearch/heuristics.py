@@ -27,7 +27,8 @@ are the queries, not this compute. :func:`search` advances one landscape's
 runs together in one run state: each round moves every live run with one
 flip update, scuba's guard reads every live run's neutral neighbors from
 one batch of mutant deltas, hc2 reads their distance-2 balls from one
-batch of pair totals, and the netcrawler jumps each live run to its next
+batch of pair totals (and its moved runs' new deltas off them, so its flip
+update only moves table positions), and the netcrawler jumps each live run to its next
 accepted proposal, since a rejection leaves the state as it is. Each run
 draws from its own stream only, and what it would draw alone (the
 netcrawler's proposals in chunks, which continue one stream), so batching
@@ -197,16 +198,22 @@ class _Runs:
             degns = self.landscape.n - np.count_nonzero(self.d[runs], axis=1)
             self.log.append((runs, entries, loci, self.total[runs], kinds, degns))
 
-    def flip(self, runs, loci, entries):
+    def flip(self, runs, loci, entries, pairs=None):
         """Flip locus ``loci[i]`` of run ``runs[i]``, reaching its trace
         entry ``entries[i]``, for every i at once. A move that keeps the
         total is flat, one that raises it a gate move, one that lowers it
-        (an hc2 lookahead) neither."""
+        (an hc2 lookahead) neither. Row i of ``pairs``, if given, holds the
+        totals of run ``runs[i]`` with ``loci[i]`` and each locus flipped
+        (the diagonal its flip total), so the new deltas are read off it."""
         gains = self.d[runs, loci]
         signs = np.sign(gains)
         self.moves[runs, signs] += 1
         self.total[runs] += gains
-        self.landscape._flip(self.idx, self.d, runs, loci)
+        if pairs is None:
+            self.landscape._flip(self.idx, self.d, runs, loci)
+        else:
+            self.d[runs] = pairs - self.total[runs, None]
+            self.landscape._flip_positions(self.idx, runs, loci)
         self._log(runs, entries, loci, _KIND_OF_SIGN[signs])
 
     def results(self, steps, evaluations) -> list[RunResult]:
@@ -297,14 +304,16 @@ def _climb2(landscape, starts, rngs, trace) -> list[RunResult]:
             rows = live[first:first + chunk]
             total, d = runs.total[rows], runs.d[rows]
             flips = total[:, None] + d
+            pairs = landscape._pair_totals(runs.idx[rows], total, d)
             # Locus a's best is the best total in the neighborhood of its
             # one-bit mutant, the point itself (pair (a, a)) included.
-            best = np.maximum(flips, landscape._pair_totals(runs.idx[rows], total, d).max(axis=2))
+            best = np.maximum(flips, pairs.max(axis=2))
             ext = best.max(axis=1)
             picks = np.where((flips.max(axis=1) == ext)[:, None], flips, best) == ext[:, None]
-            moving = ext > total
+            moving = np.flatnonzero(ext > total)
             rows = rows[moving]
-            runs.flip(rows, _draw(rngs, rows, picks[moving]), runs.moves[rows].sum(axis=1) + 1)
+            loci = _draw(rngs, rows, picks[moving])
+            runs.flip(rows, loci, runs.moves[rows].sum(axis=1) + 1, pairs[moving, loci])
             moved.append(rows)
         live = np.concatenate(moved)
     steps = runs.moves.sum(axis=1)

@@ -37,8 +37,8 @@ MAX_TABLE_ENTRIES = 2**27
 
 _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
 
-# Entries generate draws per rng call: whole rows, at most 2**16 entries
-# unless a single row is longer, so the int64 draw buffer stays small.
+# Table entries generate draws per rng call, in flat row-major order
+# whatever the row width, so its int64 draw buffer stays at 512 KB.
 _DRAW_CHUNK = 2**16
 
 # Gathered table entries (rows x n*(k+1)) batch_scan handles per block of
@@ -213,8 +213,11 @@ class NkqLandscape:
         if tables.size and (tables.min() < 0 or tables.max() > q - 1):
             raise LandscapeError(f"table entries must lie in [0, {q - 1}]")
         # astype copies, so the caller's array is never frozen or aliased.
-        tables = tables.astype(_table_dtype(q))
+        self._adopt(n, k, q, mode, links, tables.astype(_table_dtype(q)), seed)
 
+    def _adopt(self, n, k, q, mode, links, tables, seed):
+        """Keep and freeze valid arrays as they are: int64 ``links`` and
+        ``tables`` in :func:`_table_dtype`, owned by no one else."""
         self.n = int(n)
         self.k = int(k)
         self.q = int(q)
@@ -262,12 +265,13 @@ class NkqLandscape:
         Draw order is fixed: link rows for loci 0..n-1 first (random mode
         only; adjacent links consume no randomness), then every table entry,
         row-major, i.e. loci ascending and table index ascending. Entries
-        are drawn as int64 in chunks of whole rows and stored straight into
-        the compact table; each value comes from the bit generator's own
-        stream, so the chunks consume exactly what one draw of shape
-        (n, 2**(k+1)) would. Identical arguments always reproduce the same
-        instance; bit-equality across other implementations of this format
-        is not promised. A negative seed raises :class:`LandscapeError`.
+        are drawn as int64 in flat chunks of :data:`_DRAW_CHUNK` straight
+        into the compact table the landscape keeps; each value comes from
+        the bit generator's own stream, so the chunks consume exactly what
+        one draw of shape (n, 2**(k+1)) would. Identical arguments always
+        reproduce the same instance; bit-equality across other
+        implementations of this format is not promised. A negative seed
+        raises :class:`LandscapeError`.
         """
         check_params(n, k, q, mode)
         if seed is None:
@@ -279,13 +283,14 @@ class NkqLandscape:
             links = adjacent_links(n, k)
         else:
             links = _random_links(n, k, rng)
-        width = 2 ** (k + 1)
-        tables = np.empty((n, width), dtype=_table_dtype(q))
-        rows = max(1, _DRAW_CHUNK // width)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            tables[lo:hi] = rng.integers(0, q, size=(hi - lo, width), dtype=np.int64)
-        return cls(n, k, q, mode, links, tables, seed=seed)
+        tables = np.empty((n, 2 ** (k + 1)), dtype=_table_dtype(q))
+        flat = tables.reshape(-1)
+        for lo in range(0, flat.size, _DRAW_CHUNK):
+            chunk = flat[lo:lo + _DRAW_CHUNK]
+            chunk[:] = rng.integers(0, q, size=chunk.size, dtype=np.int64)
+        landscape = cls.__new__(cls)
+        landscape._adopt(n, k, q, mode, links.astype(np.int64, copy=False), tables, seed)
+        return landscape
 
     # -- evaluation ---------------------------------------------------------
 
@@ -366,8 +371,10 @@ class NkqLandscape:
           (``_loci[j, pa[p]]``, ``_loci[j, pb[p]]``).
         - ``by_locus = (comps, weights, targets)``: row l of ``comps`` and
           ``weights`` lists the components reading l and l's weight in each
-          (the ``_aff_*`` group of l), padded to the longest row with
-          component 0 at weight 0, whose terms are 0; ``targets[l]`` is
+          (the ``_aff_*`` group of l), padded to the longest row with the
+          first components that do not read l, at weight 0, whose terms
+          are 0; a row names no component twice, so a flip XORs the weights
+          in with one fancy assignment. ``targets[l]`` is
           ``_loci[comps[l]]`` flattened, the loci whose one-bit changes
           those components' terms at (``weights[l]``, ``_bits``) move.
 
@@ -382,12 +389,18 @@ class NkqLandscape:
             ball = (masks, pa, pb, self._loci[:, pa] * n + self._loci[:, pb])
 
             counts = self._aff_ends - self._aff_starts
-            rows = np.repeat(np.arange(n), counts)
-            cols = np.arange(rows.size) - np.repeat(self._aff_starts, counts)
-            comps = np.zeros((n, counts.max(), 1), dtype=np.int64)
+            width = counts.max()
+            # At most counts[l] of the first `width` components read l, so
+            # the others, ascending, fill row l's width - counts[l] pads.
+            reads = np.zeros((n, width), dtype=bool)
+            reads[self._loci[:width].ravel(), np.repeat(np.arange(width), k + 1)] = True
+            pads = np.argsort(reads, axis=1, kind="stable")
+            cols = np.arange(width)
+            comps = np.empty((n, width), dtype=np.int64)
             weights = np.zeros_like(comps)
-            comps[rows, cols, 0] = self._aff_locus
-            weights[rows, cols, 0] = self._aff_weight
+            readers = cols < counts[:, None]
+            comps[readers], weights[readers] = self._aff_locus, self._aff_weight
+            comps[~readers] = pads[cols < (width - counts)[:, None]]
             self._pairs = (ball, (comps, weights, self._loci[comps].reshape(n, -1)))
         return self._pairs
 
@@ -425,8 +438,8 @@ class NkqLandscape:
         2014). At the flipped locus itself they sum to minus twice its
         delta, negating it."""
         comps, weights, targets = self._pair_structure()[1]
-        i = idx[rows[:, None, None], comps[loci]]
-        j = i ^ weights[loci]
+        i = idx[rows[:, None], comps[loci]][..., None]
+        j = i ^ weights[loci][..., None]
         tab = self._tab_flat
         # Each difference fits the table dtype; a term reaches +-2(q-1).
         terms = np.subtract(tab[j ^ self._bits] - tab[j], tab[i ^ self._bits] - tab[i],
@@ -439,19 +452,26 @@ class NkqLandscape:
         ``d`` with locus ``loci[r]`` flipped."""
         at, terms = self._flip_terms(idx, rows, loci)
         out = d[rows]
-        np.add.at(out, (np.arange(len(rows))[:, None], at), terms)
+        np.add.at(out.reshape(-1), (at + self.n * np.arange(len(rows))[:, None]).ravel(),
+                  terms.ravel())
         return out
 
     def _flip(self, idx, d, rows, loci) -> None:
         """Flip locus ``loci[r]`` of row ``rows[r]`` of the (R, n) table
         positions ``idx`` and one-bit deltas ``d``, in place, for every r at
-        once: one gather of pair terms and one scatter for all the rows,
-        which must be distinct."""
+        once: one gather of pair terms and one scatter, on flattened indices
+        of the C-contiguous ``d``, for all the rows, which must be
+        distinct."""
         at, terms = self._flip_terms(idx, rows, loci)
-        np.add.at(d, (rows[:, None], at), terms)
+        np.add.at(d.reshape(-1), (at + self.n * rows[:, None]).ravel(), terms.ravel())
+        self._flip_positions(idx, rows, loci)
+
+    def _flip_positions(self, idx, rows, loci) -> None:
+        """XOR locus ``loci[r]``'s weight into the table positions of the
+        components of row ``rows[r]`` of ``idx`` that read it; rows must be
+        distinct. Padding entries XOR weight 0, which changes nothing."""
         comps, weights, _ = self._pair_structure()[1]
-        # Padding entries XOR weight 0 into component 0, which changes nothing.
-        np.bitwise_xor.at(idx, (rows[:, None], comps[loci, :, 0]), weights[loci, :, 0])
+        idx[rows[:, None], comps[loci]] ^= weights[loci]
 
     def scores(self, s) -> "ScoreVector":
         """The :class:`ScoreVector` of genotype ``s``, from one one-row scan."""

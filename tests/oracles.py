@@ -128,6 +128,15 @@ def random_links(n, k, rng):
     return links
 
 
+def generated_tables(n, k, q, mode, seed):
+    """The table ``generate`` draws, as int64: after the links (random mode
+    only; adjacent links draw nothing), every entry in one draw."""
+    rng = np.random.default_rng(seed)
+    if mode == "random":
+        random_links(n, k, rng)
+    return rng.integers(0, q, size=(n, 2 ** (k + 1)), dtype=np.int64)
+
+
 # -- searchers ----------------------------------------------------------------
 #
 # Pure-Python runs of the library's searchers, step by step, with the

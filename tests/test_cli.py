@@ -275,6 +275,31 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "hc2 needs n*n = 11586*11586" in err
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--heuristics", "hc", "--runs", str(10**15), "--instances", "1"],
+        ["degn", "--samples", "1", "--instances", str(10**15)],
+    ], ids=["sweep-runs", "degn-instances"])
+    def test_unallocatable_size_is_one_line(self, command, tmp_path, capsys):
+        # 10**15 records or means need petabytes, so the allocation fails at
+        # once: one diagnostic line and exit 2, no traceback and no output.
+        out = tmp_path / "out.csv"
+        argv = command + ["--n", "8", "--k", "0", "--q", "2", "--seed", "1", "--out", str(out)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "out of memory" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [["--k", "", "--q", "2"], ["--k", "0", "--q", ","]],
+                             ids=["k", "q"])
+    def test_degn_refuses_empty_grid(self, grid, tmp_path, capsys):
+        # Refused like an empty sweep grid, before a seed is drawn and printed.
+        out = tmp_path / "out.csv"
+        assert run_cli("degn", "--n", "8", *grid, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be non-empty" in err
+        assert not out.exists()
+
     def test_unwritable_output(self):
         assert run_cli("gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",
                        "--out", "/no/such/dir/file.txt") == 2

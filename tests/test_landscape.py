@@ -134,6 +134,18 @@ class TestGenerate:
                                                   dtype=np.int64)
         assert np.array_equal(got, want)
 
+    def test_generate_peaks_at_its_table(self):
+        # The table is drawn in 2**16-entry chunks straight into the array
+        # the landscape keeps, so nothing near its 8 MB is allocated twice.
+        generate(64, 2, 100, seed=1)
+        tracemalloc.start()
+        try:
+            landscape = generate(64, 16, 100, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= landscape.tables.nbytes + 0.75 * 2**20
+
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
     def test_constructor_copies_its_input(self, dtype):
         tables = np.array([[0, 2], [1, 1]], dtype=dtype)

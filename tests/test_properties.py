@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import oracles
 from scubasearch import (
+    HEURISTICS,
     MODES,
     MOVE_KINDS,
     LandscapeFormatError,
@@ -49,7 +50,7 @@ from scubasearch import (
 from scubasearch import cli, heuristics
 from scubasearch import landscape as landscape_module
 from scubasearch.heuristics import _Runs
-from scubasearch.landscape import _random_links
+from scubasearch.landscape import _random_links, _table_dtype
 
 Q_VALUES = (2, 3, 100, 128, 129, 2**15, 2**15 + 1, 2**31, 2**31 + 1, 2**40, 2**58)
 
@@ -202,6 +203,86 @@ def test_random_links_match_the_per_locus_loop(n, k, seed):
     expected = oracles.random_links(n, k, oracle_rng)
     assert links.dtype == expected.dtype and links.tolist() == expected.tolist()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@given(data=st.data())
+def test_generate_draws_one_draw_in_any_chunks(q, data):
+    # Chunks of any size, straddling rows or not, give the table of one
+    # draw; and the table generate hands over passes the constructor.
+    n = data.draw(st.integers(1, 10))
+    k = data.draw(st.integers(0, min(n - 1, 6)))
+    mode = data.draw(st.sampled_from(MODES))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    chunk = data.draw(st.integers(1, 3 * 2 ** (k + 1)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landscape_module, "_DRAW_CHUNK", chunk)
+        landscape = generate(n, k, q, mode, seed=seed)
+    assert landscape.tables.dtype == _table_dtype(q)
+    assert np.array_equal(landscape.tables, oracles.generated_tables(n, k, q, mode, seed))
+    assert landscape.links.dtype == np.int64
+    assert not landscape.links.flags.writeable and not landscape.tables.flags.writeable
+    rebuilt = NkqLandscape(n, k, q, mode, landscape.links, landscape.tables, landscape.seed)
+    assert rebuilt == landscape
+
+
+@given(data=st.data())
+@example(data=None)
+def test_by_locus_rows_name_each_component_once(data):
+    # Row l lists l's readers with their weights, then pads that do not
+    # read l at weight 0, so one fancy XOR assignment applies a flip.
+    if data is None:  # k = n-1: every component reads every locus, no pads
+        landscape = generate(7, 6, 2, seed=1)
+    else:
+        n = data.draw(st.integers(1, 14))
+        landscape = generate(n, data.draw(st.integers(0, n - 1)), 2,
+                             data.draw(st.sampled_from(MODES)), seed=data.draw(st.integers(0, 99)))
+    comps, weights, targets = landscape._pair_structure()[1]
+    loci = landscape._loci
+    assert comps.shape == weights.shape
+    for l, (row, row_weights) in enumerate(zip(comps.tolist(), weights.tolist())):
+        assert len(set(row)) == len(row)
+        readers = [j for j in range(landscape.n) if l in loci[j]]
+        assert row[:len(readers)] == readers
+        assert row_weights[:len(readers)] == [1 << loci[j].tolist().index(l) for j in readers]
+        assert all(l not in loci[j] for j in row[len(readers):])
+        assert row_weights[len(readers):] == [0] * (len(row) - len(readers))
+    if landscape.k == landscape.n - 1:
+        assert comps.shape[1] == landscape.n
+    assert targets.tolist() == loci[comps].reshape(landscape.n, -1).tolist()
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_run_state_matches_a_fresh_scan_after_every_round(heuristic, data):
+    # The flip update, and hc2's deltas read off its pair totals, against a
+    # fresh scan of each run's genotype after every round; k = 0 and
+    # k = n-1 bound the padding of the by-locus rows.
+    n = data.draw(st.integers(1, 9))
+    k = data.draw(st.sampled_from((0, n - 1)) | st.integers(0, n - 1))
+    landscape = generate(n, k, data.draw(st.sampled_from((2, 3, 100, 2**40))),
+                         data.draw(st.sampled_from(MODES)),
+                         seed=data.draw(st.integers(0, 2**32 - 1)))
+    runs = data.draw(st.integers(1, 6))
+    starts = [np.array(bits, dtype=np.uint8) for bits in data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=runs, max_size=runs))]
+    rngs = [np.random.default_rng(seed) for seed in data.draw(st.lists(
+        st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))]
+    flip, rounds = _Runs.flip, []
+
+    def checked_flip(state, *args):
+        flip(state, *args)
+        pos, totals, deltas = landscape._row_deltas((state.idx & 1).astype(np.uint8))
+        assert state.idx.tolist() == pos.tolist()
+        assert state.total.tolist() == totals.tolist()
+        assert state.d.dtype == np.int64 and state.d.tolist() == deltas.tolist()
+        rounds.append(len(args[0]))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Runs, "flip", checked_flip)
+        search(landscape, heuristic, starts, rngs, data.draw(st.integers(1, 600)))
+    assert rounds
 
 
 def test_neutral_degree_sampling_never_builds_pair_structure(monkeypatch):

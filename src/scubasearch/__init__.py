@@ -22,7 +22,6 @@ from .experiments import (
     neutral_degree_instance_means,
     neutral_degree_stats,
     neutral_mutation_profile,
-    run_heuristic,
     run_seed,
     run_sweep,
     step_stats,
@@ -52,7 +51,6 @@ from .landscape import (
     LandscapeError,
     LandscapeFormatError,
     NkqLandscape,
-    ScoreVector,
     adjacent_links,
     as_genotype,
     check_params,

@@ -128,14 +128,14 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.heuristic == "hc2" and args.n is not None:
-        hx.check_pair_totals(args.n)
+        hx.check_pair_gains(args.n)
     seed = _resolve_seed(args)
     landscape = _load_or_generate(
         args, lambda a: ex.landscape_seed(seed, a.k, a.q, 0))
     rs = ex.run_seed(seed, landscape.k, landscape.q, args.heuristic, 0, 0)
     rng = np.random.default_rng(rs)
-    result = ex.run_heuristic(landscape, args.heuristic, rng, args.step_max,
-                              trace=args.trace)
+    s0 = rng.integers(0, 2, size=landscape.n, dtype=np.uint8)
+    result = hx.search(landscape, args.heuristic, [s0], [rng], args.step_max, args.trace)[0]
     fv = result.fitness
     print(f"heuristic: {args.heuristic}")
     print(f"landscape: n={landscape.n} k={landscape.k} q={landscape.q} "
@@ -181,8 +181,11 @@ def _cmd_degn(args) -> int:
     if not args.k or not args.q:
         raise UsageError("k_values and q_values must be non-empty")
     _check_params(args.n, args.k, args.q, args.mode)
-    if args.samples < 1 or args.instances < 1:
-        raise UsageError("--samples and --instances must be >= 1")
+    try:
+        hx.check_count(args.samples, "--samples")
+        hx.check_count(args.instances, "--instances")
+    except ValueError as exc:
+        raise UsageError(str(exc))
     seed = _resolve_seed(args)
     lines = ["n,k,q,mode,instances,samples,mean_degn,se_degn"]
     for k in args.k:

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import heuristics as hx
-from .landscape import RANDOM, NkqLandscape, check_params, generate
+from .landscape import RANDOM, check_params, generate
 
 _LANDSCAPE_STREAM = 101
 _RUN_STREAM = 102
@@ -98,9 +98,9 @@ class SweepConfig:
         if len(set(self.heuristics)) != len(self.heuristics):
             raise ValueError("heuristics must not repeat")
         if "hc2" in self.heuristics:
-            hx.check_pair_totals(self.n)
-        if self.runs < 1 or self.instances < 1:
-            raise ValueError("runs and instances must be >= 1")
+            hx.check_pair_gains(self.n)
+        hx.check_count(self.runs, "runs")
+        hx.check_count(self.instances, "instances")
         hx.check_step_max(self.step_max)
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
@@ -178,14 +178,6 @@ class SweepReport:
         return out
 
 
-def run_heuristic(landscape: NkqLandscape, heuristic: str, rng, step_max: int,
-                  trace: bool) -> hx.RunResult:
-    """One run of ``heuristic`` from a uniform-random genotype drawn from
-    ``rng``, which then serves the run's tie-breaks."""
-    s0 = rng.integers(0, 2, size=landscape.n, dtype=np.uint8)
-    return hx.search(landscape, heuristic, [s0], [rng], step_max, trace)[0]
-
-
 def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]:
     """Every heuristic's runs on cell ``(k, q)``, keyed by heuristic, one
     batch per landscape. Each instance's landscape is generated, serves
@@ -240,8 +232,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
                                   mode=RANDOM) -> np.ndarray:
     """Mean neutral degree of uniform-random genotypes, one value per instance."""
-    if samples < 1 or instances < 1:
-        raise ValueError("samples and instances must be >= 1")
+    hx.check_count(samples, "samples")
+    hx.check_count(instances, "instances")
     means = np.empty(instances)
     # Rows drawn per rng call. batch_scan bounds its own temporaries, so
     # this bounds only the draw; it stays as it is because a uint8 draw

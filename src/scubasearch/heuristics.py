@@ -27,10 +27,10 @@ are the queries, not this compute. :func:`search` advances one landscape's
 runs together in one run state: each round moves every live run with one
 flip update, scuba's guard reads every live run's neutral neighbors from
 one batch of mutant deltas, hc2 reads their distance-2 balls from one
-batch of pair totals (and its moved runs' new deltas off them, so its flip
-update only moves table positions), and the netcrawler jumps each live run to its next
-accepted proposal, since a rejection leaves the state as it is. Each run
-draws from its own stream only, and what it would draw alone (the
+batch of pair gains, whose rows are its moved runs' new deltas, so its flip
+update only moves table positions, and the netcrawler jumps each live run
+to its next accepted proposal, since a rejection leaves the state as it is.
+Each run draws from its own stream only, and what it would draw alone (the
 netcrawler's proposals in chunks, which continue one stream), so batching
 cannot change an output; the four searchers are batches of one. Locality
 over every genotype of a small landscape is :func:`~.pathgraph.census`.
@@ -68,10 +68,13 @@ HEURISTICS = ("hc", "nc", "hc2", "ss")
 # The largest netcrawler budget a run may ask for, far above the paper's 300;
 # a larger one is refused before anything is drawn.
 STEP_MAX_LIMIT = 2**20
+# The most runs, instances or samples a sweep or a neutral-degree table may
+# ask for; a larger count is refused before anything is drawn.
+COUNT_LIMIT = 2**20
 # Netcrawler proposals a run draws at a time, so a batch holds at most
 # runs x _PROPOSALS of them, never runs x step_max.
 _PROPOSALS = 512
-# Entries of the (n, n) pair totals one round of hc2 holds, so a batch holds
+# Entries of the (n, n) pair gains one round of hc2 holds, so a batch holds
 # those of at most max(1, _PAIR_ENTRIES // n**2) runs at a time.
 _PAIR_ENTRIES = 2**18
 
@@ -162,15 +165,24 @@ class RunResult:
 
 def check_step_max(step_max, name="step_max") -> None:
     """Raise ``ValueError`` unless ``1 <= step_max <= STEP_MAX_LIMIT``."""
-    if not 1 <= step_max <= STEP_MAX_LIMIT:
-        bound = ">= 1" if step_max < 1 else f"<= STEP_MAX_LIMIT = {STEP_MAX_LIMIT}"
-        raise ValueError(f"{name} must be {bound}, got {step_max}")
+    _check_bound(step_max, name, "STEP_MAX_LIMIT", STEP_MAX_LIMIT)
 
 
-def check_pair_totals(n) -> None:
-    """Raise ``LandscapeError`` if hc2's (n, n) pair totals exceed ``MAX_TABLE_ENTRIES``."""
+def check_count(count, name) -> None:
+    """Raise ``ValueError`` unless ``1 <= count <= COUNT_LIMIT``."""
+    _check_bound(count, name, "COUNT_LIMIT", COUNT_LIMIT)
+
+
+def _check_bound(value, name, limit_name, limit) -> None:
+    if not 1 <= value <= limit:
+        bound = ">= 1" if value < 1 else f"<= {limit_name} = {limit}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
+def check_pair_gains(n) -> None:
+    """Raise ``LandscapeError`` if hc2's (n, n) pair gains exceed ``MAX_TABLE_ENTRIES``."""
     if n * n > MAX_TABLE_ENTRIES:
-        raise LandscapeError(f"hc2 needs n*n = {n}*{n} pair totals, above MAX_TABLE_ENTRIES "
+        raise LandscapeError(f"hc2 needs n*n = {n}*{n} pair gains, above MAX_TABLE_ENTRIES "
                              f"= {MAX_TABLE_ENTRIES}; use n <= {isqrt(MAX_TABLE_ENTRIES)}")
 
 
@@ -198,21 +210,21 @@ class _Runs:
             degns = self.landscape.n - np.count_nonzero(self.d[runs], axis=1)
             self.log.append((runs, entries, loci, self.total[runs], kinds, degns))
 
-    def flip(self, runs, loci, entries, pairs=None):
+    def flip(self, runs, loci, entries, deltas=None):
         """Flip locus ``loci[i]`` of run ``runs[i]``, reaching its trace
         entry ``entries[i]``, for every i at once. A move that keeps the
         total is flat, one that raises it a gate move, one that lowers it
-        (an hc2 lookahead) neither. Row i of ``pairs``, if given, holds the
-        totals of run ``runs[i]`` with ``loci[i]`` and each locus flipped
-        (the diagonal its flip total), so the new deltas are read off it."""
+        (an hc2 lookahead) neither. Row i of ``deltas``, if given, holds the
+        one-bit deltas of run ``runs[i]`` with ``loci[i]`` flipped, so they
+        need no update."""
         gains = self.d[runs, loci]
         signs = np.sign(gains)
         self.moves[runs, signs] += 1
         self.total[runs] += gains
-        if pairs is None:
+        if deltas is None:
             self.landscape._flip(self.idx, self.d, runs, loci)
         else:
-            self.d[runs] = pairs - self.total[runs, None]
+            self.d[runs] = deltas
             self.landscape._flip_positions(self.idx, runs, loci)
         self._log(runs, entries, loci, _KIND_OF_SIGN[signs])
 
@@ -261,19 +273,18 @@ def _climb(landscape, starts, rngs, trace, neutral_phase) -> list[RunResult]:
     stop. Reading ``total + d`` is charged ``n`` queries, and scuba's guard,
     read from the mutant deltas of the neutral neighbors, ``Degn * n`` more.
     """
-    n = landscape.n
     runs = _Runs(landscape, starts, trace)
-    evaluations = np.zeros(len(rngs), dtype=np.int64)
+    # The neutral neighbors each run's guard has read.
+    guarded = np.zeros(len(rngs), dtype=np.int64)
     live = np.arange(len(rngs))
     while live.size:
         d = runs.d[live]
         gain = d.max(axis=1)
-        evaluations[live] += n
         picks = d == gain[:, None]
         moving = gain > 0
         if neutral_phase:
             at, loci = np.nonzero(d == 0)
-            evaluations[live] += n * np.bincount(at, minlength=live.size)
+            guarded[live] += np.bincount(at, minlength=live.size)
             # A neutral neighbor's evolvability, less the point's total, is
             # its best one-bit delta; flipping back (delta 0) is one of them.
             lifts = landscape._mutant_deltas(runs.idx, runs.d, live[at], loci).max(axis=1)
@@ -286,15 +297,16 @@ def _climb(landscape, starts, rngs, trace, neutral_phase) -> list[RunResult]:
             moving |= flat
         live = live[moving]
         runs.flip(live, _draw(rngs, live, picks[moving]), runs.moves[live].sum(axis=1) + 1)
-    return runs.results(runs.moves.sum(axis=1), evaluations)
+    steps = runs.moves.sum(axis=1)
+    return runs.results(steps, landscape.n * (steps + 1 + guarded))
 
 
 def _climb2(landscape, starts, rngs, trace) -> list[RunResult]:
     """:func:`hill_climb2` from each start, run i drawing from ``rngs[i]``;
-    each round moves every live run once, reading the pair totals of
+    each round moves every live run once, reading the pair gains of
     ``max(1, _PAIR_ENTRIES // n**2)`` runs at a time."""
     n = landscape.n
-    check_pair_totals(n)
+    check_pair_gains(n)
     runs = _Runs(landscape, starts, trace)
     live = np.arange(len(rngs))
     chunk = max(1, _PAIR_ENTRIES // (n * n))
@@ -302,18 +314,18 @@ def _climb2(landscape, starts, rngs, trace) -> list[RunResult]:
         moved = []
         for first in range(0, live.size, chunk):
             rows = live[first:first + chunk]
-            total, d = runs.total[rows], runs.d[rows]
-            flips = total[:, None] + d
-            pairs = landscape._pair_totals(runs.idx[rows], total, d)
-            # Locus a's best is the best total in the neighborhood of its
-            # one-bit mutant, the point itself (pair (a, a)) included.
-            best = np.maximum(flips, pairs.max(axis=2))
+            d = runs.d[rows]
+            gains = landscape._pair_gains(runs.idx[rows], d)
+            # Locus a's best gain is the best one in its one-bit mutant's
+            # neighborhood: the mutant itself (0 more) or a pair, the point
+            # itself (a flipped back, -d[a] more) included.
+            best = d + np.maximum(gains.max(axis=2), 0)
             ext = best.max(axis=1)
-            picks = np.where((flips.max(axis=1) == ext)[:, None], flips, best) == ext[:, None]
-            moving = np.flatnonzero(ext > total)
+            picks = np.where((d.max(axis=1) == ext)[:, None], d, best) == ext[:, None]
+            moving = np.flatnonzero(ext > 0)
             rows = rows[moving]
             loci = _draw(rngs, rows, picks[moving])
-            runs.flip(rows, loci, runs.moves[rows].sum(axis=1) + 1, pairs[moving, loci])
+            runs.flip(rows, loci, runs.moves[rows].sum(axis=1) + 1, gains[moving, loci])
             moved.append(rows)
         live = np.concatenate(moved)
     steps = runs.moves.sum(axis=1)

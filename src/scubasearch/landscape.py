@@ -307,11 +307,13 @@ class NkqLandscape:
 
     def delta_total(self, s, total: int, flip_locus: int) -> int:
         """Total after flipping ``flip_locus``: ``total`` plus the one-bit
-        delta at that locus from :meth:`scores`. ``total`` must be the
-        current exact total of ``s``; this is not checked."""
+        delta at that locus from one one-row :meth:`_row_deltas` scan.
+        ``total`` must be the current exact total of ``s``; this is not
+        checked."""
         if not 0 <= flip_locus < self.n:
             raise LandscapeError(f"flip locus {flip_locus} outside [0, {self.n})")
-        return int(total) + int(self.scores(s).d[flip_locus])
+        _, _, deltas = self._row_deltas(as_genotype(s, self.n)[None])
+        return int(total) + int(deltas[0, flip_locus])
 
     # -- vectorized kernels (shared by neighborhood scans and experiments) --
 
@@ -404,13 +406,13 @@ class NkqLandscape:
             self._pairs = (ball, (comps, weights, self._loci[comps].reshape(n, -1)))
         return self._pairs
 
-    def _pair_totals(self, idx, totals, d) -> np.ndarray:
-        """``(R, n, n)`` int64: entry [r, a, b] is the total of row r of the
-        table positions ``idx``, ``totals`` and one-bit deltas ``d`` with
-        loci a and b both flipped, the total itself when a == b. A two-bit
-        move adds ``d[a] + d[b]`` and the terms of the components reading
-        both loci; one gather of each component's distance-2 table ball
-        forms all n*C(k+1, 2) terms, and one scatter sums them by pair."""
+    def _pair_gains(self, idx, d) -> np.ndarray:
+        """``(R, n, n)`` int64: row [r, a] holds the one-bit deltas of row r
+        of the table positions ``idx`` and one-bit deltas ``d`` with locus a
+        flipped: ``d[b]`` plus the terms of the components reading both a
+        and b, and ``-d[a]`` at b == a. One gather of each component's
+        distance-2 table ball forms all n*C(k+1, 2) terms, and one scatter
+        sums them by pair."""
         (masks, pa, pb, keys), _ = self._pair_structure()
         rows, n = d.shape
         ball = self._tab_flat[idx[:, :, None] ^ masks]
@@ -421,36 +423,38 @@ class NkqLandscape:
         sums = np.zeros((rows, n, n), dtype=np.int64)
         np.add.at(sums.reshape(-1), np.add.outer((n * n) * np.arange(rows), keys).ravel(),
                   terms.astype(np.int64).ravel())
-        pairs = sums + sums.transpose(0, 2, 1)
-        pairs += (totals[:, None] + d)[:, :, None]
-        pairs += d[:, None, :]
-        pairs.reshape(rows, -1)[:, ::n + 1] = totals[:, None]
-        return pairs
+        gains = sums + sums.transpose(0, 2, 1)
+        gains += d[:, None, :]
+        gains.reshape(rows, -1)[:, ::n + 1] = -d
+        return gains
 
     def _flip_terms(self, idx, rows, loci):
-        """``(at, terms)``, two (len(rows), c*(k+1)) arrays, c the most
-        components reading one locus: flipping locus ``loci[r]`` of
-        the genotype whose table positions are row ``rows[r]`` of ``idx``
-        adds ``terms[r, e]`` to its one-bit delta at locus ``at[r, e]``: the
-        pair terms ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]`` of the
-        components that read both loci, at table position i and weights wa
-        and wb (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
-        2014). At the flipped locus itself they sum to minus twice its
+        """``(cols, moved, at, terms)``: flipping locus ``loci[r]`` of the
+        genotype whose table positions are row ``rows[r]`` of ``idx`` moves
+        its positions in columns ``cols[r]`` (the components reading that
+        locus, padded) to ``moved[r]``, and adds ``terms[r, e]`` to its
+        one-bit delta at locus ``at[r, e]``; ``at`` and ``terms`` are
+        (len(rows), c*(k+1)), c the most components reading one locus. The
+        terms are the pair terms ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]`` of
+        the components that read both loci, at table position i and weights
+        wa and wb (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton,
+        GECCO 2014). At the flipped locus itself they sum to minus twice its
         delta, negating it."""
         comps, weights, targets = self._pair_structure()[1]
-        i = idx[rows[:, None], comps[loci]][..., None]
+        cols = comps[loci]
+        i = idx[rows[:, None], cols][..., None]
         j = i ^ weights[loci][..., None]
         tab = self._tab_flat
         # Each difference fits the table dtype; a term reaches +-2(q-1).
         terms = np.subtract(tab[j ^ self._bits] - tab[j], tab[i ^ self._bits] - tab[i],
                             dtype=np.int64)
-        return targets[loci], terms.reshape(len(rows), targets.shape[1])
+        return cols, j[..., 0], targets[loci], terms.reshape(len(rows), targets.shape[1])
 
     def _mutant_deltas(self, idx, d, rows, loci) -> np.ndarray:
         """``(len(rows), n)`` int64: row r holds the one-bit deltas of row
         ``rows[r]`` of the (R, n) table positions ``idx`` and one-bit deltas
         ``d`` with locus ``loci[r]`` flipped."""
-        at, terms = self._flip_terms(idx, rows, loci)
+        _, _, at, terms = self._flip_terms(idx, rows, loci)
         out = d[rows]
         np.add.at(out.reshape(-1), (at + self.n * np.arange(len(rows))[:, None]).ravel(),
                   terms.ravel())
@@ -460,11 +464,11 @@ class NkqLandscape:
         """Flip locus ``loci[r]`` of row ``rows[r]`` of the (R, n) table
         positions ``idx`` and one-bit deltas ``d``, in place, for every r at
         once: one gather of pair terms and one scatter, on flattened indices
-        of the C-contiguous ``d``, for all the rows, which must be
-        distinct."""
-        at, terms = self._flip_terms(idx, rows, loci)
+        of the C-contiguous ``d``, for all the rows, which must be distinct;
+        the positions the gather read are assigned their flipped values."""
+        cols, moved, at, terms = self._flip_terms(idx, rows, loci)
         np.add.at(d.reshape(-1), (at + self.n * rows[:, None]).ravel(), terms.ravel())
-        self._flip_positions(idx, rows, loci)
+        idx[rows[:, None], cols] = moved
 
     def _flip_positions(self, idx, rows, loci) -> None:
         """XOR locus ``loci[r]``'s weight into the table positions of the
@@ -472,11 +476,6 @@ class NkqLandscape:
         distinct. Padding entries XOR weight 0, which changes nothing."""
         comps, weights, _ = self._pair_structure()[1]
         idx[rows[:, None], comps[loci]] ^= weights[loci]
-
-    def scores(self, s) -> "ScoreVector":
-        """The :class:`ScoreVector` of genotype ``s``, from one one-row scan."""
-        pos, totals, deltas = self._row_deltas(as_genotype(s, self.n)[None, :])
-        return ScoreVector(self, pos[0], int(totals[0]), deltas[0])
 
     # -- misc ---------------------------------------------------------------
 
@@ -497,30 +496,6 @@ class NkqLandscape:
             f"NkqLandscape(n={self.n}, k={self.k}, q={self.q}, "
             f"mode={self.mode!r}, seed={self.seed})"
         )
-
-
-class ScoreVector:
-    """A genotype together with what a one-bit search asks of it: ``idx[j]``,
-    the position of component j's entry in the flattened tables (its bit 0
-    is the allele at locus j), the exact ``total``, and ``d[l]`` (int64), the
-    change of the total when locus l flips, so the flip total at l is
-    ``total + d[l]`` without a scan (Whitley & Chen, GECCO 2012); the
-    distance-2 ball is :meth:`pair_scan`. It counts no queries; each
-    searcher states its own charge."""
-
-    __slots__ = ("landscape", "idx", "total", "d")
-
-    def __init__(self, landscape, idx, total, d):
-        self.landscape = landscape
-        self.idx = idx
-        self.total = total
-        self.d = d
-
-    def pair_scan(self) -> np.ndarray:
-        """``(n, n)`` int64: entry (a, b) is the total with loci a and b both
-        flipped, ``total`` when a == b (:meth:`NkqLandscape._pair_totals`)."""
-        return self.landscape._pair_totals(
-            self.idx[None], np.array([self.total], dtype=np.int64), self.d[None])[0]
 
 
 def generate(n, k, q, mode=RANDOM, seed=None) -> NkqLandscape:

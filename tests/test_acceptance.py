@@ -114,20 +114,21 @@ def test_a1_oracle_equivalence():
             total = landscape.total(arr)
             if total != fm[s]:
                 mismatches += 1
-            st = landscape.scores(arr)
-            if max(st.total, st.total + int(st.d.max())) != evol_map[s]:
+            _, totals, d = landscape._row_deltas(arr[None])
+            scanned, d = int(totals[0]), d[0]
+            if max(scanned, scanned + int(d.max())) != evol_map[s]:
                 mismatches += 1
             expected_evol2 = max(evol_map[m] for m in oracles.neighborhood(s))
-            pairs = extended_scan(landscape, st)
-            if max(st.total + int(st.d.max()), int(pairs.max())) != expected_evol2:
+            pairs = extended_scan(landscape, arr)
+            if max(scanned + int(d.max()), int(pairs.max())) != expected_evol2:
                 mismatches += 1
-            if int(np.count_nonzero(st.d == 0)) != oracles.degn(fm, s):
+            if int(np.count_nonzero(d == 0)) != oracles.degn(fm, s):
                 mismatches += 1
             for locus in range(n):
                 flipped = fm[oracles.flip(s, locus)]
                 if landscape.delta_total(arr, total, locus) != flipped:
                     mismatches += 1
-                if st.total + int(st.d[locus]) != flipped:
+                if scanned + int(d[locus]) != flipped:
                     mismatches += 1
             # all_genotypes runs in node order: locus 0 is the top bit.
             for (guide, structure), nodes in census_local.items():

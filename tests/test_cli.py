@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from dotgrammar import validate_dot
-from scubasearch import NkqLandscape, deserialize, generate, save_landscape
+from scubasearch import NkqLandscape, deserialize, generate, heuristics, save_landscape
 from scubasearch.cli import main
 
 
@@ -276,12 +276,35 @@ class TestErrorHandling:
         assert err.count("\n") == 1 and "hc2 needs n*n = 11586*11586" in err
 
     @pytest.mark.parametrize("command", [
+        ["degn", "--samples", str(heuristics.COUNT_LIMIT + 1), "--instances", "1"],
+        ["degn", "--samples", "1", "--instances", str(heuristics.COUNT_LIMIT + 1)],
+        ["sweep", "--heuristics", "hc", "--runs", str(heuristics.COUNT_LIMIT + 1),
+         "--instances", "1"],
+    ], ids=["degn-samples", "degn-instances", "sweep-runs"])
+    def test_oversized_count_is_refused(self, command, tmp_path, capsys, monkeypatch):
+        # A count above COUNT_LIMIT would loop for days or fill memory:
+        # refused by the bound's name, in one line, before a seed is drawn
+        # (none is given, so a drawn one would print), a landscape made or a
+        # file written.
+        def refuse(*args, **kwargs):
+            raise AssertionError("landscape generated")
+
+        monkeypatch.setattr(NkqLandscape, "generate", refuse)
+        out = tmp_path / "out.csv"
+        assert run_cli(*command, "--n", "8", "--k", "0", "--q", "2", "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "COUNT_LIMIT" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
         ["sweep", "--heuristics", "hc", "--runs", str(10**15), "--instances", "1"],
         ["degn", "--samples", "1", "--instances", str(10**15)],
     ], ids=["sweep-runs", "degn-instances"])
-    def test_unallocatable_size_is_one_line(self, command, tmp_path, capsys):
-        # 10**15 records or means need petabytes, so the allocation fails at
-        # once: one diagnostic line and exit 2, no traceback and no output.
+    def test_unallocatable_size_is_one_line(self, command, tmp_path, capsys, monkeypatch):
+        # With COUNT_LIMIT lifted, 10**15 records or means need petabytes, so
+        # the allocation fails at once: one diagnostic line and exit 2, no
+        # traceback and no output.
+        monkeypatch.setattr(heuristics, "COUNT_LIMIT", 10**16)
         out = tmp_path / "out.csv"
         argv = command + ["--n", "8", "--k", "0", "--q", "2", "--seed", "1", "--out", str(out)]
         assert run_cli(*argv) == 2

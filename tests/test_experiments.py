@@ -22,10 +22,10 @@ from scubasearch import (
     neutral_degree_instance_means,
     neutral_degree_stats,
     neutral_mutation_profile,
-    run_heuristic,
     run_seed,
     run_sweep,
     scuba,
+    search,
     step_stats,
     write_csv,
     write_profile_csv,
@@ -138,7 +138,8 @@ class TestRunSweep:
     def test_dispatch_rejects_unknown(self):
         landscape = generate(6, 1, 2, seed=1)
         with pytest.raises(ValueError):
-            run_heuristic(landscape, "sa", np.random.default_rng(0), 300, False)
+            search(landscape, "sa", [np.zeros(6, dtype=np.uint8)],
+                   [np.random.default_rng(0)], 300, False)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -272,17 +273,17 @@ class TestNeutralMutationProfile:
             raise AssertionError("the profile scanned a landscape")
 
         monkeypatch.setattr(NkqLandscape, "batch_scan", refuse)
-        monkeypatch.setattr(NkqLandscape, "scores", refuse)
+        monkeypatch.setattr(NkqLandscape, "_row_deltas", refuse)
         assert neutral_mutation_profile(report)
         # One landscape per (cell, instance), built by the sweep alone.
         assert len(calls) == 2 * 2 * 3
 
     def test_trace_holds_no_per_step_arrays(self):
         landscape = generate(64, 2, 2, seed=3)
-        for result in (
-            run_heuristic(landscape, "nc", np.random.default_rng(1), 300, trace=True),
-            run_heuristic(landscape, "ss", np.random.default_rng(2), 300, trace=True),
-        ):
+        for heuristic, seed in (("nc", 1), ("ss", 2)):
+            rng = np.random.default_rng(seed)
+            s0 = rng.integers(0, 2, size=landscape.n, dtype=np.uint8)
+            result, = search(landscape, heuristic, [s0], [rng], 300, trace=True)
             trace = result.trace
             arrays = [value for value in vars(trace).values()
                       if isinstance(value, np.ndarray)]

@@ -279,8 +279,9 @@ class TestBatchGenotypes:
 
 def component_index(landscape, s, locus):
     """Index into ``locus``'s component table that ``s`` reads, from the
-    score vector's flat table positions."""
-    return int(landscape.scores(s).idx[locus]) - (locus << (landscape.k + 1))
+    flat table positions of a one-row ``_row_deltas`` scan."""
+    positions, _, _ = landscape._row_deltas(np.asarray(s, dtype=np.uint8)[None])
+    return int(positions[0, locus]) - (locus << (landscape.k + 1))
 
 
 class TestComponentIndex:

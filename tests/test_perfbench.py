@@ -1,9 +1,12 @@
 """Smoke tests of the traced benchmark child (``perfbench/child.py``).
 
 With tracing on, the child wraps a fixed list of library names before it
-calls the CLI, and reads each run's ``Trace`` (its length, first step and
-that step's attributes), so a rename or deletion of any of them fails here
-rather than only when the benchmark runs.
+calls the CLI, so a rename or deletion of any of them fails here rather than
+only when the benchmark runs. Each workload command is traced once. The
+child would also read the ``Trace`` of a run made through a wrapped per-run
+searcher, but the CLI runs every search through ``heuristics.search``, so
+that read never happens; ``run --trace`` prints each ``TraceStep`` of its
+trace instead.
 """
 
 import json
@@ -17,7 +20,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def run_traced_child(tmp_path, *cli_argv):
     """Run ``cli_argv`` through the traced child; require rc 0 from the
-    process and in its ``result.json``."""
+    process and in its ``result.json``, and return the process."""
     child = os.path.join(ROOT, "perfbench", "child.py")
     src = os.path.join(ROOT, "src")
     argv = [sys.executable, child, str(time.monotonic_ns()), src, str(tmp_path), "1",
@@ -27,6 +30,7 @@ def run_traced_child(tmp_path, *cli_argv):
     with open(tmp_path / "result.json") as fh:
         result = json.load(fh)
     assert result["rc"] == 0
+    return proc
 
 
 def test_traced_child_runs_gen(tmp_path):
@@ -42,3 +46,18 @@ def test_traced_child_runs_traced_sweep(tmp_path):
                      "--profile-out", str(tmp_path / "profile.csv"))
     assert (tmp_path / "spans.npz").exists()
     assert (tmp_path / "profile.csv").exists()
+
+
+def test_traced_child_runs_degn(tmp_path):
+    run_traced_child(tmp_path, "degn", "--n", "8", "--k", "0,2", "--q", "2",
+                     "--samples", "50", "--instances", "2", "--seed", "1",
+                     "--out", str(tmp_path / "degn.csv"))
+    assert (tmp_path / "spans.npz").exists()
+    assert (tmp_path / "degn.csv").exists()
+
+
+def test_traced_child_runs_traced_run(tmp_path):
+    proc = run_traced_child(tmp_path, "run", "--heuristic", "ss", "--n", "8", "--k", "2",
+                            "--q", "2", "--trace", "--seed", "1")
+    assert (tmp_path / "spans.npz").exists()
+    assert "trace: 0 init " in proc.stdout

@@ -71,11 +71,11 @@ def test_extended_scan_matches_oracle(q, data):
     landscape, s = data.draw(landscape_and_genotype(q))
     n = landscape.n
     base = tuple(int(b) for b in s)
-    state = landscape.scores(s)
-    pairs = extended_scan(landscape, state)
-    flips = state.total + state.d
+    _, totals, d = landscape._row_deltas(s[None])
+    pairs = extended_scan(landscape, s)
+    flips = totals[0] + d[0]
     assert flips.dtype == np.int64 and pairs.dtype == np.int64
-    assert state.total == oracles.naive_total(landscape, base)
+    assert totals[0] == oracles.naive_total(landscape, base)
     assert flips.tolist() == [
         oracles.naive_total(landscape, oracles.flip(base, a)) for a in range(n)
     ]
@@ -85,6 +85,31 @@ def test_extended_scan_matches_oracle(q, data):
          for b in range(n)]
         for a in range(n)
     ]
+
+
+@pytest.mark.parametrize("q", Q_VALUES)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_pair_gains_match_oracle(q, data):
+    # Row [r, a] of _pair_gains: the one-bit deltas of row r with locus a
+    # flipped, so the diagonal is -d. A batch of rows checks that each row's
+    # terms land in its own block.
+    landscape, s = data.draw(landscape_and_genotype(q, max_n=12))
+    n = landscape.n
+    rows = [s.tolist()] + data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=2))
+    idx, _, d = landscape._row_deltas(np.array(rows, dtype=np.uint8))
+    gains = landscape._pair_gains(idx, d)
+    assert gains.dtype == np.int64 and gains.shape == (len(rows), n, n)
+    for r, row in enumerate(rows):
+        assert np.diagonal(gains[r]).tolist() == (-d[r]).tolist()
+        for a in range(n):
+            mutant = oracles.flip(tuple(row), a)
+            total = oracles.naive_total(landscape, mutant)
+            assert gains[r, a].tolist() == [
+                oracles.naive_total(landscape, oracles.flip(mutant, b)) - total
+                for b in range(n)
+            ]
 
 
 @pytest.mark.parametrize("q", Q_VALUES)

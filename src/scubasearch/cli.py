@@ -128,7 +128,7 @@ def _cmd_run(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.heuristic == "hc2" and args.n is not None:
-        hx.check_pair_gains(args.n)
+        hx.check_pair_totals(args.n)
     seed = _resolve_seed(args)
     landscape = _load_or_generate(
         args, lambda a: ex.landscape_seed(seed, a.k, a.q, 0))
@@ -182,8 +182,8 @@ def _cmd_degn(args) -> int:
         raise UsageError("k_values and q_values must be non-empty")
     _check_params(args.n, args.k, args.q, args.mode)
     try:
-        hx.check_count(args.samples, "--samples")
-        hx.check_count(args.instances, "--instances")
+        hx.check_counts({"--samples": args.samples, "--instances": args.instances},
+                        len(args.k) * len(args.q))
     except ValueError as exc:
         raise UsageError(str(exc))
     seed = _resolve_seed(args)

@@ -98,9 +98,10 @@ class SweepConfig:
         if len(set(self.heuristics)) != len(self.heuristics):
             raise ValueError("heuristics must not repeat")
         if "hc2" in self.heuristics:
-            hx.check_pair_gains(self.n)
-        hx.check_count(self.runs, "runs")
-        hx.check_count(self.instances, "instances")
+            hx.check_pair_totals(self.n)
+        hx.check_counts({"runs": self.runs, "heuristics": len(self.heuristics)},
+                        len(self.k_values) * len(self.q_values))
+        hx.check_counts({"instances": self.instances})
         hx.check_step_max(self.step_max)
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
@@ -232,8 +233,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
                                   mode=RANDOM) -> np.ndarray:
     """Mean neutral degree of uniform-random genotypes, one value per instance."""
-    hx.check_count(samples, "samples")
-    hx.check_count(instances, "instances")
+    hx.check_counts({"samples": samples, "instances": instances})
     means = np.empty(instances)
     # Rows drawn per rng call. batch_scan bounds its own temporaries, so
     # this bounds only the draw; it stays as it is because a uint8 draw

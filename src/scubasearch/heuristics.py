@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -68,8 +68,8 @@ HEURISTICS = ("hc", "nc", "hc2", "ss")
 # The largest netcrawler budget a run may ask for, far above the paper's 300;
 # a larger one is refused before anything is drawn.
 STEP_MAX_LIMIT = 2**20
-# The most runs, instances or samples a sweep or a neutral-degree table may
-# ask for; a larger count is refused before anything is drawn.
+# The most runs (runs x heuristics x cells) of a sweep, or genotypes (samples
+# x instances x cells) of a neutral-degree table; more is refused.
 COUNT_LIMIT = 2**20
 # Netcrawler proposals a run draws at a time, so a batch holds at most
 # runs x _PROPOSALS of them, never runs x step_max.
@@ -165,24 +165,26 @@ class RunResult:
 
 def check_step_max(step_max, name="step_max") -> None:
     """Raise ``ValueError`` unless ``1 <= step_max <= STEP_MAX_LIMIT``."""
-    _check_bound(step_max, name, "STEP_MAX_LIMIT", STEP_MAX_LIMIT)
+    if not 1 <= step_max <= STEP_MAX_LIMIT:
+        bound = ">= 1" if step_max < 1 else f"<= STEP_MAX_LIMIT = {STEP_MAX_LIMIT}"
+        raise ValueError(f"{name} must be {bound}, got {step_max}")
 
 
-def check_count(count, name) -> None:
-    """Raise ``ValueError`` unless ``1 <= count <= COUNT_LIMIT``."""
-    _check_bound(count, name, "COUNT_LIMIT", COUNT_LIMIT)
+def check_counts(counts: dict, cells=1) -> None:
+    """Raise ``ValueError`` unless every count in ``counts`` (name: count) is
+    >= 1 and the work they ask for, their product times ``cells``, is <= ``COUNT_LIMIT``."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1, got {count}")
+    if (work := prod(counts.values()) * cells) > COUNT_LIMIT:
+        raise ValueError(f"{' x '.join(counts)} x {cells} cells = {work}, "
+                         f"above COUNT_LIMIT = {COUNT_LIMIT}")
 
 
-def _check_bound(value, name, limit_name, limit) -> None:
-    if not 1 <= value <= limit:
-        bound = ">= 1" if value < 1 else f"<= {limit_name} = {limit}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
-
-
-def check_pair_gains(n) -> None:
-    """Raise ``LandscapeError`` if hc2's (n, n) pair gains exceed ``MAX_TABLE_ENTRIES``."""
+def check_pair_totals(n) -> None:
+    """Raise ``LandscapeError`` if hc2's (n, n) pair totals exceed ``MAX_TABLE_ENTRIES``."""
     if n * n > MAX_TABLE_ENTRIES:
-        raise LandscapeError(f"hc2 needs n*n = {n}*{n} pair gains, above MAX_TABLE_ENTRIES "
+        raise LandscapeError(f"hc2 needs n*n = {n}*{n} pair totals, above MAX_TABLE_ENTRIES "
                              f"= {MAX_TABLE_ENTRIES}; use n <= {isqrt(MAX_TABLE_ENTRIES)}")
 
 
@@ -306,7 +308,7 @@ def _climb2(landscape, starts, rngs, trace) -> list[RunResult]:
     each round moves every live run once, reading the pair gains of
     ``max(1, _PAIR_ENTRIES // n**2)`` runs at a time."""
     n = landscape.n
-    check_pair_gains(n)
+    check_pair_totals(n)
     runs = _Runs(landscape, starts, trace)
     live = np.arange(len(rngs))
     chunk = max(1, _PAIR_ENTRIES // (n * n))

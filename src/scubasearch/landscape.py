@@ -429,32 +429,29 @@ class NkqLandscape:
         return gains
 
     def _flip_terms(self, idx, rows, loci):
-        """``(cols, moved, at, terms)``: flipping locus ``loci[r]`` of the
-        genotype whose table positions are row ``rows[r]`` of ``idx`` moves
-        its positions in columns ``cols[r]`` (the components reading that
-        locus, padded) to ``moved[r]``, and adds ``terms[r, e]`` to its
-        one-bit delta at locus ``at[r, e]``; ``at`` and ``terms`` are
-        (len(rows), c*(k+1)), c the most components reading one locus. The
-        terms are the pair terms ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]`` of
-        the components that read both loci, at table position i and weights
-        wa and wb (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton,
-        GECCO 2014). At the flipped locus itself they sum to minus twice its
+        """``(at, terms)``, two (len(rows), c*(k+1)) arrays, c the most
+        components reading one locus: flipping locus ``loci[r]`` of
+        the genotype whose table positions are row ``rows[r]`` of ``idx``
+        adds ``terms[r, e]`` to its one-bit delta at locus ``at[r, e]``: the
+        pair terms ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]`` of the
+        components that read both loci, at table position i and weights wa
+        and wb (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
+        2014). At the flipped locus itself they sum to minus twice its
         delta, negating it."""
         comps, weights, targets = self._pair_structure()[1]
-        cols = comps[loci]
-        i = idx[rows[:, None], cols][..., None]
+        i = idx[rows[:, None], comps[loci]][..., None]
         j = i ^ weights[loci][..., None]
         tab = self._tab_flat
         # Each difference fits the table dtype; a term reaches +-2(q-1).
         terms = np.subtract(tab[j ^ self._bits] - tab[j], tab[i ^ self._bits] - tab[i],
                             dtype=np.int64)
-        return cols, j[..., 0], targets[loci], terms.reshape(len(rows), targets.shape[1])
+        return targets[loci], terms.reshape(len(rows), targets.shape[1])
 
     def _mutant_deltas(self, idx, d, rows, loci) -> np.ndarray:
         """``(len(rows), n)`` int64: row r holds the one-bit deltas of row
         ``rows[r]`` of the (R, n) table positions ``idx`` and one-bit deltas
         ``d`` with locus ``loci[r]`` flipped."""
-        _, _, at, terms = self._flip_terms(idx, rows, loci)
+        at, terms = self._flip_terms(idx, rows, loci)
         out = d[rows]
         np.add.at(out.reshape(-1), (at + self.n * np.arange(len(rows))[:, None]).ravel(),
                   terms.ravel())
@@ -464,11 +461,11 @@ class NkqLandscape:
         """Flip locus ``loci[r]`` of row ``rows[r]`` of the (R, n) table
         positions ``idx`` and one-bit deltas ``d``, in place, for every r at
         once: one gather of pair terms and one scatter, on flattened indices
-        of the C-contiguous ``d``, for all the rows, which must be distinct;
-        the positions the gather read are assigned their flipped values."""
-        cols, moved, at, terms = self._flip_terms(idx, rows, loci)
+        of the C-contiguous ``d``, for all the rows, which must be
+        distinct."""
+        at, terms = self._flip_terms(idx, rows, loci)
         np.add.at(d.reshape(-1), (at + self.n * rows[:, None]).ravel(), terms.ravel())
-        idx[rows[:, None], cols] = moved
+        self._flip_positions(idx, rows, loci)
 
     def _flip_positions(self, idx, rows, loci) -> None:
         """XOR locus ``loci[r]``'s weight into the table positions of the

@@ -280,18 +280,24 @@ class TestErrorHandling:
         ["degn", "--samples", "1", "--instances", str(heuristics.COUNT_LIMIT + 1)],
         ["sweep", "--heuristics", "hc", "--runs", str(heuristics.COUNT_LIMIT + 1),
          "--instances", "1"],
-    ], ids=["degn-samples", "degn-instances", "sweep-runs"])
+        ["degn", "--samples", "1024", "--instances", "1024", "--k", "0,0"],
+        ["sweep", "--heuristics", "hc,ss", "--runs", str(heuristics.COUNT_LIMIT // 4),
+         "--instances", "1", "--q", "2,3,4"],
+    ], ids=["degn-samples", "degn-instances", "sweep-runs", "degn-product", "sweep-product"])
     def test_oversized_count_is_refused(self, command, tmp_path, capsys, monkeypatch):
-        # A count above COUNT_LIMIT would loop for days or fill memory:
-        # refused by the bound's name, in one line, before a seed is drawn
-        # (none is given, so a drawn one would print), a landscape made or a
-        # file written.
+        # Work above COUNT_LIMIT, one count or the product of counts within
+        # it and the cells, would loop for days or fill memory: refused by
+        # the bound's name, in one line, before a seed is drawn (none is
+        # given, so a drawn one would print), a landscape made or a file
+        # written.
         def refuse(*args, **kwargs):
             raise AssertionError("landscape generated")
 
         monkeypatch.setattr(NkqLandscape, "generate", refuse)
         out = tmp_path / "out.csv"
-        assert run_cli(*command, "--n", "8", "--k", "0", "--q", "2", "--out", str(out)) == 1
+        # A grid flag the command gives again overrides this default one.
+        argv = [command[0], "--n", "8", "--k", "0", "--q", "2", *command[1:]]
+        assert run_cli(*argv, "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "COUNT_LIMIT" in err
         assert not out.exists()

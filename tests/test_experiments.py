@@ -32,6 +32,7 @@ from scubasearch import (
     write_records,
     write_step_stats_csv,
 )
+from scubasearch.heuristics import COUNT_LIMIT
 
 
 def small_config(**overrides):
@@ -155,6 +156,17 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_config(base_seed=-1)
 
+    def test_config_bounds_the_work(self):
+        # Runs x heuristics x cells is bounded, not each count on its own:
+        # two heuristics on two cells reach COUNT_LIMIT at a quarter of it.
+        small_config(runs=COUNT_LIMIT // 4, instances=COUNT_LIMIT)
+        with pytest.raises(ValueError, match="COUNT_LIMIT"):
+            small_config(runs=COUNT_LIMIT // 4 + 1)
+        with pytest.raises(ValueError, match="COUNT_LIMIT"):
+            small_config(k_values=(0, 2, 0), runs=COUNT_LIMIT // 4)
+        with pytest.raises(ValueError, match="COUNT_LIMIT"):
+            small_config(instances=COUNT_LIMIT + 1)
+
     def test_config_rejects_oversized_tables(self):
         with pytest.raises(ValueError, match="table entries"):
             small_config(n=64, k_values=(2, 30))
@@ -216,6 +228,8 @@ class TestNeutralDegreeStats:
     def test_validation(self):
         with pytest.raises(ValueError):
             neutral_degree_instance_means(8, 0, 2, samples=0)
+        with pytest.raises(ValueError, match="COUNT_LIMIT"):
+            neutral_degree_instance_means(8, 0, 2, samples=1024, instances=COUNT_LIMIT // 1024 + 1)
 
     def test_holds_one_landscape(self, monkeypatch):
         most_alive = track_landscapes(monkeypatch)

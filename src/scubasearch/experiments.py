@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import heuristics as hx
-from .landscape import RANDOM, check_params, generate
+from .landscape import RANDOM, check_integer, check_params, generate
 
 _LANDSCAPE_STREAM = 101
 _RUN_STREAM = 102
@@ -41,7 +41,10 @@ def derive_seed(*parts: int) -> int:
     """Stable 64-bit mix of non-negative integer parts.
 
     Changing any part changes the stream; repeating the tuple reproduces it.
+    A part that is not a non-negative integer raises ``ValueError``.
     """
+    for p in parts:
+        check_integer("seed part", p)
     entropy = [int(p) for p in parts]
     if any(p < 0 for p in entropy):
         raise ValueError("seed parts must be non-negative integers")
@@ -84,14 +87,17 @@ class SweepConfig:
     keep_traces: bool = False
 
     def __post_init__(self):
-        self.k_values = tuple(int(k) for k in self.k_values)
-        self.q_values = tuple(int(q) for q in self.q_values)
+        self.k_values = tuple(self.k_values)
+        self.q_values = tuple(self.q_values)
         self.heuristics = tuple(self.heuristics)
         if not self.k_values or not self.q_values or not self.heuristics:
             raise ValueError("k_values, q_values and heuristics must be non-empty")
+        # Checked before the conversion, so a float k or q is refused, not truncated.
         for k in self.k_values:
             for q in self.q_values:
                 check_params(self.n, k, q, self.mode)
+        self.k_values = tuple(map(int, self.k_values))
+        self.q_values = tuple(map(int, self.q_values))
         for h in self.heuristics:
             if h not in hx.HEURISTICS:
                 raise ValueError(f"unknown heuristic {h!r}")
@@ -103,6 +109,7 @@ class SweepConfig:
                         len(self.k_values) * len(self.q_values))
         hx.check_counts({"instances": self.instances})
         hx.check_step_max(self.step_max)
+        check_integer("base_seed", self.base_seed)
         if self.base_seed < 0:
             raise ValueError("base_seed must be non-negative")
 

@@ -50,7 +50,8 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .landscape import MAX_TABLE_ENTRIES, FitnessValue, LandscapeError, as_genotype
+from .landscape import (MAX_TABLE_ENTRIES, FitnessValue, LandscapeError, as_genotype,
+                        check_integer)
 
 MOVE_INIT = "init"
 MOVE_IMPROVE = "improve"
@@ -164,7 +165,9 @@ class RunResult:
 
 
 def check_step_max(step_max, name="step_max") -> None:
-    """Raise ``ValueError`` unless ``1 <= step_max <= STEP_MAX_LIMIT``."""
+    """Raise ``ValueError`` unless ``step_max`` is an integer in ``[1,
+    STEP_MAX_LIMIT]``."""
+    check_integer(name, step_max)
     if not 1 <= step_max <= STEP_MAX_LIMIT:
         bound = ">= 1" if step_max < 1 else f"<= STEP_MAX_LIMIT = {STEP_MAX_LIMIT}"
         raise ValueError(f"{name} must be {bound}, got {step_max}")
@@ -172,8 +175,10 @@ def check_step_max(step_max, name="step_max") -> None:
 
 def check_counts(counts: dict, cells=1) -> None:
     """Raise ``ValueError`` unless every count in ``counts`` (name: count) is
-    >= 1 and the work they ask for, their product times ``cells``, is <= ``COUNT_LIMIT``."""
+    an integer >= 1 and the work they ask for, their product times ``cells``,
+    is <= ``COUNT_LIMIT``."""
     for name, count in counts.items():
+        check_integer(name, count)
         if count < 1:
             raise ValueError(f"{name} must be >= 1, got {count}")
     if (work := prod(counts.values()) * cells) > COUNT_LIMIT:
@@ -359,7 +364,10 @@ def _crawl(landscape, starts, rngs, step_max, trace) -> list[RunResult]:
 def search(landscape, heuristic, starts, rngs, step_max=300, trace=False) -> list[RunResult]:
     """One run of ``heuristic`` from each genotype of ``starts``, run i
     drawing its tie-breaks and proposals from ``rngs[i]`` only, so each
-    result is the one the run gives alone. The runs advance together."""
+    result is the one the run gives alone. The runs advance together.
+    ``starts`` and ``rngs`` must be as long as each other."""
+    if len(starts) != len(rngs):
+        raise ValueError(f"{len(starts)} starts but {len(rngs)} rngs; each run needs its own")
     if heuristic in ("hc", "ss"):
         return _climb(landscape, starts, rngs, trace, neutral_phase=heuristic == "ss")
     if heuristic == "nc":

@@ -37,9 +37,11 @@ MAX_TABLE_ENTRIES = 2**27
 
 _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
 
-# Table entries generate draws per rng call, in flat row-major order
-# whatever the row width, so its int64 draw buffer stays at 512 KB.
-_DRAW_CHUNK = 2**16
+# Table entries generate draws per chunk, in flat row-major order whatever
+# the row width: at most 2**14 raw PCG64 words (128 KB), whose 2**15 halves
+# map through temporaries of at most 256 KB each (uint64 values, or the int64
+# draw for q > 2**32), so the draw stays within a megabyte of its table.
+_DRAW_CHUNK = 2**15
 
 # Gathered table entries (rows x n*(k+1)) batch_scan handles per block of
 # rows, at least one row, so its int64 index temporaries stay near 2**15 * 8
@@ -124,6 +126,21 @@ def _int_array(name: str, values, shape: tuple) -> np.ndarray:
     return arr
 
 
+def check_integer(name: str, value) -> None:
+    """Raise :class:`LandscapeError` unless ``value`` is a Python or numpy
+    integer and not a bool: the one rule for parameters, seeds and counts,
+    so a float is refused rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise LandscapeError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """Raise :class:`LandscapeError` unless ``seed`` is a non-negative integer."""
+    check_integer("seed", seed)
+    if seed < 0:
+        raise LandscapeError(f"seed must be non-negative, got {seed}")
+
+
 def check_params(n: int, k: int, q: int, mode: str = RANDOM) -> None:
     """Raise :class:`LandscapeError` unless ``(n, k, q, mode)`` describe a
     landscape this package can hold: integer (not bool) ``n``, ``k`` and
@@ -131,8 +148,7 @@ def check_params(n: int, k: int, q: int, mode: str = RANDOM) -> None:
     totals that fit exactly in int64, and at most :data:`MAX_TABLE_ENTRIES`
     table entries. Allocates nothing."""
     for name, value in (("n", n), ("k", k), ("q", q)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise LandscapeError(f"{name} must be an integer, got {value!r}")
+        check_integer(name, value)
     # Python ints, so the size checks below cannot overflow.
     n, k, q = int(n), int(k), int(q)
     if n < 1:
@@ -172,6 +188,62 @@ def _random_links(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return links + (links >= np.arange(n)[:, None])
 
 
+def _draw_bounded(rng: np.random.Generator, q, out: np.ndarray) -> None:
+    """Fill the flat integer array ``out`` with the values of
+    ``rng.integers(0, q, out.size, dtype=np.int64)``, and leave the PCG64
+    generator ``rng`` in the state that call leaves it in.
+
+    For ``q <= 2**32`` numpy maps each 32-bit half ``x`` of a PCG64 word,
+    low half first, to ``(x*q) >> 32``, and rejects ``x`` when ``x*q mod
+    2**32`` is below ``2**32 % q`` (Lemire, ACM TOMACS 2019), one call per
+    value. Here that map runs vectorized over ``random_raw`` words, at most
+    :data:`_DRAW_CHUNK` halves' worth per chunk. A half the generator holds
+    buffered is read first, and the half after the last value taken stays
+    buffered, as numpy leaves it. Larger q takes 64-bit values, which
+    ``integers`` draws here, chunk by chunk.
+    """
+    q = int(q)
+    if q > 2**32:
+        for lo in range(0, out.size, _DRAW_CHUNK):
+            chunk = out[lo:lo + _DRAW_CHUNK]
+            chunk[:] = rng.integers(0, q, size=chunk.size, dtype=np.int64)
+        return
+    threshold, low = np.uint32(2**32 % q), np.uint32(q % 2**32)
+
+    def accept(halves):
+        # x*q mod 2**32 is the wrapped uint32 product.
+        if threshold and (halves * low).min() < threshold:
+            return halves[halves * low >= threshold]
+        return halves
+
+    def put(kept, at):
+        wide = kept[:out.size - at].astype(np.uint64)
+        wide *= q
+        wide >>= 32
+        out[at:at + wide.size] = wide
+        return at + wide.size
+
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    filled = 0
+    if state["has_uint32"] and out.size:
+        filled = put(accept(np.array([state["uinteger"]], dtype=np.uint32)), 0)
+        state["has_uint32"] = 0
+    words = None
+    while filled < out.size:
+        left = out.size - filled
+        words = bitgen.random_raw(-(-min(left, _DRAW_CHUNK) // 2))
+        halves = words.astype("<u8", copy=False).view("<u4")
+        filled = put(accept(halves), filled)
+    if words is not None:
+        # The last word's high half stays buffered if numpy stops before it,
+        # that is if the first `left` halves of the last chunk are all taken.
+        state = bitgen.state
+        state["has_uint32"] = int(halves.size > left and accept(halves[:left]).size == left)
+        state["uinteger"] = int(words[-1] >> 32)
+    bitgen.state = state
+
+
 class NkqLandscape:
     """An immutable NKq landscape instance.
 
@@ -181,7 +253,8 @@ class NkqLandscape:
     k : epistatic degree (each component reads k other loci).
     q : neutrality parameter; table entries live in {0, ..., q-1}.
     mode : "adjacent" or "random" link layout (metadata for regeneration).
-    seed : generation seed, or None for hand-built instances.
+    seed : generation seed, a non-negative integer (refused otherwise, so
+        every instance serializes to a document that loads), or None.
     links : (n, k) int array; row i lists the k epistatic loci of locus i.
     tables : (n, 2**(k+1)) array of component values, in the smallest
         signed integer dtype holding q-1 (int8 for q <= 128). The
@@ -196,6 +269,8 @@ class NkqLandscape:
 
     def __init__(self, n, k, q, mode, links, tables, seed=None):
         check_params(n, k, q, mode)
+        if seed is not None:
+            _check_seed(seed)
 
         links = _int_array("links", links, (n, k)).astype(np.int64)
         tables = _int_array("tables", tables, (n, 2 ** (k + 1)))
@@ -264,30 +339,28 @@ class NkqLandscape:
 
         Draw order is fixed: link rows for loci 0..n-1 first (random mode
         only; adjacent links consume no randomness), then every table entry,
-        row-major, i.e. loci ascending and table index ascending. Entries
-        are drawn as int64 in flat chunks of :data:`_DRAW_CHUNK` straight
-        into the compact table the landscape keeps; each value comes from
-        the bit generator's own stream, so the chunks consume exactly what
-        one draw of shape (n, 2**(k+1)) would. Identical arguments always
-        reproduce the same instance; bit-equality across other
-        implementations of this format is not promised. A negative seed
-        raises :class:`LandscapeError`.
+        row-major, i.e. loci ascending and table index ascending. The entries
+        are the values of one ``integers(0, q, size=(n, 2**(k+1)))`` draw:
+        for ``q <= 2**32`` they are mapped from raw PCG64 words exactly as
+        numpy maps them (:func:`_draw_bounded`), chunk by chunk straight
+        into the compact table the landscape keeps, and the stream is left
+        where that draw leaves it. Identical arguments always reproduce the
+        same instance; bit-equality across other implementations of this
+        format is not promised. A seed that is not a non-negative integer
+        (a float, a bool, a string) raises :class:`LandscapeError`.
         """
         check_params(n, k, q, mode)
         if seed is None:
             seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
-        elif seed < 0:
-            raise LandscapeError(f"seed must be non-negative, got {seed}")
+        else:
+            _check_seed(seed)
         rng = np.random.default_rng(seed)
         if mode == ADJACENT:
             links = adjacent_links(n, k)
         else:
             links = _random_links(n, k, rng)
         tables = np.empty((n, 2 ** (k + 1)), dtype=_table_dtype(q))
-        flat = tables.reshape(-1)
-        for lo in range(0, flat.size, _DRAW_CHUNK):
-            chunk = flat[lo:lo + _DRAW_CHUNK]
-            chunk[:] = rng.integers(0, q, size=chunk.size, dtype=np.int64)
+        _draw_bounded(rng, q, tables.reshape(-1))
         landscape = cls.__new__(cls)
         landscape._adopt(n, k, q, mode, links.astype(np.int64, copy=False), tables, seed)
         return landscape
@@ -321,7 +394,10 @@ class NkqLandscape:
         """(batch, n) positions in the flattened tables of the entry each
         component reads for each row of a (batch, n) genotype matrix."""
         states = np.ascontiguousarray(states, dtype=np.uint8)
-        return states[:, self._loci] @ self._bits + self._row_offsets
+        # A packed index is below 2**(k+1) <= MAX_TABLE_ENTRIES, so int32
+        # holds it exactly.
+        return (np.einsum("bjp,p->bj", states[:, self._loci], self._bits.astype(np.int32))
+                + self._row_offsets)
 
     def _row_deltas(self, states: np.ndarray):
         """``(pos, totals, deltas)`` of each row of a (batch, n) genotype

@@ -13,15 +13,26 @@ import itertools
 import numpy as np
 
 
+def table_index(landscape, s, i) -> int:
+    """Index of the entry component i reads in its own table: the allele at
+    locus i is bit 0, the allele at ``links[i][m]`` bit m+1."""
+    idx = int(s[i])
+    for m in range(landscape.k):
+        idx += int(s[int(landscape.links[i][m])]) * (2 ** (m + 1))
+    return idx
+
+
 def naive_total(landscape, s) -> int:
     """Fitness total straight from the definition, one locus at a time."""
-    total = 0
-    for i in range(landscape.n):
-        idx = int(s[i])
-        for m in range(landscape.k):
-            idx += int(s[int(landscape.links[i][m])]) * (2 ** (m + 1))
-        total += int(landscape.tables[i][idx])
-    return total
+    return sum(int(landscape.tables[i][table_index(landscape, s, i)])
+               for i in range(landscape.n))
+
+
+def table_positions(landscape, s) -> list[int]:
+    """Position of each component's entry in the row-major flattened
+    tables: component i's table starts at ``i * 2**(k+1)``."""
+    width = 2 ** (landscape.k + 1)
+    return [i * width + table_index(landscape, s, i) for i in range(landscape.n)]
 
 
 def all_genotypes(n):

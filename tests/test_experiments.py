@@ -75,6 +75,15 @@ class TestSeedDerivation:
         with pytest.raises(ValueError):
             derive_seed(1, -2)
 
+    @pytest.mark.parametrize("part", [1.7, 1.0, True, "1", None])
+    def test_non_integer_part_rejected(self, part):
+        # 1.7 used to mix as 1 and True as 1.
+        with pytest.raises(ValueError, match="seed part must be an integer"):
+            derive_seed(5, part)
+
+    def test_numpy_integer_parts_accepted(self):
+        assert derive_seed(np.int64(5), np.uint8(1)) == derive_seed(5, 1)
+
     def test_landscape_seed_is_heuristic_agnostic(self):
         report = run_sweep(small_config())
         by_heuristic = {}
@@ -156,6 +165,18 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             small_config(base_seed=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n", 10.0), ("runs", 2.5), ("runs", True), ("instances", 2.0),
+        ("step_max", 300.0), ("base_seed", 0.5), ("base_seed", True),
+        ("k_values", (2.5,)), ("q_values", (2.0,)),
+    ])
+    def test_config_refuses_non_integers(self, field, value):
+        # base_seed=0.5 used to run as seed 0 and report 0.5; runs=2.5 died
+        # with a bare TypeError once the sweep started.
+        name = {"k_values": "k", "q_values": "q"}.get(field, field)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            small_config(**{field: value})
+
     def test_config_bounds_the_work(self):
         # Runs x heuristics x cells is bounded, not each count on its own:
         # two heuristics on two cells reach COUNT_LIMIT at a quarter of it.
@@ -228,6 +249,11 @@ class TestNeutralDegreeStats:
     def test_validation(self):
         with pytest.raises(ValueError):
             neutral_degree_instance_means(8, 0, 2, samples=0)
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            neutral_degree_instance_means(8, 0, 2, samples=50.0)
+        # seed=0.9 used to run as seed 0.
+        with pytest.raises(ValueError, match="seed part must be an integer"):
+            neutral_degree_instance_means(8, 0, 2, samples=50, instances=1, seed=0.9)
         with pytest.raises(ValueError, match="COUNT_LIMIT"):
             neutral_degree_instance_means(8, 0, 2, samples=1024, instances=COUNT_LIMIT // 1024 + 1)
 

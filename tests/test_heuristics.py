@@ -10,6 +10,7 @@ from scubasearch import (
     hill_climb2,
     netcrawler,
     scuba,
+    search,
 )
 from scubasearch.heuristics import MOVE_NEUTRAL, MOVE_REJECT, STEP_MAX_LIMIT
 
@@ -313,6 +314,18 @@ class TestVanishingNeutrality:
             ss_evals.append(scuba(landscape, s0, np.random.default_rng(seed)).evaluations)
         ratio = np.mean(ss_evals) / np.mean(hc_evals)
         assert 1.0 <= ratio < 4.0
+
+
+@pytest.mark.parametrize("heuristic", ["hc", "nc", "hc2", "ss"])
+@pytest.mark.parametrize("runs,streams", [(1, 0), (2, 1), (1, 2)])
+def test_search_needs_one_stream_per_start(heuristic, runs, streams):
+    # Each run draws from its own stream only, so a start without a stream,
+    # or a stream without a start, is refused before any run starts.
+    landscape = generate(6, 1, 2, RANDOM, seed=1)
+    starts = [np.zeros(6, dtype=np.uint8)] * runs
+    rngs = [np.random.default_rng(i) for i in range(streams)]
+    with pytest.raises(ValueError, match=f"{runs} starts but {streams} rngs"):
+        search(landscape, heuristic, starts, rngs)
 
 
 class TestSharedLandscapeConcurrency:

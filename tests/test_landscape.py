@@ -98,6 +98,22 @@ class TestGenerate:
         with pytest.raises(LandscapeError, match="table entries"):
             generate(n, k, 2, RANDOM, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", True, np.float64(4)])
+    def test_non_integer_seed_rejected(self, seed):
+        # Refused, not truncated, compared as a string, or stored as 1.
+        with pytest.raises(LandscapeError, match="seed must be an integer"):
+            generate(3, 1, 2, seed=seed)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -4])
+    def test_constructor_refuses_a_seed_generate_refuses(self, seed):
+        # It used to keep 1.5 as 1, and -4, which serialize wrote and
+        # deserialize then refused.
+        with pytest.raises(LandscapeError, match="seed must be"):
+            NkqLandscape(2, 0, 3, RANDOM, np.empty((2, 0)), [[0, 1], [2, 1]], seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert generate(3, 1, 2, seed=np.uint64(7)) == generate(3, 1, 2, seed=7)
+
     def test_negative_seed_rejected_before_drawing(self, monkeypatch):
         def no_rng(*args, **kwargs):
             raise AssertionError("generate drew randomness for a negative seed")
@@ -135,7 +151,7 @@ class TestGenerate:
         assert np.array_equal(got, want)
 
     def test_generate_peaks_at_its_table(self):
-        # The table is drawn in 2**16-entry chunks straight into the array
+        # The table is drawn in _DRAW_CHUNK-entry chunks straight into the array
         # the landscape keeps, so nothing near its 8 MB is allocated twice.
         generate(64, 2, 100, seed=1)
         tracemalloc.start()

@@ -50,7 +50,7 @@ from scubasearch import (
 from scubasearch import cli, heuristics
 from scubasearch import landscape as landscape_module
 from scubasearch.heuristics import _Runs
-from scubasearch.landscape import _random_links, _table_dtype
+from scubasearch.landscape import _draw_bounded, _random_links, _table_dtype
 
 Q_VALUES = (2, 3, 100, 128, 129, 2**15, 2**15 + 1, 2**31, 2**31 + 1, 2**40, 2**58)
 
@@ -249,6 +249,74 @@ def test_generate_draws_one_draw_in_any_chunks(q, data):
     assert not landscape.links.flags.writeable and not landscape.tables.flags.writeable
     rebuilt = NkqLandscape(n, k, q, mode, landscape.links, landscape.tables, landscape.seed)
     assert rebuilt == landscape
+
+
+# The q the raw-word draw maps itself: every one up to 2**32, 2**32 included.
+RAW_DRAW_QS = tuple(q for q in Q_VALUES if q < 2**32) + (2**32,)
+# Sizes on both sides of the first two chunk edges.
+CHUNK_EDGE_SIZES = tuple(m * landscape_module._DRAW_CHUNK + d for m in (1, 2) for d in (-1, 0, 1))
+
+
+@pytest.mark.parametrize("q", RAW_DRAW_QS)
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), buffered=st.booleans(),
+       size=st.one_of(st.integers(0, 9), st.sampled_from(CHUNK_EDGE_SIZES)))
+def test_raw_word_draw_equals_integers(q, seed, buffered, size):
+    # The values of one integers() draw, and the bit generator left where
+    # that draw leaves it, whether or not a half was buffered beforehand.
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    if buffered:
+        # One 32-bit value leaves its word's high half buffered.
+        rng.integers(0, 5)
+        oracle_rng.integers(0, 5)
+        assert rng.bit_generator.state["has_uint32"]
+    out = np.empty(size, dtype=np.int64)
+    _draw_bounded(rng, q, out)
+    assert np.array_equal(out, oracle_rng.integers(0, q, size, dtype=np.int64))
+    got, want = rng.bit_generator.state, oracle_rng.bit_generator.state
+    assert got["state"] == want["state"] and got["has_uint32"] == want["has_uint32"]
+    # numpy leaves a stale uinteger when nothing is buffered.
+    if want["has_uint32"]:
+        assert got["uinteger"] == want["uinteger"]
+
+
+def test_raw_word_draw_keeps_an_unread_rejected_half():
+    # At seed 1 the first word's low half maps to a value at q = 2**31+1 and
+    # its high half would be rejected; numpy stops after the one value it
+    # needs, so that half stays buffered, unread.
+    q, rng = 2**31 + 1, np.random.default_rng(1)
+    word = int(np.random.default_rng(1).bit_generator.random_raw())
+    high = word >> 32
+    assert (high * q) % 2**32 < 2**32 % q
+    out = np.empty(1, dtype=np.int64)
+    _draw_bounded(rng, q, out)
+    assert out.tolist() == [((word & 0xFFFFFFFF) * q) >> 32] == [1016164991]
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == 1 and state["uinteger"] == high
+    oracle_rng = np.random.default_rng(1)
+    assert oracle_rng.integers(0, q, 1, dtype=np.int64).tolist() == out.tolist()
+    assert oracle_rng.bit_generator.state == state
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+@example(data=None)
+def test_base_indices_match_oracle(data):
+    # Table positions up to k = 16, the paper grid's largest, where an
+    # index packs 17 bits.
+    if data is None:
+        landscape = generate(17, 16, 2, seed=5)
+        rows = np.array([[0] * 17, [1] * 17, [0, 1] * 8 + [1]], dtype=np.uint8)
+    else:
+        k = data.draw(st.integers(0, 16))
+        n = data.draw(st.integers(k + 1, k + 4))
+        landscape = generate(n, k, 2, data.draw(st.sampled_from(MODES)),
+                             seed=data.draw(st.integers(0, 2**32 - 1)))
+        rows = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                           min_size=1, max_size=4)), dtype=np.uint8)
+    pos = landscape._base_indices(rows)
+    assert pos.dtype == np.int64
+    assert pos.tolist() == [oracles.table_positions(landscape, row) for row in rows]
 
 
 @given(data=st.data())

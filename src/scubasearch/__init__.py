@@ -35,7 +35,6 @@ from .heuristics import (
     MOVE_KINDS,
     RunResult,
     Trace,
-    TraceStep,
     hill_climb,
     hill_climb2,
     netcrawler,

@@ -55,13 +55,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _check_params(n: int, k_values, q_values, mode) -> None:
-    """Check every (k, q) pair before a seed is drawn or anything is written."""
-    for k in k_values:
-        for q in q_values:
-            check_params(n, k, q, mode)
-
-
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         if args.seed < 0:
@@ -102,7 +95,7 @@ def _add_seed(parser):
 
 
 def _cmd_gen(args) -> int:
-    _check_params(args.n, [args.k], [args.q], args.mode)
+    check_params(args.n, args.k, args.q, args.mode)
     seed = _resolve_seed(args)
     landscape = generate(args.n, args.k, args.q, args.mode, seed=seed)
     save_landscape(landscape, args.out)
@@ -118,7 +111,7 @@ def _load_or_generate(args, seed_of):
         return load_landscape(args.landscape)
     if args.n is None or args.k is None or args.q is None:
         raise UsageError("provide either --landscape or all of --n/--k/--q")
-    _check_params(args.n, [args.k], [args.q], args.mode)
+    check_params(args.n, args.k, args.q, args.mode)
     return generate(args.n, args.k, args.q, args.mode, seed=seed_of(args))
 
 
@@ -148,9 +141,10 @@ def _cmd_run(args) -> int:
     print(f"gate: {result.gate_count}")
     print(f"evaluations: {result.evaluations}")
     if args.trace:
-        for i, step in enumerate(result.trace):
-            bits = "".join(str(b) for b in step.genotype)
-            print(f"trace: {i} {step.kind} {step.fitness.total} {bits}")
+        trace = result.trace
+        for i, (row, kind, total) in enumerate(zip(
+                trace.genotypes().tolist(), trace.kinds.tolist(), trace.totals.tolist())):
+            print(f"trace: {i} {hx.MOVE_KINDS[kind]} {total} {''.join(map(str, row))}")
     return 0
 
 
@@ -178,10 +172,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_degn(args) -> int:
-    if not args.k or not args.q:
-        raise UsageError("k_values and q_values must be non-empty")
-    _check_params(args.n, args.k, args.q, args.mode)
     try:
+        # Every parameter is checked before a seed is drawn and printed.
+        ex.check_grid(args.n, args.k, args.q, args.mode)
         hx.check_counts({"--samples": args.samples, "--instances": args.instances},
                         len(args.k) * len(args.q))
     except ValueError as exc:

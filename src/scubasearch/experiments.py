@@ -65,6 +65,20 @@ def run_seed(base_seed: int, k: int, q: int, heuristic: str, instance: int,
                        hx.HEURISTICS.index(heuristic) + 1, instance, run)
 
 
+def check_grid(n, k_values, q_values, mode=RANDOM) -> None:
+    """Raise ``ValueError`` unless ``k_values`` and ``q_values`` are non-empty,
+    every (k, q) pair passes :func:`~.landscape.check_params` and no value
+    repeats, so no cell is run or written twice."""
+    if not k_values or not q_values:
+        raise ValueError("k_values and q_values must be non-empty")
+    for k in k_values:
+        for q in q_values:
+            check_params(n, k, q, mode)
+    for name, values in (("k_values", k_values), ("q_values", q_values)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must not repeat")
+
+
 @dataclass
 class SweepConfig:
     """Grid description: which cells to run and with what budgets.
@@ -90,12 +104,8 @@ class SweepConfig:
         self.k_values = tuple(self.k_values)
         self.q_values = tuple(self.q_values)
         self.heuristics = tuple(self.heuristics)
-        if not self.k_values or not self.q_values or not self.heuristics:
-            raise ValueError("k_values, q_values and heuristics must be non-empty")
         # Checked before the conversion, so a float k or q is refused, not truncated.
-        for k in self.k_values:
-            for q in self.q_values:
-                check_params(self.n, k, q, self.mode)
+        check_grid(self.n, self.k_values, self.q_values, self.mode)
         self.k_values = tuple(map(int, self.k_values))
         self.q_values = tuple(map(int, self.q_values))
         for h in self.heuristics:
@@ -240,6 +250,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
                                   mode=RANDOM) -> np.ndarray:
     """Mean neutral degree of uniform-random genotypes, one value per instance."""
+    check_params(n, k, q, mode)
     hx.check_counts({"samples": samples, "instances": instances})
     means = np.empty(instances)
     # Rows drawn per rng call. batch_scan bounds its own temporaries, so

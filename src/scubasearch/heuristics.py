@@ -38,13 +38,12 @@ over every genotype of a small landscape is :func:`~.pathgraph.census`.
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
 genotype plus, per step, the flipped locus, the total, the kind of move and
 the neutral degree of the state arrived at, which each searcher already
-knows from its deltas. A trace step's genotype and fitness are rebuilt only
-when read. Without a trace the searchers do no per-step trace work.
+knows from its deltas. :meth:`Trace.genotypes` rebuilds every step's
+genotype at once. Without a trace the searchers do no per-step trace work.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isqrt, prod
 
@@ -80,30 +79,18 @@ _PROPOSALS = 512
 _PAIR_ENTRIES = 2**18
 
 
-@dataclass
-class TraceStep:
-    """One trace entry: the state arrived at and how it was reached."""
-
-    genotype: np.ndarray
-    fitness: FitnessValue
-    kind: str
-
-
-class Trace(Sequence):
+class Trace:
     """Read-only trace of one run: the start genotype ``s0`` plus four arrays
     with one entry per step, the start being entry 0.
 
     ``loci`` holds the locus flipped to reach the state, or -1 when the state
     did not change (the start or a netcrawler rejection);
     ``totals`` (int64) its total; ``kinds`` how it was reached, as an index
-    into :data:`MOVE_KINDS`; ``degns`` its neutral degree. Indexing, slicing
-    and iteration yield :class:`TraceStep` objects built on access, their
-    genotypes from one prefix XOR of ``loci`` over ``s0``.
+    into :data:`MOVE_KINDS`; ``degns`` its neutral degree.
     """
 
-    def __init__(self, s0, max_total, loci, totals, kinds, degns):
+    def __init__(self, s0, loci, totals, kinds, degns):
         self.s0 = np.array(s0, dtype=np.uint8)
-        self.max_total = max_total
         self.loci = np.asarray(loci, dtype=np.int32)
         self.totals = np.asarray(totals, dtype=np.int64)
         self.kinds = np.asarray(kinds, dtype=np.int8)
@@ -115,32 +102,14 @@ class Trace(Sequence):
         return len(self.loci)
 
     def genotypes(self) -> np.ndarray:
-        """``(len, n)`` uint8: row i is the genotype of entry i."""
+        """``(len, n)`` uint8: row i is the genotype of entry i, one prefix
+        XOR of ``loci`` over ``s0``."""
         rows = np.zeros((len(self), self.s0.size), dtype=np.uint8)
         moved = np.flatnonzero(self.loci >= 0)
         rows[moved, self.loci[moved]] = 1
         rows = np.bitwise_xor.accumulate(rows, axis=0)
         rows ^= self.s0
         return rows
-
-    def _step(self, genotype, total, kind) -> TraceStep:
-        total = int(total)
-        return TraceStep(genotype, FitnessValue(total, total / self.max_total),
-                         MOVE_KINDS[kind])
-
-    def __iter__(self):
-        return map(self._step, self.genotypes(), self.totals.tolist(),
-                   self.kinds.tolist())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(map(self._step, self.genotypes()[index],
-                            self.totals[index].tolist(), self.kinds[index].tolist()))
-        i = range(len(self))[index]
-        moved = self.loci[1:i + 1]
-        parity = np.bincount(moved[moved >= 0], minlength=self.s0.size) & 1
-        return self._step(self.s0 ^ parity.astype(np.uint8), self.totals[i],
-                          self.kinds[i])
 
 
 @dataclass
@@ -252,7 +221,7 @@ class _Runs:
             totals, degns = np.empty(last.size, np.int64), np.empty(last.size, np.int32)
             loci[at], kinds[at], totals[at], degns[at] = locus, kind, total, degn
             columns = loci, totals[last], kinds, degns[last]
-            traces = [Trace(s0, landscape.max_total, *(column[a:b] for column in columns))
+            traces = [Trace(s0, *(column[a:b] for column in columns))
                       for s0, a, b in zip(self.s0, bounds[:-1].tolist(), bounds[1:].tolist())]
         return [RunResult(s, landscape.fitness(total), *counts, trace)
                 for s, total, *counts, trace in zip(

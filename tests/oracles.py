@@ -287,7 +287,7 @@ def neutral_mutation_profile(report, heuristics=("nc", "ss")):
     steps, closing a visit on each step that is not a rejection. Rows are
     ``(heuristic, degn, steps, p_neutral_step, visits, p_neutral_state)``,
     sorted by heuristic and degree."""
-    from scubasearch import generate
+    from scubasearch import MOVE_KINDS, generate
 
     acc = {}
     landscapes = {}
@@ -299,21 +299,20 @@ def neutral_mutation_profile(report, heuristics=("nc", "ss")):
         if key not in landscapes:
             landscapes[key] = generate(config.n, rec.k, rec.q, config.mode,
                                        seed=rec.landscape_seed)
-        steps = list(rec.trace)
-        sources = np.stack([step.genotype for step in steps[:-1]])
-        totals, flips = landscapes[key].batch_scan(sources)
+        totals, flips = landscapes[key].batch_scan(rec.trace.genotypes()[:-1])
         degns = (flips == totals[:, None]).sum(axis=1)
+        kinds = [MOVE_KINDS[kind] for kind in rec.trace.kinds[1:].tolist()]
         visit_degn = None
-        for d, step in zip(degns.tolist(), steps[1:]):
+        for d, kind in zip(degns.tolist(), kinds):
             entry = acc.setdefault((rec.heuristic, d), [0, 0, 0, 0])
             entry[0] += 1
-            entry[1] += step.kind == "neutral"
+            entry[1] += kind == "neutral"
             if visit_degn is None:
                 visit_degn = d
-            if step.kind != "reject":
+            if kind != "reject":
                 visit = acc[(rec.heuristic, visit_degn)]
                 visit[2] += 1
-                visit[3] += step.kind == "neutral"
+                visit[3] += kind == "neutral"
                 visit_degn = None
     return [(h, d, steps, neutral / steps, visits,
              neutral_visits / visits if visits else 0.0)

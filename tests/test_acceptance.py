@@ -269,8 +269,7 @@ def test_a4_evaluation_accounting(q2_report, table_report):
         rng = np.random.default_rng(derive_seed(4, index))
         result = scuba(landscape, rng.integers(0, 2, N, dtype=np.uint8), rng,
                        trace=True)
-        states = np.stack([step.genotype for step in result.trace])
-        totals, flips = landscape.batch_scan(states)
+        totals, flips = landscape.batch_scan(result.trace.genotypes())
         degns = (flips == totals[:, None]).sum(axis=1)
         ok &= result.evaluations == int(((1 + degns) * N).sum())
 

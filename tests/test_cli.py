@@ -280,7 +280,7 @@ class TestErrorHandling:
         ["degn", "--samples", "1", "--instances", str(heuristics.COUNT_LIMIT + 1)],
         ["sweep", "--heuristics", "hc", "--runs", str(heuristics.COUNT_LIMIT + 1),
          "--instances", "1"],
-        ["degn", "--samples", "1024", "--instances", "1024", "--k", "0,0"],
+        ["degn", "--samples", "1024", "--instances", "1024", "--k", "0,2"],
         ["sweep", "--heuristics", "hc,ss", "--runs", str(heuristics.COUNT_LIMIT // 4),
          "--instances", "1", "--q", "2,3,4"],
     ], ids=["degn-samples", "degn-instances", "sweep-runs", "degn-product", "sweep-product"])
@@ -327,6 +327,24 @@ class TestErrorHandling:
         assert run_cli("degn", "--n", "8", *grid, "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "must be non-empty" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--heuristics", "hc", "--runs", "3", "--instances", "1"],
+        ["degn", "--samples", "10", "--instances", "1"],
+    ], ids=["sweep", "degn"])
+    @pytest.mark.parametrize("grid,name", [
+        (["--k", "2,2", "--q", "2"], "k_values"),
+        (["--k", "0,2", "--q", "3,2,3"], "q_values"),
+    ], ids=["k", "q"])
+    def test_refuses_repeated_grid_value(self, command, grid, name, tmp_path, capsys):
+        # A repeated value used to run or sample its cells twice and write
+        # each twice; it is refused before a seed is drawn and printed.
+        out = tmp_path / "out.csv"
+        argv = command + ["--n", "8", *grid, "--out", str(out)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"scubasearch: error: {name} must not repeat\n"
         assert not out.exists()
 
     def test_unwritable_output(self):

@@ -12,6 +12,7 @@ from scubasearch import (
     RECORDS_HEADER,
     STEP_STATS_HEADER,
     SWEEP_HEADER,
+    LandscapeError,
     NkqLandscape,
     SweepConfig,
     SweepReport,
@@ -160,6 +161,11 @@ class TestRunSweep:
             small_config(heuristics=("hc", "annealing"))
         with pytest.raises(ValueError, match="repeat"):
             small_config(heuristics=("hc", "ss", "hc"))
+        # A repeated k or q used to run its cells twice, doubling their runs.
+        with pytest.raises(ValueError, match="k_values must not repeat"):
+            small_config(k_values=(2, 0, 2))
+        with pytest.raises(ValueError, match="q_values must not repeat"):
+            small_config(q_values=(2, 3, 2))
         with pytest.raises(ValueError):
             small_config(runs=0)
         with pytest.raises(ValueError):
@@ -184,7 +190,7 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="COUNT_LIMIT"):
             small_config(runs=COUNT_LIMIT // 4 + 1)
         with pytest.raises(ValueError, match="COUNT_LIMIT"):
-            small_config(k_values=(0, 2, 0), runs=COUNT_LIMIT // 4)
+            small_config(k_values=(0, 2, 4), runs=COUNT_LIMIT // 4)
         with pytest.raises(ValueError, match="COUNT_LIMIT"):
             small_config(instances=COUNT_LIMIT + 1)
 
@@ -256,6 +262,11 @@ class TestNeutralDegreeStats:
             neutral_degree_instance_means(8, 0, 2, samples=50, instances=1, seed=0.9)
         with pytest.raises(ValueError, match="COUNT_LIMIT"):
             neutral_degree_instance_means(8, 0, 2, samples=1024, instances=COUNT_LIMIT // 1024 + 1)
+        # Checked before the sample chunk is sized: these used to raise
+        # ZeroDivisionError and TypeError.
+        for n, k, q in ((0, 0, 2), (5, -1, 2), ("8", 0, 2)):
+            with pytest.raises(LandscapeError):
+                neutral_degree_instance_means(n, k, q, samples=10, instances=1)
 
     def test_holds_one_landscape(self, monkeypatch):
         most_alive = track_landscapes(monkeypatch)

@@ -12,7 +12,9 @@ from scubasearch import (
     scuba,
     search,
 )
-from scubasearch.heuristics import MOVE_NEUTRAL, MOVE_REJECT, STEP_MAX_LIMIT
+from scubasearch.heuristics import MOVE_KINDS, MOVE_NEUTRAL, MOVE_REJECT, STEP_MAX_LIMIT
+
+NEUTRAL, REJECT = MOVE_KINDS.index(MOVE_NEUTRAL), MOVE_KINDS.index(MOVE_REJECT)
 
 
 def scan(landscape, s):
@@ -32,8 +34,7 @@ def evolvability(landscape, s) -> int:
 
 
 def assert_trace_non_decreasing(result):
-    totals = [step.fitness.total for step in result.trace]
-    assert all(a <= b for a, b in zip(totals, totals[1:]))
+    assert (np.diff(result.trace.totals) >= 0).all()
 
 
 class TestHillClimb:
@@ -65,34 +66,23 @@ class TestHillClimb:
             assert result.gate_count == result.steps
             assert result.flat_count == 0
             assert_trace_non_decreasing(result)
-            totals = [step.fitness.total for step in result.trace]
-            assert all(a < b for a, b in zip(totals, totals[1:]))
+            assert (np.diff(result.trace.totals) > 0).all()
 
 
 class TestTrace:
     @pytest.mark.parametrize("search", [hill_climb, hill_climb2, scuba, netcrawler])
     def test_read_paths_agree(self, search):
+        # The rebuilt genotypes and the recorded totals tell one story.
         landscape = generate(12, 2, 4, RANDOM, seed=9)
         s0 = np.random.default_rng(4).integers(0, 2, 12, dtype=np.uint8)
         result = search(landscape, s0, np.random.default_rng(3), trace=True)
         trace = result.trace
-        steps = list(trace)
-        assert len(steps) == len(trace) == len(trace.genotypes())
-        assert steps[0].genotype.tolist() == s0.tolist()
-        assert steps[-1].genotype.tolist() == result.terminal.tolist()
-        assert steps[-1].fitness == result.fitness
-        for i, step in enumerate(steps):
-            for other in (trace[i], trace[i - len(trace)]):
-                assert other.genotype.tolist() == step.genotype.tolist()
-                assert other.fitness == step.fitness
-                assert other.fitness.normalized == step.fitness.normalized
-                assert other.kind == step.kind
-            assert landscape.total(step.genotype) == step.fitness.total
-        for part in (slice(1, None), slice(None, -1), slice(2, 9, 3), slice(None, None, -1)):
-            assert [(s.genotype.tolist(), s.fitness.total, s.kind) for s in trace[part]] \
-                == [(s.genotype.tolist(), s.fitness.total, s.kind) for s in steps[part]]
-        with pytest.raises(IndexError):
-            trace[len(trace)]
+        genotypes = trace.genotypes()
+        assert genotypes.shape == (len(trace), 12) and genotypes.dtype == np.uint8
+        assert landscape.batch_totals(genotypes).tolist() == trace.totals.tolist()
+        assert genotypes[0].tolist() == s0.tolist() == trace.s0.tolist()
+        assert genotypes[-1].tolist() == result.terminal.tolist()
+        assert trace.totals[-1] == result.fitness.total
 
     def test_loci_name_the_flipped_bit(self, rng):
         # Every searcher changes its state at every step but the start and a
@@ -109,7 +99,7 @@ class TestTrace:
                 for i in range(1, len(trace)):
                     changed = np.flatnonzero(genotypes[i] != genotypes[i - 1]).tolist()
                     assert changed == ([] if trace.loci[i] == -1 else [trace.loci[i]])
-                    assert (trace.loci[i] == -1) == (trace[i].kind == MOVE_REJECT), \
+                    assert (trace.loci[i] == -1) == (trace.kinds[i] == REJECT), \
                         search.__name__
                 if search is scuba:
                     scuba_flat += result.flat_count
@@ -132,8 +122,7 @@ class TestNetcrawler:
         assert result.fitness.total == landscape.total(np.zeros(8, dtype=np.uint8))
         assert result.flat_count == 50
         assert result.gate_count == 0
-        kinds = [step.kind for step in result.trace[1:]]
-        assert all(kind == MOVE_NEUTRAL for kind in kinds)
+        assert (result.trace.kinds[1:] == NEUTRAL).all()
 
     def test_budget_and_accounting(self, rng):
         landscape = generate(16, 3, 3, RANDOM, seed=5)
@@ -154,14 +143,14 @@ class TestNetcrawler:
         landscape = generate(12, 2, 4, RANDOM, seed=9)
         result = netcrawler(landscape, rng.integers(0, 2, 12, dtype=np.uint8),
                             np.random.default_rng(3), 200, trace=True)
-        previous = result.trace[0]
-        for step in result.trace[1:]:
-            if step.kind == MOVE_REJECT:
-                assert step.fitness.total == previous.fitness.total
-                assert step.genotype.tolist() == previous.genotype.tolist()
+        trace = result.trace
+        genotypes = trace.genotypes()
+        for i in range(1, len(trace)):
+            if trace.kinds[i] == REJECT:
+                assert trace.totals[i] == trace.totals[i - 1]
+                assert genotypes[i].tolist() == genotypes[i - 1].tolist()
             else:
-                assert step.fitness.total >= previous.fitness.total
-            previous = step
+                assert trace.totals[i] >= trace.totals[i - 1]
 
     def test_neutral_proposal_frequency_matches_degn(self):
         # frequency of neutral proposals from a fixed state ~ Degn/n
@@ -259,15 +248,15 @@ class TestScuba:
             assert is_v_local(landscape, result.terminal)
             assert_trace_non_decreasing(result)
             # flat moves keep the total and strictly increase evolvability
-            previous = result.trace[0]
-            for step in result.trace[1:]:
-                if step.kind == MOVE_NEUTRAL:
-                    assert step.fitness.total == previous.fitness.total
-                    assert (evolvability(landscape, step.genotype)
-                            > evolvability(landscape, previous.genotype))
+            trace = result.trace
+            genotypes = trace.genotypes()
+            for i in range(1, len(trace)):
+                if trace.kinds[i] == NEUTRAL:
+                    assert trace.totals[i] == trace.totals[i - 1]
+                    assert (evolvability(landscape, genotypes[i])
+                            > evolvability(landscape, genotypes[i - 1]))
                 else:
-                    assert step.fitness.total > previous.fitness.total
-                previous = step
+                    assert trace.totals[i] > trace.totals[i - 1]
 
     def test_exact_guard_accounting(self, rng):
         # one guard evaluation per trace state, each costing (1 + Degn) * n
@@ -277,8 +266,8 @@ class TestScuba:
             result = scuba(landscape, rng.integers(0, 2, 16, dtype=np.uint8),
                            np.random.default_rng(seed), trace=True)
             expected = sum(
-                (1 + degn(tuple(step.genotype.tolist()))) * 16
-                for step in result.trace
+                (1 + degn(tuple(genotype))) * 16
+                for genotype in result.trace.genotypes().tolist()
             )
             assert result.evaluations == expected
 

@@ -3,10 +3,11 @@
 With tracing on, the child wraps a fixed list of library names before it
 calls the CLI, so a rename or deletion of any of them fails here rather than
 only when the benchmark runs. Each workload command is traced once. The
-child would also read the ``Trace`` of a run made through a wrapped per-run
+child would also index the ``Trace`` of a run made through a wrapped per-run
 searcher, but the CLI runs every search through ``heuristics.search``, so
-that read never happens; ``run --trace`` prints each ``TraceStep`` of its
-trace instead.
+that read never happens: every traced command here checks that no per-run
+searcher span was recorded. ``run --trace`` prints its trace from the
+trace's arrays.
 """
 
 import json
@@ -15,12 +16,15 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_traced_child(tmp_path, *cli_argv):
     """Run ``cli_argv`` through the traced child; require rc 0 from the
-    process and in its ``result.json``, and return the process."""
+    process and in its ``result.json`` and no span of a wrapped per-run
+    searcher, and return the process."""
     child = os.path.join(ROOT, "perfbench", "child.py")
     src = os.path.join(ROOT, "src")
     argv = [sys.executable, child, str(time.monotonic_ns()), src, str(tmp_path), "1",
@@ -30,6 +34,11 @@ def run_traced_child(tmp_path, *cli_argv):
     with open(tmp_path / "result.json") as fh:
         result = json.load(fh)
     assert result["rc"] == 0
+    with np.load(tmp_path / "spans.npz") as spans:
+        recorded = {result["span_names"][i] for i in np.unique(spans["name"]).tolist()}
+    assert "cli.main" in recorded
+    assert not recorded & {f"heuristics.{name}" for name in
+                           ("hill_climb", "netcrawler", "hill_climb2", "scuba")}
     return proc
 
 

@@ -427,7 +427,8 @@ def _as_oracle_run(result):
             "total": result.fitness.total, "steps": result.steps,
             "flat": result.flat_count, "gate": result.gate_count,
             "evaluations": result.evaluations,
-            "trace": [(step.kind, step.fitness.total) for step in result.trace]}
+            "trace": [(MOVE_KINDS[kind], total) for kind, total in
+                      zip(result.trace.kinds.tolist(), result.trace.totals.tolist())]}
 
 
 @pytest.mark.parametrize("q", Q_VALUES)
@@ -606,8 +607,8 @@ def test_profile_matches_rescan_oracle(data):
             degns[(rec.k, rec.q, rec.instance)] = oracles.memo_degn(generate(
                 n, rec.k, rec.q, config.mode, seed=rec.landscape_seed))
         degn = degns[(rec.k, rec.q, rec.instance)]
-        for recorded, step in zip(rec.trace.degns.tolist(), rec.trace):
-            assert recorded == degn(tuple(step.genotype.tolist()))
+        for recorded, genotype in zip(rec.trace.degns.tolist(), rec.trace.genotypes().tolist()):
+            assert recorded == degn(tuple(genotype))
 
 
 # Chunks that keep a document close to valid (integers, signs, separators)

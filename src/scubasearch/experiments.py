@@ -14,16 +14,21 @@ from __future__ import annotations
 import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
+from math import comb
 from typing import Optional
 
 import numpy as np
 
 from . import heuristics as hx
-from .landscape import RANDOM, check_integer, check_params, generate
+from .landscape import RANDOM, _table_dtype, check_integer, check_params, generate
 
 _LANDSCAPE_STREAM = 101
 _RUN_STREAM = 102
 _SAMPLE_STREAM = 103
+
+# Bytes the instances of one lockstep batch may hold, _instance_bytes each: on
+# the paper grid a K <= 12 cell's instances share a batch, a K=16 one runs alone.
+_BATCH_BYTES = 2**22
 
 SWEEP_HEADER = (
     "heuristic,n,k,q,runs,mean_fitness,std_fitness,"
@@ -196,44 +201,60 @@ class SweepReport:
         return out
 
 
+def _instance_bytes(config: SweepConfig, k: int, q: int) -> int:
+    """An upper bound on the bytes one instance of cell ``(k, q)`` holds in
+    a batch: its table and the batch's copy, its flip structure, its by-locus
+    rows (at most n wide) and ball, and its runs' state and proposals."""
+    n, runs = config.n, -(-config.runs // config.instances)
+    structure = 8 * (n * (n * (k + 3) + 4 * k + 6) + (n + 3) * comb(k + 1, 2) + 2 * k + 4)
+    return (2 * n * 2 ** (k + 1) * _table_dtype(q).itemsize + structure
+            + runs * (17 * n + 48 + 8 * hx._PROPOSALS))
+
+
 def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]:
-    """Every heuristic's runs on cell ``(k, q)``, keyed by heuristic, one
-    batch per landscape. Each instance's landscape is generated, serves
-    every heuristic's batch and is dropped before the next one is
-    generated, so one landscape is alive at a time; records are filled by
-    run index, so their order does not depend on this."""
+    """Every heuristic's runs on cell ``(k, q)``, keyed by heuristic. The
+    instances run in groups of as many as fit in :data:`_BATCH_BYTES`, at
+    least one; a group's landscapes serve one batch per heuristic and are
+    dropped before the next group's are generated. Records are filled by
+    run index, so their order does not depend on the grouping."""
     out = {h: [None] * config.runs for h in config.heuristics}
-    for inst in range(min(config.instances, config.runs)):
-        landscape = generate(config.n, k, q, config.mode,
-                             seed=landscape_seed(config.base_seed, k, q, inst))
-        runs = range(inst, config.runs, config.instances)
+    instances = min(config.instances, config.runs)
+    size = max(1, _BATCH_BYTES // _instance_bytes(config, k, q))
+    for low in range(0, instances, size):
+        group = range(low, min(low + size, instances))
+        landscapes = [generate(config.n, k, q, config.mode,
+                               seed=landscape_seed(config.base_seed, k, q, inst))
+                      for inst in group]
+        runs = [r for inst in group for r in range(inst, config.runs, config.instances)]
+        insts = [r % config.instances for r in runs]
         for h in config.heuristics:
-            seeds = [run_seed(config.base_seed, k, q, h, inst, r) for r in runs]
+            seeds = [run_seed(config.base_seed, k, q, h, inst, r) for inst, r in zip(insts, runs)]
             rngs = [np.random.default_rng(rs) for rs in seeds]
             starts = [rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs]
-            results = hx.search(landscape, h, starts, rngs, config.step_max, config.keep_traces)
-            for r, rs, result in zip(runs, seeds, results):
+            results = hx.search(landscapes, h, starts, rngs, config.step_max,
+                                config.keep_traces, [inst - low for inst in insts])
+            for inst, r, rs, result in zip(insts, runs, seeds, results):
                 out[h][r] = RunRecord(
                     heuristic=h, k=k, q=q, instance=inst, run=r,
-                    landscape_seed=landscape.seed, run_seed=rs,
+                    landscape_seed=landscapes[inst - low].seed, run_seed=rs,
                     fitness_total=result.fitness.total,
                     fitness_norm=result.fitness.normalized,
                     steps=result.steps, flat=result.flat_count,
                     gate=result.gate_count, evaluations=result.evaluations,
                     trace=result.trace,
                 )
-        del landscape
+        del landscapes
     return out
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run every cell of the grid; uniform-random initial genotypes per run.
 
-    Cells run in (k, q) order and each runs its instances one at a time,
-    every heuristic on each, so only one landscape is held at a time; the
-    records aggregate in config order (heuristic, k, q, run). Every run has
-    its own seed, so the report and the files written from it never depend
-    on scheduling.
+    Cells run in (k, q) order, each instance group of a cell as one lockstep
+    batch per heuristic (:func:`_run_cell`); the records aggregate in config
+    order (heuristic, k, q, run). Every run has its own seed and reads only
+    its own landscape, so the report and the files written from it never
+    depend on the grouping or on scheduling.
     """
     cells = {(k, q): _run_cell(config, k, q)
              for k in config.k_values for q in config.q_values}

@@ -23,17 +23,19 @@ scuba ``(1+Degn(s))*n`` per inner-guard evaluation.
 The searchers carry the one-bit deltas ``d`` of the current point instead of
 rescanning it: a proposal at locus l reads ``total + d[l]``, and a move
 updates ``d`` from the components that read the flipped locus. The charges
-are the queries, not this compute. :func:`search` advances one landscape's
-runs together in one run state: each round moves every live run with one
-flip update, scuba's guard reads every live run's neutral neighbors from
-one batch of mutant deltas, hc2 reads their distance-2 balls from one
-batch of pair gains, whose rows are its moved runs' new deltas, so its flip
-update only moves table positions, and the netcrawler jumps each live run
-to its next accepted proposal, since a rejection leaves the state as it is.
-Each run draws from its own stream only, and what it would draw alone (the
-netcrawler's proposals in chunks, which continue one stream), so batching
-cannot change an output; the four searchers are batches of one. Locality
-over every genotype of a small landscape is :func:`~.pathgraph.census`.
+are the queries, not this compute. :func:`search` advances the runs of one
+or more landscapes of one (n, k, q) together in one run state, over the
+kernels of one :class:`~.landscape._Group`: each round moves every live run
+with one flip update, scuba's guard reads every live run's neutral
+neighbors from blocks of mutant deltas, hc2 reads their distance-2 balls
+from one batch of pair gains, whose rows are its moved runs' new deltas, so
+its flip update only moves table positions, and the netcrawler jumps each
+live run to its next accepted proposal, since a rejection leaves the state
+as it is. Each run reads only its own landscape and draws from its own
+stream only, what it would draw alone (the netcrawler's proposals in
+chunks, which continue one stream), so batching cannot change an output;
+the four searchers are batches of one. Locality over every genotype of a
+small landscape is :func:`~.pathgraph.census`.
 
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
 genotype plus, per step, the flipped locus, the total, the kind of move and
@@ -49,8 +51,8 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .landscape import (MAX_TABLE_ENTRIES, FitnessValue, LandscapeError, as_genotype,
-                        check_integer)
+from .landscape import (_SCAN_ENTRIES, MAX_TABLE_ENTRIES, FitnessValue, LandscapeError,
+                        NkqLandscape, _Group, _int_array, as_genotype, check_integer)
 
 MOVE_INIT = "init"
 MOVE_IMPROVE = "improve"
@@ -163,67 +165,81 @@ def check_pair_totals(n) -> None:
 
 
 class _Runs:
-    """The run state of R runs on one landscape: per run its start genotype
-    (``s0``), its components' positions in the flattened tables (``idx``,
-    whose bit 0 in column j is the allele at locus j) and its one-bit deltas
-    (``d``), all (R, n), its total (``total``) and its neutral, improving and
-    descending moves (``moves``, (R, 3), indexed by the sign of the gain).
-    With a trace it logs every move: ``(runs, entries, loci, totals, kinds,
-    degns)``."""
+    """The run state of R runs over a :class:`~.landscape._Group`: per run
+    its instance (``instances``), start genotype (``s0``), components'
+    positions in the group's flat tables (``idx``, whose bit 0 in column j
+    is the allele at locus j) and one-bit deltas (``d``), all (R, n), its
+    total (``total``) and its neutral, improving and descending moves
+    (``moves``, (R, 3), indexed by the sign of the gain). With a trace it
+    logs every move: ``(runs, entries, loci, totals, kinds, degns)``."""
 
-    def __init__(self, landscape, starts, trace):
-        n = landscape.n
-        self.landscape = landscape
+    def __init__(self, group, instances, starts, trace):
+        n = group.n
+        self.group, self.instances = group, instances
         self.s0 = np.array([as_genotype(s, n) for s in starts], dtype=np.uint8).reshape(-1, n)
-        self.idx, self.total, self.d = landscape._row_deltas(self.s0)
+        self.idx, self.d = (np.empty(self.s0.shape, dtype=np.int64) for _ in range(2))
+        self.total = np.empty(len(self.s0), dtype=np.int64)
+        for i, landscape in enumerate(group.landscapes):
+            rows = np.flatnonzero(instances == i)
+            pos, self.total[rows], self.d[rows] = landscape._row_deltas(self.s0[rows])
+            self.idx[rows] = pos + i * landscape.tables.size
         self.moves = np.zeros((len(self.s0), 3), dtype=np.int64)
         self.log = [] if trace else None
-        runs = np.arange(len(self.s0))
-        self._log(runs, np.zeros_like(runs), np.full_like(runs, -1), np.full_like(runs, _INIT))
+        if trace:
+            runs = np.arange(len(self.s0))
+            self._log(runs, np.zeros_like(runs), np.full_like(runs, -1), np.full_like(runs, _INIT))
 
     def _log(self, runs, entries, loci, kinds):
-        if self.log is not None:
-            degns = self.landscape.n - np.count_nonzero(self.d[runs], axis=1)
-            self.log.append((runs, entries, loci, self.total[runs], kinds, degns))
+        degns = self.group.n - np.count_nonzero(self.d[runs], axis=1)
+        self.log.append((runs, entries, loci, self.total[runs], kinds, degns))
 
-    def flip(self, runs, loci, entries, deltas=None):
-        """Flip locus ``loci[i]`` of run ``runs[i]``, reaching its trace
-        entry ``entries[i]``, for every i at once. A move that keeps the
-        total is flat, one that raises it a gate move, one that lowers it
-        (an hc2 lookahead) neither. Row i of ``deltas``, if given, holds the
-        one-bit deltas of run ``runs[i]`` with ``loci[i]`` flipped, so they
-        need no update."""
+    def flip(self, runs, loci, deltas=None, entries=None):
+        """Flip locus ``loci[i]`` of run ``runs[i]`` for every i at once. A
+        move that keeps the total is flat, one that raises it a gate move,
+        one that lowers it (an hc2 lookahead) neither. Row i of ``deltas``,
+        if given, holds the one-bit deltas of run ``runs[i]`` with
+        ``loci[i]`` flipped, so they need no update. A traced move reaches
+        trace entry ``entries[i]``, by default the run's moves so far."""
         gains = self.d[runs, loci]
         signs = np.sign(gains)
         self.moves[runs, signs] += 1
         self.total[runs] += gains
+        keys = self.instances[runs] * self.group.n + loci
         if deltas is None:
-            self.landscape._flip(self.idx, self.d, runs, loci)
+            self.group._flip(self.idx, self.d, runs, keys)
         else:
             self.d[runs] = deltas
-            self.landscape._flip_positions(self.idx, runs, loci)
-        self._log(runs, entries, loci, _KIND_OF_SIGN[signs])
+            self.group._flip_positions(self.idx, runs, keys)
+        if self.log is not None:
+            if entries is None:
+                entries = self.moves[runs].sum(axis=1)
+            self._log(runs, entries, loci, _KIND_OF_SIGN[signs])
 
     def results(self, steps, evaluations) -> list[RunResult]:
         """One result per run, with a trace of ``steps[r] + 1`` entries for
         run r. An entry no move logged is a netcrawler rejection: locus -1,
         and the total and neutral degree of the entry before it."""
-        landscape = self.landscape
         traces = [None] * len(self.s0)
         if self.log is not None:
-            run, entry, locus, total, kind, degn = map(np.concatenate, zip(*self.log))
             bounds = np.concatenate(([0], np.cumsum(steps + 1)))
-            at = bounds[run] + entry
-            last = np.zeros(bounds[-1], dtype=np.intp)
-            last[at] = at
-            np.maximum.accumulate(last, out=last)
-            loci, kinds = np.full(last.size, -1, np.int32), np.full(last.size, _REJECT, np.int8)
-            totals, degns = np.empty(last.size, np.int64), np.empty(last.size, np.int32)
-            loci[at], kinds[at], totals[at], degns[at] = locus, kind, total, degn
-            columns = loci, totals[last], kinds, degns[last]
+            size = int(bounds[-1])
+            loci, kinds = np.full(size, -1, np.int32), np.full(size, _REJECT, np.int8)
+            totals, degns = np.empty(size, np.int64), np.empty(size, np.int32)
+            while self.log:
+                run, entry, locus, total, kind, degn = self.log.pop()
+                at = bounds[run] + entry
+                loci[at], kinds[at], totals[at], degns[at] = locus, kind, total, degn
+            # Each run's entry 0 is logged, so each logged entry's values
+            # repeat over the rejections up to the next logged one.
+            logged = np.flatnonzero(kinds != _REJECT)
+            if logged.size < size:
+                repeats = np.diff(logged, append=size)
+                totals[:] = np.repeat(totals[logged], repeats)
+                degns[:] = np.repeat(degns[logged], repeats)
+            columns = loci, totals, kinds, degns
             traces = [Trace(s0, *(column[a:b] for column in columns))
                       for s0, a, b in zip(self.s0, bounds[:-1].tolist(), bounds[1:].tolist())]
-        return [RunResult(s, landscape.fitness(total), *counts, trace)
+        return [RunResult(s, self.group.landscapes[0].fitness(total), *counts, trace)
                 for s, total, *counts, trace in zip(
                     (self.idx & 1).astype(np.uint8), self.total.tolist(), steps.tolist(),
                     self.moves[:, 0].tolist(), self.moves[:, 1].tolist(),
@@ -238,9 +254,9 @@ def _draw(rngs, runs, picks):
     return (picks.cumsum(axis=1) > np.array(draws, dtype=np.int64)[:, None]).argmax(axis=1)
 
 
-def _climb(landscape, starts, rngs, trace, neutral_phase) -> list[RunResult]:
-    """Hill climbing, or scuba when ``neutral_phase``, from each start, run
-    i drawing from ``rngs[i]``; each round moves every live run once.
+def _climb(runs, rngs, neutral_phase) -> list[RunResult]:
+    """Hill climbing, or scuba when ``neutral_phase``, of each of ``runs``,
+    run i drawing from ``rngs[i]``; each round moves every live run once.
 
     At each point: if ``neutral_phase`` and some neutral neighbor has a
     strictly higher evolvability than the point itself, flip to a uniformly
@@ -249,7 +265,9 @@ def _climb(landscape, starts, rngs, trace, neutral_phase) -> list[RunResult]:
     stop. Reading ``total + d`` is charged ``n`` queries, and scuba's guard,
     read from the mutant deltas of the neutral neighbors, ``Degn * n`` more.
     """
-    runs = _Runs(landscape, starts, trace)
+    group = runs.group
+    # The guard reads mutant deltas in batch_scan's blocks, whatever the batch.
+    block = max(1, _SCAN_ENTRIES // (group.n * (group.k + 1)))
     # The neutral neighbors each run's guard has read.
     guarded = np.zeros(len(rngs), dtype=np.int64)
     live = np.arange(len(rngs))
@@ -263,7 +281,12 @@ def _climb(landscape, starts, rngs, trace, neutral_phase) -> list[RunResult]:
             guarded[live] += np.bincount(at, minlength=live.size)
             # A neutral neighbor's evolvability, less the point's total, is
             # its best one-bit delta; flipping back (delta 0) is one of them.
-            lifts = landscape._mutant_deltas(runs.idx, runs.d, live[at], loci).max(axis=1)
+            rows = live[at]
+            keys = runs.instances[rows] * group.n + loci
+            lifts = np.empty(at.size, dtype=np.int64)
+            for b in range(0, at.size, block):
+                lifts[b:b + block] = group._mutant_deltas(
+                    runs.idx, runs.d, rows[b:b + block], keys[b:b + block]).max(axis=1)
             lift = np.full(live.size, -1, dtype=np.int64)
             np.maximum.at(lift, at, lifts)
             flat = lift > np.maximum(gain, 0)
@@ -272,18 +295,17 @@ def _climb(landscape, starts, rngs, trace, neutral_phase) -> list[RunResult]:
             picks[at[best], loci[best]] = True
             moving |= flat
         live = live[moving]
-        runs.flip(live, _draw(rngs, live, picks[moving]), runs.moves[live].sum(axis=1) + 1)
+        runs.flip(live, _draw(rngs, live, picks[moving]))
     steps = runs.moves.sum(axis=1)
-    return runs.results(steps, landscape.n * (steps + 1 + guarded))
+    return runs.results(steps, group.n * (steps + 1 + guarded))
 
 
-def _climb2(landscape, starts, rngs, trace) -> list[RunResult]:
-    """:func:`hill_climb2` from each start, run i drawing from ``rngs[i]``;
-    each round moves every live run once, reading the pair gains of
-    ``max(1, _PAIR_ENTRIES // n**2)`` runs at a time."""
-    n = landscape.n
+def _climb2(runs, rngs) -> list[RunResult]:
+    """:func:`hill_climb2` of each of ``runs``, run i drawing from
+    ``rngs[i]``; each round moves every live run once, reading the pair
+    gains of ``max(1, _PAIR_ENTRIES // n**2)`` runs at a time."""
+    n = runs.group.n
     check_pair_totals(n)
-    runs = _Runs(landscape, starts, trace)
     live = np.arange(len(rngs))
     chunk = max(1, _PAIR_ENTRIES // (n * n))
     while live.size:
@@ -291,7 +313,7 @@ def _climb2(landscape, starts, rngs, trace) -> list[RunResult]:
         for first in range(0, live.size, chunk):
             rows = live[first:first + chunk]
             d = runs.d[rows]
-            gains = landscape._pair_gains(runs.idx[rows], d)
+            gains = runs.group._pair_gains(runs.idx[rows], d, runs.instances[rows])
             # Locus a's best gain is the best one in its one-bit mutant's
             # neighborhood: the mutant itself (0 more) or a pair, the point
             # itself (a flipped back, -d[a] more) included.
@@ -301,56 +323,66 @@ def _climb2(landscape, starts, rngs, trace) -> list[RunResult]:
             moving = np.flatnonzero(ext > 0)
             rows = rows[moving]
             loci = _draw(rngs, rows, picks[moving])
-            runs.flip(rows, loci, runs.moves[rows].sum(axis=1) + 1, gains[moving, loci])
+            runs.flip(rows, loci, gains[moving, loci])
             moved.append(rows)
         live = np.concatenate(moved)
     steps = runs.moves.sum(axis=1)
     return runs.results(steps, (steps + 1) * (n + n * (n - 1) // 2))
 
 
-def _crawl(landscape, starts, rngs, step_max, trace) -> list[RunResult]:
-    """The netcrawler from each start, run i drawing from ``rngs[i]``, its
-    proposals ``_PROPOSALS`` at a time. Each round moves every run with an
-    accepted proposal left in the chunk straight to the first one."""
+def _crawl(runs, rngs, step_max) -> list[RunResult]:
+    """The netcrawler of each of ``runs``, run i drawing from ``rngs[i]``,
+    its proposals ``_PROPOSALS`` at a time. Each round moves every run with
+    an accepted proposal left in the chunk straight to the first one."""
     check_step_max(step_max)
-    runs = _Runs(landscape, starts, trace)
     for first in range(0, step_max, _PROPOSALS):
         width = min(_PROPOSALS, step_max - first)
-        proposals = np.array([rng.integers(landscape.n, size=width) for rng in rngs])
+        proposals = np.array([rng.integers(runs.group.n, size=width) for rng in rngs])
         cursor = np.zeros(len(rngs), dtype=np.int64)
         live = np.arange(len(rngs))
         while live.size:
-            accepted = runs.d[live[:, None], proposals[live]] >= 0
+            accepted = (runs.d >= 0)[live[:, None], proposals[live]]
             accepted &= np.arange(width) >= cursor[live, None]
             found = accepted.any(axis=1)
             live = live[found]
             cursor[live] = accepted[found].argmax(axis=1) + 1
-            runs.flip(live, proposals[live, cursor[live] - 1], first + cursor[live])
+            runs.flip(live, proposals[live, cursor[live] - 1],
+                      entries=None if runs.log is None else first + cursor[live])
+    del proposals  # the last chunk's, before the traces are built
     steps = np.full(len(rngs), step_max, dtype=np.int64)
     return runs.results(steps, steps)
 
 
-def search(landscape, heuristic, starts, rngs, step_max=300, trace=False) -> list[RunResult]:
-    """One run of ``heuristic`` from each genotype of ``starts``, run i
-    drawing its tie-breaks and proposals from ``rngs[i]`` only, so each
-    result is the one the run gives alone. The runs advance together.
-    ``starts`` and ``rngs`` must be as long as each other."""
+def search(landscape, heuristic, starts, rngs, step_max=300, trace=False,
+           instances=None) -> list[RunResult]:
+    """One run of ``heuristic`` from each genotype of ``starts``, run i on
+    ``landscape``, or on ``landscape[instances[i]]`` of a sequence of
+    landscapes of one (n, k, q), drawing its tie-breaks and proposals from
+    ``rngs[i]`` only, so each result is the one the run gives alone. The
+    runs advance together. ``starts``, ``rngs`` and ``instances`` (all 0 if
+    not given) must be as long as each other."""
     if len(starts) != len(rngs):
         raise ValueError(f"{len(starts)} starts but {len(rngs)} rngs; each run needs its own")
-    if heuristic in ("hc", "ss"):
-        return _climb(landscape, starts, rngs, trace, neutral_phase=heuristic == "ss")
+    landscapes = [landscape] if isinstance(landscape, NkqLandscape) else list(landscape)
+    instances = _int_array("instances", [0] * len(rngs) if instances is None else instances,
+                           (len(rngs),)).astype(np.intp)
+    if not landscapes or np.any((instances < 0) | (instances >= len(landscapes))):
+        raise ValueError(f"each run's instance must index the {len(landscapes)} landscapes")
+    if heuristic not in HEURISTICS:
+        raise ValueError(f"unknown heuristic {heuristic!r}")
+    runs = _Runs(_Group(landscapes), instances, starts, trace)
     if heuristic == "nc":
-        return _crawl(landscape, starts, rngs, step_max, trace)
+        return _crawl(runs, rngs, step_max)
     if heuristic == "hc2":
-        return _climb2(landscape, starts, rngs, trace)
-    raise ValueError(f"unknown heuristic {heuristic!r}")
+        return _climb2(runs, rngs)
+    return _climb(runs, rngs, neutral_phase=heuristic == "ss")
 
 
 def hill_climb(landscape, s0, rng, trace=False) -> RunResult:
     """Steepest-ascent hill climbing: jump to a uniformly chosen fittest
     neighbor until none is strictly fitter, a (non-strict) local maximum.
     Costs ``n`` queries per point visited."""
-    return _climb(landscape, [s0], [rng], trace, neutral_phase=False)[0]
+    return search(landscape, "hc", [s0], [rng], trace=trace)[0]
 
 
 def netcrawler(landscape, s0, rng, step_max=300, trace=False) -> RunResult:
@@ -362,7 +394,7 @@ def netcrawler(landscape, s0, rng, step_max=300, trace=False) -> RunResult:
     stopped gaining fitness. ``step_max`` must lie in ``[1,
     STEP_MAX_LIMIT]``.
     """
-    return _crawl(landscape, [s0], [rng], step_max, trace)[0]
+    return search(landscape, "nc", [s0], [rng], step_max, trace)[0]
 
 
 def hill_climb2(landscape, s0, rng, trace=False) -> RunResult:
@@ -375,7 +407,7 @@ def hill_climb2(landscape, s0, rng, trace=False) -> RunResult:
     point visited scans ``n + n*(n-1)/2`` distinct points. Refuses ``n*n``
     above :data:`~.landscape.MAX_TABLE_ENTRIES`.
     """
-    return _climb2(landscape, [s0], [rng], trace)[0]
+    return search(landscape, "hc2", [s0], [rng], trace=trace)[0]
 
 
 def scuba(landscape, s0, rng, trace=False) -> RunResult:
@@ -389,4 +421,4 @@ def scuba(landscape, s0, rng, trace=False) -> RunResult:
     evaluation costs exactly ``(1 + Degn(s)) * n`` queries; the jump reuses
     the guard's scan.
     """
-    return _climb(landscape, [s0], [rng], trace, neutral_phase=True)[0]
+    return search(landscape, "ss", [s0], [rng], trace=trace)[0]

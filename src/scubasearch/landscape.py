@@ -43,9 +43,9 @@ _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
 # draw for q > 2**32), so the draw stays within a megabyte of its table.
 _DRAW_CHUNK = 2**15
 
-# Gathered table entries (rows x n*(k+1)) batch_scan handles per block of
-# rows, at least one row, so its int64 index temporaries stay near 2**15 * 8
-# bytes each, in cache, whatever the batch size.
+# Gathered table entries (rows x n*(k+1)) batch_scan and scuba's guard handle
+# per block of rows, at least one row, so their int64 temporaries stay near
+# 2**15 * 8 bytes each, in cache, whatever the batch size.
 _SCAN_ENTRIES = 2**15
 
 
@@ -305,7 +305,6 @@ class NkqLandscape:
 
         self.max_total = self.n * (self.q - 1)
         self._build_flip_structure()
-        self._pairs = None
 
     def _build_flip_structure(self):
         """Derive the one-bit scan structures from one incidence table.
@@ -438,118 +437,6 @@ class NkqLandscape:
             np.add(totals[lo:hi, None], deltas, out=flips[lo:hi])
         return totals, flips
 
-    def _pair_structure(self):
-        """``(ball, by_locus)``, built on first use from ``_loci`` and the
-        ``_aff_*`` groups.
-
-        - ``ball = (masks, pa, pb, keys)``: XORed into a component's table
-          position, ``masks`` reach its distance-2 table ball: 0, the
-          ``_bits``, then the C(k+1, 2) masks ``_bits[pa] | _bits[pb]``;
-          ``keys[j, p]`` is the flat n x n position of the pair
-          (``_loci[j, pa[p]]``, ``_loci[j, pb[p]]``).
-        - ``by_locus = (comps, weights, targets)``: row l of ``comps`` and
-          ``weights`` lists the components reading l and l's weight in each
-          (the ``_aff_*`` group of l), padded to the longest row with the
-          first components that do not read l, at weight 0, whose terms
-          are 0; a row names no component twice, so a flip XORs the weights
-          in with one fancy assignment. ``targets[l]`` is
-          ``_loci[comps[l]]`` flattened, the loci whose one-bit changes
-          those components' terms at (``weights[l]``, ``_bits``) move.
-
-        Two threads may both build it; they build the same arrays.
-        Landscapes that never take a distance-2 scan or move a run never
-        build this.
-        """
-        if self._pairs is None:
-            n, k = self.n, self.k
-            pa, pb = np.triu_indices(k + 1, 1)
-            masks = np.concatenate(([0], self._bits, self._bits[pa] | self._bits[pb]))
-            ball = (masks, pa, pb, self._loci[:, pa] * n + self._loci[:, pb])
-
-            counts = self._aff_ends - self._aff_starts
-            width = counts.max()
-            # At most counts[l] of the first `width` components read l, so
-            # the others, ascending, fill row l's width - counts[l] pads.
-            reads = np.zeros((n, width), dtype=bool)
-            reads[self._loci[:width].ravel(), np.repeat(np.arange(width), k + 1)] = True
-            pads = np.argsort(reads, axis=1, kind="stable")
-            cols = np.arange(width)
-            comps = np.empty((n, width), dtype=np.int64)
-            weights = np.zeros_like(comps)
-            readers = cols < counts[:, None]
-            comps[readers], weights[readers] = self._aff_locus, self._aff_weight
-            comps[~readers] = pads[cols < (width - counts)[:, None]]
-            self._pairs = (ball, (comps, weights, self._loci[comps].reshape(n, -1)))
-        return self._pairs
-
-    def _pair_gains(self, idx, d) -> np.ndarray:
-        """``(R, n, n)`` int64: row [r, a] holds the one-bit deltas of row r
-        of the table positions ``idx`` and one-bit deltas ``d`` with locus a
-        flipped: ``d[b]`` plus the terms of the components reading both a
-        and b, and ``-d[a]`` at b == a. One gather of each component's
-        distance-2 table ball forms all n*C(k+1, 2) terms, and one scatter
-        sums them by pair."""
-        (masks, pa, pb, keys), _ = self._pair_structure()
-        rows, n = d.shape
-        ball = self._tab_flat[idx[:, :, None] ^ masks]
-        t0, t1, t2 = ball[..., :1], ball[..., 1:self.k + 2], ball[..., self.k + 2:]
-        # Each difference fits the table dtype and a term, +-2(q-1), the
-        # dtype holding -2q; the scatter sums in int64.
-        terms = np.subtract(t2 - t1[..., pa], t1[..., pb] - t0, dtype=_table_dtype(2 * self.q))
-        sums = np.zeros((rows, n, n), dtype=np.int64)
-        np.add.at(sums.reshape(-1), np.add.outer((n * n) * np.arange(rows), keys).ravel(),
-                  terms.astype(np.int64).ravel())
-        gains = sums + sums.transpose(0, 2, 1)
-        gains += d[:, None, :]
-        gains.reshape(rows, -1)[:, ::n + 1] = -d
-        return gains
-
-    def _flip_terms(self, idx, rows, loci):
-        """``(at, terms)``, two (len(rows), c*(k+1)) arrays, c the most
-        components reading one locus: flipping locus ``loci[r]`` of
-        the genotype whose table positions are row ``rows[r]`` of ``idx``
-        adds ``terms[r, e]`` to its one-bit delta at locus ``at[r, e]``: the
-        pair terms ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]`` of the
-        components that read both loci, at table position i and weights wa
-        and wb (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
-        2014). At the flipped locus itself they sum to minus twice its
-        delta, negating it."""
-        comps, weights, targets = self._pair_structure()[1]
-        i = idx[rows[:, None], comps[loci]][..., None]
-        j = i ^ weights[loci][..., None]
-        tab = self._tab_flat
-        # Each difference fits the table dtype; a term reaches +-2(q-1).
-        terms = np.subtract(tab[j ^ self._bits] - tab[j], tab[i ^ self._bits] - tab[i],
-                            dtype=np.int64)
-        return targets[loci], terms.reshape(len(rows), targets.shape[1])
-
-    def _mutant_deltas(self, idx, d, rows, loci) -> np.ndarray:
-        """``(len(rows), n)`` int64: row r holds the one-bit deltas of row
-        ``rows[r]`` of the (R, n) table positions ``idx`` and one-bit deltas
-        ``d`` with locus ``loci[r]`` flipped."""
-        at, terms = self._flip_terms(idx, rows, loci)
-        out = d[rows]
-        np.add.at(out.reshape(-1), (at + self.n * np.arange(len(rows))[:, None]).ravel(),
-                  terms.ravel())
-        return out
-
-    def _flip(self, idx, d, rows, loci) -> None:
-        """Flip locus ``loci[r]`` of row ``rows[r]`` of the (R, n) table
-        positions ``idx`` and one-bit deltas ``d``, in place, for every r at
-        once: one gather of pair terms and one scatter, on flattened indices
-        of the C-contiguous ``d``, for all the rows, which must be
-        distinct."""
-        at, terms = self._flip_terms(idx, rows, loci)
-        np.add.at(d.reshape(-1), (at + self.n * rows[:, None]).ravel(), terms.ravel())
-        self._flip_positions(idx, rows, loci)
-
-    def _flip_positions(self, idx, rows, loci) -> None:
-        """XOR locus ``loci[r]``'s weight into the table positions of the
-        components of row ``rows[r]`` of ``idx`` that read it; rows must be
-        distinct. Padding entries XOR weight 0, which changes nothing."""
-        comps, weights, _ = self._pair_structure()[1]
-        idx[rows[:, None], comps[loci]] ^= weights[loci]
-
     # -- misc ---------------------------------------------------------------
 
     def _params(self):
@@ -569,6 +456,126 @@ class NkqLandscape:
             f"NkqLandscape(n={self.n}, k={self.k}, q={self.q}, "
             f"mode={self.mode!r}, seed={self.seed})"
         )
+
+
+class _Group:
+    """The per-round kernels of a lockstep batch of runs over landscapes of
+    one (n, k, q). Their tables are one flat array, instance i's from ``i *
+    n * 2**(k+1)`` on (a group of one reads its landscape's, uncopied), so a
+    run's table positions are its landscape's plus that offset, and XORing a
+    weight into one flips an index bit of the component's own table.
+
+    - ``_masks``, XORed into a component's table position, reach its
+      distance-2 table ball: 0, the ``_bits``, then the C(k+1, 2) masks
+      ``_bits[pa] | _bits[pb]``. ``_keys[i, j, p]``, C-ordered so a batch's
+      gathered rows ravel uncopied, is the flat n x n position of the pair
+      (``_loci[j, pa[p]]``, ``_loci[j, pb[p]]``) of instance i.
+    - Row ``instance*n + l`` (the key of locus l) of ``_comps`` and
+      ``_weights`` lists the components reading l and l's weight in each (its
+      ``_aff_*`` group), padded to the group's longest row with the first
+      components that do not read l, at weight 0, whose terms are 0; a row
+      names no component twice, so a flip XORs the weights in with one fancy
+      assignment. Its ``_targets`` are ``_loci[_comps[key]]`` flattened, the
+      loci whose one-bit deltas those components' terms move.
+    """
+
+    def __init__(self, landscapes):
+        first = landscapes[0]
+        n, k, q = self.n, self.k, self.q = first.n, first.k, first.q
+        if any((other.n, other.k, other.q) != (n, k, q) for other in landscapes):
+            raise LandscapeError("the landscapes of one batch must share n, k and q")
+        self.landscapes, m = landscapes, len(landscapes)
+        self._tab = (first._tab_flat if m == 1
+                     else np.concatenate([other._tab_flat for other in landscapes]))
+        loci = first._loci[None] if m == 1 else np.stack([other._loci for other in landscapes])
+        self._bits = first._bits
+        self._pa, self._pb = np.triu_indices(k + 1, 1)
+        self._masks = np.concatenate(([0], self._bits, self._bits[self._pa] | self._bits[self._pb]))
+        self._keys = np.ascontiguousarray(loci[..., self._pa] * n + loci[..., self._pb])
+        counts = np.concatenate([other._aff_ends - other._aff_starts for other in landscapes])
+        width = counts.max()
+        # At most counts[g] of the first `width` components of g's instance
+        # read the locus of key g, so the others, ascending, fill its pads.
+        reads = np.zeros((m * n, width), dtype=bool)
+        reads[(loci[:, :width] + n * np.arange(m)[:, None, None]).ravel(),
+              np.tile(np.repeat(np.arange(width), k + 1), m)] = True
+        pads = np.argsort(reads, axis=1, kind="stable")
+        cols = np.arange(width)
+        self._comps = np.empty((m * n, width), dtype=np.int64)
+        self._weights = np.zeros_like(self._comps)
+        readers = cols < counts[:, None]
+        self._comps[readers] = np.concatenate([other._aff_locus for other in landscapes])
+        self._weights[readers] = np.concatenate([other._aff_weight for other in landscapes])
+        self._comps[~readers] = pads[cols < (width - counts)[:, None]]
+        targets = loci[np.arange(m)[:, None, None], self._comps.reshape(m, n, -1)]
+        # Loci are below n <= MAX_TABLE_ENTRIES, so int32 holds them.
+        self._targets = targets.reshape(m * n, -1).astype(np.int32)
+
+    def _pair_gains(self, idx, d, instances) -> np.ndarray:
+        """``(R, n, n)`` int64: row [r, a] holds the one-bit deltas of row r
+        of the positions ``idx`` and deltas ``d`` of instance ``instances[r]``
+        with locus a flipped: ``d[b]`` plus the terms of the components
+        reading both a and b, and ``-d[a]`` at b == a. One gather of each
+        component's distance-2 table ball forms all n*C(k+1, 2) terms, and
+        one scatter sums them by pair."""
+        rows, n = d.shape
+        ball = self._tab[idx[:, :, None] ^ self._masks]
+        t0, t1, t2 = ball[..., :1], ball[..., 1:self.k + 2], ball[..., self.k + 2:]
+        # Each difference fits the table dtype and a term, +-2(q-1), the
+        # dtype holding -2q; the scatter sums in int64.
+        terms = np.subtract(t2 - t1[..., self._pa], t1[..., self._pb] - t0,
+                            dtype=_table_dtype(2 * self.q))
+        at = self._keys[instances]
+        at += (n * n) * np.arange(rows)[:, None, None]
+        sums = np.zeros((rows, n, n), dtype=np.int64)
+        np.add.at(sums.reshape(-1), at.ravel(), terms.astype(np.int64).ravel())
+        gains = sums + sums.transpose(0, 2, 1)
+        gains += d[:, None, :]
+        gains.reshape(rows, -1)[:, ::n + 1] = -d
+        return gains
+
+    def _flip_terms(self, idx, rows, keys):
+        """``(at, terms)``, two (len(rows), c*(k+1)) arrays, c the most
+        components reading one locus: flipping the locus of key ``keys[r]``
+        of the genotype whose table positions are row ``rows[r]`` of ``idx``
+        adds ``terms[r, e]`` to its one-bit delta at locus ``at[r, e]``: the
+        pair terms ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]`` of the
+        components that read both loci, at table position i and weights wa
+        and wb (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
+        2014). At the flipped locus itself they sum to minus twice its
+        delta, negating it."""
+        i = idx[rows[:, None], self._comps[keys]][..., None]
+        j = i ^ self._weights[keys][..., None]
+        tab = self._tab
+        # Each difference fits the table dtype; a term reaches +-2(q-1).
+        terms = np.subtract(tab[j ^ self._bits] - tab[j], tab[i ^ self._bits] - tab[i],
+                            dtype=np.int64)
+        return self._targets[keys], terms.reshape(len(rows), self._targets.shape[1])
+
+    def _mutant_deltas(self, idx, d, rows, keys) -> np.ndarray:
+        """``(len(rows), n)`` int64: row r holds the one-bit deltas of row
+        ``rows[r]`` of the (R, n) table positions ``idx`` and one-bit deltas
+        ``d`` with the locus of key ``keys[r]`` flipped."""
+        at, terms = self._flip_terms(idx, rows, keys)
+        at = (at + self.n * np.arange(len(rows))[:, None]).ravel()
+        out = d[rows]
+        np.add.at(out.reshape(-1), at, terms.ravel())
+        return out
+
+    def _flip(self, idx, d, rows, keys) -> None:
+        """Flip the locus of key ``keys[r]`` of row ``rows[r]`` of the (R, n)
+        table positions ``idx`` and one-bit deltas ``d``, in place, for all
+        the rows, which must be distinct, at once: one gather of pair terms
+        and one scatter on flattened indices of the C-contiguous ``d``."""
+        at, terms = self._flip_terms(idx, rows, keys)
+        np.add.at(d.reshape(-1), (at + self.n * rows[:, None]).ravel(), terms.ravel())
+        self._flip_positions(idx, rows, keys)
+
+    def _flip_positions(self, idx, rows, keys) -> None:
+        """XOR the weight of the locus of key ``keys[r]`` into the positions
+        of the components of row ``rows[r]`` of ``idx`` that read it; rows
+        must be distinct. Padding entries XOR weight 0, changing nothing."""
+        idx[rows[:, None], self._comps[keys]] ^= self._weights[keys]
 
 
 def generate(n, k, q, mode=RANDOM, seed=None) -> NkqLandscape:

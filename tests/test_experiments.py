@@ -1,5 +1,6 @@
 import gc
 import io
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -33,6 +34,8 @@ from scubasearch import (
     write_records,
     write_step_stats_csv,
 )
+from scubasearch import heuristics as hx
+from scubasearch import landscape as landscape_module
 from scubasearch.heuristics import COUNT_LIMIT
 
 
@@ -97,6 +100,20 @@ class TestSeedDerivation:
     def test_run_seeds_differ_per_heuristic(self):
         assert run_seed(1, 0, 2, "hc", 0, 0) != run_seed(1, 0, 2, "ss", 0, 0)
 
+def batch_bytes(landscape, runs) -> int:
+    """Bytes the arrays of ``landscape`` and of a batch of ``runs`` runs on
+    it hold, netcrawler proposals included, its table counted twice, as a
+    batch of several instances copies it; an array that views another, or
+    is shared, counts once."""
+    group = landscape_module._Group([landscape])
+    state = hx._Runs(group, np.zeros(runs, dtype=np.intp),
+                     np.zeros((runs, landscape.n), dtype=np.uint8), trace=False)
+    arrays = {id(value): value for owner in (landscape, group, state)
+              for value in vars(owner).values()
+              if isinstance(value, np.ndarray) and value.base is None}
+    return (landscape.tables.nbytes + sum(a.nbytes for a in arrays.values())
+            + runs * 8 * hx._PROPOSALS)
+
 
 class TestRunSweep:
     def test_record_counts_and_instance_assignment(self):
@@ -134,17 +151,81 @@ class TestRunSweep:
             assert (x.fitness_total, x.evaluations, x.run_seed) == \
                    (y.fitness_total, y.evaluations, y.run_seed)
 
-    def test_holds_one_landscape_and_keeps_record_order(self, monkeypatch):
-        most_alive = track_landscapes(monkeypatch)
+    def test_groups_instances_under_the_bound_and_keeps_record_order(self, monkeypatch):
         config = small_config(k_values=(0, 2, 3), q_values=(2, 3), runs=5,
                               instances=2)
+        # With the bound below one instance, each runs alone.
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_BATCH_BYTES", 1)
+            most_alive = track_landscapes(patch)
+            alone = run_sweep(config)
+        assert most_alive == [1] * (3 * 2 * 2)
+        # With the shipped bound, a cell's instances share a batch and hold
+        # at most the bound.
+        most_alive = track_landscapes(monkeypatch)
         report = run_sweep(config)
-        assert len(most_alive) == 3 * 2 * 2
-        assert max(most_alive) == 1
+        assert most_alive == [1, 2] * (3 * 2)
+        held = max(experiments._instance_bytes(config, k, q)
+                   for k in config.k_values for q in config.q_values)
+        assert max(most_alive) * held <= experiments._BATCH_BYTES
         assert [(r.heuristic, r.k, r.q, r.run) for r in report.records] == [
             (h, k, q, r) for h in config.heuristics for k in config.k_values
             for q in config.q_values for r in range(config.runs)
         ]
+        assert [vars(r) for r in report.records] == [vars(r) for r in alone.records]
+
+    @pytest.mark.parametrize("runs, instances", [(1000, 1000), (1000, 4)])
+    def test_batch_bound_counts_structure_and_run_state(self, runs, instances, monkeypatch):
+        # A K=0 table holds 2n = 128 bytes, so 1000 tables, or 4, fit the
+        # bound many times over; with their flip structures, by-locus rows
+        # and ball keys, or with 250 runs' positions, deltas and proposals
+        # each, they do not, and the batch splits.
+        config = SweepConfig(n=64, k_values=(0,), q_values=(2,), base_seed=3,
+                             heuristics=("hc",), runs=runs, instances=instances)
+        made, alive = [], []
+
+        def tracked_generate(*args, **kwargs):
+            landscape = generate(*args, **kwargs)
+            made.append(weakref.ref(landscape))
+            alive.append(sum(ref() is not None for ref in made[-instances:]))
+            return landscape
+
+        monkeypatch.setattr(experiments, "generate", tracked_generate)
+        run_sweep(config)
+        assert len(made) == instances
+        held = batch_bytes(generate(64, 0, 2, seed=1), runs // instances)
+        assert instances * 128 < experiments._BATCH_BYTES < instances * held
+        assert 1 < max(alive) < instances
+        assert max(alive) * held <= experiments._BATCH_BYTES
+
+    @pytest.mark.parametrize("heuristic", ["nc", "ss"])
+    def test_traced_batch_peaks_near_what_it_keeps(self, heuristic):
+        # One sweep-traced cell runs its 50 runs over 4 instances as one
+        # batch. The log fills the trace arrays round by round and scuba's
+        # guard reads its mutant deltas in blocks, so the batch's temporaries
+        # stay within 0.6 MB (MiB) of the records it keeps.
+        config = SweepConfig(n=64, k_values=(4,), q_values=(2,), base_seed=42,
+                             heuristics=(heuristic,), runs=50, instances=4, keep_traces=True)
+        run_sweep(config)  # first-call allocations are not the batch's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            report = run_sweep(config)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.records) == 50
+        assert peak - kept <= 0.6 * 2**20
+
+    @pytest.mark.parametrize("n, k, q, mode, runs", [
+        (2, 1, 2, "random", 1), (10, 0, 2, "random", 3), (10, 9, 2**40, "random", 1),
+        (12, 3, 100, "adjacent", 7), (64, 4, 2, "random", 13), (64, 16, 100, "random", 5)])
+    def test_instance_bytes_bound_the_arrays_of_a_batch(self, n, k, q, mode, runs):
+        # k = n-1 gives the widest by-locus rows, n wide.
+        config = SweepConfig(n=n, k_values=(k,), q_values=(q,), base_seed=1,
+                             runs=runs, instances=1, mode=mode)
+        landscape = generate(n, k, q, mode, seed=5)
+        assert batch_bytes(landscape, runs) <= experiments._instance_bytes(config, k, q)
 
     def test_dispatch_rejects_unknown(self):
         landscape = generate(6, 1, 2, seed=1)

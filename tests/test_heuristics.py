@@ -5,6 +5,7 @@ import oracles
 from conftest import constant_landscape, onemax_landscape
 from scubasearch import (
     RANDOM,
+    LandscapeError,
     generate,
     hill_climb,
     hill_climb2,
@@ -12,7 +13,9 @@ from scubasearch import (
     scuba,
     search,
 )
-from scubasearch.heuristics import MOVE_KINDS, MOVE_NEUTRAL, MOVE_REJECT, STEP_MAX_LIMIT
+from scubasearch import heuristics
+from scubasearch.heuristics import (MOVE_KINDS, MOVE_NEUTRAL, MOVE_REJECT, STEP_MAX_LIMIT,
+                                    _Runs)
 
 NEUTRAL, REJECT = MOVE_KINDS.index(MOVE_NEUTRAL), MOVE_KINDS.index(MOVE_REJECT)
 
@@ -315,6 +318,41 @@ def test_search_needs_one_stream_per_start(heuristic, runs, streams):
     rngs = [np.random.default_rng(i) for i in range(streams)]
     with pytest.raises(ValueError, match=f"{runs} starts but {streams} rngs"):
         search(landscape, heuristic, starts, rngs)
+
+
+@pytest.mark.parametrize("heuristic", ["hc", "nc", "hc2", "ss"])
+def test_search_refuses_mixed_landscapes_and_stray_instances(heuristic):
+    # Runs of one batch share (n, k, q), and each names one of its landscapes.
+    landscapes = [generate(6, 1, 2, RANDOM, seed=1), generate(6, 1, 2, "adjacent", seed=2)]
+    starts = [np.zeros(6, dtype=np.uint8)] * 2
+    rngs = [np.random.default_rng(i) for i in range(2)]
+    for instances in ([0, 2], [-1, 0]):
+        with pytest.raises(ValueError, match="must index the 2 landscapes"):
+            search(landscapes, heuristic, starts, rngs, instances=instances)
+    for instances in ([0], [0.0, 1.0]):
+        with pytest.raises(LandscapeError, match="instances must"):
+            search(landscapes, heuristic, starts, rngs, instances=instances)
+    with pytest.raises(ValueError, match="must index the 0 landscapes"):
+        search([], heuristic, [], [])
+    assert search(landscapes, heuristic, [], [], instances=[]) == []
+    with pytest.raises(LandscapeError, match="share n, k and q"):
+        search([landscapes[0], generate(6, 2, 2, RANDOM, seed=3)], heuristic, starts, rngs,
+               instances=[0, 1])
+
+
+@pytest.mark.parametrize("heuristic", ["hc", "nc", "hc2", "ss"])
+def test_untraced_runs_do_no_trace_work(heuristic, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an untraced run logged a move")
+
+    monkeypatch.setattr(_Runs, "_log", refuse)
+    # Reading the kind of a move would index None.
+    monkeypatch.setattr(heuristics, "_KIND_OF_SIGN", None)
+    landscape = generate(16, 2, 2, RANDOM, seed=4)
+    starts = [np.random.default_rng(i).integers(0, 2, 16, dtype=np.uint8) for i in range(5)]
+    results = search(landscape, heuristic, starts,
+                     [np.random.default_rng(i) for i in range(5)], 700)
+    assert all(result.trace is None and result.steps for result in results)
 
 
 class TestSharedLandscapeConcurrency:

@@ -65,6 +65,33 @@ def landscape_and_genotype(draw, q, max_n=10):
     return generate(n, k, q, mode, seed=seed), np.array(bits, dtype=np.uint8)
 
 
+@st.composite
+def landscape_group(draw, q, max_n=10, max_size=3):
+    """One to ``max_size`` landscapes of one (n, k, q), each with its own
+    seed and mode."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(0, n - 1))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=max_size, unique=True))
+    return [generate(n, k, q, draw(st.sampled_from(MODES)), seed=seed) for seed in seeds]
+
+
+def genotype_rows(data, n, min_size=1, max_size=4):
+    return np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                       min_size=min_size, max_size=max_size)),
+                    dtype=np.uint8).reshape(-1, n)
+
+
+def fresh_scan(landscapes, instances, states):
+    """``(pos, totals, deltas)`` of each row of ``states``, scanned alone on
+    landscape ``instances[r]``, its table positions offset by that
+    instance's place in a group's flat tables."""
+    scans = [landscapes[i]._row_deltas(row[None]) for i, row in zip(instances, states)]
+    size = landscapes[0].tables.size
+    return ([(pos[0] + i * size).tolist() for (pos, _, _), i in zip(scans, instances)],
+            [int(totals[0]) for _, totals, _ in scans],
+            [deltas[0].tolist() for _, _, deltas in scans])
+
+
 @pytest.mark.parametrize("q", Q_VALUES)
 @given(data=st.data())
 def test_extended_scan_matches_oracle(q, data):
@@ -92,22 +119,25 @@ def test_extended_scan_matches_oracle(q, data):
 @given(data=st.data())
 def test_pair_gains_match_oracle(q, data):
     # Row [r, a] of _pair_gains: the one-bit deltas of row r with locus a
-    # flipped, so the diagonal is -d. A batch of rows checks that each row's
-    # terms land in its own block.
-    landscape, s = data.draw(landscape_and_genotype(q, max_n=12))
-    n = landscape.n
-    rows = [s.tolist()] + data.draw(st.lists(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=2))
-    idx, _, d = landscape._row_deltas(np.array(rows, dtype=np.uint8))
-    gains = landscape._pair_gains(idx, d)
+    # flipped, so the diagonal is -d. A batch of rows over a group of
+    # landscapes checks that each row's terms land in its own block, read
+    # off its own instance's table and ball keys.
+    landscapes = data.draw(landscape_group(q, max_n=12))
+    n = landscapes[0].n
+    rows = genotype_rows(data, n, max_size=3)
+    instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
+                                            min_size=len(rows), max_size=len(rows))))
+    group = landscape_module._Group(landscapes)
+    runs = _Runs(group, instances, rows, trace=False)
+    gains = group._pair_gains(runs.idx, runs.d, instances)
     assert gains.dtype == np.int64 and gains.shape == (len(rows), n, n)
-    for r, row in enumerate(rows):
-        assert np.diagonal(gains[r]).tolist() == (-d[r]).tolist()
+    for r, (row, i) in enumerate(zip(rows.tolist(), instances.tolist())):
+        assert np.diagonal(gains[r]).tolist() == (-runs.d[r]).tolist()
         for a in range(n):
             mutant = oracles.flip(tuple(row), a)
-            total = oracles.naive_total(landscape, mutant)
+            total = oracles.naive_total(landscapes[i], mutant)
             assert gains[r, a].tolist() == [
-                oracles.naive_total(landscape, oracles.flip(mutant, b)) - total
+                oracles.naive_total(landscapes[i], oracles.flip(mutant, b)) - total
                 for b in range(n)
             ]
 
@@ -322,27 +352,31 @@ def test_base_indices_match_oracle(data):
 @given(data=st.data())
 @example(data=None)
 def test_by_locus_rows_name_each_component_once(data):
-    # Row l lists l's readers with their weights, then pads that do not
-    # read l at weight 0, so one fancy XOR assignment applies a flip.
+    # Row instance*n + l lists the readers of l in that instance with their
+    # weights, then pads that do not read l at weight 0, to the group's
+    # widest row, so one fancy XOR assignment applies a flip.
     if data is None:  # k = n-1: every component reads every locus, no pads
-        landscape = generate(7, 6, 2, seed=1)
+        landscapes = [generate(7, 6, 2, seed=1)]
     else:
-        n = data.draw(st.integers(1, 14))
-        landscape = generate(n, data.draw(st.integers(0, n - 1)), 2,
-                             data.draw(st.sampled_from(MODES)), seed=data.draw(st.integers(0, 99)))
-    comps, weights, targets = landscape._pair_structure()[1]
-    loci = landscape._loci
-    assert comps.shape == weights.shape
-    for l, (row, row_weights) in enumerate(zip(comps.tolist(), weights.tolist())):
-        assert len(set(row)) == len(row)
-        readers = [j for j in range(landscape.n) if l in loci[j]]
-        assert row[:len(readers)] == readers
-        assert row_weights[:len(readers)] == [1 << loci[j].tolist().index(l) for j in readers]
-        assert all(l not in loci[j] for j in row[len(readers):])
-        assert row_weights[len(readers):] == [0] * (len(row) - len(readers))
-    if landscape.k == landscape.n - 1:
-        assert comps.shape[1] == landscape.n
-    assert targets.tolist() == loci[comps].reshape(landscape.n, -1).tolist()
+        landscapes = data.draw(landscape_group(2, max_n=14))
+    group = landscape_module._Group(landscapes)
+    n = group.n
+    comps, weights, targets = group._comps, group._weights, group._targets
+    assert comps.shape == weights.shape and comps.shape[0] == len(landscapes) * n
+    for i, landscape in enumerate(landscapes):
+        loci = landscape._loci
+        for l in range(n):
+            row, row_weights = comps[i * n + l].tolist(), weights[i * n + l].tolist()
+            assert len(set(row)) == len(row)
+            readers = [j for j in range(n) if l in loci[j]]
+            assert row[:len(readers)] == readers
+            assert row_weights[:len(readers)] == [1 << loci[j].tolist().index(l)
+                                                  for j in readers]
+            assert all(l not in loci[j] for j in row[len(readers):])
+            assert row_weights[len(readers):] == [0] * (len(row) - len(readers))
+            assert targets[i * n + l].tolist() == loci[row].ravel().tolist()
+    if group.k == n - 1:
+        assert comps.shape[1] == n
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
@@ -350,39 +384,43 @@ def test_by_locus_rows_name_each_component_once(data):
 @given(data=st.data())
 def test_run_state_matches_a_fresh_scan_after_every_round(heuristic, data):
     # The flip update, and hc2's deltas read off its pair totals, against a
-    # fresh scan of each run's genotype after every round; k = 0 and
-    # k = n-1 bound the padding of the by-locus rows.
+    # fresh scan of each run's genotype on its own instance after every
+    # round; k = 0 and k = n-1 bound the padding of the by-locus rows.
     n = data.draw(st.integers(1, 9))
     k = data.draw(st.sampled_from((0, n - 1)) | st.integers(0, n - 1))
-    landscape = generate(n, k, data.draw(st.sampled_from((2, 3, 100, 2**40))),
-                         data.draw(st.sampled_from(MODES)),
-                         seed=data.draw(st.integers(0, 2**32 - 1)))
+    q = data.draw(st.sampled_from((2, 3, 100, 2**40)))
+    landscapes = [generate(n, k, q, data.draw(st.sampled_from(MODES)), seed=seed)
+                  for seed in data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1,
+                                                 max_size=3, unique=True))]
     runs = data.draw(st.integers(1, 6))
-    starts = [np.array(bits, dtype=np.uint8) for bits in data.draw(st.lists(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=runs, max_size=runs))]
+    starts = genotype_rows(data, n, runs, runs)
+    instances = data.draw(st.lists(st.integers(0, len(landscapes) - 1), min_size=runs,
+                                   max_size=runs))
     rngs = [np.random.default_rng(seed) for seed in data.draw(st.lists(
         st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))]
     flip, rounds = _Runs.flip, []
 
-    def checked_flip(state, *args):
-        flip(state, *args)
-        pos, totals, deltas = landscape._row_deltas((state.idx & 1).astype(np.uint8))
-        assert state.idx.tolist() == pos.tolist()
-        assert state.total.tolist() == totals.tolist()
-        assert state.d.dtype == np.int64 and state.d.tolist() == deltas.tolist()
+    def checked_flip(state, *args, **kwargs):
+        flip(state, *args, **kwargs)
+        pos, totals, deltas = fresh_scan(landscapes, instances, (state.idx & 1).astype(np.uint8))
+        assert state.idx.tolist() == pos
+        assert state.total.tolist() == totals
+        assert state.d.dtype == np.int64 and state.d.tolist() == deltas
         rounds.append(len(args[0]))
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Runs, "flip", checked_flip)
-        search(landscape, heuristic, starts, rngs, data.draw(st.integers(1, 600)))
+        search(landscapes, heuristic, starts, rngs, data.draw(st.integers(1, 600)),
+               instances=instances)
     assert rounds
 
 
 def test_neutral_degree_sampling_never_builds_pair_structure(monkeypatch):
-    def refuse(self):
+    # The by-locus rows and ball keys live on a group, which degn never makes.
+    def refuse(self, landscapes):
         raise AssertionError("pair structure built")
 
-    monkeypatch.setattr(NkqLandscape, "_pair_structure", refuse)
+    monkeypatch.setattr(landscape_module._Group, "__init__", refuse)
     for k in (0, 2, 5):
         means = neutral_degree_instance_means(8, k, 2, samples=30, instances=2, seed=4)
         assert means.shape == (2,)
@@ -392,34 +430,37 @@ def test_neutral_degree_sampling_never_builds_pair_structure(monkeypatch):
 @settings(max_examples=50)
 @given(data=st.data())
 def test_score_vector_follows_flips(q, data):
-    # The run state's flip update, moving several runs at once, against a
-    # fresh scan of every run's genotype.
-    landscape, s = data.draw(landscape_and_genotype(q))
-    n = landscape.n
-    states = np.array([s.tolist()] + data.draw(st.lists(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n), max_size=3)), dtype=np.uint8)
-    runs = _Runs(landscape, states, trace=False)
+    # The run state's flip update, moving several runs on a group of
+    # landscapes at once, against a fresh scan of every run's genotype on
+    # its own instance.
+    landscapes = data.draw(landscape_group(q))
+    n = landscapes[0].n
+    states = genotype_rows(data, n)
+    instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
+                                            min_size=len(states), max_size=len(states))))
+    runs = _Runs(landscape_module._Group(landscapes), instances, states, trace=False)
     for moves in data.draw(st.lists(st.dictionaries(
             st.integers(0, len(states) - 1), st.integers(0, n - 1), min_size=1), max_size=8)):
         rows, loci = np.array(list(moves)), np.array(list(moves.values()))
-        runs.flip(rows, loci, None)
+        runs.flip(rows, loci)
         states[rows, loci] ^= 1
-        pos, totals, deltas = landscape._row_deltas(states)
-        assert runs.idx.tolist() == pos.tolist()
-        assert runs.total.tolist() == totals.tolist()
-        assert runs.d.dtype == np.int64 and runs.d.tolist() == deltas.tolist()
+        pos, totals, deltas = fresh_scan(landscapes, instances, states)
+        assert runs.idx.tolist() == pos
+        assert runs.total.tolist() == totals
+        assert runs.d.dtype == np.int64 and runs.d.tolist() == deltas
     # The batched mutant deltas: row r holds the one-bit deltas of genotype
-    # rows[r] with loci[r] flipped.
+    # rows[r] with loci[r] flipped, read by the key instance*n + locus.
     rows = np.array(data.draw(st.lists(st.integers(0, len(states) - 1), min_size=1,
                                        max_size=2 * n)))
     loci = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows.size,
                                        max_size=rows.size)))
-    got = landscape._mutant_deltas(runs.idx, runs.d, rows, loci)
+    got = runs.group._mutant_deltas(runs.idx, runs.d, rows, instances[rows] * n + loci)
     assert got.dtype == np.int64 and got.shape == (rows.size, n)
     mutants = states[rows]
     mutants[np.arange(rows.size), loci] ^= 1
-    totals, flips = landscape.batch_scan(mutants)
-    assert got.tolist() == (flips - totals[:, None]).tolist()
+    for r, (i, mutant) in enumerate(zip(instances[rows], mutants)):
+        totals, flips = landscapes[i].batch_scan(mutant[None])
+        assert got[r].tolist() == (flips[0] - totals[0]).tolist()
 
 
 def _as_oracle_run(result):
@@ -473,23 +514,28 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
     # Runs advanced together stop in different rounds, and small q gives
     # ties to break; step_max reaches past one chunk of netcrawler proposals,
     # and hc2 reads the pair totals of `chunk` runs at a time, so a batch may
-    # span several chunks, the last one short.
-    landscape, _ = data.draw(landscape_and_genotype(data.draw(st.sampled_from(
-        (2, 3, 4, 100, 2**40)))))
-    n = landscape.n
+    # span several chunks, the last one short; scuba's guard reads its mutant
+    # deltas in blocks of a few rows. The runs are spread at random over one
+    # to three landscapes of one (n, k, q), so chunks and blocks straddle them.
+    landscapes = data.draw(landscape_group(data.draw(st.sampled_from((2, 3, 4, 100, 2**40)))))
+    n = landscapes[0].n
     runs = data.draw(st.integers(2, 12))
-    starts = [np.array(bits, dtype=np.uint8) for bits in data.draw(st.lists(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=runs, max_size=runs))]
+    starts = list(genotype_rows(data, n, runs, runs))
+    instances = data.draw(st.lists(st.integers(0, len(landscapes) - 1), min_size=runs,
+                                   max_size=runs))
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))
     step_max = data.draw(st.integers(1, 1100))
     chunk = data.draw(st.integers(1, runs))
+    block = data.draw(st.integers(1, 4))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heuristics, "_PAIR_ENTRIES", chunk * n * n)
-        batch = search(landscape, heuristic, starts,
-                       [np.random.default_rng(seed) for seed in seeds], step_max, trace=True)
+        patch.setattr(heuristics, "_SCAN_ENTRIES", block * n * (landscapes[0].k + 1))
+        batch = search(landscapes, heuristic, starts,
+                       [np.random.default_rng(seed) for seed in seeds], step_max, trace=True,
+                       instances=instances)
     assert len(batch) == runs
-    for s0, seed, got in zip(starts, seeds, batch):
-        alone = search(landscape, heuristic, [s0], [np.random.default_rng(seed)], step_max,
+    for s0, i, seed, got in zip(starts, instances, seeds, batch):
+        alone = search(landscapes[i], heuristic, [s0], [np.random.default_rng(seed)], step_max,
                        trace=True)
         assert _run_arrays(got) == _run_arrays(alone[0])
 

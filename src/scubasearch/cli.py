@@ -2,7 +2,7 @@
 neutral-degree grids and path-graph export.
 
 Exit codes: 0 success, 1 usage error (bad flag or parameter range, named in
-the diagnostic), 2 runtime or I/O error, running out of memory included.
+the diagnostic), 2 runtime or I/O error, out of memory or Ctrl-C included.
 All randomness flows from --seed; without it a seed is drawn from system
 entropy and printed to stderr so the invocation can be replayed. Identical argv plus seed produce byte-identical
 output files.
@@ -307,13 +307,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"scubasearch: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except LandscapeFormatError as exc:
         print(f"scubasearch: error: malformed landscape file: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
-    except LandscapeError as exc:
+    except (UsageError, LandscapeError) as exc:
         print(f"scubasearch: error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except OSError as exc:
@@ -322,6 +319,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"scubasearch: error: out of memory{detail}", file=sys.stderr)
+        return RUNTIME_EXIT
+    except KeyboardInterrupt:
+        print("scubasearch: error: interrupted", file=sys.stderr)
         return RUNTIME_EXIT
 
 

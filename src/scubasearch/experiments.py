@@ -14,20 +14,21 @@ from __future__ import annotations
 import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
-from math import comb
+from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from . import heuristics as hx
-from .landscape import RANDOM, _table_dtype, check_integer, check_params, generate
+from .landscape import RANDOM, _Group, check_integer, check_params, generate
 
 _LANDSCAPE_STREAM = 101
 _RUN_STREAM = 102
 _SAMPLE_STREAM = 103
 
-# Bytes the instances of one lockstep batch may hold, _instance_bytes each: on
-# the paper grid a K <= 12 cell's instances share a batch, a K=16 one runs alone.
+# Bytes the instances of one lockstep batch may hold, with their runs' state
+# (_run_cell): on the paper grid a K <= 12 cell's instances share a batch, a
+# K=16 one, an 8 MiB table, runs alone.
 _BATCH_BYTES = 2**22
 
 SWEEP_HEADER = (
@@ -201,38 +202,43 @@ class SweepReport:
         return out
 
 
-def _instance_bytes(config: SweepConfig, k: int, q: int) -> int:
-    """An upper bound on the bytes one instance of cell ``(k, q)`` holds in
-    a batch: its table and the batch's copy, its flip structure, its by-locus
-    rows (at most n wide) and ball, and its runs' state and proposals."""
-    n, runs = config.n, -(-config.runs // config.instances)
-    structure = 8 * (n * (n * (k + 3) + 4 * k + 6) + (n + 3) * comb(k + 1, 2) + 2 * k + 4)
-    return (2 * n * 2 ** (k + 1) * _table_dtype(q).itemsize + structure
-            + runs * (17 * n + 48 + 8 * hx._PROPOSALS))
+def _held_bytes(config: SweepConfig, landscape) -> int:
+    """Bytes an instance of ``landscape``'s cell holds in a batch of several:
+    its arrays, the batch's copy of its table and what the batch stacks for
+    it, and its runs' positions, deltas, starts, counters and proposals."""
+    arrays = [*vars(landscape).values(), *_Group._instance_arrays(landscape)]
+    runs = -(-config.runs // config.instances)
+    return (sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
+            + landscape.tables.nbytes + runs * (17 * config.n + 48 + 8 * hx._PROPOSALS))
 
 
 def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]:
     """Every heuristic's runs on cell ``(k, q)``, keyed by heuristic. The
     instances run in groups of as many as fit in :data:`_BATCH_BYTES`, at
-    least one; a group's landscapes serve one batch per heuristic and are
-    dropped before the next group's are generated. Records are filled by
-    run index, so their order does not depend on the grouping."""
+    least one, each counting :func:`_held_bytes` of the cell's first
+    instance, as every instance's arrays have sizes set by (n, k, q). A
+    group's landscapes and their one :class:`~.landscape._Group` serve a
+    batch per heuristic and are dropped before the next group's landscapes
+    are generated. Records are filled by run index, so their order does not
+    depend on the grouping."""
     out = {h: [None] * config.runs for h in config.heuristics}
     instances = min(config.instances, config.runs)
-    size = max(1, _BATCH_BYTES // _instance_bytes(config, k, q))
+    made = (generate(config.n, k, q, config.mode, seed=landscape_seed(config.base_seed, k, q, i))
+            for i in range(instances))
+    landscapes = [next(made)]
+    size = max(1, _BATCH_BYTES // _held_bytes(config, landscapes[0]))
     for low in range(0, instances, size):
-        group = range(low, min(low + size, instances))
-        landscapes = [generate(config.n, k, q, config.mode,
-                               seed=landscape_seed(config.base_seed, k, q, inst))
-                      for inst in group]
-        runs = [r for inst in group for r in range(inst, config.runs, config.instances)]
+        landscapes += islice(made, size - len(landscapes))
+        batch = _Group(landscapes)
+        runs = [r for inst in range(low, low + len(landscapes))
+                for r in range(inst, config.runs, config.instances)]
         insts = [r % config.instances for r in runs]
+        at = np.array(insts, dtype=np.intp) - low
         for h in config.heuristics:
             seeds = [run_seed(config.base_seed, k, q, h, inst, r) for inst, r in zip(insts, runs)]
             rngs = [np.random.default_rng(rs) for rs in seeds]
             starts = [rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs]
-            results = hx.search(landscapes, h, starts, rngs, config.step_max,
-                                config.keep_traces, [inst - low for inst in insts])
+            results = hx._search(batch, h, at, starts, rngs, config.step_max, config.keep_traces)
             for inst, r, rs, result in zip(insts, runs, seeds, results):
                 out[h][r] = RunRecord(
                     heuristic=h, k=k, q=q, instance=inst, run=r,
@@ -243,7 +249,7 @@ def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]
                     gate=result.gate_count, evaluations=result.evaluations,
                     trace=result.trace,
                 )
-        del landscapes
+        batch, landscapes = None, []
     return out
 
 

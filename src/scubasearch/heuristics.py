@@ -20,22 +20,24 @@ queries, so hill climbing costs ``n*(steps+1)``, the netcrawler
 ``step_max``, two-step hill climbing ``(n + n*(n-1)/2)*(steps+1)``, and
 scuba ``(1+Degn(s))*n`` per inner-guard evaluation.
 
-The searchers carry the one-bit deltas ``d`` of the current point instead of
-rescanning it: a proposal at locus l reads ``total + d[l]``, and a move
+The searchers carry the one-bit deltas ``d`` of the current point instead
+of rescanning it: a proposal at locus l reads ``total + d[l]``, and a move
 updates ``d`` from the components that read the flipped locus. The charges
 are the queries, not this compute. :func:`search` advances the runs of one
 or more landscapes of one (n, k, q) together in one run state, over the
-kernels of one :class:`~.landscape._Group`: each round moves every live run
-with one flip update, scuba's guard reads every live run's neutral
-neighbors from blocks of mutant deltas, hc2 reads their distance-2 balls
-from one batch of pair gains, whose rows are its moved runs' new deltas, so
-its flip update only moves table positions, and the netcrawler jumps each
-live run to its next accepted proposal, since a rejection leaves the state
-as it is. Each run reads only its own landscape and draws from its own
-stream only, what it would draw alone (the netcrawler's proposals in
-chunks, which continue one stream), so batching cannot change an output;
-the four searchers are batches of one. Locality over every genotype of a
-small landscape is :func:`~.pathgraph.census`.
+kernels of one :class:`~.landscape._Group`, which a sweep builds once for
+all the heuristics of an instance group (:func:`_search`): each round moves
+every live run with one flip update, scuba's guard reads every live run's
+neutral neighbors from blocks of mutant deltas, flip updates of copies of
+their rows, hc2 reads their distance-2 balls from one batch of pair gains,
+whose rows are its moved runs' new deltas, so its flip update only moves
+table positions, and the netcrawler jumps each live run to its next
+accepted proposal, since a rejection leaves the state as it is. Each run
+reads only its own landscape and draws from its own stream only, what it
+would draw alone (the netcrawler's proposals in chunks, which continue one
+stream), so batching cannot change an output; the four searchers are
+batches of one. Locality over every genotype of a small landscape is
+:func:`~.pathgraph.census`.
 
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
 genotype plus, per step, the flipped locus, the total, the kind of move and
@@ -204,12 +206,8 @@ class _Runs:
         signs = np.sign(gains)
         self.moves[runs, signs] += 1
         self.total[runs] += gains
-        keys = self.instances[runs] * self.group.n + loci
-        if deltas is None:
-            self.group._flip(self.idx, self.d, runs, keys)
-        else:
-            self.d[runs] = deltas
-            self.group._flip_positions(self.idx, runs, keys)
+        self.group._flip(self.idx, self.d, runs, self.instances[runs] * self.group.n + loci,
+                         deltas)
         if self.log is not None:
             if entries is None:
                 entries = self.moves[runs].sum(axis=1)
@@ -370,7 +368,13 @@ def search(landscape, heuristic, starts, rngs, step_max=300, trace=False,
         raise ValueError(f"each run's instance must index the {len(landscapes)} landscapes")
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    runs = _Runs(_Group(landscapes), instances, starts, trace)
+    return _search(_Group(landscapes), heuristic, instances, starts, rngs, step_max, trace)
+
+
+def _search(group, heuristic, instances, starts, rngs, step_max, trace) -> list[RunResult]:
+    """:func:`search` over a built group, run i on its landscape
+    ``instances[i]`` (intp), unchecked; a group serves any number of calls."""
+    runs = _Runs(group, instances, starts, trace)
     if heuristic == "nc":
         return _crawl(runs, rngs, step_max)
     if heuristic == "hc2":

@@ -313,9 +313,11 @@ class NkqLandscape:
         then ``links[j]``; the allele at ``_loci[j, p]`` is bit p of j's table
         index, of weight ``_bits[p] = 1 << p``. Flipping locus l XORs l's
         weight into the index of every component that reads l: the
-        ``_aff_locus``/``_aff_weight`` entries list those components and
-        weights grouped by flip locus, each group spanning
-        ``[_aff_starts[l], _aff_ends[l])``, for gather/segment-sum scans.
+        ``_aff_locus``/``_aff_weight`` entries list those components,
+        ascending, and weights grouped by flip locus, l's segment
+        ``_aff_counts[l]`` long from ``_aff_starts[l]``. ``_masks``, XORed
+        into a component's table position, reach its distance-2 table ball:
+        0, the ``_bits``, then the C(k+1, 2) ``_bits[_pa] | _bits[_pb]``.
 
         Component j's table starts at ``_row_offsets[j] = j << (k+1)``, above
         bit k, so XOR with a weight on a flat table index flips only the
@@ -327,8 +329,10 @@ class NkqLandscape:
         readers = self._loci.ravel()
         self._aff_locus, slot = np.divmod(np.argsort(readers, kind="stable"), k + 1)
         self._aff_weight = self._bits[slot]
-        self._aff_ends = np.cumsum(np.bincount(readers, minlength=n))
-        self._aff_starts = np.concatenate(([0], self._aff_ends[:-1]))
+        self._aff_counts = np.bincount(readers, minlength=n)
+        self._aff_starts = np.cumsum(self._aff_counts) - self._aff_counts
+        self._pa, self._pb = np.triu_indices(k + 1, 1)
+        self._masks = np.concatenate(([0], self._bits, self._bits[self._pa] | self._bits[self._pb]))
         self._row_offsets = np.arange(n, dtype=np.int64) << (k + 1)
         self._tab_flat = self.tables.ravel()
 
@@ -465,18 +469,14 @@ class _Group:
     run's table positions are its landscape's plus that offset, and XORing a
     weight into one flips an index bit of the component's own table.
 
-    - ``_masks``, XORed into a component's table position, reach its
-      distance-2 table ball: 0, the ``_bits``, then the C(k+1, 2) masks
-      ``_bits[pa] | _bits[pb]``. ``_keys[i, j, p]``, C-ordered so a batch's
-      gathered rows ravel uncopied, is the flat n x n position of the pair
-      (``_loci[j, pa[p]]``, ``_loci[j, pb[p]]``) of instance i.
-    - Row ``instance*n + l`` (the key of locus l) of ``_comps`` and
-      ``_weights`` lists the components reading l and l's weight in each (its
-      ``_aff_*`` group), padded to the group's longest row with the first
-      components that do not read l, at weight 0, whose terms are 0; a row
-      names no component twice, so a flip XORs the weights in with one fancy
-      assignment. Its ``_targets`` are ``_loci[_comps[key]]`` flattened, the
-      loci whose one-bit deltas those components' terms move.
+    - ``_keys[i, j, p]``, C-ordered so a batch's gathered rows ravel
+      uncopied, is the flat n x n position of the pair (``_loci[j, _pa[p]]``,
+      ``_loci[j, _pb[p]]``) of instance i, read by mask ``_masks[k+2+p]``.
+    - The by-locus rows are each instance's ``_aff_locus``/``_aff_weight``
+      segments, stacked in ``_comps`` and ``_weights``, unpadded: the row of
+      key ``i*n + l``, locus l of instance i, is ``_counts[key]`` entries
+      from ``_starts[key]``. ``_targets[e]`` lists the loci entry e's
+      component reads, whose one-bit deltas its terms move.
     """
 
     def __init__(self, landscapes):
@@ -484,32 +484,27 @@ class _Group:
         n, k, q = self.n, self.k, self.q = first.n, first.k, first.q
         if any((other.n, other.k, other.q) != (n, k, q) for other in landscapes):
             raise LandscapeError("the landscapes of one batch must share n, k and q")
-        self.landscapes, m = landscapes, len(landscapes)
-        self._tab = (first._tab_flat if m == 1
+        self.landscapes = landscapes
+        self._tab = (first._tab_flat if len(landscapes) == 1
                      else np.concatenate([other._tab_flat for other in landscapes]))
-        loci = first._loci[None] if m == 1 else np.stack([other._loci for other in landscapes])
-        self._bits = first._bits
-        self._pa, self._pb = np.triu_indices(k + 1, 1)
-        self._masks = np.concatenate(([0], self._bits, self._bits[self._pa] | self._bits[self._pb]))
-        self._keys = np.ascontiguousarray(loci[..., self._pa] * n + loci[..., self._pb])
-        counts = np.concatenate([other._aff_ends - other._aff_starts for other in landscapes])
-        width = counts.max()
-        # At most counts[g] of the first `width` components of g's instance
-        # read the locus of key g, so the others, ascending, fill its pads.
-        reads = np.zeros((m * n, width), dtype=bool)
-        reads[(loci[:, :width] + n * np.arange(m)[:, None, None]).ravel(),
-              np.tile(np.repeat(np.arange(width), k + 1), m)] = True
-        pads = np.argsort(reads, axis=1, kind="stable")
-        cols = np.arange(width)
-        self._comps = np.empty((m * n, width), dtype=np.int64)
-        self._weights = np.zeros_like(self._comps)
-        readers = cols < counts[:, None]
-        self._comps[readers] = np.concatenate([other._aff_locus for other in landscapes])
-        self._weights[readers] = np.concatenate([other._aff_weight for other in landscapes])
-        self._comps[~readers] = pads[cols < (width - counts)[:, None]]
-        targets = loci[np.arange(m)[:, None, None], self._comps.reshape(m, n, -1)]
+        self._bits, self._pa, self._pb = first._bits, first._pa, first._pb
+        self._masks = first._masks
+        comps, weights, starts, counts, targets, keys = zip(
+            *(self._instance_arrays(other, i) for i, other in enumerate(landscapes)))
+        self._comps, self._weights, self._starts, self._counts, self._targets = map(
+            np.concatenate, (comps, weights, starts, counts, targets))
+        self._keys = np.stack(keys)
+
+    @staticmethod
+    def _instance_arrays(landscape, i=0):
+        """What a group stacks for ``landscape`` as its instance i: its
+        by-locus rows (components, weights, starts after the entries of i
+        instances, lengths), their targets and its ball keys."""
+        loci, locus = landscape._loci, landscape._aff_locus
         # Loci are below n <= MAX_TABLE_ENTRIES, so int32 holds them.
-        self._targets = targets.reshape(m * n, -1).astype(np.int32)
+        return (locus, landscape._aff_weight, landscape._aff_starts + i * locus.size,
+                landscape._aff_counts, loci[locus].astype(np.int32),
+                np.ascontiguousarray(loci[:, landscape._pa] * landscape.n + loci[:, landscape._pb]))
 
     def _pair_gains(self, idx, d, instances) -> np.ndarray:
         """``(R, n, n)`` int64: row [r, a] holds the one-bit deltas of row r
@@ -534,48 +529,42 @@ class _Group:
         gains.reshape(rows, -1)[:, ::n + 1] = -d
         return gains
 
-    def _flip_terms(self, idx, rows, keys):
-        """``(at, terms)``, two (len(rows), c*(k+1)) arrays, c the most
-        components reading one locus: flipping the locus of key ``keys[r]``
-        of the genotype whose table positions are row ``rows[r]`` of ``idx``
-        adds ``terms[r, e]`` to its one-bit delta at locus ``at[r, e]``: the
-        pair terms ``T[i^wa^wb] - T[i^wa] - T[i^wb] + T[i]`` of the
-        components that read both loci, at table position i and weights wa
-        and wb (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
-        2014). At the flipped locus itself they sum to minus twice its
-        delta, negating it."""
-        i = idx[rows[:, None], self._comps[keys]][..., None]
-        j = i ^ self._weights[keys][..., None]
-        tab = self._tab
-        # Each difference fits the table dtype; a term reaches +-2(q-1).
-        terms = np.subtract(tab[j ^ self._bits] - tab[j], tab[i ^ self._bits] - tab[i],
-                            dtype=np.int64)
-        return self._targets[keys], terms.reshape(len(rows), self._targets.shape[1])
-
     def _mutant_deltas(self, idx, d, rows, keys) -> np.ndarray:
         """``(len(rows), n)`` int64: row r holds the one-bit deltas of row
         ``rows[r]`` of the (R, n) table positions ``idx`` and one-bit deltas
         ``d`` with the locus of key ``keys[r]`` flipped."""
-        at, terms = self._flip_terms(idx, rows, keys)
-        at = (at + self.n * np.arange(len(rows))[:, None]).ravel()
         out = d[rows]
-        np.add.at(out.reshape(-1), at, terms.ravel())
+        self._flip(idx[rows], out, np.arange(len(rows)), keys)
         return out
 
-    def _flip(self, idx, d, rows, keys) -> None:
+    def _flip(self, idx, d, rows, keys, deltas=None) -> None:
         """Flip the locus of key ``keys[r]`` of row ``rows[r]`` of the (R, n)
         table positions ``idx`` and one-bit deltas ``d``, in place, for all
-        the rows, which must be distinct, at once: one gather of pair terms
-        and one scatter on flattened indices of the C-contiguous ``d``."""
-        at, terms = self._flip_terms(idx, rows, keys)
-        np.add.at(d.reshape(-1), (at + self.n * rows[:, None]).ravel(), terms.ravel())
-        self._flip_positions(idx, rows, keys)
-
-    def _flip_positions(self, idx, rows, keys) -> None:
-        """XOR the weight of the locus of key ``keys[r]`` into the positions
-        of the components of row ``rows[r]`` of ``idx`` that read it; rows
-        must be distinct. Padding entries XOR weight 0, changing nothing."""
-        idx[rows[:, None], self._comps[keys]] ^= self._weights[keys]
+        the rows, which must be distinct, at once. Row r of ``deltas``, if
+        given, is row ``rows[r]``'s new deltas; otherwise each component of
+        the rows' segments, from table position i to j, moves the delta at
+        each locus it reads, at weight w, by ``T[j^w] - T[j] - T[i^w] +
+        T[i]`` (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
+        2014), negating the flipped locus's, in one scatter on flattened
+        indices of the C-contiguous ``d``. A segment names each component
+        once, so the new positions go in with one assignment."""
+        counts = self._counts[keys]
+        runs = np.repeat(rows, counts)
+        entries = np.repeat(self._starts[keys] - np.cumsum(counts) + counts, counts)
+        entries += np.arange(entries.size)
+        comps = self._comps[entries]
+        i = idx[runs, comps]
+        j = i ^ self._weights[entries]
+        if deltas is None:
+            tab, a, b = self._tab, i[:, None], j[:, None]
+            # Each difference fits the table dtype; a term reaches +-2(q-1).
+            terms = np.subtract(tab[b ^ self._bits] - tab[b], tab[a ^ self._bits] - tab[a],
+                                dtype=np.int64)
+            at = self._targets[entries] + self.n * runs[:, None]
+            np.add.at(d.reshape(-1), at.ravel(), terms.ravel())
+        else:
+            d[rows] = deltas
+        idx[runs, comps] = j
 
 
 def generate(n, k, q, mode=RANDOM, seed=None) -> NkqLandscape:

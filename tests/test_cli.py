@@ -319,6 +319,17 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_interrupt_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # Ctrl-C during a command ends it with exit 2 and one line, no
+        # traceback.
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("scubasearch.cli._cmd_sweep", interrupted)
+        assert run_cli("sweep", "--n", "8", "--k", "0", "--q", "2", "--seed", "1",
+                       "--out", str(tmp_path / "out.csv")) == 2
+        assert capsys.readouterr().err == "scubasearch: error: interrupted\n"
+
     @pytest.mark.parametrize("grid", [["--k", "", "--q", "2"], ["--k", "0", "--q", ","]],
                              ids=["k", "q"])
     def test_degn_refuses_empty_grid(self, grid, tmp_path, capsys):

@@ -36,7 +36,7 @@ from scubasearch import (
 )
 from scubasearch import heuristics as hx
 from scubasearch import landscape as landscape_module
-from scubasearch.heuristics import COUNT_LIMIT
+from scubasearch.heuristics import COUNT_LIMIT, HEURISTICS
 
 
 def small_config(**overrides):
@@ -100,19 +100,34 @@ class TestSeedDerivation:
     def test_run_seeds_differ_per_heuristic(self):
         assert run_seed(1, 0, 2, "hc", 0, 0) != run_seed(1, 0, 2, "ss", 0, 0)
 
-def batch_bytes(landscape, runs) -> int:
-    """Bytes the arrays of ``landscape`` and of a batch of ``runs`` runs on
-    it hold, netcrawler proposals included, its table counted twice, as a
-    batch of several instances copies it; an array that views another, or
-    is shared, counts once."""
-    group = landscape_module._Group([landscape])
-    state = hx._Runs(group, np.zeros(runs, dtype=np.intp),
-                     np.zeros((runs, landscape.n), dtype=np.uint8), trace=False)
-    arrays = {id(value): value for owner in (landscape, group, state)
-              for value in vars(owner).values()
-              if isinstance(value, np.ndarray) and value.base is None}
-    return (landscape.tables.nbytes + sum(a.nbytes for a in arrays.values())
-            + runs * 8 * hx._PROPOSALS)
+def batch_bytes(landscapes, runs) -> int:
+    """Bytes the arrays of ``landscapes`` and of a batch of ``runs`` runs on
+    each of them hold, netcrawler proposals included; a group of one reads
+    its table uncopied, so it counts twice, as a batch of several copies it;
+    a view counts as the array it views, and an array held twice once."""
+    group = landscape_module._Group(landscapes)
+    state = hx._Runs(group, np.repeat(np.arange(len(landscapes)), runs),
+                     np.zeros((len(landscapes) * runs, group.n), dtype=np.uint8), trace=False)
+    arrays = {id(base): base for owner in (*landscapes, group, state)
+              for value in vars(owner).values() if isinstance(value, np.ndarray)
+              for base in [value if value.base is None else value.base]}
+    copy = landscapes[0].tables.nbytes if len(landscapes) == 1 else 0
+    return (copy + sum(a.nbytes for a in arrays.values())
+            + len(landscapes) * runs * 8 * hx._PROPOSALS)
+
+
+def track_groups(monkeypatch) -> list[int]:
+    """Patch ``_Group.__init__`` to record the number of landscapes of each
+    group built; returns those numbers."""
+    sizes = []
+    init = landscape_module._Group.__init__
+
+    def counted_init(group, landscapes):
+        sizes.append(len(landscapes))
+        init(group, landscapes)
+
+    monkeypatch.setattr(landscape_module._Group, "__init__", counted_init)
+    return sizes
 
 
 class TestRunSweep:
@@ -165,7 +180,7 @@ class TestRunSweep:
         most_alive = track_landscapes(monkeypatch)
         report = run_sweep(config)
         assert most_alive == [1, 2] * (3 * 2)
-        held = max(experiments._instance_bytes(config, k, q)
+        held = max(batch_bytes([generate(config.n, k, q, seed=1)], 3)
                    for k in config.k_values for q in config.q_values)
         assert max(most_alive) * held <= experiments._BATCH_BYTES
         assert [(r.heuristic, r.k, r.q, r.run) for r in report.records] == [
@@ -173,6 +188,17 @@ class TestRunSweep:
             for q in config.q_values for r in range(config.runs)
         ]
         assert [vars(r) for r in report.records] == [vars(r) for r in alone.records]
+
+    @pytest.mark.parametrize("bound, sizes", [(None, [2] * 6), (1, [1] * 12)])
+    def test_builds_one_group_per_instance_group(self, bound, sizes, monkeypatch):
+        # Every heuristic of a cell runs on the one group of its instances.
+        config = small_config(k_values=(0, 2, 3), q_values=(2, 3), runs=5, instances=2,
+                              heuristics=HEURISTICS)
+        if bound is not None:
+            monkeypatch.setattr(experiments, "_BATCH_BYTES", bound)
+        built = track_groups(monkeypatch)
+        run_sweep(config)
+        assert built == sizes
 
     @pytest.mark.parametrize("runs, instances", [(1000, 1000), (1000, 4)])
     def test_batch_bound_counts_structure_and_run_state(self, runs, instances, monkeypatch):
@@ -193,10 +219,22 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "generate", tracked_generate)
         run_sweep(config)
         assert len(made) == instances
-        held = batch_bytes(generate(64, 0, 2, seed=1), runs // instances)
+        held = batch_bytes([generate(64, 0, 2, seed=1)], runs // instances)
         assert instances * 128 < experiments._BATCH_BYTES < instances * held
         assert 1 < max(alive) < instances
         assert max(alive) * held <= experiments._BATCH_BYTES
+
+    def test_many_low_k_instances_share_large_groups(self, monkeypatch):
+        # An n=64, K=0 instance holds about 11 KB with its run, so a thousand
+        # of them run in three groups, and give the records they give alone.
+        config = SweepConfig(n=64, k_values=(0,), q_values=(2,), base_seed=3,
+                             heuristics=("hc", "nc"), runs=1000, instances=1000, step_max=20)
+        with monkeypatch.context() as patch:
+            built = track_groups(patch)
+            report = run_sweep(config)
+        assert sum(built) == 1000 and min(built[:-1]) >= 300
+        monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
+        assert [vars(r) for r in report.records] == [vars(r) for r in run_sweep(config).records]
 
     @pytest.mark.parametrize("heuristic", ["nc", "ss"])
     def test_traced_batch_peaks_near_what_it_keeps(self, heuristic):
@@ -221,11 +259,16 @@ class TestRunSweep:
         (2, 1, 2, "random", 1), (10, 0, 2, "random", 3), (10, 9, 2**40, "random", 1),
         (12, 3, 100, "adjacent", 7), (64, 4, 2, "random", 13), (64, 16, 100, "random", 5)])
     def test_instance_bytes_bound_the_arrays_of_a_batch(self, n, k, q, mode, runs):
-        # k = n-1 gives the widest by-locus rows, n wide.
+        # Every instance of one (n, k, q) holds arrays of the same sizes, so
+        # one instance's measure bounds a batch of any of them, to within
+        # the few bytes per run the run state's count leaves over.
         config = SweepConfig(n=n, k_values=(k,), q_values=(q,), base_seed=1,
                              runs=runs, instances=1, mode=mode)
-        landscape = generate(n, k, q, mode, seed=5)
-        assert batch_bytes(landscape, runs) <= experiments._instance_bytes(config, k, q)
+        landscapes = [generate(n, k, q, mode, seed=seed) for seed in (5, 6, 7)]
+        held = {experiments._held_bytes(config, landscape) for landscape in landscapes}
+        assert len(held) == 1
+        for batch in (landscapes[:1], landscapes):
+            assert 0 <= len(batch) * min(held) - batch_bytes(batch, runs) <= 8 * len(batch) * runs
 
     def test_dispatch_rejects_unknown(self):
         landscape = generate(6, 1, 2, seed=1)

@@ -128,6 +128,8 @@ def test_pair_gains_match_oracle(q, data):
     instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
                                             min_size=len(rows), max_size=len(rows))))
     group = landscape_module._Group(landscapes)
+    # C-ordered ball keys ravel in the scatter without a copy.
+    assert group._keys.flags.c_contiguous
     runs = _Runs(group, instances, rows, trace=False)
     gains = group._pair_gains(runs.idx, runs.d, instances)
     assert gains.dtype == np.int64 and gains.shape == (len(rows), n, n)
@@ -352,31 +354,33 @@ def test_base_indices_match_oracle(data):
 @given(data=st.data())
 @example(data=None)
 def test_by_locus_rows_name_each_component_once(data):
-    # Row instance*n + l lists the readers of l in that instance with their
-    # weights, then pads that do not read l at weight 0, to the group's
-    # widest row, so one fancy XOR assignment applies a flip.
-    if data is None:  # k = n-1: every component reads every locus, no pads
+    # The rows of keys instance*n + l tile the flat by-locus arrays in key
+    # order; row instance*n + l lists the readers of l in that instance,
+    # ascending, each once, with their weights, so one fancy XOR assignment
+    # applies a flip, and the loci each reader reads as its targets.
+    if data is None:  # k = n-1: every component reads every locus
         landscapes = [generate(7, 6, 2, seed=1)]
     else:
         landscapes = data.draw(landscape_group(2, max_n=14))
     group = landscape_module._Group(landscapes)
-    n = group.n
+    n, k = group.n, group.k
     comps, weights, targets = group._comps, group._weights, group._targets
-    assert comps.shape == weights.shape and comps.shape[0] == len(landscapes) * n
+    starts, counts = group._starts, group._counts
+    assert comps.shape == weights.shape == (len(landscapes) * n * (k + 1),)
+    assert targets.shape == (comps.size, k + 1)
+    assert starts.tolist() == (np.cumsum(counts) - counts).tolist()
     for i, landscape in enumerate(landscapes):
         loci = landscape._loci
         for l in range(n):
-            row, row_weights = comps[i * n + l].tolist(), weights[i * n + l].tolist()
-            assert len(set(row)) == len(row)
+            segment = slice(starts[i * n + l], starts[i * n + l] + counts[i * n + l])
+            row = comps[segment].tolist()
             readers = [j for j in range(n) if l in loci[j]]
-            assert row[:len(readers)] == readers
-            assert row_weights[:len(readers)] == [1 << loci[j].tolist().index(l)
-                                                  for j in readers]
-            assert all(l not in loci[j] for j in row[len(readers):])
-            assert row_weights[len(readers):] == [0] * (len(row) - len(readers))
-            assert targets[i * n + l].tolist() == loci[row].ravel().tolist()
-    if group.k == n - 1:
-        assert comps.shape[1] == n
+            assert row == readers
+            assert weights[segment].tolist() == [1 << loci[j].tolist().index(l)
+                                                 for j in readers]
+            assert targets[segment].tolist() == loci[row].tolist()
+    if k == n - 1:
+        assert counts.tolist() == [n] * len(counts)
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
@@ -385,7 +389,7 @@ def test_by_locus_rows_name_each_component_once(data):
 def test_run_state_matches_a_fresh_scan_after_every_round(heuristic, data):
     # The flip update, and hc2's deltas read off its pair totals, against a
     # fresh scan of each run's genotype on its own instance after every
-    # round; k = 0 and k = n-1 bound the padding of the by-locus rows.
+    # round; k = 0 and k = n-1 bound the lengths of the by-locus rows.
     n = data.draw(st.integers(1, 9))
     k = data.draw(st.sampled_from((0, n - 1)) | st.integers(0, n - 1))
     q = data.draw(st.sampled_from((2, 3, 100, 2**40)))

@@ -1,11 +1,17 @@
 """Command-line front end: landscape generation, single runs, sweeps,
 neutral-degree grids and path-graph export.
 
-Exit codes: 0 success, 1 usage error (bad flag or parameter range, named in
-the diagnostic), 2 runtime or I/O error, out of memory or Ctrl-C included.
+Every command first resolves its landscape source (loads --landscape or
+checks --n/--k/--q) and runs every check, then draws its seed, then
+generates and works, so a refusal comes before any seed is drawn or printed.
 All randomness flows from --seed; without it a seed is drawn from system
-entropy and printed to stderr so the invocation can be replayed. Identical argv plus seed produce byte-identical
-output files.
+entropy and printed to stderr so the invocation can be replayed. Identical
+argv plus seed produce byte-identical output files.
+
+Exit codes, mapped in :func:`main` alone: 0 success; 1 for any ValueError
+(a bad flag, parameter range or path, named in the diagnostic); 2 for a
+malformed landscape file, an I/O error, running out of memory or Ctrl-C.
+Either failure prints one line and no traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from . import pathgraph as pg
 from .landscape import (
     MODES,
     RANDOM,
-    LandscapeError,
     LandscapeFormatError,
     check_params,
     generate,
@@ -39,26 +44,29 @@ _LANDSCAPE_FORMAT_HELP = (
 )
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+    return [int(part) for part in text.split(",") if part != ""]
+
+
+_int_list.__name__ = "comma-separated integer list"  # argparse's name for a bad value
+
+
+def _path(text: str) -> str:
+    """A path that ``open`` can take, refused while parsing, before a seed."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"path holds a NUL byte: {text!r}")
+    return text
 
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         if args.seed < 0:
-            raise UsageError(f"--seed must be non-negative, got {args.seed}")
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         return args.seed
     seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
     print(f"seed {seed} (drawn from system entropy; pass --seed {seed} to replay)",
@@ -85,7 +93,7 @@ def _add_landscape_source(parser):
     parser.add_argument("--q", type=int, help="neutrality parameter (when generating)")
     parser.add_argument("--mode", choices=MODES, default=RANDOM,
                         help="epistatic link layout (default: random)")
-    parser.add_argument("--landscape", default=None,
+    parser.add_argument("--landscape", type=_path, default=None,
                         help="landscape file to load instead of generating")
 
 
@@ -102,29 +110,28 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_or_generate(args, seed_of):
-    """The landscape of ``--landscape``, or one generated from ``--n/--k/--q``
-    with seed ``seed_of(args)``; ``seed_of`` is called only when generating."""
+def _load_landscape(args):
+    """The landscape of ``--landscape``, or ``None`` once ``--n/--k/--q``
+    pass :func:`check_params`, for the caller to generate after its seed."""
     if args.landscape is not None:
         if args.n is not None or args.k is not None or args.q is not None:
-            raise UsageError("--landscape conflicts with --n/--k/--q")
+            raise ValueError("--landscape conflicts with --n/--k/--q")
         return load_landscape(args.landscape)
     if args.n is None or args.k is None or args.q is None:
-        raise UsageError("provide either --landscape or all of --n/--k/--q")
+        raise ValueError("provide either --landscape or all of --n/--k/--q")
     check_params(args.n, args.k, args.q, args.mode)
-    return generate(args.n, args.k, args.q, args.mode, seed=seed_of(args))
+    return None
 
 
 def _cmd_run(args) -> int:
-    try:
-        hx.check_step_max(args.step_max, "--step-max")
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    if args.heuristic == "hc2" and args.n is not None:
-        hx.check_pair_totals(args.n)
+    hx.check_step_max(args.step_max, "--step-max")
+    landscape = _load_landscape(args)
+    if args.heuristic == "hc2":
+        hx.check_pair_totals(args.n if landscape is None else landscape.n)
     seed = _resolve_seed(args)
-    landscape = _load_or_generate(
-        args, lambda a: ex.landscape_seed(seed, a.k, a.q, 0))
+    if landscape is None:
+        landscape = generate(args.n, args.k, args.q, args.mode,
+                             seed=ex.landscape_seed(seed, args.k, args.q, 0))
     rs = ex.run_seed(seed, landscape.k, landscape.q, args.heuristic, 0, 0)
     rng = np.random.default_rng(rs)
     s0 = rng.integers(0, 2, size=landscape.n, dtype=np.uint8)
@@ -149,16 +156,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        # Every parameter is checked before a seed is drawn and printed.
-        config = ex.SweepConfig(
-            n=args.n, k_values=args.k, q_values=args.q, base_seed=0,
-            heuristics=tuple(args.heuristics.split(",")), runs=args.runs,
-            instances=args.instances, step_max=args.step_max, mode=args.mode,
-            keep_traces=args.profile_out is not None,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    config = ex.SweepConfig(
+        n=args.n, k_values=args.k, q_values=args.q, base_seed=0,
+        heuristics=tuple(args.heuristics.split(",")), runs=args.runs,
+        instances=args.instances, step_max=args.step_max, mode=args.mode,
+        keep_traces=args.profile_out is not None,
+    )
     config.base_seed = _resolve_seed(args)
     report = ex.run_sweep(config)
     ex.write_csv(report, args.out)
@@ -172,13 +175,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_degn(args) -> int:
-    try:
-        # Every parameter is checked before a seed is drawn and printed.
-        ex.check_grid(args.n, args.k, args.q, args.mode)
-        hx.check_counts({"--samples": args.samples, "--instances": args.instances},
-                        len(args.k) * len(args.q))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    ex.check_grid(args.n, args.k, args.q, args.mode)
+    hx.check_counts({"--samples": args.samples, "--instances": args.instances},
+                    len(args.k) * len(args.q))
     seed = _resolve_seed(args)
     lines = ["n,k,q,mode,instances,samples,mean_degn,se_degn"]
     for k in args.k:
@@ -195,20 +194,12 @@ def _cmd_degn(args) -> int:
     return 0
 
 
-def _graph_seed(args) -> int:
-    """Refuse a landscape too large to enumerate before its seed is drawn
-    and its tables are generated."""
-    pg.check_graph_size(args.n)
-    return _resolve_seed(args)
-
-
 def _cmd_graph(args) -> int:
-    try:
-        graph = pg.build_graph(_load_or_generate(args, _graph_seed))
-    except pg.GraphSizeError as exc:
-        raise UsageError(str(exc))
-    landscape = graph.landscape
-    dot = pg.to_dot(pg.annotate(graph, args.heuristic))
+    landscape = _load_landscape(args)
+    pg.check_graph_size(args.n if landscape is None else landscape.n)
+    if landscape is None:
+        landscape = generate(args.n, args.k, args.q, args.mode, seed=_resolve_seed(args))
+    dot = pg.to_dot(pg.annotate(pg.build_graph(landscape), args.heuristic))
     with open(args.out, "w", newline="\n") as fh:
         fh.write(dot)
     if args.census is not None:
@@ -229,7 +220,7 @@ def build_parser() -> _Parser:
                        description="Generate an NKq landscape file. " + _LANDSCAPE_FORMAT_HELP)
     _add_landscape_params(p, lists=False)
     _add_seed(p)
-    p.add_argument("--out", required=True, help="output landscape file")
+    p.add_argument("--out", type=_path, required=True, help="output landscape file")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("run", help="run one heuristic and print the result",
@@ -260,11 +251,11 @@ def build_parser() -> _Parser:
     p.add_argument("--step-max", type=int, default=300,
                    help="netcrawler proposal budget (default: 300)")
     _add_seed(p)
-    p.add_argument("--out", required=True, help="per-cell statistics CSV")
-    p.add_argument("--records-out", default=None, help="per-run record CSV")
-    p.add_argument("--profile-out", default=None,
+    p.add_argument("--out", type=_path, required=True, help="per-cell statistics CSV")
+    p.add_argument("--records-out", type=_path, default=None, help="per-run record CSV")
+    p.add_argument("--profile-out", type=_path, default=None,
                    help="neutral-mutation profile CSV (retains run traces)")
-    p.add_argument("--stepstats-out", default=None, help="scuba step-count CSV")
+    p.add_argument("--stepstats-out", type=_path, default=None, help="scuba step-count CSV")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("degn", help="sample mean neutral degrees over a grid",
@@ -277,7 +268,7 @@ def build_parser() -> _Parser:
     p.add_argument("--instances", type=int, default=10,
                    help="landscape instances per cell (default: 10)")
     _add_seed(p)
-    p.add_argument("--out", required=True, help="output CSV")
+    p.add_argument("--out", type=_path, required=True, help="output CSV")
     p.set_defaults(func=_cmd_degn)
 
     p = sub.add_parser("graph", help="export a small landscape as annotated DOT",
@@ -288,8 +279,8 @@ def build_parser() -> _Parser:
                    help="annotation to draw: hc, ss, nc, or hc2")
     _add_landscape_source(p)
     _add_seed(p)
-    p.add_argument("--out", required=True, help="output DOT file")
-    p.add_argument("--census", default=None,
+    p.add_argument("--out", type=_path, required=True, help="output DOT file")
+    p.add_argument("--census", type=_path, default=None,
                    help="also write an exhaustive census CSV to this path")
     p.set_defaults(func=_cmd_graph)
 
@@ -297,32 +288,23 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"scubasearch: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except LandscapeFormatError as exc:
-        print(f"scubasearch: error: malformed landscape file: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
-    except (UsageError, LandscapeError) as exc:
-        print(f"scubasearch: error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
+        message, code = f"malformed landscape file: {exc}", RUNTIME_EXIT
+    except ValueError as exc:
+        message, code = str(exc), USAGE_EXIT
     except OSError as exc:
-        print(f"scubasearch: error: {exc}", file=sys.stderr)
-        return RUNTIME_EXIT
+        message, code = str(exc), RUNTIME_EXIT
     except MemoryError as exc:
-        detail = f": {exc}" if str(exc) else ""
-        print(f"scubasearch: error: out of memory{detail}", file=sys.stderr)
-        return RUNTIME_EXIT
+        message, code = "out of memory" + (f": {exc}" if str(exc) else ""), RUNTIME_EXIT
     except KeyboardInterrupt:
-        print("scubasearch: error: interrupted", file=sys.stderr)
-        return RUNTIME_EXIT
+        message, code = "interrupted", RUNTIME_EXIT
+    print(f"scubasearch: error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

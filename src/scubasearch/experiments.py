@@ -30,6 +30,10 @@ _SAMPLE_STREAM = 103
 # (_run_cell): on the paper grid a K <= 12 cell's instances share a batch, a
 # K=16 one, an 8 MiB table, runs alone.
 _BATCH_BYTES = 2**22
+# Bytes tracemalloc sees one run's Generator (with its PCG64 and SeedSequence)
+# and its start genotype's array header take as _run_cell makes them, on
+# numpy 2.4: 824 and 112; the start's n bytes of data are counted apart.
+_RUN_OBJECT_BYTES = 824 + 112
 
 SWEEP_HEADER = (
     "heuristic,n,k,q,runs,mean_fitness,std_fitness,"
@@ -205,11 +209,13 @@ class SweepReport:
 def _held_bytes(config: SweepConfig, landscape) -> int:
     """Bytes an instance of ``landscape``'s cell holds in a batch of several:
     its arrays, the batch's copy of its table and what the batch stacks for
-    it, and its runs' positions, deltas, starts, counters and proposals."""
+    it, and its runs' positions, deltas, starts, counters and proposals, and
+    each run's Generator and start genotype."""
     arrays = [*vars(landscape).values(), *_Group._instance_arrays(landscape)]
     runs = -(-config.runs // config.instances)
     return (sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
-            + landscape.tables.nbytes + runs * (17 * config.n + 48 + 8 * hx._PROPOSALS))
+            + landscape.tables.nbytes
+            + runs * (18 * config.n + 48 + 8 * hx._PROPOSALS + _RUN_OBJECT_BYTES))
 
 
 def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]:

@@ -114,14 +114,26 @@ class AnnotatedGraph:
 
     ``solid`` edges are directed fitness moves; ``dotted`` edges are
     neutral (scuba: directed evolvability moves along the plateau;
-    netcrawler: undirected equal-fitness links).
+    netcrawler, ``kind == "nc"``: undirected equal-fitness links).
     """
 
     graph: LandscapeGraph
     kind: str
     solid: list[tuple[int, int]]
     dotted: list[tuple[int, int]]
-    dotted_directed: bool
+
+
+def _edges(graph: LandscapeGraph, nodes: np.ndarray, loci: np.ndarray) -> list[tuple[int, int]]:
+    """The edges from ``nodes[i]`` to its neighbor at ``loci[i]``."""
+    return list(zip(nodes.tolist(), graph.neighbor_ids[nodes, loci].tolist()))
+
+
+def _best_moves(graph: LandscapeGraph, mask: np.ndarray,
+                scores: np.ndarray) -> list[tuple[int, int]]:
+    """One edge from each node of ``mask`` to its lowest-locus neighbor of
+    highest ``scores[node]``."""
+    nodes = np.flatnonzero(mask)
+    return _edges(graph, nodes, scores[nodes].argmax(axis=1))
 
 
 def annotate(graph: LandscapeGraph, kind: str) -> AnnotatedGraph:
@@ -140,46 +152,24 @@ def annotate(graph: LandscapeGraph, kind: str) -> AnnotatedGraph:
     """
     if kind not in HEURISTICS:
         raise ValueError(f"kind must be one of {HEURISTICS}, got {kind!r}")
-    totals = graph.totals
-    nbr_ids = graph.neighbor_ids
-    nbr_totals = graph.neighbor_totals
-    local = graph.local
-    solid: list[tuple[int, int]] = []
-    dotted: list[tuple[int, int]] = []
-    dotted_directed = kind != "nc"
-
+    local, nbr_totals, dotted = graph.local, graph.neighbor_totals, []
     if kind == "hc":
-        for v in np.flatnonzero(~local["f", "V"]):
-            solid.append((int(v), int(nbr_ids[v, nbr_totals[v].argmax()])))
-
+        solid = _best_moves(graph, ~local["f", "V"], nbr_totals)
     elif kind == "ss":
-        plateau_local, v_local = local["evol", "Vn"], local["f", "V"]
-        for v in range(graph.node_count):
-            if not plateau_local[v]:
-                dotted.append((v, int(nbr_ids[v, graph.plateau_evols[v].argmax()])))
-            elif not v_local[v]:
-                solid.append((v, int(nbr_ids[v, nbr_totals[v].argmax()])))
-
+        plateau_local = local["evol", "Vn"]
+        dotted = _best_moves(graph, ~plateau_local, graph.plateau_evols)
+        solid = _best_moves(graph, plateau_local & ~local["f", "V"], nbr_totals)
     elif kind == "nc":
-        for v in range(graph.node_count):
-            for l in range(graph.n):
-                u = int(nbr_ids[v, l])
-                if nbr_totals[v, l] > totals[v]:
-                    solid.append((v, u))
-                elif nbr_totals[v, l] == totals[v] and v < u:
-                    dotted.append((v, u))
-
+        rise = nbr_totals - graph.totals[:, None]
+        solid = _edges(graph, *np.nonzero(rise > 0))
+        # Each undirected link once, from its lower node.
+        ids = np.arange(graph.node_count)[:, None]
+        dotted = _edges(graph, *np.nonzero((rise == 0) & (graph.neighbor_ids > ids)))
     else:  # hc2
         evol_v, evol_v2 = graph.evol_v, graph.evol_v2
-        for v in np.flatnonzero(~local["f", "V2"]):
-            v = int(v)
-            if evol_v[v] == evol_v2[v]:
-                locus = (nbr_totals[v] == evol_v2[v]).argmax()
-            else:
-                locus = (evol_v[nbr_ids[v]] == evol_v2[v]).argmax()
-            solid.append((v, int(nbr_ids[v, locus])))
-
-    return AnnotatedGraph(graph, kind, solid, dotted, dotted_directed)
+        reach = np.where((evol_v == evol_v2)[:, None], nbr_totals, evol_v[graph.neighbor_ids])
+        solid = _best_moves(graph, ~local["f", "V2"], reach == evol_v2[:, None])
+    return AnnotatedGraph(graph, kind, solid, dotted)
 
 
 def _gray_level(total: int, lo: int, hi: int) -> int:
@@ -202,7 +192,7 @@ def to_dot(annotated: AnnotatedGraph) -> str:
         lines.append(f'  {v} [fillcolor="gray{_gray_level(int(totals[v]), lo, hi)}"];')
     for u, v in sorted(annotated.solid):
         lines.append(f"  {u} -> {v};")
-    style = "[style=dotted]" if annotated.dotted_directed else "[style=dotted, dir=none]"
+    style = "[style=dotted, dir=none]" if annotated.kind == "nc" else "[style=dotted]"
     for u, v in sorted(annotated.dotted):
         lines.append(f"  {u} -> {v} {style};")
     lines.append("}")

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dotgrammar import validate_dot
 from scubasearch import NkqLandscape, deserialize, generate, heuristics, save_landscape
@@ -265,13 +271,13 @@ class TestErrorHandling:
         assert not out.exists()
 
     def test_oversized_hc2_landscape_file(self, tmp_path, capsys):
-        # A loaded landscape is refused by the same check before any search.
+        # A loaded landscape is refused by the same check, before a seed is
+        # drawn and printed.
         path = tmp_path / "wide.txt"
         n = 11586
         path.write_text(f"format nkq-landscape-1\nn {n}\nk 0\nq 2\nmode random\nseed 1\n"
                         + "".join(f"{i} 0 1\n" for i in range(n)))
-        assert run_cli("run", "--heuristic", "hc2", "--landscape", str(path),
-                       "--seed", "1") == 1
+        assert run_cli("run", "--heuristic", "hc2", "--landscape", str(path)) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "hc2 needs n*n = 11586*11586" in err
 
@@ -384,3 +390,136 @@ class TestErrorHandling:
         assert "key value" in capsys.readouterr().out
         run_cli("sweep", "--help")
         assert "mean_fitness" in capsys.readouterr().out
+
+
+class TestRefusalsBeforeSeed:
+    """Without --seed, a refusal writes its one diagnostic line and no drawn
+    seed line."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["run", "--heuristic", "hc", "--n", "4", "--k", "9", "--q", "2"], 1),
+        (["run", "--heuristic", "hc", "--landscape", "/no/such/file"], 2),
+        (["gen", "--n", "4", "--k", "1", "--q", "2", "--out", "a\x00b"], 1),
+        (["degn", "--n", "4", "--k", "1", "--q", "2", "--out", "a\x00b"], 1),
+        (["run", "--heuristic", "hc", "--landscape", "a\x00b"], 1),
+    ], ids=["run-params", "run-missing-file", "gen-nul-path", "degn-nul-path",
+            "run-nul-path"])
+    def test_one_line(self, argv, code, capsys):
+        assert run_cli(*argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("scubasearch: error: ")
+
+    def test_graph_of_oversized_landscape_file(self, tmp_path, capsys):
+        # The graph's node bound holds on a loaded file's n too.
+        path = tmp_path / "wide.txt"
+        path.write_text("format nkq-landscape-1\nn 13\nk 0\nq 2\nmode random\nseed 1\n"
+                        + "".join(f"{i} 0 1\n" for i in range(13)))
+        out = tmp_path / "g.dot"
+        assert run_cli("graph", "--heuristic", "hc", "--landscape", str(path),
+                       "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n=13 would enumerate" in err
+        assert not out.exists()
+
+
+# Each flag's good values, then its hostile ones: refused, huge, float or
+# empty, or a path kind that is missing, a directory or holds a NUL byte. n
+# and the counts are large only where they are refused, so a valid argv runs
+# in milliseconds.
+_N = ([*map(str, range(1, 9))], ["-1", "0", "13", str(2**40), "4.0", ""])
+_K = (["0", "1", "2"], ["7", "-1", str(2**40), "0.5", ""])
+_Q = (["2", "3", "100", str(2**40)], ["1", "-3", "2.5", ""])
+_K_LIST = (["0", "1", "0,2"], [*_K[1], "1,1", ",", "0,x"])
+_Q_LIST = (["2", "3", "2,100"], [*_Q[1], "3,3", ",", "2,2.5"])
+_COUNT = (["1", "2", "3"], ["0", "-1", str(2**40), "1.5", ""])
+_STEP_MAX = (["1", "5"], ["0", "-1", str(2**61), "5.0", ""])
+_SEED = (["0", "7", str(2**64)], ["-1", "1e3", ""])
+_MODE = (["random", "adjacent"], ["bogus", ""])
+_HEURISTIC = (list(heuristics.HEURISTICS), ["zz", ""])
+_HEURISTICS = (["hc", "nc,ss", "hc,nc,hc2,ss"], ["hc,hc", "hc,zz", ""])
+_OUT = (["file"], ["missing", "dir", "nul"])
+_LANDSCAPE = (["landscape"], ["malformed", *_OUT[1]])
+_SWITCH = ([None], [])
+_PARAMS = {"--n": _N, "--k": _K, "--q": _Q}
+_GRID = {"--n": _N, "--k": _K_LIST, "--q": _Q_LIST}
+# Per subcommand, the flags it is always given (--runs and --instances to keep
+# a sweep small) and its optional ones.
+_COMMANDS = {
+    "gen": ({**_PARAMS, "--out": _OUT}, {"--mode": _MODE, "--seed": _SEED}),
+    "run": ({"--heuristic": _HEURISTIC, **_PARAMS},
+            {"--mode": _MODE, "--step-max": _STEP_MAX, "--trace": _SWITCH, "--seed": _SEED}),
+    "sweep": ({**_GRID, "--runs": _COUNT, "--instances": _COUNT, "--out": _OUT},
+              {"--mode": _MODE, "--heuristics": _HEURISTICS, "--step-max": _STEP_MAX,
+               "--seed": _SEED, "--records-out": _OUT, "--profile-out": _OUT,
+               "--stepstats-out": _OUT}),
+    "degn": ({**_GRID, "--out": _OUT},
+             {"--mode": _MODE, "--samples": _COUNT, "--instances": _COUNT, "--seed": _SEED}),
+    "graph": ({"--heuristic": _HEURISTIC, **_PARAMS, "--out": _OUT},
+              {"--mode": _MODE, "--seed": _SEED, "--census": _OUT}),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand (or an unknown one, or none) and its flags: required ones
+    given once, optional ones once or not, with good values, except for up
+    to two faulted flags, which are dropped, given once or repeated, with any
+    values; ``run`` and ``graph`` may load a landscape instead of generating
+    one. Paths are kinds that :func:`_paths` resolves."""
+    command = draw(st.sampled_from([*_COMMANDS, "explode", None]))
+    required, optional = _COMMANDS.get(command, ({}, {}))
+    if command in ("run", "graph") and draw(st.booleans()):
+        required = {**{f: v for f, v in required.items() if f not in _PARAMS},
+                    "--landscape": _LANDSCAPE}
+    flags = {**required, **optional}
+    # Path flags are faulted three times as often, so that runtime failures
+    # (exit 2) are drawn as well as refusals.
+    pool = [f for f in sorted(flags) for _ in range(3 if flags[f] in (_OUT, _LANDSCAPE) else 1)]
+    faults = draw(st.sets(st.sampled_from(pool), max_size=2)) if flags else set()
+    argv = [] if command is None else [command]
+    for flag, (good, bad) in flags.items():
+        if flag in faults:
+            times, values = draw(st.sampled_from([0, 1, 2])), good + bad
+        else:
+            times, values = 1 if flag in required else draw(st.sampled_from([0, 1])), good
+        for _ in range(times):
+            value = draw(st.sampled_from(values))
+            argv += [flag] if value is None else [flag, value]
+    return argv + draw(st.sampled_from([[], [], [], ["--frobnicate"], ["stray"]]))
+
+
+def _paths(argv, root):
+    """``argv`` with each path kind made a path under ``root``: a landscape
+    file, a malformed one, a writable file, one in a missing directory, a
+    directory or a path holding a NUL byte."""
+    save_landscape(generate(6, 1, 2, seed=4), os.path.join(root, "landscape.txt"))
+    with open(os.path.join(root, "malformed.txt"), "w") as fh:
+        fh.write("format nkq-landscape-1\nn 2\n")
+    kinds = {"landscape": "landscape.txt", "malformed": "malformed.txt", "file": "out",
+             "missing": "missing/out", "dir": ".", "nul": "a\x00b"}
+    return [os.path.join(root, kinds[a]) if a in kinds else a for a in argv]
+
+
+class TestExitContract:
+    @settings(max_examples=300)
+    @given(_argv())
+    def test_fuzzed_argv(self, argv):
+        # Exit 0, 1 or 2 and never an exception. A refusal (exit 1) is one
+        # line, before any seed is drawn; a runtime failure (exit 2) is one
+        # line, after at most the drawn seed's line.
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as root:
+            argv = _paths(argv, root)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        lines = err.getvalue().splitlines()
+        seeds = [line for line in lines if "(drawn from system entropy" in line]
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert lines == seeds and len(seeds) <= 1
+        elif code == 1:
+            assert len(lines) == 1 and not seeds
+            assert lines[0].startswith("scubasearch: error: ")
+        else:
+            assert lines[-1].startswith("scubasearch: error: ")
+            assert lines[:-1] == seeds and len(seeds) <= 1

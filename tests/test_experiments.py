@@ -100,11 +100,30 @@ class TestSeedDerivation:
     def test_run_seeds_differ_per_heuristic(self):
         assert run_seed(1, 0, 2, "hc", 0, 0) != run_seed(1, 0, 2, "ss", 0, 0)
 
+def run_object_bytes(n) -> int:
+    """Bytes tracemalloc sees one run's Generator and start genotype take,
+    made as ``_run_cell`` makes them: the growth from 128 more runs, per
+    run, so one-off allocations cancel."""
+    seeds = [run_seed(1, 0, 2, "hc", 0, r) for r in range(192)]
+    rngs, starts, traced = [None] * len(seeds), [None] * len(seeds), []
+    tracemalloc.start()
+    try:
+        for r, seed in enumerate(seeds):
+            rngs[r] = np.random.default_rng(seed)
+            starts[r] = rngs[r].integers(0, 2, size=n, dtype=np.uint8)
+            if r in (63, 191):
+                traced.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    return (traced[1] - traced[0]) // 128
+
+
 def batch_bytes(landscapes, runs) -> int:
     """Bytes the arrays of ``landscapes`` and of a batch of ``runs`` runs on
-    each of them hold, netcrawler proposals included; a group of one reads
-    its table uncopied, so it counts twice, as a batch of several copies it;
-    a view counts as the array it views, and an array held twice once."""
+    each of them hold, netcrawler proposals and each run's Generator and
+    start genotype included; a group of one reads its table uncopied, so it
+    counts twice, as a batch of several copies it; a view counts as the
+    array it views, and an array held twice once."""
     group = landscape_module._Group(landscapes)
     state = hx._Runs(group, np.repeat(np.arange(len(landscapes)), runs),
                      np.zeros((len(landscapes) * runs, group.n), dtype=np.uint8), trace=False)
@@ -113,7 +132,7 @@ def batch_bytes(landscapes, runs) -> int:
               for base in [value if value.base is None else value.base]}
     copy = landscapes[0].tables.nbytes if len(landscapes) == 1 else 0
     return (copy + sum(a.nbytes for a in arrays.values())
-            + len(landscapes) * runs * 8 * hx._PROPOSALS)
+            + len(landscapes) * runs * (8 * hx._PROPOSALS + run_object_bytes(group.n)))
 
 
 def track_groups(monkeypatch) -> list[int]:
@@ -225,7 +244,7 @@ class TestRunSweep:
         assert max(alive) * held <= experiments._BATCH_BYTES
 
     def test_many_low_k_instances_share_large_groups(self, monkeypatch):
-        # An n=64, K=0 instance holds about 11 KB with its run, so a thousand
+        # An n=64, K=0 instance holds about 12 KB with its run, so a thousand
         # of them run in three groups, and give the records they give alone.
         config = SweepConfig(n=64, k_values=(0,), q_values=(2,), base_seed=3,
                              heuristics=("hc", "nc"), runs=1000, instances=1000, step_max=20)

@@ -17,6 +17,7 @@ Either failure prints one line and no traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ from .landscape import (
     RANDOM,
     LandscapeFormatError,
     check_params,
+    check_seed,
     generate,
     load_landscape,
     save_landscape,
@@ -60,13 +62,16 @@ def _path(text: str) -> str:
     """A path that ``open`` can take, refused while parsing, before a seed."""
     if "\0" in text:
         raise argparse.ArgumentTypeError(f"path holds a NUL byte: {text!r}")
+    try:
+        os.fsencode(text)
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"path cannot be encoded: {text!r}") from None
     return text
 
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        check_seed(args.seed, "--seed")
         return args.seed
     seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
     print(f"seed {seed} (drawn from system entropy; pass --seed {seed} to replay)",
@@ -303,7 +308,9 @@ def main(argv=None) -> int:
         message, code = "out of memory" + (f": {exc}" if str(exc) else ""), RUNTIME_EXIT
     except KeyboardInterrupt:
         message, code = "interrupted", RUNTIME_EXIT
-    print(f"scubasearch: error: {message}", file=sys.stderr)
+    # Escaped, so a stray newline or a lone surrogate keeps the one line.
+    line = "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in message)
+    print(f"scubasearch: error: {line}", file=sys.stderr)
     return code
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import heuristics as hx
-from .landscape import RANDOM, _Group, check_integer, check_params, generate
+from .landscape import RANDOM, _Group, check_params, check_seed, generate
 
 _LANDSCAPE_STREAM = 101
 _RUN_STREAM = 102
@@ -54,11 +54,8 @@ def derive_seed(*parts: int) -> int:
     A part that is not a non-negative integer raises ``ValueError``.
     """
     for p in parts:
-        check_integer("seed part", p)
-    entropy = [int(p) for p in parts]
-    if any(p < 0 for p in entropy):
-        raise ValueError("seed parts must be non-negative integers")
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+        check_seed(p, "seed part")
+    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1, np.uint64)[0])
 
 
 def landscape_seed(base_seed: int, k: int, q: int, instance: int) -> int:
@@ -129,9 +126,7 @@ class SweepConfig:
                         len(self.k_values) * len(self.q_values))
         hx.check_counts({"instances": self.instances})
         hx.check_step_max(self.step_max)
-        check_integer("base_seed", self.base_seed)
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be non-negative")
+        check_seed(self.base_seed, "base_seed")
 
 
 @dataclass
@@ -243,7 +238,7 @@ def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]
         for h in config.heuristics:
             seeds = [run_seed(config.base_seed, k, q, h, inst, r) for inst, r in zip(insts, runs)]
             rngs = [np.random.default_rng(rs) for rs in seeds]
-            starts = [rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs]
+            starts = np.array([rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs])
             results = hx._search(batch, h, at, starts, rngs, config.step_max, config.keep_traces)
             for inst, r, rs, result in zip(insts, runs, seeds, results):
                 out[h][r] = RunRecord(

@@ -24,9 +24,9 @@ The searchers carry the one-bit deltas ``d`` of the current point instead
 of rescanning it: a proposal at locus l reads ``total + d[l]``, and a move
 updates ``d`` from the components that read the flipped locus. The charges
 are the queries, not this compute. :func:`search` advances the runs of one
-or more landscapes of one (n, k, q) together in one run state, over the
-kernels of one :class:`~.landscape._Group`, which a sweep builds once for
-all the heuristics of an instance group (:func:`_search`): each round moves
+landscape together in one run state, over the kernels of one
+:class:`~.landscape._Group`; a sweep builds one group of an instance
+group's landscapes for all its heuristics (:func:`_search`): each round moves
 every live run with one flip update, scuba's guard reads every live run's
 neutral neighbors from blocks of mutant deltas, flip updates of copies of
 their rows, hc2 reads their distance-2 balls from one batch of pair gains,
@@ -54,7 +54,7 @@ from math import isqrt, prod
 import numpy as np
 
 from .landscape import (_SCAN_ENTRIES, MAX_TABLE_ENTRIES, FitnessValue, LandscapeError,
-                        NkqLandscape, _Group, _int_array, as_genotype, check_integer)
+                        NkqLandscape, _Group, as_genotype, check_integer)
 
 MOVE_INIT = "init"
 MOVE_IMPROVE = "improve"
@@ -176,9 +176,7 @@ class _Runs:
     logs every move: ``(runs, entries, loci, totals, kinds, degns)``."""
 
     def __init__(self, group, instances, starts, trace):
-        n = group.n
-        self.group, self.instances = group, instances
-        self.s0 = np.array([as_genotype(s, n) for s in starts], dtype=np.uint8).reshape(-1, n)
+        self.group, self.instances, self.s0 = group, instances, starts
         self.idx, self.d = (np.empty(self.s0.shape, dtype=np.int64) for _ in range(2))
         self.total = np.empty(len(self.s0), dtype=np.int64)
         for i, landscape in enumerate(group.landscapes):
@@ -303,7 +301,6 @@ def _climb2(runs, rngs) -> list[RunResult]:
     ``rngs[i]``; each round moves every live run once, reading the pair
     gains of ``max(1, _PAIR_ENTRIES // n**2)`` runs at a time."""
     n = runs.group.n
-    check_pair_totals(n)
     live = np.arange(len(rngs))
     chunk = max(1, _PAIR_ENTRIES // (n * n))
     while live.size:
@@ -332,7 +329,6 @@ def _crawl(runs, rngs, step_max) -> list[RunResult]:
     """The netcrawler of each of ``runs``, run i drawing from ``rngs[i]``,
     its proposals ``_PROPOSALS`` at a time. Each round moves every run with
     an accepted proposal left in the chunk straight to the first one."""
-    check_step_max(step_max)
     for first in range(0, step_max, _PROPOSALS):
         width = min(_PROPOSALS, step_max - first)
         proposals = np.array([rng.integers(runs.group.n, size=width) for rng in rngs])
@@ -351,29 +347,31 @@ def _crawl(runs, rngs, step_max) -> list[RunResult]:
     return runs.results(steps, steps)
 
 
-def search(landscape, heuristic, starts, rngs, step_max=300, trace=False,
-           instances=None) -> list[RunResult]:
-    """One run of ``heuristic`` from each genotype of ``starts``, run i on
-    ``landscape``, or on ``landscape[instances[i]]`` of a sequence of
-    landscapes of one (n, k, q), drawing its tie-breaks and proposals from
-    ``rngs[i]`` only, so each result is the one the run gives alone. The
-    runs advance together. ``starts``, ``rngs`` and ``instances`` (all 0 if
-    not given) must be as long as each other."""
+def search(landscape, heuristic, starts, rngs, step_max=300, trace=False) -> list[RunResult]:
+    """One run of ``heuristic`` on ``landscape`` from each genotype of
+    ``starts``, run i drawing its tie-breaks and proposals from ``rngs[i]``
+    only, so each result is the one the run gives alone; the runs advance
+    together. The engine's one checked door: every input is checked here,
+    before anything is built."""
+    if not isinstance(landscape, NkqLandscape):
+        raise LandscapeError(f"search takes one NkqLandscape, got {type(landscape).__name__}")
     if len(starts) != len(rngs):
         raise ValueError(f"{len(starts)} starts but {len(rngs)} rngs; each run needs its own")
-    landscapes = [landscape] if isinstance(landscape, NkqLandscape) else list(landscape)
-    instances = _int_array("instances", [0] * len(rngs) if instances is None else instances,
-                           (len(rngs),)).astype(np.intp)
-    if not landscapes or np.any((instances < 0) | (instances >= len(landscapes))):
-        raise ValueError(f"each run's instance must index the {len(landscapes)} landscapes")
     if heuristic not in HEURISTICS:
         raise ValueError(f"unknown heuristic {heuristic!r}")
-    return _search(_Group(landscapes), heuristic, instances, starts, rngs, step_max, trace)
+    check_step_max(step_max)
+    n = landscape.n
+    if heuristic == "hc2":
+        check_pair_totals(n)
+    starts = np.array([as_genotype(s, n) for s in starts], dtype=np.uint8).reshape(-1, n)
+    return _search(_Group([landscape]), heuristic, np.zeros(len(starts), dtype=np.intp),
+                   starts, rngs, step_max, trace)
 
 
 def _search(group, heuristic, instances, starts, rngs, step_max, trace) -> list[RunResult]:
-    """:func:`search` over a built group, run i on its landscape
-    ``instances[i]`` (intp), unchecked; a group serves any number of calls."""
+    """:func:`search` over a built group, unchecked: run i starts from row i
+    of the (R, n) uint8 matrix ``starts`` on the group's landscape
+    ``instances[i]`` (intp); a group serves any number of calls."""
     runs = _Runs(group, instances, starts, trace)
     if heuristic == "nc":
         return _crawl(runs, rngs, step_max)

@@ -134,11 +134,12 @@ def check_integer(name: str, value) -> None:
         raise LandscapeError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_seed(seed) -> None:
-    """Raise :class:`LandscapeError` unless ``seed`` is a non-negative integer."""
-    check_integer("seed", seed)
+def check_seed(seed, name="seed") -> None:
+    """Raise :class:`LandscapeError` unless ``seed`` is a non-negative
+    integer: the one seed rule, for seeds and seed parts alike."""
+    check_integer(name, seed)
     if seed < 0:
-        raise LandscapeError(f"seed must be non-negative, got {seed}")
+        raise LandscapeError(f"{name} must be non-negative, got {seed}")
 
 
 def check_params(n: int, k: int, q: int, mode: str = RANDOM) -> None:
@@ -190,17 +191,17 @@ def _random_links(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
 
 def _draw_bounded(rng: np.random.Generator, q, out: np.ndarray) -> None:
     """Fill the flat integer array ``out`` with the values of
-    ``rng.integers(0, q, out.size, dtype=np.int64)``, and leave the PCG64
-    generator ``rng`` in the state that call leaves it in.
+    ``rng.integers(0, q, out.size, dtype=np.int64)``. The PCG64 generator
+    ``rng`` is left where no numpy call leaves it, so the caller drops it.
 
     For ``q <= 2**32`` numpy maps each 32-bit half ``x`` of a PCG64 word,
     low half first, to ``(x*q) >> 32``, and rejects ``x`` when ``x*q mod
     2**32`` is below ``2**32 % q`` (Lemire, ACM TOMACS 2019), one call per
     value. Here that map runs vectorized over ``random_raw`` words, at most
     :data:`_DRAW_CHUNK` halves' worth per chunk. A half the generator holds
-    buffered is read first, and the half after the last value taken stays
-    buffered, as numpy leaves it. Larger q takes 64-bit values, which
-    ``integers`` draws here, chunk by chunk.
+    buffered (the links drawn before the table can leave one) is read
+    first. Larger q takes 64-bit values, which ``integers`` draws here,
+    chunk by chunk.
     """
     q = int(q)
     if q > 2**32:
@@ -223,25 +224,12 @@ def _draw_bounded(rng: np.random.Generator, q, out: np.ndarray) -> None:
         out[at:at + wide.size] = wide
         return at + wide.size
 
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    filled = 0
-    if state["has_uint32"] and out.size:
-        filled = put(accept(np.array([state["uinteger"]], dtype=np.uint32)), 0)
-        state["has_uint32"] = 0
-    words = None
+    bitgen, filled = rng.bit_generator, 0
+    if bitgen.state["has_uint32"] and out.size:
+        filled = put(accept(np.array([bitgen.state["uinteger"]], dtype=np.uint32)), 0)
     while filled < out.size:
-        left = out.size - filled
-        words = bitgen.random_raw(-(-min(left, _DRAW_CHUNK) // 2))
-        halves = words.astype("<u8", copy=False).view("<u4")
-        filled = put(accept(halves), filled)
-    if words is not None:
-        # The last word's high half stays buffered if numpy stops before it,
-        # that is if the first `left` halves of the last chunk are all taken.
-        state = bitgen.state
-        state["has_uint32"] = int(halves.size > left and accept(halves[:left]).size == left)
-        state["uinteger"] = int(words[-1] >> 32)
-    bitgen.state = state
+        words = bitgen.random_raw(-(-min(out.size - filled, _DRAW_CHUNK) // 2))
+        filled = put(accept(words.astype("<u8", copy=False).view("<u4")), filled)
 
 
 class NkqLandscape:
@@ -270,7 +258,7 @@ class NkqLandscape:
     def __init__(self, n, k, q, mode, links, tables, seed=None):
         check_params(n, k, q, mode)
         if seed is not None:
-            _check_seed(seed)
+            check_seed(seed)
 
         links = _int_array("links", links, (n, k)).astype(np.int64)
         tables = _int_array("tables", tables, (n, 2 ** (k + 1)))
@@ -346,17 +334,17 @@ class NkqLandscape:
         are the values of one ``integers(0, q, size=(n, 2**(k+1)))`` draw:
         for ``q <= 2**32`` they are mapped from raw PCG64 words exactly as
         numpy maps them (:func:`_draw_bounded`), chunk by chunk straight
-        into the compact table the landscape keeps, and the stream is left
-        where that draw leaves it. Identical arguments always reproduce the
-        same instance; bit-equality across other implementations of this
-        format is not promised. A seed that is not a non-negative integer
-        (a float, a bool, a string) raises :class:`LandscapeError`.
+        into the compact table the landscape keeps. Identical arguments
+        always reproduce the same instance; bit-equality across other
+        implementations of this format is not promised. A seed that is not
+        a non-negative integer (a float, a bool, a string) raises
+        :class:`LandscapeError`.
         """
         check_params(n, k, q, mode)
         if seed is None:
             seed = int(np.random.SeedSequence().generate_state(1, np.uint64)[0])
         else:
-            _check_seed(seed)
+            check_seed(seed)
         rng = np.random.default_rng(seed)
         if mode == ADJACENT:
             links = adjacent_links(n, k)
@@ -386,6 +374,7 @@ class NkqLandscape:
         delta at that locus from one one-row :meth:`_row_deltas` scan.
         ``total`` must be the current exact total of ``s``; this is not
         checked."""
+        check_integer("flip_locus", flip_locus)
         if not 0 <= flip_locus < self.n:
             raise LandscapeError(f"flip locus {flip_locus} outside [0, {self.n})")
         _, _, deltas = self._row_deltas(as_genotype(s, self.n)[None])
@@ -481,9 +470,7 @@ class _Group:
 
     def __init__(self, landscapes):
         first = landscapes[0]
-        n, k, q = self.n, self.k, self.q = first.n, first.k, first.q
-        if any((other.n, other.k, other.q) != (n, k, q) for other in landscapes):
-            raise LandscapeError("the landscapes of one batch must share n, k and q")
+        self.n, self.k, self.q = first.n, first.k, first.q
         self.landscapes = landscapes
         self._tab = (first._tab_flat if len(landscapes) == 1
                      else np.concatenate([other._tab_flat for other in landscapes]))

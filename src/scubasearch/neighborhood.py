@@ -12,12 +12,14 @@ genotype of a small landscape is :func:`~.pathgraph.census`.
 
 from __future__ import annotations
 
+from .heuristics import check_pair_totals
 from .landscape import _Group, as_genotype
 
 
 def extended_scan(landscape, s):
     """``(n, n)`` int64 pair totals of genotype ``s`` of ``landscape``:
     entry ``[i, j]`` is the total with loci ``i`` and ``j`` both flipped,
-    and the diagonal holds the total of ``s`` itself (flip undone)."""
+    the diagonal the total of ``s``; refused past hc2's ``n*n`` bound."""
+    check_pair_totals(landscape.n)
     idx, totals, d = landscape._row_deltas(as_genotype(s, landscape.n)[None])
     return (totals + d)[0, :, None] + _Group([landscape])._pair_gains(idx, d, [0])[0]

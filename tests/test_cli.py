@@ -186,6 +186,14 @@ class TestErrorHandling:
         assert run_cli("gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",
                        "--frobnicate", "yes", "--out", "x") == 1
 
+    def test_stray_words_are_one_line(self, capsys):
+        # argparse joins unrecognized words raw; main escapes what is not
+        # printable, so a newline among them cannot split the diagnostic.
+        assert run_cli("gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",
+                       "--out", "a", "x\ny") == 1
+        err = capsys.readouterr().err
+        assert err == "scubasearch: error: unrecognized arguments: x\\ny\n"
+
     def test_unknown_subcommand(self):
         assert run_cli("explode") == 1
 
@@ -402,8 +410,9 @@ class TestRefusalsBeforeSeed:
         (["gen", "--n", "4", "--k", "1", "--q", "2", "--out", "a\x00b"], 1),
         (["degn", "--n", "4", "--k", "1", "--q", "2", "--out", "a\x00b"], 1),
         (["run", "--heuristic", "hc", "--landscape", "a\x00b"], 1),
+        (["gen", "--n", "4", "--k", "1", "--q", "2", "--out", "\ud800"], 1),
     ], ids=["run-params", "run-missing-file", "gen-nul-path", "degn-nul-path",
-            "run-nul-path"])
+            "run-nul-path", "gen-unencodable-path"])
     def test_one_line(self, argv, code, capsys):
         assert run_cli(*argv) == code
         err = capsys.readouterr().err
@@ -423,7 +432,8 @@ class TestRefusalsBeforeSeed:
 
 
 # Each flag's good values, then its hostile ones: refused, huge, float or
-# empty, or a path kind that is missing, a directory or holds a NUL byte. n
+# empty, holding a newline or a lone surrogate, or a path kind that is
+# missing, a directory, holds a NUL byte, a newline or a lone surrogate. n
 # and the counts are large only where they are refused, so a valid argv runs
 # in milliseconds.
 _N = ([*map(str, range(1, 9))], ["-1", "0", "13", str(2**40), "4.0", ""])
@@ -433,11 +443,11 @@ _K_LIST = (["0", "1", "0,2"], [*_K[1], "1,1", ",", "0,x"])
 _Q_LIST = (["2", "3", "2,100"], [*_Q[1], "3,3", ",", "2,2.5"])
 _COUNT = (["1", "2", "3"], ["0", "-1", str(2**40), "1.5", ""])
 _STEP_MAX = (["1", "5"], ["0", "-1", str(2**61), "5.0", ""])
-_SEED = (["0", "7", str(2**64)], ["-1", "1e3", ""])
-_MODE = (["random", "adjacent"], ["bogus", ""])
+_SEED = (["0", "7", str(2**64)], ["-1", "1e3", "", "7\n"])
+_MODE = (["random", "adjacent"], ["bogus", "", "random\n", "\ud800"])
 _HEURISTIC = (list(heuristics.HEURISTICS), ["zz", ""])
 _HEURISTICS = (["hc", "nc,ss", "hc,nc,hc2,ss"], ["hc,hc", "hc,zz", ""])
-_OUT = (["file"], ["missing", "dir", "nul"])
+_OUT = (["file"], ["missing", "dir", "nul", "newline", "surrogate"])
 _LANDSCAPE = (["landscape"], ["malformed", *_OUT[1]])
 _SWITCH = ([None], [])
 _PARAMS = {"--n": _N, "--k": _K, "--q": _Q}
@@ -485,18 +495,20 @@ def _argv(draw):
         for _ in range(times):
             value = draw(st.sampled_from(values))
             argv += [flag] if value is None else [flag, value]
-    return argv + draw(st.sampled_from([[], [], [], ["--frobnicate"], ["stray"]]))
+    return argv + draw(st.sampled_from([[], [], [], ["--frobnicate"], ["stray"], ["x\ny"],
+                                        ["\ud800"]]))
 
 
 def _paths(argv, root):
     """``argv`` with each path kind made a path under ``root``: a landscape
     file, a malformed one, a writable file, one in a missing directory, a
-    directory or a path holding a NUL byte."""
+    directory or a path holding a NUL byte, a newline or a lone surrogate."""
     save_landscape(generate(6, 1, 2, seed=4), os.path.join(root, "landscape.txt"))
     with open(os.path.join(root, "malformed.txt"), "w") as fh:
         fh.write("format nkq-landscape-1\nn 2\n")
     kinds = {"landscape": "landscape.txt", "malformed": "malformed.txt", "file": "out",
-             "missing": "missing/out", "dir": ".", "nul": "a\x00b"}
+             "missing": "missing/out", "dir": ".", "nul": "a\x00b", "newline": "a\nb",
+             "surrogate": "a\ud800b"}
     return [os.path.join(root, kinds[a]) if a in kinds else a for a in argv]
 
 

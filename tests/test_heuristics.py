@@ -322,22 +322,45 @@ def test_search_needs_one_stream_per_start(heuristic, runs, streams):
 
 @pytest.mark.parametrize("heuristic", ["hc", "nc", "hc2", "ss"])
 def test_search_refuses_mixed_landscapes_and_stray_instances(heuristic):
-    # Runs of one batch share (n, k, q), and each names one of its landscapes.
-    landscapes = [generate(6, 1, 2, RANDOM, seed=1), generate(6, 1, 2, "adjacent", seed=2)]
+    # search takes one landscape: a sequence of them, or instances to spread
+    # runs over, is refused; zero runs give zero results.
+    landscape = generate(6, 1, 2, RANDOM, seed=1)
     starts = [np.zeros(6, dtype=np.uint8)] * 2
     rngs = [np.random.default_rng(i) for i in range(2)]
-    for instances in ([0, 2], [-1, 0]):
-        with pytest.raises(ValueError, match="must index the 2 landscapes"):
-            search(landscapes, heuristic, starts, rngs, instances=instances)
-    for instances in ([0], [0.0, 1.0]):
-        with pytest.raises(LandscapeError, match="instances must"):
-            search(landscapes, heuristic, starts, rngs, instances=instances)
-    with pytest.raises(ValueError, match="must index the 0 landscapes"):
-        search([], heuristic, [], [])
-    assert search(landscapes, heuristic, [], [], instances=[]) == []
-    with pytest.raises(LandscapeError, match="share n, k and q"):
-        search([landscapes[0], generate(6, 2, 2, RANDOM, seed=3)], heuristic, starts, rngs,
-               instances=[0, 1])
+    for landscapes in ([landscape, landscape], [landscape], []):
+        with pytest.raises(LandscapeError, match="search takes one NkqLandscape, got list"):
+            search(landscapes, heuristic, starts, rngs)
+    with pytest.raises(TypeError, match="instances"):
+        search(landscape, heuristic, starts, rngs, instances=[0, 0])
+    assert search(landscape, heuristic, [], []) == []
+
+
+@pytest.mark.parametrize("heuristic", ["hc", "nc", "hc2", "ss"])
+@pytest.mark.parametrize("step_max", [0, STEP_MAX_LIMIT + 1, 300.0, True])
+def test_search_checks_step_max_before_building_a_group(heuristic, step_max, monkeypatch):
+    # search is the engine's checked door: every heuristic's step_max is
+    # checked there, before a group is built or a run state made.
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(heuristics, "_Group", refuse)
+    landscape = generate(6, 1, 2, RANDOM, seed=1)
+    with pytest.raises(ValueError, match="step_max must be"):
+        search(landscape, heuristic, [np.zeros(6, dtype=np.uint8)],
+               [np.random.default_rng(0)], step_max)
+
+
+def test_search_refuses_hc2_pair_totals_before_building_a_group(monkeypatch):
+    # At n = 11586, n*n passes MAX_TABLE_ENTRIES, so hc2 is refused before
+    # its run state or a pair-gain array is made.
+    def refuse(*args):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(heuristics, "_Group", refuse)
+    landscape = generate(11586, 0, 2, "adjacent", seed=1)
+    with pytest.raises(LandscapeError, match="MAX_TABLE_ENTRIES"):
+        search(landscape, "hc2", [np.zeros(landscape.n, dtype=np.uint8)],
+               [np.random.default_rng(0)])
 
 
 @pytest.mark.parametrize("heuristic", ["hc", "nc", "hc2", "ss"])

@@ -403,6 +403,14 @@ class TestDeltaEvaluate:
             with pytest.raises(LandscapeError, match="outside"):
                 landscape.delta_total(s, landscape.total(s), locus)
 
+    @pytest.mark.parametrize("locus", [True, 1.5, 1.0])
+    def test_locus_must_be_an_integer(self, locus):
+        # True used to read locus 1, and 1.5 escaped as an IndexError.
+        landscape = generate(6, 2, 3, RANDOM, seed=5)
+        s = np.zeros(6, dtype=np.uint8)
+        with pytest.raises(LandscapeError, match="flip_locus must be an integer"):
+            landscape.delta_total(s, landscape.total(s), locus)
+
 
 class TestFitnessValue:
     def test_neutrality_is_integer_equality(self):

@@ -12,9 +12,12 @@ import pytest
 import oracles
 from conftest import constant_landscape, onemax_landscape
 from scubasearch import (
+    ADJACENT,
     RANDOM,
+    LandscapeError,
     build_graph,
     census,
+    extended_scan,
     generate,
 )
 
@@ -40,6 +43,20 @@ def neutral_loci(landscape, s):
 def genotypes(n):
     """``(node, genotype tuple)`` for every node of an n-locus graph."""
     return [(node, oracles.node_genotype(n, node)) for node in range(1 << n)]
+
+
+def test_extended_scan_refuses_hc2_sized_pair_totals(monkeypatch):
+    # n*n above MAX_TABLE_ENTRIES is refused before the two (1, n, n) int64
+    # arrays of the pair gains, about 1 GiB each, are allocated.
+    landscape = generate(11586, 0, 2, ADJACENT, seed=1)
+    s = np.zeros(landscape.n, dtype=np.uint8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the bound was checked")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(LandscapeError, match="MAX_TABLE_ENTRIES"):
+        extended_scan(landscape, s)
 
 
 class TestEvolvability:

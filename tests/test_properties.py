@@ -294,8 +294,8 @@ CHUNK_EDGE_SIZES = tuple(m * landscape_module._DRAW_CHUNK + d for m in (1, 2) fo
 @given(seed=st.integers(0, 2**32 - 1), buffered=st.booleans(),
        size=st.one_of(st.integers(0, 9), st.sampled_from(CHUNK_EDGE_SIZES)))
 def test_raw_word_draw_equals_integers(q, seed, buffered, size):
-    # The values of one integers() draw, and the bit generator left where
-    # that draw leaves it, whether or not a half was buffered beforehand.
+    # The values of one integers() draw, whether or not a half was buffered
+    # beforehand.
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     if buffered:
         # One 32-bit value leaves its word's high half buffered.
@@ -305,29 +305,6 @@ def test_raw_word_draw_equals_integers(q, seed, buffered, size):
     out = np.empty(size, dtype=np.int64)
     _draw_bounded(rng, q, out)
     assert np.array_equal(out, oracle_rng.integers(0, q, size, dtype=np.int64))
-    got, want = rng.bit_generator.state, oracle_rng.bit_generator.state
-    assert got["state"] == want["state"] and got["has_uint32"] == want["has_uint32"]
-    # numpy leaves a stale uinteger when nothing is buffered.
-    if want["has_uint32"]:
-        assert got["uinteger"] == want["uinteger"]
-
-
-def test_raw_word_draw_keeps_an_unread_rejected_half():
-    # At seed 1 the first word's low half maps to a value at q = 2**31+1 and
-    # its high half would be rejected; numpy stops after the one value it
-    # needs, so that half stays buffered, unread.
-    q, rng = 2**31 + 1, np.random.default_rng(1)
-    word = int(np.random.default_rng(1).bit_generator.random_raw())
-    high = word >> 32
-    assert (high * q) % 2**32 < 2**32 % q
-    out = np.empty(1, dtype=np.int64)
-    _draw_bounded(rng, q, out)
-    assert out.tolist() == [((word & 0xFFFFFFFF) * q) >> 32] == [1016164991]
-    state = rng.bit_generator.state
-    assert state["has_uint32"] == 1 and state["uinteger"] == high
-    oracle_rng = np.random.default_rng(1)
-    assert oracle_rng.integers(0, q, 1, dtype=np.int64).tolist() == out.tolist()
-    assert oracle_rng.bit_generator.state == state
 
 
 @settings(max_examples=30)
@@ -414,8 +391,9 @@ def test_run_state_matches_a_fresh_scan_after_every_round(heuristic, data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Runs, "flip", checked_flip)
-        search(landscapes, heuristic, starts, rngs, data.draw(st.integers(1, 600)),
-               instances=instances)
+        heuristics._search(landscape_module._Group(landscapes), heuristic,
+                           np.array(instances, dtype=np.intp), starts, rngs,
+                           data.draw(st.integers(1, 600)), False)
     assert rounds
 
 
@@ -524,7 +502,7 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
     landscapes = data.draw(landscape_group(data.draw(st.sampled_from((2, 3, 4, 100, 2**40)))))
     n = landscapes[0].n
     runs = data.draw(st.integers(2, 12))
-    starts = list(genotype_rows(data, n, runs, runs))
+    starts = genotype_rows(data, n, runs, runs)
     instances = data.draw(st.lists(st.integers(0, len(landscapes) - 1), min_size=runs,
                                    max_size=runs))
     seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=runs, max_size=runs))
@@ -534,9 +512,10 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heuristics, "_PAIR_ENTRIES", chunk * n * n)
         patch.setattr(heuristics, "_SCAN_ENTRIES", block * n * (landscapes[0].k + 1))
-        batch = search(landscapes, heuristic, starts,
-                       [np.random.default_rng(seed) for seed in seeds], step_max, trace=True,
-                       instances=instances)
+        batch = heuristics._search(landscape_module._Group(landscapes), heuristic,
+                                   np.array(instances, dtype=np.intp), starts,
+                                   [np.random.default_rng(seed) for seed in seeds], step_max,
+                                   True)
     assert len(batch) == runs
     for s0, i, seed, got in zip(starts, instances, seeds, batch):
         alone = search(landscapes[i], heuristic, [s0], [np.random.default_rng(seed)], step_max,

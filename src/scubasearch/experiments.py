@@ -14,24 +14,27 @@ from __future__ import annotations
 import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
 from typing import Optional
 
 import numpy as np
 
 from . import heuristics as hx
-from .landscape import RANDOM, _Group, check_params, check_seed, generate
+from .landscape import RANDOM, _Group, _table_dtype, check_params, check_seed, generate
 
 _LANDSCAPE_STREAM = 101
 _RUN_STREAM = 102
 _SAMPLE_STREAM = 103
 
 # Bytes the instances of one lockstep batch may hold, with their runs' state
-# (_run_cell): on the paper grid a K <= 12 cell's instances share a batch, a
-# K=16 one, an 8 MiB table, runs alone.
-_BATCH_BYTES = 2**22
+# (_run_k): on the paper grid the instances of all q values of one K <= 8
+# share a batch, and a K=12 or K=16 one runs alone. Larger batches saved no
+# CPU there, and the heap a batch leaves behind can stay resident: at 2**22
+# (K=12 in threes) sweep-grid's peak RSS rose by up to 4 MB for some output
+# paths.
+_BATCH_BYTES = 2**21
 # Bytes tracemalloc sees one run's Generator (with its PCG64 and SeedSequence)
-# and its start genotype's array header take as _run_cell makes them, on
+# and its start genotype's array header take as _run_group makes them, on
 # numpy 2.4: 824 and 112; the start's n bytes of data are counted apart.
 _RUN_OBJECT_BYTES = 824 + 112
 
@@ -202,10 +205,11 @@ class SweepReport:
 
 
 def _held_bytes(config: SweepConfig, landscape) -> int:
-    """Bytes an instance of ``landscape``'s cell holds in a batch of several:
-    its arrays, the batch's copy of its table and what the batch stacks for
-    it, and its runs' positions, deltas, starts, counters and proposals, and
-    each run's Generator and start genotype."""
+    """Bytes an instance holds in a batch of several, the same for every
+    instance of ``landscape``'s (n, k) and table dtype: its arrays, the
+    batch's copy of its table and what the batch stacks for it, and its
+    runs' positions, deltas, starts, counters and proposals, and each run's
+    Generator and start genotype."""
     arrays = [*vars(landscape).values(), *_Group._instance_arrays(landscape)]
     runs = -(-config.runs // config.instances)
     return (sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
@@ -213,63 +217,73 @@ def _held_bytes(config: SweepConfig, landscape) -> int:
             + runs * (18 * config.n + 48 + 8 * hx._PROPOSALS + _RUN_OBJECT_BYTES))
 
 
-def _run_cell(config: SweepConfig, k: int, q: int) -> dict[str, list[RunRecord]]:
-    """Every heuristic's runs on cell ``(k, q)``, keyed by heuristic. The
-    instances run in groups of as many as fit in :data:`_BATCH_BYTES`, at
-    least one, each counting :func:`_held_bytes` of the cell's first
-    instance, as every instance's arrays have sizes set by (n, k, q). A
-    group's landscapes and their one :class:`~.landscape._Group` serve a
-    batch per heuristic and are dropped before the next group's landscapes
-    are generated. Records are filled by run index, so their order does not
-    depend on the grouping."""
-    out = {h: [None] * config.runs for h in config.heuristics}
+def _run_k(config: SweepConfig, k: int) -> dict[tuple[int, str], list[RunRecord]]:
+    """Every heuristic's runs on the cells of K ``k``, keyed by (q,
+    heuristic). The instances of all q values run in groups of as many as
+    fit in :data:`_BATCH_BYTES`, at least one. A group holds one table
+    dtype, so the q values of each dtype form one chain of groups, whose
+    instances, with arrays of one set of sizes, each count
+    :func:`_held_bytes` of its first. A group's landscapes and their one
+    :class:`~.landscape._Group` serve a batch per heuristic and are dropped
+    before the next group's landscapes are generated. Records are filled by
+    (q, heuristic, run) index, so their order does not depend on the
+    grouping."""
+    out = {(q, h): [None] * config.runs for q in config.q_values for h in config.heuristics}
     instances = min(config.instances, config.runs)
-    made = (generate(config.n, k, q, config.mode, seed=landscape_seed(config.base_seed, k, q, i))
-            for i in range(instances))
-    landscapes = [next(made)]
-    size = max(1, _BATCH_BYTES // _held_bytes(config, landscapes[0]))
-    for low in range(0, instances, size):
-        landscapes += islice(made, size - len(landscapes))
-        batch = _Group(landscapes)
-        runs = [r for inst in range(low, low + len(landscapes))
-                for r in range(inst, config.runs, config.instances)]
-        insts = [r % config.instances for r in runs]
-        at = np.array(insts, dtype=np.intp) - low
-        for h in config.heuristics:
-            seeds = [run_seed(config.base_seed, k, q, h, inst, r) for inst, r in zip(insts, runs)]
-            rngs = [np.random.default_rng(rs) for rs in seeds]
-            starts = np.array([rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs])
-            results = hx._search(batch, h, at, starts, rngs, config.step_max, config.keep_traces)
-            for inst, r, rs, result in zip(insts, runs, seeds, results):
-                out[h][r] = RunRecord(
-                    heuristic=h, k=k, q=q, instance=inst, run=r,
-                    landscape_seed=landscapes[inst - low].seed, run_seed=rs,
-                    fitness_total=result.fitness.total,
-                    fitness_norm=result.fitness.normalized,
-                    steps=result.steps, flat=result.flat_count,
-                    gate=result.gate_count, evaluations=result.evaluations,
-                    trace=result.trace,
-                )
-        batch, landscapes = None, []
+    by_dtype = sorted(config.q_values, key=lambda q: _table_dtype(q).itemsize)
+    for _, chain in groupby(by_dtype, _table_dtype):
+        cells = [(q, i) for q in chain for i in range(instances)]
+        made = (generate(config.n, k, q, config.mode,
+                         seed=landscape_seed(config.base_seed, k, q, i)) for q, i in cells)
+        landscapes = [next(made)]
+        size = max(1, _BATCH_BYTES // _held_bytes(config, landscapes[0]))
+        for low in range(0, len(cells), size):
+            landscapes += islice(made, size - len(landscapes))
+            _run_group(config, k, cells[low:low + size], landscapes, out)
+            landscapes = []
     return out
+
+
+def _run_group(config: SweepConfig, k: int, cells, landscapes, out) -> None:
+    """Run each heuristic's runs on ``landscapes``, the instances of K ``k``
+    named by the (q, instance) pairs ``cells``, as one lockstep batch, and
+    put their records into ``out`` (:func:`_run_k`)."""
+    batch = _Group(landscapes)
+    runs = [(i, q, inst, r) for i, (q, inst) in enumerate(cells)
+            for r in range(inst, config.runs, config.instances)]
+    at = np.array([i for i, *_ in runs], dtype=np.intp)
+    for h in config.heuristics:
+        seeds = [run_seed(config.base_seed, k, q, h, inst, r) for _, q, inst, r in runs]
+        rngs = [np.random.default_rng(rs) for rs in seeds]
+        starts = np.array([rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs])
+        results = hx._search(batch, h, at, starts, rngs, config.step_max, config.keep_traces)
+        for (i, q, inst, r), rs, result in zip(runs, seeds, results):
+            out[(q, h)][r] = RunRecord(
+                heuristic=h, k=k, q=q, instance=inst, run=r,
+                landscape_seed=landscapes[i].seed, run_seed=rs,
+                fitness_total=result.fitness.total,
+                fitness_norm=result.fitness.normalized,
+                steps=result.steps, flat=result.flat_count,
+                gate=result.gate_count, evaluations=result.evaluations,
+                trace=result.trace,
+            )
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
     """Run every cell of the grid; uniform-random initial genotypes per run.
 
-    Cells run in (k, q) order, each instance group of a cell as one lockstep
-    batch per heuristic (:func:`_run_cell`); the records aggregate in config
-    order (heuristic, k, q, run). Every run has its own seed and reads only
-    its own landscape, so the report and the files written from it never
-    depend on the grouping or on scheduling.
+    K values run in order, the instances of all q values of one K in groups,
+    each group as one lockstep batch per heuristic (:func:`_run_k`); the
+    records aggregate in config order (heuristic, k, q, run). Every run has
+    its own seed and reads only its own landscape, so the report and the
+    files written from it never depend on the grouping or on scheduling.
     """
-    cells = {(k, q): _run_cell(config, k, q)
-             for k in config.k_values for q in config.q_values}
+    by_k = {k: _run_k(config, k) for k in config.k_values}
     report = SweepReport(config)
     for h in config.heuristics:
         for k in config.k_values:
             for q in config.q_values:
-                report.records.extend(cells[(k, q)][h])
+                report.records.extend(by_k[k][(q, h)])
     return report
 
 

@@ -26,13 +26,15 @@ updates ``d`` from the components that read the flipped locus. The charges
 are the queries, not this compute. :func:`search` advances the runs of one
 landscape together in one run state, over the kernels of one
 :class:`~.landscape._Group`; a sweep builds one group of an instance
-group's landscapes for all its heuristics (:func:`_search`): each round moves
-every live run with one flip update, scuba's guard reads every live run's
-neutral neighbors from blocks of mutant deltas, flip updates of copies of
-their rows, hc2 reads their distance-2 balls from one batch of pair gains,
-whose rows are its moved runs' new deltas, so its flip update only moves
-table positions, and the netcrawler jumps each live run to its next
-accepted proposal, since a rejection leaves the state as it is. Each run
+group's landscapes, of one K and any of its q values, for all its
+heuristics (:func:`_search`). Each round moves its moving runs with one
+flip update: the climbers move every live run once, scuba's guard reading
+every live run's neutral neighbors from blocks of mutant deltas, flip
+updates of copies of their rows, and hc2 their distance-2 balls from one
+batch of pair gains, whose rows are its moved runs' new deltas, so its
+flip update only moves table positions; the netcrawler jumps each live run
+to its first accepted proposal in a window of the next ones, since a
+rejection leaves the state as it is. Each run
 reads only its own landscape and draws from its own stream only, what it
 would draw alone (the netcrawler's proposals in chunks, which continue one
 stream), so batching cannot change an output; the four searchers are
@@ -78,6 +80,11 @@ COUNT_LIMIT = 2**20
 # Netcrawler proposals a run draws at a time, so a batch holds at most
 # runs x _PROPOSALS of them, never runs x step_max.
 _PROPOSALS = 512
+# Proposals one netcrawler round reads per live run, past the run's cursor:
+# at least _WINDOW, and more while few runs are live, to about
+# _CRAWL_ENTRIES in all, so a small batch needs few rounds.
+_WINDOW = 32
+_CRAWL_ENTRIES = 2**11
 # Entries of the (n, n) pair gains one round of hc2 holds, so a batch holds
 # those of at most max(1, _PAIR_ENTRIES // n**2) runs at a time.
 _PAIR_ENTRIES = 2**18
@@ -235,11 +242,12 @@ class _Runs:
             columns = loci, totals, kinds, degns
             traces = [Trace(s0, *(column[a:b] for column in columns))
                       for s0, a, b in zip(self.s0, bounds[:-1].tolist(), bounds[1:].tolist())]
-        return [RunResult(s, self.group.landscapes[0].fitness(total), *counts, trace)
-                for s, total, *counts, trace in zip(
-                    (self.idx & 1).astype(np.uint8), self.total.tolist(), steps.tolist(),
-                    self.moves[:, 0].tolist(), self.moves[:, 1].tolist(),
-                    evaluations.tolist(), traces)]
+        landscapes = self.group.landscapes
+        return [RunResult(s, landscapes[i].fitness(total), *counts, trace)
+                for s, i, total, *counts, trace in zip(
+                    (self.idx & 1).astype(np.uint8), self.instances.tolist(),
+                    self.total.tolist(), steps.tolist(), self.moves[:, 0].tolist(),
+                    self.moves[:, 1].tolist(), evaluations.tolist(), traces)]
 
 
 def _draw(rngs, runs, picks):
@@ -327,21 +335,31 @@ def _climb2(runs, rngs) -> list[RunResult]:
 
 def _crawl(runs, rngs, step_max) -> list[RunResult]:
     """The netcrawler of each of ``runs``, run i drawing from ``rngs[i]``,
-    its proposals ``_PROPOSALS`` at a time. Each round moves every run with
-    an accepted proposal left in the chunk straight to the first one."""
+    its proposals ``_PROPOSALS`` at a time. Each round reads, for every run
+    with proposals left in the chunk, a window of the next ones at its
+    current point: a run with an accepted one moves straight to the first,
+    and a run without one rejects them all and stays."""
     for first in range(0, step_max, _PROPOSALS):
         width = min(_PROPOSALS, step_max - first)
         proposals = np.array([rng.integers(runs.group.n, size=width) for rng in rngs])
         cursor = np.zeros(len(rngs), dtype=np.int64)
         live = np.arange(len(rngs))
         while live.size:
-            accepted = (runs.d >= 0)[live[:, None], proposals[live]]
-            accepted &= np.arange(width) >= cursor[live, None]
+            reach = min(width, max(_WINDOW, _CRAWL_ENTRIES // live.size))
+            # A window past the chunk's end repeats its last proposal, which
+            # leaves the first accepted one where it is.
+            at = np.minimum(cursor[live, None] + np.arange(reach), width - 1)
+            loci = proposals[live[:, None], at]
+            accepted = runs.d[live[:, None], loci] >= 0
             found = accepted.any(axis=1)
-            live = live[found]
-            cursor[live] = accepted[found].argmax(axis=1) + 1
-            runs.flip(live, proposals[live, cursor[live] - 1],
-                      entries=None if runs.log is None else first + cursor[live])
+            # A run with no accepted proposal moves its cursor past the window.
+            hit = np.where(found, accepted.argmax(axis=1), reach - 1)
+            rows = np.arange(live.size)
+            cursor[live] = at[rows, hit] + 1
+            moved = live[found]
+            runs.flip(moved, loci[found, hit[found]],
+                      entries=None if runs.log is None else first + cursor[moved])
+            live = live[cursor[live] < width]
     del proposals  # the last chunk's, before the traces are built
     steps = np.full(len(rngs), step_max, dtype=np.int64)
     return runs.results(steps, steps)

@@ -183,7 +183,10 @@ def adjacent_links(n: int, k: int) -> np.ndarray:
 
 def _random_links(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Row i: ``k`` distinct loci other than i, one ``rng.choice`` of k of
-    the n-1 others per locus, without replacement, loci ascending."""
+    the n-1 others per locus, without replacement, loci ascending. At k = 0
+    those choices draw nothing, so none is made."""
+    if k == 0:
+        return np.empty((n, 0), dtype=np.int64)
     links = np.stack([rng.choice(n - 1, size=k, replace=False) for _ in range(n)])
     # Draw j names the j-th locus other than i.
     return links + (links >= np.arange(n)[:, None])
@@ -453,10 +456,11 @@ class NkqLandscape:
 
 class _Group:
     """The per-round kernels of a lockstep batch of runs over landscapes of
-    one (n, k, q). Their tables are one flat array, instance i's from ``i *
-    n * 2**(k+1)`` on (a group of one reads its landscape's, uncopied), so a
-    run's table positions are its landscape's plus that offset, and XORing a
-    weight into one flips an index bit of the component's own table.
+    one (n, k) and one table dtype, whose q may differ; ``q`` is the largest.
+    Their tables are one flat array, instance i's from ``i * n * 2**(k+1)``
+    on (a group of one reads its landscape's, uncopied), so a run's table
+    positions are its landscape's plus that offset, and XORing a weight into
+    one flips an index bit of the component's own table.
 
     - ``_keys[i, j, p]``, C-ordered so a batch's gathered rows ravel
       uncopied, is the flat n x n position of the pair (``_loci[j, _pa[p]]``,
@@ -470,7 +474,8 @@ class _Group:
 
     def __init__(self, landscapes):
         first = landscapes[0]
-        self.n, self.k, self.q = first.n, first.k, first.q
+        self.n, self.k = first.n, first.k
+        self.q = max(other.q for other in landscapes)
         self.landscapes = landscapes
         self._tab = (first._tab_flat if len(landscapes) == 1
                      else np.concatenate([other._tab_flat for other in landscapes]))

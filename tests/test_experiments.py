@@ -37,6 +37,7 @@ from scubasearch import (
 from scubasearch import heuristics as hx
 from scubasearch import landscape as landscape_module
 from scubasearch.heuristics import COUNT_LIMIT, HEURISTICS
+from scubasearch.landscape import _table_dtype
 
 
 def small_config(**overrides):
@@ -102,7 +103,7 @@ class TestSeedDerivation:
 
 def run_object_bytes(n) -> int:
     """Bytes tracemalloc sees one run's Generator and start genotype take,
-    made as ``_run_cell`` makes them: the growth from 128 more runs, per
+    made as ``_run_group`` makes them: the growth from 128 more runs, per
     run, so one-off allocations cancel."""
     seeds = [run_seed(1, 0, 2, "hc", 0, r) for r in range(192)]
     rngs, starts, traced = [None] * len(seeds), [None] * len(seeds), []
@@ -194,11 +195,11 @@ class TestRunSweep:
             most_alive = track_landscapes(patch)
             alone = run_sweep(config)
         assert most_alive == [1] * (3 * 2 * 2)
-        # With the shipped bound, a cell's instances share a batch and hold
-        # at most the bound.
+        # With the shipped bound, the instances of every q of one K share a
+        # batch and hold at most the bound.
         most_alive = track_landscapes(monkeypatch)
         report = run_sweep(config)
-        assert most_alive == [1, 2] * (3 * 2)
+        assert most_alive == [1, 2, 3, 4] * 3
         held = max(batch_bytes([generate(config.n, k, q, seed=1)], 3)
                    for k in config.k_values for q in config.q_values)
         assert max(most_alive) * held <= experiments._BATCH_BYTES
@@ -208,9 +209,10 @@ class TestRunSweep:
         ]
         assert [vars(r) for r in report.records] == [vars(r) for r in alone.records]
 
-    @pytest.mark.parametrize("bound, sizes", [(None, [2] * 6), (1, [1] * 12)])
+    @pytest.mark.parametrize("bound, sizes", [(None, [4] * 3), (1, [1] * 12)])
     def test_builds_one_group_per_instance_group(self, bound, sizes, monkeypatch):
-        # Every heuristic of a cell runs on the one group of its instances.
+        # Every heuristic of a K runs on the one group of the instances of
+        # all its q values.
         config = small_config(k_values=(0, 2, 3), q_values=(2, 3), runs=5, instances=2,
                               heuristics=HEURISTICS)
         if bound is not None:
@@ -219,11 +221,30 @@ class TestRunSweep:
         run_sweep(config)
         assert built == sizes
 
-    @pytest.mark.parametrize("runs, instances", [(1000, 1000), (1000, 4)])
+    def test_groups_hold_one_table_dtype(self, monkeypatch):
+        # q = 2 and 3 keep int8 tables and q = 300 int16 ones, so each K
+        # runs in two groups, one per dtype, and every run gives the record
+        # it gives alone.
+        config = small_config(q_values=(2, 300, 3), runs=5, heuristics=HEURISTICS)
+        dtypes = []
+        init = landscape_module._Group.__init__
+
+        def recorded_init(group, landscapes):
+            dtypes.append([str(landscape.tables.dtype) for landscape in landscapes])
+            init(group, landscapes)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(landscape_module._Group, "__init__", recorded_init)
+            report = run_sweep(config)
+        assert dtypes == [["int8"] * 4, ["int16"] * 2] * 2
+        monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
+        assert [vars(r) for r in report.records] == [vars(r) for r in run_sweep(config).records]
+
+    @pytest.mark.parametrize("runs, instances", [(1000, 1000), (1000, 8)])
     def test_batch_bound_counts_structure_and_run_state(self, runs, instances, monkeypatch):
-        # A K=0 table holds 2n = 128 bytes, so 1000 tables, or 4, fit the
+        # A K=0 table holds 2n = 128 bytes, so 1000 tables, or 8, fit the
         # bound many times over; with their flip structures, by-locus rows
-        # and ball keys, or with 250 runs' positions, deltas and proposals
+        # and ball keys, or with 125 runs' positions, deltas and proposals
         # each, they do not, and the batch splits.
         config = SweepConfig(n=64, k_values=(0,), q_values=(2,), base_seed=3,
                              heuristics=("hc",), runs=runs, instances=instances)
@@ -245,13 +266,13 @@ class TestRunSweep:
 
     def test_many_low_k_instances_share_large_groups(self, monkeypatch):
         # An n=64, K=0 instance holds about 12 KB with its run, so a thousand
-        # of them run in three groups, and give the records they give alone.
+        # of them run in six groups, and give the records they give alone.
         config = SweepConfig(n=64, k_values=(0,), q_values=(2,), base_seed=3,
                              heuristics=("hc", "nc"), runs=1000, instances=1000, step_max=20)
         with monkeypatch.context() as patch:
             built = track_groups(patch)
             report = run_sweep(config)
-        assert sum(built) == 1000 and min(built[:-1]) >= 300
+        assert sum(built) == 1000 and min(built[:-1]) >= 150
         monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
         assert [vars(r) for r in report.records] == [vars(r) for r in run_sweep(config).records]
 
@@ -278,12 +299,16 @@ class TestRunSweep:
         (2, 1, 2, "random", 1), (10, 0, 2, "random", 3), (10, 9, 2**40, "random", 1),
         (12, 3, 100, "adjacent", 7), (64, 4, 2, "random", 13), (64, 16, 100, "random", 5)])
     def test_instance_bytes_bound_the_arrays_of_a_batch(self, n, k, q, mode, runs):
-        # Every instance of one (n, k, q) holds arrays of the same sizes, so
-        # one instance's measure bounds a batch of any of them, to within
-        # the few bytes per run the run state's count leaves over.
+        # Every instance of one (n, k) and table dtype holds arrays of the
+        # same sizes, whatever its q, so one instance's measure bounds a
+        # batch of any of them, to within the few bytes per run the run
+        # state's count leaves over.
         config = SweepConfig(n=n, k_values=(k,), q_values=(q,), base_seed=1,
                              runs=runs, instances=1, mode=mode)
-        landscapes = [generate(n, k, q, mode, seed=seed) for seed in (5, 6, 7)]
+        mate = q - 1 if q > 2 else 3
+        assert _table_dtype(mate) == _table_dtype(q)
+        landscapes = [generate(n, k, value, mode, seed=seed)
+                      for value, seed in ((q, 5), (mate, 6), (q, 7))]
         held = {experiments._held_bytes(config, landscape) for landscape in landscapes}
         assert len(held) == 1
         for batch in (landscapes[:1], landscapes):

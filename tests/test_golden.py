@@ -8,6 +8,9 @@ format or an algorithm is meant to change, and say so in CHANGES.md.
 """
 
 import hashlib
+import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +150,22 @@ def output_digests(case, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_output_digest(case, tmp_path, capsys):
     assert output_digests(case, tmp_path, capsys) == GOLDEN[case]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["sweep-grid", "sweep-traced"])
+def test_benchmark_sweep_digests(workload, tmp_path, monkeypatch):
+    # The benchmark's sweeps at paper scale, seed 42, against the digests
+    # perfbench/golden.json records for them: there the instances of one
+    # K <= 8 share a group across q values, and a K=12 or K=16 one runs
+    # alone.
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports child.py
+    spec = runpy.run_path(str(PERFBENCH / "run.py"))["WORKLOADS"][workload]
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["42"][workload]
+    argv = [*spec["argv"], "--seed", "42"]
+    for flag, name in spec["outputs"].items():
+        argv += [flag, str(tmp_path / name)]
+    assert main(argv) == 0
+    assert {name: _sha((tmp_path / name).read_bytes()) for name in golden} == golden

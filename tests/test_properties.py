@@ -66,13 +66,20 @@ def landscape_and_genotype(draw, q, max_n=10):
 
 
 @st.composite
-def landscape_group(draw, q, max_n=10, max_size=3):
-    """One to ``max_size`` landscapes of one (n, k, q), each with its own
-    seed and mode."""
+def landscape_group(draw, qs, max_n=10, max_size=3):
+    """One to ``max_size`` landscapes of one (n, k), each with its own seed,
+    mode and q, drawn from ``qs``, q values of one table dtype."""
     n = draw(st.integers(1, max_n))
     k = draw(st.integers(0, n - 1))
     seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=max_size, unique=True))
-    return [generate(n, k, q, draw(st.sampled_from(MODES)), seed=seed) for seed in seeds]
+    return [generate(n, k, draw(st.sampled_from(qs)), draw(st.sampled_from(MODES)), seed=seed)
+            for seed in seeds]
+
+
+def dtype_mates(q):
+    """``q`` and the smaller values of ``Q_VALUES`` whose tables share its
+    dtype, so a group of them pair-sums at the largest q it holds."""
+    return tuple(x for x in Q_VALUES if x <= q and _table_dtype(x) == _table_dtype(q))
 
 
 def genotype_rows(data, n, min_size=1, max_size=4):
@@ -122,7 +129,7 @@ def test_pair_gains_match_oracle(q, data):
     # flipped, so the diagonal is -d. A batch of rows over a group of
     # landscapes checks that each row's terms land in its own block, read
     # off its own instance's table and ball keys.
-    landscapes = data.draw(landscape_group(q, max_n=12))
+    landscapes = data.draw(landscape_group(dtype_mates(q), max_n=12))
     n = landscapes[0].n
     rows = genotype_rows(data, n, max_size=3)
     instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
@@ -338,7 +345,7 @@ def test_by_locus_rows_name_each_component_once(data):
     if data is None:  # k = n-1: every component reads every locus
         landscapes = [generate(7, 6, 2, seed=1)]
     else:
-        landscapes = data.draw(landscape_group(2, max_n=14))
+        landscapes = data.draw(landscape_group((2,), max_n=14))
     group = landscape_module._Group(landscapes)
     n, k = group.n, group.k
     comps, weights, targets = group._comps, group._weights, group._targets
@@ -415,7 +422,7 @@ def test_score_vector_follows_flips(q, data):
     # The run state's flip update, moving several runs on a group of
     # landscapes at once, against a fresh scan of every run's genotype on
     # its own instance.
-    landscapes = data.draw(landscape_group(q))
+    landscapes = data.draw(landscape_group(dtype_mates(q)))
     n = landscapes[0].n
     states = genotype_rows(data, n)
     instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
@@ -483,8 +490,8 @@ def test_searchers_match_oracles(q, data):
 def _run_arrays(result):
     """Everything a run reports, each trace array with its dtype."""
     trace = result.trace
-    return (result.terminal.tolist(), result.fitness.total, result.steps,
-            result.flat_count, result.gate_count, result.evaluations,
+    return (result.terminal.tolist(), result.fitness.total, result.fitness.normalized,
+            result.steps, result.flat_count, result.gate_count, result.evaluations,
             [(str(a.dtype), a.tolist()) for a in (trace.s0, trace.loci, trace.totals,
                                                    trace.kinds, trace.degns)])
 
@@ -498,8 +505,12 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
     # and hc2 reads the pair totals of `chunk` runs at a time, so a batch may
     # span several chunks, the last one short; scuba's guard reads its mutant
     # deltas in blocks of a few rows. The runs are spread at random over one
-    # to three landscapes of one (n, k, q), so chunks and blocks straddle them.
-    landscapes = data.draw(landscape_group(data.draw(st.sampled_from((2, 3, 4, 100, 2**40)))))
+    # to three landscapes of one (n, k), their q values drawn from one table
+    # dtype, so chunks and blocks straddle them. The netcrawler reads a
+    # window of a few proposals per round, wider as runs finish, so windows
+    # straddle chunk ends.
+    landscapes = data.draw(landscape_group(data.draw(st.sampled_from(
+        ((2, 3, 4, 100), (2**31 + 1, 2**40))))))
     n = landscapes[0].n
     runs = data.draw(st.integers(2, 12))
     starts = genotype_rows(data, n, runs, runs)
@@ -509,8 +520,12 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
     step_max = data.draw(st.integers(1, 1100))
     chunk = data.draw(st.integers(1, runs))
     block = data.draw(st.integers(1, 4))
+    window = data.draw(st.integers(1, 3))
+    crawl = data.draw(st.integers(0, 40))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heuristics, "_PAIR_ENTRIES", chunk * n * n)
+        patch.setattr(heuristics, "_WINDOW", window)
+        patch.setattr(heuristics, "_CRAWL_ENTRIES", crawl)
         patch.setattr(heuristics, "_SCAN_ENTRIES", block * n * (landscapes[0].k + 1))
         batch = heuristics._search(landscape_module._Group(landscapes), heuristic,
                                    np.array(instances, dtype=np.intp), starts,
@@ -519,6 +534,23 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
     assert len(batch) == runs
     for s0, i, seed, got in zip(starts, instances, seeds, batch):
         alone = search(landscapes[i], heuristic, [s0], [np.random.default_rng(seed)], step_max,
+                       trace=True)
+        assert _run_arrays(got) == _run_arrays(alone[0])
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_group_of_q_values_of_one_dtype_equals_runs_alone(heuristic):
+    # q = 3 and 100 share int8 tables, so one group holds both: hc2 sums its
+    # pair terms in the dtype of q = 100, and each run's normalized fitness
+    # divides by its own landscape's n*(q-1).
+    landscapes = [generate(8, 3, q, seed=seed) for q, seed in ((3, 1), (100, 2), (3, 3))]
+    instances = np.array([0, 1, 2, 1, 0, 1], dtype=np.intp)
+    starts = np.random.default_rng(0).integers(0, 2, size=(len(instances), 8), dtype=np.uint8)
+    batch = heuristics._search(landscape_module._Group(landscapes), heuristic, instances, starts,
+                               [np.random.default_rng(seed) for seed in range(len(starts))],
+                               300, True)
+    for seed, (s0, i, got) in enumerate(zip(starts, instances, batch)):
+        alone = search(landscapes[i], heuristic, [s0], [np.random.default_rng(seed)], 300,
                        trace=True)
         assert _run_arrays(got) == _run_arrays(alone[0])
 

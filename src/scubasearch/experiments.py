@@ -34,9 +34,8 @@ _SAMPLE_STREAM = 103
 # paths.
 _BATCH_BYTES = 2**21
 # Bytes tracemalloc sees one run's Generator (with its PCG64 and SeedSequence)
-# and its start genotype's array header take as _run_group makes them, on
-# numpy 2.4: 824 and 112; the start's n bytes of data are counted apart.
-_RUN_OBJECT_BYTES = 824 + 112
+# take as _run_group makes it, on numpy 2.4.
+_RUN_OBJECT_BYTES = 824
 
 SWEEP_HEADER = (
     "heuristic,n,k,q,runs,mean_fitness,std_fitness,"
@@ -206,15 +205,15 @@ class SweepReport:
 
 def _held_bytes(config: SweepConfig, landscape) -> int:
     """Bytes an instance holds in a batch of several, the same for every
-    instance of ``landscape``'s (n, k) and table dtype: its arrays, the
-    batch's copy of its table and what the batch stacks for it, and its
-    runs' positions, deltas, starts, counters and proposals, and each run's
-    Generator and start genotype."""
-    arrays = [*vars(landscape).values(), *_Group._instance_arrays(landscape)]
+    instance of ``landscape``'s (n, k) and table dtype: its links and table,
+    the arrays of a throwaway group of one (the batch's group holds them)
+    and the batch's copy of its table, and its runs' positions, deltas,
+    starts, counters, proposals and Generators."""
+    arrays = [landscape.links, landscape.tables, *vars(_Group([landscape])).values()]
     runs = -(-config.runs // config.instances)
     return (sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
             + landscape.tables.nbytes
-            + runs * (18 * config.n + 48 + 8 * hx._PROPOSALS + _RUN_OBJECT_BYTES))
+            + runs * (17 * config.n + 48 + 8 * hx._PROPOSALS + _RUN_OBJECT_BYTES))
 
 
 def _run_k(config: SweepConfig, k: int) -> dict[tuple[int, str], list[RunRecord]]:

@@ -24,17 +24,17 @@ The searchers carry the one-bit deltas ``d`` of the current point instead
 of rescanning it: a proposal at locus l reads ``total + d[l]``, and a move
 updates ``d`` from the components that read the flipped locus. The charges
 are the queries, not this compute. :func:`search` advances the runs of one
-landscape together in one run state, over the kernels of one
-:class:`~.landscape._Group`; a sweep builds one group of an instance
-group's landscapes, of one K and any of its q values, for all its
-heuristics (:func:`_search`). Each round moves its moving runs with one
-flip update: the climbers move every live run once, scuba's guard reading
-every live run's neutral neighbors from blocks of mutant deltas, flip
-updates of copies of their rows, and hc2 their distance-2 balls from one
-batch of pair gains, whose rows are its moved runs' new deltas, so its
-flip update only moves table positions; the netcrawler jumps each live run
-to its first accepted proposal in a window of the next ones, since a
-rejection leaves the state as it is. Each run
+landscape together in one run state, over the kernels of its cached group
+of one (:class:`~.landscape._Group`, which derives every array they read);
+a sweep builds one group of an instance group's landscapes, of one K and
+any of its q values, for all its heuristics (:func:`_search`). Each round
+moves its moving runs with one flip update: the climbers move every live
+run once, scuba's guard reading every live run's neutral neighbors from
+blocks of mutant deltas, flip updates of copies of their rows, and hc2
+their distance-2 balls from one batch of pair gains, whose rows are its
+moved runs' new deltas, so its flip update only moves table positions; the
+netcrawler jumps each live run to its first accepted proposal in a window
+of the next ones, since a rejection leaves the state as it is. Each run
 reads only its own landscape and draws from its own stream only, what it
 would draw alone (the netcrawler's proposals in chunks, which continue one
 stream), so batching cannot change an output; the four searchers are
@@ -55,8 +55,8 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .landscape import (_SCAN_ENTRIES, MAX_TABLE_ENTRIES, FitnessValue, LandscapeError,
-                        NkqLandscape, _Group, as_genotype, check_integer)
+from .landscape import (MAX_TABLE_ENTRIES, FitnessValue, LandscapeError, NkqLandscape,
+                        _fitness, as_genotype, check_integer)
 
 MOVE_INIT = "init"
 MOVE_IMPROVE = "improve"
@@ -186,10 +186,9 @@ class _Runs:
         self.group, self.instances, self.s0 = group, instances, starts
         self.idx, self.d = (np.empty(self.s0.shape, dtype=np.int64) for _ in range(2))
         self.total = np.empty(len(self.s0), dtype=np.int64)
-        for i, landscape in enumerate(group.landscapes):
+        for i in range(len(group.max_totals)):
             rows = np.flatnonzero(instances == i)
-            pos, self.total[rows], self.d[rows] = landscape._row_deltas(self.s0[rows])
-            self.idx[rows] = pos + i * landscape.tables.size
+            self.idx[rows], self.total[rows], self.d[rows] = group._row_deltas(self.s0[rows], i)
         self.moves = np.zeros((len(self.s0), 3), dtype=np.int64)
         self.log = [] if trace else None
         if trace:
@@ -242,8 +241,8 @@ class _Runs:
             columns = loci, totals, kinds, degns
             traces = [Trace(s0, *(column[a:b] for column in columns))
                       for s0, a, b in zip(self.s0, bounds[:-1].tolist(), bounds[1:].tolist())]
-        landscapes = self.group.landscapes
-        return [RunResult(s, landscapes[i].fitness(total), *counts, trace)
+        max_totals = self.group.max_totals
+        return [RunResult(s, _fitness(total, max_totals[i]), *counts, trace)
                 for s, i, total, *counts, trace in zip(
                     (self.idx & 1).astype(np.uint8), self.instances.tolist(),
                     self.total.tolist(), steps.tolist(), self.moves[:, 0].tolist(),
@@ -270,8 +269,7 @@ def _climb(runs, rngs, neutral_phase) -> list[RunResult]:
     read from the mutant deltas of the neutral neighbors, ``Degn * n`` more.
     """
     group = runs.group
-    # The guard reads mutant deltas in batch_scan's blocks, whatever the batch.
-    block = max(1, _SCAN_ENTRIES // (group.n * (group.k + 1)))
+    block = group._scan_rows  # the guard reads mutant deltas in batch_scan's blocks
     # The neutral neighbors each run's guard has read.
     guarded = np.zeros(len(rngs), dtype=np.int64)
     live = np.arange(len(rngs))
@@ -382,7 +380,7 @@ def search(landscape, heuristic, starts, rngs, step_max=300, trace=False) -> lis
     if heuristic == "hc2":
         check_pair_totals(n)
     starts = np.array([as_genotype(s, n) for s in starts], dtype=np.uint8).reshape(-1, n)
-    return _search(_Group([landscape]), heuristic, np.zeros(len(starts), dtype=np.intp),
+    return _search(landscape._group, heuristic, np.zeros(len(starts), dtype=np.intp),
                    starts, rngs, step_max, trace)
 
 

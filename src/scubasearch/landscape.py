@@ -21,6 +21,7 @@ differences accumulates in int64.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,14 @@ class FitnessValue:
 
     total: int
     normalized: float = field(compare=False)
+
+
+def _fitness(total, max_total: int) -> FitnessValue:
+    """``total`` normalized by ``max_total``; refused outside ``[0, max_total]``."""
+    total = int(total)
+    if not 0 <= total <= max_total:
+        raise LandscapeError(f"total {total} outside [0, {max_total}]")
+    return FitnessValue(total, total / max_total)
 
 
 def as_genotype(s, n: int | None = None) -> np.ndarray:
@@ -255,7 +264,8 @@ class NkqLandscape:
     The constructor takes ``links`` and ``tables`` in exactly these shapes,
     as bool or integer arrays; floats are refused rather than truncated. The
     arrays are frozen after construction; instances are safe to share across
-    concurrently executing runs.
+    concurrently executing runs. Scans read the landscape's group of one
+    (:class:`_Group`), built on first use and cached.
     """
 
     def __init__(self, n, k, q, mode, links, tables, seed=None):
@@ -295,37 +305,6 @@ class NkqLandscape:
         tables.flags.writeable = False
 
         self.max_total = self.n * (self.q - 1)
-        self._build_flip_structure()
-
-    def _build_flip_structure(self):
-        """Derive the one-bit scan structures from one incidence table.
-
-        ``_loci[j]`` lists the k+1 loci component j reads, j itself first and
-        then ``links[j]``; the allele at ``_loci[j, p]`` is bit p of j's table
-        index, of weight ``_bits[p] = 1 << p``. Flipping locus l XORs l's
-        weight into the index of every component that reads l: the
-        ``_aff_locus``/``_aff_weight`` entries list those components,
-        ascending, and weights grouped by flip locus, l's segment
-        ``_aff_counts[l]`` long from ``_aff_starts[l]``. ``_masks``, XORed
-        into a component's table position, reach its distance-2 table ball:
-        0, the ``_bits``, then the C(k+1, 2) ``_bits[_pa] | _bits[_pb]``.
-
-        Component j's table starts at ``_row_offsets[j] = j << (k+1)``, above
-        bit k, so XOR with a weight on a flat table index flips only the
-        component's own index bit: every scan kernel flips bits that way.
-        """
-        n, k = self.n, self.k
-        self._loci = np.column_stack((np.arange(n, dtype=np.int64), self.links))
-        self._bits = np.left_shift(1, np.arange(k + 1, dtype=np.int64))
-        readers = self._loci.ravel()
-        self._aff_locus, slot = np.divmod(np.argsort(readers, kind="stable"), k + 1)
-        self._aff_weight = self._bits[slot]
-        self._aff_counts = np.bincount(readers, minlength=n)
-        self._aff_starts = np.cumsum(self._aff_counts) - self._aff_counts
-        self._pa, self._pb = np.triu_indices(k + 1, 1)
-        self._masks = np.concatenate(([0], self._bits, self._bits[self._pa] | self._bits[self._pb]))
-        self._row_offsets = np.arange(n, dtype=np.int64) << (k + 1)
-        self._tab_flat = self.tables.ravel()
 
     @classmethod
     def generate(cls, n, k, q, mode=RANDOM, seed=None) -> "NkqLandscape":
@@ -362,10 +341,7 @@ class NkqLandscape:
     # -- evaluation ---------------------------------------------------------
 
     def fitness(self, total: int) -> FitnessValue:
-        total = int(total)
-        if not 0 <= total <= self.max_total:
-            raise LandscapeError(f"total {total} outside [0, {self.max_total}]")
-        return FitnessValue(total, total / self.max_total)
+        return _fitness(total, self.max_total)
 
     def total(self, s) -> int:
         """Exact integer fitness total of one genotype."""
@@ -374,43 +350,25 @@ class NkqLandscape:
 
     def delta_total(self, s, total: int, flip_locus: int) -> int:
         """Total after flipping ``flip_locus``: ``total`` plus the one-bit
-        delta at that locus from one one-row :meth:`_row_deltas` scan.
-        ``total`` must be the current exact total of ``s``; this is not
-        checked."""
+        delta at that locus from one one-row scan. ``total`` must be the
+        current exact total of ``s``; this is not checked."""
         check_integer("flip_locus", flip_locus)
         if not 0 <= flip_locus < self.n:
             raise LandscapeError(f"flip locus {flip_locus} outside [0, {self.n})")
-        _, _, deltas = self._row_deltas(as_genotype(s, self.n)[None])
+        _, _, deltas = self._group._row_deltas(as_genotype(s, self.n)[None])
         return int(total) + int(deltas[0, flip_locus])
 
-    # -- vectorized kernels (shared by neighborhood scans and experiments) --
-
-    def _base_indices(self, states: np.ndarray) -> np.ndarray:
-        """(batch, n) positions in the flattened tables of the entry each
-        component reads for each row of a (batch, n) genotype matrix."""
-        states = np.ascontiguousarray(states, dtype=np.uint8)
-        # A packed index is below 2**(k+1) <= MAX_TABLE_ENTRIES, so int32
-        # holds it exactly.
-        return (np.einsum("bjp,p->bj", states[:, self._loci], self._bits.astype(np.int32))
-                + self._row_offsets)
-
-    def _row_deltas(self, states: np.ndarray):
-        """``(pos, totals, deltas)`` of each row of a (batch, n) genotype
-        matrix: :meth:`_base_indices`, int64 totals, and ``deltas[b, l]``
-        (int64), the change of row b's total when locus l flips. ``states``
-        is not checked; the public entry points check their input."""
-        pos = self._base_indices(states)
-        tab = self._tab_flat
-        vals = tab[pos]
-        dvals = tab[pos[:, self._aff_locus] ^ self._aff_weight] - vals[:, self._aff_locus]
-        deltas = np.add.reduceat(dvals, self._aff_starts, axis=1, dtype=np.int64)
-        return pos, vals.sum(axis=1, dtype=np.int64), deltas
+    @cached_property
+    def _group(self) -> "_Group":
+        """The scan structure of this landscape alone, built on first use."""
+        return _Group([self])
 
     def batch_totals(self, states) -> np.ndarray:
         """Totals of each row of a (batch, n) genotype matrix of bool or
         integer 0/1 alleles."""
         states = _alleles(states, 2, self.n)
-        return self._tab_flat[self._base_indices(states)].sum(axis=1, dtype=np.int64)
+        group = self._group
+        return group._tab[group._base_indices(states)].sum(axis=1, dtype=np.int64)
 
     def batch_scan(self, states):
         """Totals of each row and of every one-bit mutant of each row of a
@@ -426,10 +384,10 @@ class NkqLandscape:
         states = _alleles(states, 2, self.n)
         totals = np.empty(len(states), dtype=np.int64)
         flips = np.empty(states.shape, dtype=np.int64)
-        block = max(1, _SCAN_ENTRIES // (self.n * (self.k + 1)))
-        for lo in range(0, len(states), block):
-            hi = lo + block
-            _, totals[lo:hi], deltas = self._row_deltas(states[lo:hi])
+        group = self._group
+        for lo in range(0, len(states), group._scan_rows):
+            hi = lo + group._scan_rows
+            _, totals[lo:hi], deltas = group._row_deltas(states[lo:hi])
             np.add(totals[lo:hi, None], deltas, out=flips[lo:hi])
         return totals, flips
 
@@ -455,48 +413,78 @@ class NkqLandscape:
 
 
 class _Group:
-    """The per-round kernels of a lockstep batch of runs over landscapes of
-    one (n, k) and one table dtype, whose q may differ; ``q`` is the largest.
-    Their tables are one flat array, instance i's from ``i * n * 2**(k+1)``
-    on (a group of one reads its landscape's, uncopied), so a run's table
-    positions are its landscape's plus that offset, and XORing a weight into
-    one flips an index bit of the component's own table.
+    """The scan structure and kernels of landscapes of one (n, k) and table
+    dtype, whose q may differ (``q`` is the largest, ``max_totals[i]``
+    instance i's ``n*(q-1)``), derived from their links and tables alone. A
+    landscape scans with its cached group of one, a batch of runs with one
+    group of its instances. A group keeps no reference to its landscapes, so
+    a cached one makes no cycle.
 
-    - ``_keys[i, j, p]``, C-ordered so a batch's gathered rows ravel
-      uncopied, is the flat n x n position of the pair (``_loci[j, _pa[p]]``,
-      ``_loci[j, _pb[p]]``) of instance i, read by mask ``_masks[k+2+p]``.
-    - The by-locus rows are each instance's ``_aff_locus``/``_aff_weight``
-      segments, stacked in ``_comps`` and ``_weights``, unpadded: the row of
-      key ``i*n + l``, locus l of instance i, is ``_counts[key]`` entries
-      from ``_starts[key]``. ``_targets[e]`` lists the loci entry e's
-      component reads, whose one-bit deltas its terms move.
+    - ``_loci[i, j]``: the k+1 loci component j of instance i reads, j
+      first; the allele at ``_loci[i, j, p]`` is index bit p, weight ``_bits[p]``.
+    - ``_tab``: the tables, flat (a group of one's uncopied), component j of
+      instance i's from ``_offsets[i, j] = (i*n + j) << (k+1)``, clear of
+      bits 0..k, so XORing a weight into a position flips a bit of the
+      component's own index: every kernel flips bits that way.
+    - The by-locus row of key ``i*n + l``: ``_counts[key]`` entries from
+      ``_starts[key]`` of ``_comps`` (the components reading locus l of
+      instance i, ascending) and ``_weights`` (l's weight in each),
+      unpadded; ``_targets[e]`` lists the loci entry e's component reads.
+    - ``_masks``, XORed into a position, reach the component's distance-2
+      table ball: 0, the ``_bits``, then the ``_bits[_pa] | _bits[_pb]``.
+      ``_keys[i, j, p]``, C-ordered so gathered rows ravel uncopied, is the
+      flat n x n position of the pair ``_loci[i, j, [_pa[p], _pb[p]]]``.
+    - ``_scan_rows``: the rows of a scan block, at most :data:`_SCAN_ENTRIES` entries.
     """
 
     def __init__(self, landscapes):
         first = landscapes[0]
-        self.n, self.k = first.n, first.k
+        n, k = self.n, self.k = first.n, first.k
         self.q = max(other.q for other in landscapes)
-        self.landscapes = landscapes
-        self._tab = (first._tab_flat if len(landscapes) == 1
-                     else np.concatenate([other._tab_flat for other in landscapes]))
-        self._bits, self._pa, self._pb = first._bits, first._pa, first._pb
-        self._masks = first._masks
-        comps, weights, starts, counts, targets, keys = zip(
-            *(self._instance_arrays(other, i) for i, other in enumerate(landscapes)))
-        self._comps, self._weights, self._starts, self._counts, self._targets = map(
-            np.concatenate, (comps, weights, starts, counts, targets))
-        self._keys = np.stack(keys)
-
-    @staticmethod
-    def _instance_arrays(landscape, i=0):
-        """What a group stacks for ``landscape`` as its instance i: its
-        by-locus rows (components, weights, starts after the entries of i
-        instances, lengths), their targets and its ball keys."""
-        loci, locus = landscape._loci, landscape._aff_locus
+        self.max_totals = [other.max_total for other in landscapes]
+        self._tab = (first.tables.ravel() if len(landscapes) == 1
+                     else np.concatenate([other.tables for other in landscapes], axis=None))
+        self._bits = np.left_shift(1, np.arange(k + 1, dtype=np.int64))
+        self._pa, self._pb = np.triu_indices(k + 1, 1)
+        self._masks = np.concatenate(([0], self._bits, self._bits[self._pa] | self._bits[self._pb]))
+        self._scan_rows = max(1, _SCAN_ENTRIES // (n * (k + 1)))
+        self._loci = np.stack([np.column_stack((np.arange(n), other.links))
+                               for other in landscapes])
+        self._offsets = np.arange(len(landscapes) * n, dtype=np.int64).reshape(-1, n) << (k + 1)
+        # One stable sort of the reader keys i*n + l orders the entries by
+        # key and, within a key, by component.
+        readers = (self._loci + n * np.arange(len(landscapes))[:, None, None]).ravel()
+        entries, slots = np.divmod(np.argsort(readers, kind="stable"), k + 1)
+        self._comps, self._weights = entries % n, self._bits[slots]
+        self._counts = np.bincount(readers, minlength=len(landscapes) * n)
+        self._starts = np.cumsum(self._counts) - self._counts
         # Loci are below n <= MAX_TABLE_ENTRIES, so int32 holds them.
-        return (locus, landscape._aff_weight, landscape._aff_starts + i * locus.size,
-                landscape._aff_counts, loci[locus].astype(np.int32),
-                np.ascontiguousarray(loci[:, landscape._pa] * landscape.n + loci[:, landscape._pb]))
+        self._targets = self._loci.reshape(-1, k + 1)[entries].astype(np.int32)
+        self._keys = np.ascontiguousarray(self._loci[..., self._pa] * n + self._loci[..., self._pb])
+
+    def _base_indices(self, states: np.ndarray, i=0) -> np.ndarray:
+        """(batch, n) flat table positions of the entry each component of
+        instance i reads, for each row of a (batch, n) genotype matrix."""
+        states = np.ascontiguousarray(states, dtype=np.uint8)
+        # A packed index is below 2**(k+1) <= MAX_TABLE_ENTRIES, so int32
+        # holds it exactly.
+        return (np.einsum("bjp,p->bj", states[:, self._loci[i]], self._bits.astype(np.int32))
+                + self._offsets[i])
+
+    def _row_deltas(self, states: np.ndarray, i=0):
+        """``(pos, totals, deltas)`` of each row of a (batch, n) genotype
+        matrix on instance i: :meth:`_base_indices`, int64 totals, and
+        ``deltas[b, l]`` (int64), the change of row b's total when locus l
+        flips. ``states`` is not checked; the public entry points do."""
+        pos = self._base_indices(states, i)
+        size = self.n * (self.k + 1)
+        entries = slice(i * size, (i + 1) * size)
+        comps = self._comps[entries]
+        vals = self._tab[pos]
+        dvals = self._tab[pos[:, comps] ^ self._weights[entries]] - vals[:, comps]
+        deltas = np.add.reduceat(dvals, self._starts[i * self.n:(i + 1) * self.n] - i * size,
+                                 axis=1, dtype=np.int64)
+        return pos, vals.sum(axis=1, dtype=np.int64), deltas
 
     def _pair_gains(self, idx, d, instances) -> np.ndarray:
         """``(R, n, n)`` int64: row [r, a] holds the one-bit deltas of row r

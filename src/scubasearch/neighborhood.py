@@ -4,16 +4,16 @@ The neighborhood ``V`` of a genotype is itself plus its ``n`` one-bit
 mutants; the extended neighborhood ``V2`` is everything within Hamming
 distance 2, ``n + n*(n-1)/2`` points besides the genotype itself.
 :func:`extended_scan` reads their totals off the one-bit deltas and pair
-gains of one genotype (:meth:`~.landscape._Group._pair_gains` of a group
-of one, the kernel hc2 reads for a batch of runs); each searcher in
-:mod:`.heuristics` states its own query charge. Locality over every
-genotype of a small landscape is :func:`~.pathgraph.census`.
+gains of one genotype (:meth:`~.landscape._Group._pair_gains` of the
+landscape's cached group, the kernel hc2 reads for a batch of runs); each
+searcher in :mod:`.heuristics` states its own query charge. Locality over
+every genotype of a small landscape is :func:`~.pathgraph.census`.
 """
 
 from __future__ import annotations
 
 from .heuristics import check_pair_totals
-from .landscape import _Group, as_genotype
+from .landscape import as_genotype
 
 
 def extended_scan(landscape, s):
@@ -21,5 +21,5 @@ def extended_scan(landscape, s):
     entry ``[i, j]`` is the total with loci ``i`` and ``j`` both flipped,
     the diagonal the total of ``s``; refused past hc2's ``n*n`` bound."""
     check_pair_totals(landscape.n)
-    idx, totals, d = landscape._row_deltas(as_genotype(s, landscape.n)[None])
-    return (totals + d)[0, :, None] + _Group([landscape])._pair_gains(idx, d, [0])[0]
+    idx, totals, d = landscape._group._row_deltas(as_genotype(s, landscape.n)[None])
+    return (totals + d)[0, :, None] + landscape._group._pair_gains(idx, d, [0])[0]

@@ -114,7 +114,7 @@ def test_a1_oracle_equivalence():
             total = landscape.total(arr)
             if total != fm[s]:
                 mismatches += 1
-            _, totals, d = landscape._row_deltas(arr[None])
+            _, totals, d = landscape._group._row_deltas(arr[None])
             scanned, d = int(totals[0]), d[0]
             if max(scanned, scanned + int(d.max())) != evol_map[s]:
                 mismatches += 1

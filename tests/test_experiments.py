@@ -101,17 +101,17 @@ class TestSeedDerivation:
     def test_run_seeds_differ_per_heuristic(self):
         assert run_seed(1, 0, 2, "hc", 0, 0) != run_seed(1, 0, 2, "ss", 0, 0)
 
-def run_object_bytes(n) -> int:
-    """Bytes tracemalloc sees one run's Generator and start genotype take,
-    made as ``_run_group`` makes them: the growth from 128 more runs, per
-    run, so one-off allocations cancel."""
+def run_object_bytes() -> int:
+    """Bytes tracemalloc sees one run's Generator take, made as
+    ``_run_group`` makes it: the growth from 128 more runs, per run, so
+    one-off allocations cancel. The starts it draws are stacked into the
+    run state's ``s0``, which ``batch_bytes`` counts."""
     seeds = [run_seed(1, 0, 2, "hc", 0, r) for r in range(192)]
-    rngs, starts, traced = [None] * len(seeds), [None] * len(seeds), []
+    rngs, traced = [None] * len(seeds), []
     tracemalloc.start()
     try:
         for r, seed in enumerate(seeds):
             rngs[r] = np.random.default_rng(seed)
-            starts[r] = rngs[r].integers(0, 2, size=n, dtype=np.uint8)
             if r in (63, 191):
                 traced.append(tracemalloc.get_traced_memory()[0])
     finally:
@@ -121,10 +121,10 @@ def run_object_bytes(n) -> int:
 
 def batch_bytes(landscapes, runs) -> int:
     """Bytes the arrays of ``landscapes`` and of a batch of ``runs`` runs on
-    each of them hold, netcrawler proposals and each run's Generator and
-    start genotype included; a group of one reads its table uncopied, so it
-    counts twice, as a batch of several copies it; a view counts as the
-    array it views, and an array held twice once."""
+    each of them hold, netcrawler proposals and each run's Generator
+    included; a group of one reads its table uncopied, so it counts twice,
+    as a batch of several copies it; a view counts as the array it views,
+    and an array held twice once."""
     group = landscape_module._Group(landscapes)
     state = hx._Runs(group, np.repeat(np.arange(len(landscapes)), runs),
                      np.zeros((len(landscapes) * runs, group.n), dtype=np.uint8), trace=False)
@@ -133,7 +133,7 @@ def batch_bytes(landscapes, runs) -> int:
               for base in [value if value.base is None else value.base]}
     copy = landscapes[0].tables.nbytes if len(landscapes) == 1 else 0
     return (copy + sum(a.nbytes for a in arrays.values())
-            + len(landscapes) * runs * (8 * hx._PROPOSALS + run_object_bytes(group.n)))
+            + len(landscapes) * runs * (8 * hx._PROPOSALS + run_object_bytes()))
 
 
 def track_groups(monkeypatch) -> list[int]:
@@ -209,10 +209,11 @@ class TestRunSweep:
         ]
         assert [vars(r) for r in report.records] == [vars(r) for r in alone.records]
 
-    @pytest.mark.parametrize("bound, sizes", [(None, [4] * 3), (1, [1] * 12)])
+    @pytest.mark.parametrize("bound, sizes", [(None, [1, 4] * 3), (1, [1] * 15)])
     def test_builds_one_group_per_instance_group(self, bound, sizes, monkeypatch):
         # Every heuristic of a K runs on the one group of the instances of
-        # all its q values.
+        # all its q values; before them, _held_bytes measures a throwaway
+        # group of one, and no landscape builds its own.
         config = small_config(k_values=(0, 2, 3), q_values=(2, 3), runs=5, instances=2,
                               heuristics=HEURISTICS)
         if bound is not None:
@@ -236,7 +237,8 @@ class TestRunSweep:
         with monkeypatch.context() as patch:
             patch.setattr(landscape_module._Group, "__init__", recorded_init)
             report = run_sweep(config)
-        assert dtypes == [["int8"] * 4, ["int16"] * 2] * 2
+        # Each dtype's chain starts with _held_bytes's group of one.
+        assert dtypes == [["int8"], ["int8"] * 4, ["int16"], ["int16"] * 2] * 2
         monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
         assert [vars(r) for r in report.records] == [vars(r) for r in run_sweep(config).records]
 
@@ -265,35 +267,40 @@ class TestRunSweep:
         assert max(alive) * held <= experiments._BATCH_BYTES
 
     def test_many_low_k_instances_share_large_groups(self, monkeypatch):
-        # An n=64, K=0 instance holds about 12 KB with its run, so a thousand
-        # of them run in six groups, and give the records they give alone.
+        # An n=64, K=0 instance holds about 9.7 KB with its run, so a
+        # thousand of them run in five groups, after _held_bytes's group of
+        # one, and give the records they give alone.
         config = SweepConfig(n=64, k_values=(0,), q_values=(2,), base_seed=3,
                              heuristics=("hc", "nc"), runs=1000, instances=1000, step_max=20)
         with monkeypatch.context() as patch:
             built = track_groups(patch)
             report = run_sweep(config)
-        assert sum(built) == 1000 and min(built[:-1]) >= 150
+        assert built[0] == 1 and sum(built[1:]) == 1000 and min(built[1:-1]) >= 200
         monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
         assert [vars(r) for r in report.records] == [vars(r) for r in run_sweep(config).records]
 
     @pytest.mark.parametrize("heuristic", ["nc", "ss"])
     def test_traced_batch_peaks_near_what_it_keeps(self, heuristic):
-        # One sweep-traced cell runs its 50 runs over 4 instances as one
-        # batch. The log fills the trace arrays round by round and scuba's
-        # guard reads its mutant deltas in blocks, so the batch's temporaries
-        # stay within 0.6 MB (MiB) of the records it keeps.
-        config = SweepConfig(n=64, k_values=(4,), q_values=(2,), base_seed=42,
-                             heuristics=(heuristic,), runs=50, instances=4, keep_traces=True)
-        run_sweep(config)  # first-call allocations are not the batch's
-        gc.collect()
-        tracemalloc.start()
-        try:
-            report = run_sweep(config)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(report.records) == 50
-        assert peak - kept <= 0.6 * 2**20
+        # 50 runs over 4 instances of one q run as one batch, and sweep-
+        # traced runs the 100 of q = 2 and 3 as one. The log fills the trace
+        # arrays round by round and scuba's guard reads its mutant deltas in
+        # blocks, so the batch's temporaries stay within 0.6 MB (MiB) of the
+        # records it keeps, and within 0.8 MiB at 100 runs, which peak at
+        # 0.68 (nc) and 0.62 (ss).
+        for q_values, bound in (((2,), 0.6), ((2, 3), 0.8)):
+            config = SweepConfig(n=64, k_values=(4,), q_values=q_values, base_seed=42,
+                                 heuristics=(heuristic,), runs=50, instances=4,
+                                 keep_traces=True)
+            run_sweep(config)  # first-call allocations are not the batch's
+            gc.collect()
+            tracemalloc.start()
+            try:
+                report = run_sweep(config)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(report.records) == 50 * len(q_values)
+            assert peak - kept <= bound * 2**20
 
     @pytest.mark.parametrize("n, k, q, mode, runs", [
         (2, 1, 2, "random", 1), (10, 0, 2, "random", 3), (10, 9, 2**40, "random", 1),
@@ -302,7 +309,8 @@ class TestRunSweep:
         # Every instance of one (n, k) and table dtype holds arrays of the
         # same sizes, whatever its q, so one instance's measure bounds a
         # batch of any of them, to within the few bytes per run the run
-        # state's count leaves over.
+        # state's count leaves over and the bit weights, pair indices and
+        # masks that a batch's group holds once and each measure counts.
         config = SweepConfig(n=n, k_values=(k,), q_values=(q,), base_seed=1,
                              runs=runs, instances=1, mode=mode)
         mate = q - 1 if q > 2 else 3
@@ -311,8 +319,11 @@ class TestRunSweep:
                       for value, seed in ((q, 5), (mate, 6), (q, 7))]
         held = {experiments._held_bytes(config, landscape) for landscape in landscapes}
         assert len(held) == 1
+        group = landscape_module._Group(landscapes[:1])
+        shared = sum(a.nbytes for a in (group._bits, group._pa, group._pb, group._masks))
         for batch in (landscapes[:1], landscapes):
-            assert 0 <= len(batch) * min(held) - batch_bytes(batch, runs) <= 8 * len(batch) * runs
+            over = len(batch) * min(held) - batch_bytes(batch, runs)
+            assert 0 <= over <= 8 * len(batch) * runs + (len(batch) - 1) * shared
 
     def test_dispatch_rejects_unknown(self):
         landscape = generate(6, 1, 2, seed=1)
@@ -492,7 +503,7 @@ class TestNeutralMutationProfile:
             raise AssertionError("the profile scanned a landscape")
 
         monkeypatch.setattr(NkqLandscape, "batch_scan", refuse)
-        monkeypatch.setattr(NkqLandscape, "_row_deltas", refuse)
+        monkeypatch.setattr(landscape_module._Group, "_row_deltas", refuse)
         assert neutral_mutation_profile(report)
         # One landscape per (cell, instance), built by the sweep alone.
         assert len(calls) == 2 * 2 * 3

@@ -14,6 +14,7 @@ from scubasearch import (
     search,
 )
 from scubasearch import heuristics
+from scubasearch import landscape as landscape_module
 from scubasearch.heuristics import (MOVE_KINDS, MOVE_NEUTRAL, MOVE_REJECT, STEP_MAX_LIMIT,
                                     _Runs)
 
@@ -343,7 +344,7 @@ def test_search_checks_step_max_before_building_a_group(heuristic, step_max, mon
     def refuse(*args):
         raise AssertionError("a group was built")
 
-    monkeypatch.setattr(heuristics, "_Group", refuse)
+    monkeypatch.setattr(landscape_module, "_Group", refuse)
     landscape = generate(6, 1, 2, RANDOM, seed=1)
     with pytest.raises(ValueError, match="step_max must be"):
         search(landscape, heuristic, [np.zeros(6, dtype=np.uint8)],
@@ -356,7 +357,7 @@ def test_search_refuses_hc2_pair_totals_before_building_a_group(monkeypatch):
     def refuse(*args):
         raise AssertionError("a group was built")
 
-    monkeypatch.setattr(heuristics, "_Group", refuse)
+    monkeypatch.setattr(landscape_module, "_Group", refuse)
     landscape = generate(11586, 0, 2, "adjacent", seed=1)
     with pytest.raises(LandscapeError, match="MAX_TABLE_ENTRIES"):
         search(landscape, "hc2", [np.zeros(landscape.n, dtype=np.uint8)],

@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from scubasearch import (
     adjacent_links,
     check_params,
     deserialize,
+    extended_scan,
     generate,
+    search,
     serialize,
 )
 
@@ -293,10 +297,41 @@ class TestBatchGenotypes:
         assert peak - totals.nbytes - flips.nbytes <= 2 * 2**20
 
 
+class TestCachedGroup:
+    """A landscape holds its parameters, links and tables; its scans read
+    the scan structure of its group of one, built on first use and kept."""
+
+    def test_holds_no_array_but_links_and_tables(self):
+        landscape = generate(64, 16, 2, seed=1)
+        for _ in range(2):
+            arrays = [name for name, value in vars(landscape).items()
+                      if isinstance(value, np.ndarray)]
+            assert sorted(arrays) == ["links", "tables"]
+            landscape.batch_scan(np.zeros((1, 64), dtype=np.uint8))
+        assert landscape._group is vars(landscape)["_group"]
+
+    def test_cached_group_makes_no_reference_cycle(self):
+        # The group keeps no reference to its landscape, so the landscape
+        # is freed by its reference count alone, with the cyclic GC off.
+        landscape = generate(8, 2, 3, seed=1)
+        s = np.zeros(8, dtype=np.uint8)
+        gc.disable()
+        try:
+            landscape.batch_scan(s[None])
+            search(landscape, "ss", [s], [np.random.default_rng(0)])
+            extended_scan(landscape, s)
+            assert "_group" in vars(landscape)
+            ref = weakref.ref(landscape)
+            del landscape
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 def component_index(landscape, s, locus):
     """Index into ``locus``'s component table that ``s`` reads, from the
-    flat table positions of a one-row ``_row_deltas`` scan."""
-    positions, _, _ = landscape._row_deltas(np.asarray(s, dtype=np.uint8)[None])
+    flat table positions of a one-row ``_row_deltas`` scan of its group."""
+    positions, _, _ = landscape._group._row_deltas(np.asarray(s, dtype=np.uint8)[None])
     return int(positions[0, locus]) - (locus << (landscape.k + 1))
 
 

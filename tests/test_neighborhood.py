@@ -36,7 +36,7 @@ def random_instances(count=4, n_range=(6, 9), seed=7):
 def neutral_loci(landscape, s):
     """The loci whose flip keeps the total: the zero deltas of ``s`` from a
     one-row ``_row_deltas`` scan."""
-    _, _, deltas = landscape._row_deltas(np.asarray(s, dtype=np.uint8)[None])
+    _, _, deltas = landscape._group._row_deltas(np.asarray(s, dtype=np.uint8)[None])
     return np.flatnonzero(deltas[0] == 0)
 
 

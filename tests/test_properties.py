@@ -89,10 +89,10 @@ def genotype_rows(data, n, min_size=1, max_size=4):
 
 
 def fresh_scan(landscapes, instances, states):
-    """``(pos, totals, deltas)`` of each row of ``states``, scanned alone on
-    landscape ``instances[r]``, its table positions offset by that
-    instance's place in a group's flat tables."""
-    scans = [landscapes[i]._row_deltas(row[None]) for i, row in zip(instances, states)]
+    """``(pos, totals, deltas)`` of each row of ``states``, scanned alone by
+    the group of one of landscape ``instances[r]``, its table positions
+    offset by that instance's place in a group's flat tables."""
+    scans = [landscapes[i]._group._row_deltas(row[None]) for i, row in zip(instances, states)]
     size = landscapes[0].tables.size
     return ([(pos[0] + i * size).tolist() for (pos, _, _), i in zip(scans, instances)],
             [int(totals[0]) for _, totals, _ in scans],
@@ -105,7 +105,7 @@ def test_extended_scan_matches_oracle(q, data):
     landscape, s = data.draw(landscape_and_genotype(q))
     n = landscape.n
     base = tuple(int(b) for b in s)
-    _, totals, d = landscape._row_deltas(s[None])
+    _, totals, d = landscape._group._row_deltas(s[None])
     pairs = extended_scan(landscape, s)
     flips = totals[0] + d[0]
     assert flips.dtype == np.int64 and pairs.dtype == np.int64
@@ -206,6 +206,8 @@ def test_blocked_batch_scan_equals_rows_alone(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(landscape_module, "_SCAN_ENTRIES", entries)
         totals, flips = landscape.batch_scan(states)
+    # The landscape's group, built by that first scan, blocks at the patch.
+    assert landscape._group._scan_rows == max(1, entries // (n * (k + 1)))
     _check_scan(landscape, states, totals, flips, range(rows))
 
 
@@ -330,7 +332,7 @@ def test_base_indices_match_oracle(data):
                              seed=data.draw(st.integers(0, 2**32 - 1)))
         rows = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                                            min_size=1, max_size=4)), dtype=np.uint8)
-    pos = landscape._base_indices(rows)
+    pos = landscape._group._base_indices(rows)
     assert pos.dtype == np.int64
     assert pos.tolist() == [oracles.table_positions(landscape, row) for row in rows]
 
@@ -341,7 +343,8 @@ def test_by_locus_rows_name_each_component_once(data):
     # The rows of keys instance*n + l tile the flat by-locus arrays in key
     # order; row instance*n + l lists the readers of l in that instance,
     # ascending, each once, with their weights, so one fancy XOR assignment
-    # applies a flip, and the loci each reader reads as its targets.
+    # applies a flip, and the loci each reader reads as its targets. The
+    # loci come from the links, by the packing rule of the format.
     if data is None:  # k = n-1: every component reads every locus
         landscapes = [generate(7, 6, 2, seed=1)]
     else:
@@ -354,7 +357,8 @@ def test_by_locus_rows_name_each_component_once(data):
     assert targets.shape == (comps.size, k + 1)
     assert starts.tolist() == (np.cumsum(counts) - counts).tolist()
     for i, landscape in enumerate(landscapes):
-        loci = landscape._loci
+        loci = np.column_stack((np.arange(n), landscape.links))
+        assert group._loci[i].tolist() == loci.tolist()
         for l in range(n):
             segment = slice(starts[i * n + l], starts[i * n + l] + counts[i * n + l])
             row = comps[segment].tolist()
@@ -404,15 +408,25 @@ def test_run_state_matches_a_fresh_scan_after_every_round(heuristic, data):
     assert rounds
 
 
-def test_neutral_degree_sampling_never_builds_pair_structure(monkeypatch):
-    # The by-locus rows and ball keys live on a group, which degn never makes.
-    def refuse(self, landscapes):
-        raise AssertionError("pair structure built")
+def test_neutral_degree_sampling_builds_one_group_per_landscape(monkeypatch):
+    # degn scans each landscape with its cached group of one, built on its
+    # first scan; later scans of the landscape reuse it.
+    sizes = []
+    init = landscape_module._Group.__init__
 
-    monkeypatch.setattr(landscape_module._Group, "__init__", refuse)
+    def counted_init(group, landscapes):
+        sizes.append(len(landscapes))
+        init(group, landscapes)
+
+    monkeypatch.setattr(landscape_module._Group, "__init__", counted_init)
     for k in (0, 2, 5):
         means = neutral_degree_instance_means(8, k, 2, samples=30, instances=2, seed=4)
         assert means.shape == (2,)
+    assert sizes == [1] * 6
+    landscape = generate(8, 2, 2, seed=4)
+    for _ in range(3):
+        landscape.batch_scan(np.zeros((2, 8), dtype=np.uint8))
+    assert sizes == [1] * 7
 
 
 @pytest.mark.parametrize("q", Q_VALUES)
@@ -526,9 +540,10 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
         patch.setattr(heuristics, "_PAIR_ENTRIES", chunk * n * n)
         patch.setattr(heuristics, "_WINDOW", window)
         patch.setattr(heuristics, "_CRAWL_ENTRIES", crawl)
-        patch.setattr(heuristics, "_SCAN_ENTRIES", block * n * (landscapes[0].k + 1))
-        batch = heuristics._search(landscape_module._Group(landscapes), heuristic,
-                                   np.array(instances, dtype=np.intp), starts,
+        patch.setattr(landscape_module, "_SCAN_ENTRIES", block * n * (landscapes[0].k + 1))
+        group = landscape_module._Group(landscapes)
+        assert group._scan_rows == block
+        batch = heuristics._search(group, heuristic, np.array(instances, dtype=np.intp), starts,
                                    [np.random.default_rng(seed) for seed in seeds], step_max,
                                    True)
     assert len(batch) == runs

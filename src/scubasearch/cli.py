@@ -165,7 +165,7 @@ def _cmd_sweep(args) -> int:
         n=args.n, k_values=args.k, q_values=args.q, base_seed=0,
         heuristics=tuple(args.heuristics.split(",")), runs=args.runs,
         instances=args.instances, step_max=args.step_max, mode=args.mode,
-        keep_traces=args.profile_out is not None,
+        profile=args.profile_out is not None,
     )
     config.base_seed = _resolve_seed(args)
     report = ex.run_sweep(config)
@@ -259,7 +259,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=_path, required=True, help="per-cell statistics CSV")
     p.add_argument("--records-out", type=_path, default=None, help="per-run record CSV")
     p.add_argument("--profile-out", type=_path, default=None,
-                   help="neutral-mutation profile CSV (retains run traces)")
+                   help="neutral-mutation profile CSV")
     p.add_argument("--stepstats-out", type=_path, default=None, help="scuba step-count CSV")
     p.set_defaults(func=_cmd_sweep)
 

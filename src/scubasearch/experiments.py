@@ -6,7 +6,9 @@ derived from the sweep's base seed with :func:`derive_seed`, so repeating a
 configuration reproduces every output byte. All heuristics of a cell share
 the same ``instances`` landscapes; run streams are heuristic-specific.
 Results aggregate into per-cell means (fitness, evaluations, step counters)
-plus the neutral-move statistics used for profile and step-count curves.
+plus the neutral-move statistics used for profile and step-count curves. A
+profiled sweep has the engine count, per heuristic, its steps and visits by
+source neutral degree, so it keeps no run traces.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby, islice
-from typing import Optional
 
 import numpy as np
 
@@ -93,9 +94,9 @@ class SweepConfig:
     """Grid description: which cells to run and with what budgets.
 
     ``runs`` runs per cell are spread round-robin over ``instances``
-    landscapes (run ``r`` uses instance ``r % instances``). ``keep_traces``
-    keeps each run's compact :class:`~.heuristics.Trace` on its record, which
-    the neutral-mutation profile needs.
+    landscapes (run ``r`` uses instance ``r % instances``). ``profile``
+    counts every heuristic's steps and visits by source neutral degree into
+    :attr:`SweepReport.profiles`, which the neutral-mutation profile reads.
     """
 
     n: int
@@ -107,7 +108,7 @@ class SweepConfig:
     instances: int = 10
     step_max: int = 300
     mode: str = RANDOM
-    keep_traces: bool = False
+    profile: bool = False
 
     def __post_init__(self):
         self.k_values = tuple(self.k_values)
@@ -148,7 +149,6 @@ class RunRecord:
     flat: int
     gate: int
     evaluations: int
-    trace: Optional[hx.Trace] = None
 
 
 @dataclass
@@ -167,10 +167,17 @@ class CellStats:
 
 @dataclass
 class SweepReport:
-    """All per-run records of a sweep, aggregable per cell in config order."""
+    """All per-run records of a sweep, aggregable per cell in config order.
+
+    A profiled sweep also holds ``profiles[h]``, heuristic h's (4, n+1)
+    int64 counts over all its runs, indexed by the neutral degree of the
+    state each step leaves: steps, neutral steps, visits closed and neutral
+    visits closed (:mod:`~.heuristics`). An unprofiled one holds none.
+    """
 
     config: SweepConfig
     records: list[RunRecord] = field(default_factory=list)
+    profiles: dict[str, np.ndarray] = field(default_factory=dict)
 
     def records_by_cell(self) -> dict[tuple[str, int, int], list[RunRecord]]:
         """Records grouped by (heuristic, k, q) in one pass, each group in
@@ -206,17 +213,20 @@ class SweepReport:
 def _held_bytes(config: SweepConfig, landscape) -> int:
     """Bytes an instance holds in a batch of several, the same for every
     instance of ``landscape``'s (n, k) and table dtype: its links and table,
-    the arrays of a throwaway group of one (the batch's group holds them)
-    and the batch's copy of its table, and its runs' positions, deltas,
-    starts, counters, proposals and Generators."""
-    arrays = [landscape.links, landscape.tables, *vars(_Group([landscape])).values()]
+    the arrays of a throwaway group of one (the batch's group holds them,
+    and its searchers build those a group builds on first use) and the
+    batch's copy of its table, and its runs' positions, deltas, starts,
+    counters, proposals and Generators."""
+    group = _Group([landscape])
+    group._targets, group._keys  # built into vars(group)
+    arrays = [landscape.links, landscape.tables, *vars(group).values()]
     runs = -(-config.runs // config.instances)
     return (sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
             + landscape.tables.nbytes
             + runs * (17 * config.n + 48 + 8 * hx._PROPOSALS + _RUN_OBJECT_BYTES))
 
 
-def _run_k(config: SweepConfig, k: int) -> dict[tuple[int, str], list[RunRecord]]:
+def _run_k(config: SweepConfig, k: int, profiles) -> dict[tuple[int, str], list[RunRecord]]:
     """Every heuristic's runs on the cells of K ``k``, keyed by (q,
     heuristic). The instances of all q values run in groups of as many as
     fit in :data:`_BATCH_BYTES`, at least one. A group holds one table
@@ -226,7 +236,8 @@ def _run_k(config: SweepConfig, k: int) -> dict[tuple[int, str], list[RunRecord]
     :class:`~.landscape._Group` serve a batch per heuristic and are dropped
     before the next group's landscapes are generated. Records are filled by
     (q, heuristic, run) index, so their order does not depend on the
-    grouping."""
+    grouping. Each heuristic's steps are counted into ``profiles[h]``, if
+    there."""
     out = {(q, h): [None] * config.runs for q in config.q_values for h in config.heuristics}
     instances = min(config.instances, config.runs)
     by_dtype = sorted(config.q_values, key=lambda q: _table_dtype(q).itemsize)
@@ -238,12 +249,12 @@ def _run_k(config: SweepConfig, k: int) -> dict[tuple[int, str], list[RunRecord]
         size = max(1, _BATCH_BYTES // _held_bytes(config, landscapes[0]))
         for low in range(0, len(cells), size):
             landscapes += islice(made, size - len(landscapes))
-            _run_group(config, k, cells[low:low + size], landscapes, out)
+            _run_group(config, k, cells[low:low + size], landscapes, out, profiles)
             landscapes = []
     return out
 
 
-def _run_group(config: SweepConfig, k: int, cells, landscapes, out) -> None:
+def _run_group(config: SweepConfig, k: int, cells, landscapes, out, profiles) -> None:
     """Run each heuristic's runs on ``landscapes``, the instances of K ``k``
     named by the (q, instance) pairs ``cells``, as one lockstep batch, and
     put their records into ``out`` (:func:`_run_k`)."""
@@ -255,7 +266,8 @@ def _run_group(config: SweepConfig, k: int, cells, landscapes, out) -> None:
         seeds = [run_seed(config.base_seed, k, q, h, inst, r) for _, q, inst, r in runs]
         rngs = [np.random.default_rng(rs) for rs in seeds]
         starts = np.array([rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs])
-        results = hx._search(batch, h, at, starts, rngs, config.step_max, config.keep_traces)
+        results = hx._search(batch, h, at, starts, rngs, config.step_max, False,
+                             profiles.get(h))
         for (i, q, inst, r), rs, result in zip(runs, seeds, results):
             out[(q, h)][r] = RunRecord(
                 heuristic=h, k=k, q=q, instance=inst, run=r,
@@ -264,7 +276,6 @@ def _run_group(config: SweepConfig, k: int, cells, landscapes, out) -> None:
                 fitness_norm=result.fitness.normalized,
                 steps=result.steps, flat=result.flat_count,
                 gate=result.gate_count, evaluations=result.evaluations,
-                trace=result.trace,
             )
 
 
@@ -277,8 +288,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     its own seed and reads only its own landscape, so the report and the
     files written from it never depend on the grouping or on scheduling.
     """
-    by_k = {k: _run_k(config, k) for k in config.k_values}
     report = SweepReport(config)
+    if config.profile:
+        report.profiles = {h: np.zeros((4, config.n + 1), dtype=np.int64)
+                           for h in config.heuristics}
+    by_k = {k: _run_k(config, k, report.profiles) for k in config.k_values}
     for h in config.heuristics:
         for k in config.k_values:
             for q in config.q_values:
@@ -345,37 +359,22 @@ def neutral_mutation_profile(report: SweepReport,
                              heuristics=("nc", "ss")) -> list[ProfileRow]:
     """Empirical P(neutral move | source Degn = d) per heuristic.
 
-    Requires traces on the matching records, and reads only their neutral
-    degrees and kinds of move: no landscape is built or scanned. Netcrawler
-    bins every proposal by the neutral degree of its source state; scuba
-    bins every move. A rejection keeps the state, so a visit closes on each
-    step that is not a rejection, and that step's source degree is the
-    visit's. Bins never observed are absent from the result, not zero.
+    Reads the counts a profiled sweep's engine kept
+    (:attr:`SweepReport.profiles`): no trace is kept, and no landscape is
+    built or scanned. Netcrawler bins every proposal by the neutral degree
+    of its source state; scuba bins every move. A rejection keeps the
+    state, so a visit closes on each step that is not a rejection, and that
+    step's source degree is the visit's. Bins never observed are absent
+    from the result, not zero. A report of a sweep run without ``profile``
+    raises ``ValueError``.
     """
-    width = report.config.n + 1
-    # Per heuristic: steps, neutral steps, visits and neutral visits per degree.
-    acc: dict[str, np.ndarray] = {}
-    for rec in report.records:
-        if rec.heuristic not in heuristics:
-            continue
-        if rec.trace is None:
-            raise ValueError(
-                "neutral_mutation_profile needs traces; run the sweep with "
-                "keep_traces=True"
-            )
-        sources = rec.trace.degns[:-1]
-        kinds = rec.trace.kinds[1:]
-        neutral = kinds == hx.MOVE_KINDS.index(hx.MOVE_NEUTRAL)
-        closes = kinds != hx.MOVE_KINDS.index(hx.MOVE_REJECT)
-        counts = acc.setdefault(rec.heuristic, np.zeros((4, width), dtype=np.int64))
-        for row, binned in enumerate((sources, sources[neutral], sources[closes],
-                                      sources[closes & neutral])):
-            counts[row] += np.bincount(binned, minlength=width)
-
+    if not report.config.profile:
+        raise ValueError("neutral_mutation_profile needs a sweep run with profile=True")
     rows = []
-    for h in sorted(acc):
-        steps, neutral, visits, neutral_visits = acc[h].tolist()
-        for d in np.flatnonzero(acc[h][0]).tolist():
+    for h in sorted(set(heuristics) & report.profiles.keys()):
+        counts = report.profiles[h]
+        steps, neutral, visits, neutral_visits = counts.tolist()
+        for d in np.flatnonzero(counts[0]).tolist():
             rows.append(ProfileRow(
                 heuristic=h, degn=d, steps=steps[d],
                 p_neutral_step=neutral[d] / steps[d],

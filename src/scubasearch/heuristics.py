@@ -46,6 +46,14 @@ genotype plus, per step, the flipped locus, the total, the kind of move and
 the neutral degree of the state arrived at, which each searcher already
 knows from its deltas. :meth:`Trace.genotypes` rebuilds every step's
 genotype at once. Without a trace the searchers do no per-step trace work.
+
+A sweep asks for no trace. Given a ``(4, n+1)`` int64 ``profile``,
+:func:`_search` adds to it, binned by the neutral degree of the state a step
+leaves, each run's steps, neutral steps (gain 0), visits closed and neutral
+visits closed: a move is one step that closes the visit of the state it
+leaves, and a netcrawler rejection one step that stays. Only then does the
+run state track each run's neutral degree, so without a profile a round
+does no counting work.
 """
 
 from __future__ import annotations
@@ -180,9 +188,12 @@ class _Runs:
     is the allele at locus j) and one-bit deltas (``d``), all (R, n), its
     total (``total``) and its neutral, improving and descending moves
     (``moves``, (R, 3), indexed by the sign of the gain). With a trace it
-    logs every move: ``(runs, entries, loci, totals, kinds, degns)``."""
+    logs every move: ``(runs, entries, loci, totals, kinds, degns)``. With a
+    ``profile`` it keeps each run's neutral degree (``degn``), and each move
+    counts into it (:meth:`flip`), each netcrawler rejection too
+    (:func:`_crawl`)."""
 
-    def __init__(self, group, instances, starts, trace):
+    def __init__(self, group, instances, starts, trace, profile=None):
         self.group, self.instances, self.s0 = group, instances, starts
         self.idx, self.d = (np.empty(self.s0.shape, dtype=np.int64) for _ in range(2))
         self.total = np.empty(len(self.s0), dtype=np.int64)
@@ -190,6 +201,9 @@ class _Runs:
             rows = np.flatnonzero(instances == i)
             self.idx[rows], self.total[rows], self.d[rows] = group._row_deltas(self.s0[rows], i)
         self.moves = np.zeros((len(self.s0), 3), dtype=np.int64)
+        self.profile = profile
+        if profile is not None:
+            self.degn = (self.d == 0).sum(axis=1)
         self.log = [] if trace else None
         if trace:
             runs = np.arange(len(self.s0))
@@ -205,7 +219,9 @@ class _Runs:
         one that lowers it (an hc2 lookahead) neither. Row i of ``deltas``,
         if given, holds the one-bit deltas of run ``runs[i]`` with
         ``loci[i]`` flipped, so they need no update. A traced move reaches
-        trace entry ``entries[i]``, by default the run's moves so far."""
+        trace entry ``entries[i]``, by default the run's moves so far. A
+        profile counts each move as a step, neutral if flat, that closes
+        the visit of the degree it leaves."""
         gains = self.d[runs, loci]
         signs = np.sign(gains)
         self.moves[runs, signs] += 1
@@ -216,6 +232,12 @@ class _Runs:
             if entries is None:
                 entries = self.moves[runs].sum(axis=1)
             self._log(runs, entries, loci, _KIND_OF_SIGN[signs])
+        if self.profile is not None:
+            width = self.group.n + 1
+            left = self.degn[runs]
+            self.profile[::2] += np.bincount(left, minlength=width)  # steps, visits
+            self.profile[1::2] += np.bincount(left[signs == 0], minlength=width)
+            self.degn[runs] = (self.d[runs] == 0).sum(axis=1)
 
     def results(self, steps, evaluations) -> list[RunResult]:
         """One result per run, with a trace of ``steps[r] + 1`` entries for
@@ -353,7 +375,12 @@ def _crawl(runs, rngs, step_max) -> list[RunResult]:
             # A run with no accepted proposal moves its cursor past the window.
             hit = np.where(found, accepted.argmax(axis=1), reach - 1)
             rows = np.arange(live.size)
-            cursor[live] = at[rows, hit] + 1
+            ends = at[rows, hit] + 1
+            if runs.profile is not None:
+                # The proposals a run passed are steps at its degree; flip
+                # counts an accepted one.
+                np.add.at(runs.profile[0], runs.degn[live], ends - cursor[live] - found)
+            cursor[live] = ends
             moved = live[found]
             runs.flip(moved, loci[found, hit[found]],
                       entries=None if runs.log is None else first + cursor[moved])
@@ -384,11 +411,13 @@ def search(landscape, heuristic, starts, rngs, step_max=300, trace=False) -> lis
                    starts, rngs, step_max, trace)
 
 
-def _search(group, heuristic, instances, starts, rngs, step_max, trace) -> list[RunResult]:
+def _search(group, heuristic, instances, starts, rngs, step_max, trace,
+            profile=None) -> list[RunResult]:
     """:func:`search` over a built group, unchecked: run i starts from row i
     of the (R, n) uint8 matrix ``starts`` on the group's landscape
-    ``instances[i]`` (intp); a group serves any number of calls."""
-    runs = _Runs(group, instances, starts, trace)
+    ``instances[i]`` (intp); a group serves any number of calls. Each run's
+    steps are added to ``profile``, if given (:class:`_Runs`)."""
+    runs = _Runs(group, instances, starts, trace, profile)
     if heuristic == "nc":
         return _crawl(runs, rngs, step_max)
     if heuristic == "hc2":

@@ -435,6 +435,10 @@ class _Group:
       ``_keys[i, j, p]``, C-ordered so gathered rows ravel uncopied, is the
       flat n x n position of the pair ``_loci[i, j, [_pa[p], _pb[p]]]``.
     - ``_scan_rows``: the rows of a scan block, at most :data:`_SCAN_ENTRIES` entries.
+
+    Only the searchers read ``_targets`` and ``_keys``, so each is built on
+    first use: a group that only scans (``batch_scan``, ``batch_totals``)
+    never builds them.
     """
 
     def __init__(self, landscapes):
@@ -458,9 +462,20 @@ class _Group:
         self._comps, self._weights = entries % n, self._bits[slots]
         self._counts = np.bincount(readers, minlength=len(landscapes) * n)
         self._starts = np.cumsum(self._counts) - self._counts
-        # Loci are below n <= MAX_TABLE_ENTRIES, so int32 holds them.
-        self._targets = self._loci.reshape(-1, k + 1)[entries].astype(np.int32)
-        self._keys = np.ascontiguousarray(self._loci[..., self._pa] * n + self._loci[..., self._pb])
+
+    @cached_property
+    def _targets(self) -> np.ndarray:
+        # Instance i's n*(k+1) entries are the i-th block, so an entry's
+        # instance is its block's; loci are below n <= MAX_TABLE_ENTRIES, so
+        # int32 holds them.
+        size = self.n * (self.k + 1)
+        entries = self._comps + self.n * (np.arange(self._comps.size) // size)
+        return self._loci.reshape(-1, self.k + 1).astype(np.int32)[entries]
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return np.ascontiguousarray(self._loci[..., self._pa] * self.n
+                                    + self._loci[..., self._pb])
 
     def _base_indices(self, states: np.ndarray, i=0) -> np.ndarray:
         """(batch, n) flat table positions of the entry each component of

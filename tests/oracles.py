@@ -281,27 +281,67 @@ def memo_degn(landscape):
 # -- neutral-mutation profile -------------------------------------------------
 
 
-def neutral_mutation_profile(report, heuristics=("nc", "ss")):
-    """The profile by rescanning: regenerate each record's landscape, scan
-    every source state of its trace for its neutral degree, then walk the
-    steps, closing a visit on each step that is not a rejection. Rows are
-    ``(heuristic, degn, steps, p_neutral_step, visits, p_neutral_state)``,
-    sorted by heuristic and degree."""
-    from scubasearch import MOVE_KINDS, generate
+def replay(landscape, config, rec):
+    """The trace of one sweep record's run on its ``landscape``, rebuilt from
+    its run seed as the sweep draws it: ``default_rng(run_seed)``, the start
+    genotype, then a traced ``search``; the replay must give the record."""
+    from scubasearch import search
 
-    acc = {}
+    rng = np.random.default_rng(rec.run_seed)
+    s0 = rng.integers(0, 2, size=config.n, dtype=np.uint8)
+    result, = search(landscape, rec.heuristic, [s0], [rng], config.step_max, trace=True)
+    assert (result.fitness.total, result.steps, result.flat_count, result.gate_count,
+            result.evaluations) == (rec.fitness_total, rec.steps, rec.flat, rec.gate,
+                                    rec.evaluations)
+    return result.trace
+
+
+def replays(report):
+    """``(record, landscape, trace)`` of each record of ``report``, each
+    record's landscape regenerated from its seed once and its run replayed
+    (:func:`replay`)."""
+    from scubasearch import generate
+
     landscapes = {}
     config = report.config
     for rec in report.records:
-        if rec.heuristic not in heuristics or len(rec.trace) < 2:
-            continue
         key = (rec.k, rec.q, rec.landscape_seed)
         if key not in landscapes:
             landscapes[key] = generate(config.n, rec.k, rec.q, config.mode,
                                        seed=rec.landscape_seed)
-        totals, flips = landscapes[key].batch_scan(rec.trace.genotypes()[:-1])
+        yield rec, landscapes[key], replay(landscapes[key], config, rec)
+
+
+def trace_counts(trace, n):
+    """(4, n+1) counts of one traced run by the neutral degree of each
+    step's source, read off the trace's ``degns`` and ``kinds``: steps,
+    neutral steps, visits closed (steps that are not rejections) and
+    neutral visits closed."""
+    from scubasearch import MOVE_KINDS
+
+    sources = trace.degns[:-1]
+    kinds = trace.kinds[1:]
+    neutral = kinds == MOVE_KINDS.index("neutral")
+    closes = kinds != MOVE_KINDS.index("reject")
+    return np.stack([np.bincount(binned, minlength=n + 1) for binned in
+                     (sources, sources[neutral], sources[closes], sources[closes & neutral])])
+
+
+def neutral_mutation_profile(report, heuristics=("nc", "ss")):
+    """The profile by rescanning: replay each record's run (:func:`replays`),
+    scan every source state of its trace for its neutral degree, then walk
+    the steps, closing a visit on each step that is not a rejection. Rows
+    are ``(heuristic, degn, steps, p_neutral_step, visits,
+    p_neutral_state)``, sorted by heuristic and degree."""
+    from scubasearch import MOVE_KINDS
+
+    acc = {}
+    for rec, landscape, trace in replays(report):
+        if rec.heuristic not in heuristics or len(trace) < 2:
+            continue
+        totals, flips = landscape.batch_scan(trace.genotypes()[:-1])
         degns = (flips == totals[:, None]).sum(axis=1)
-        kinds = [MOVE_KINDS[kind] for kind in rec.trace.kinds[1:].tolist()]
+        kinds = [MOVE_KINDS[kind] for kind in trace.kinds[1:].tolist()]
         visit_degn = None
         for d, kind in zip(degns.tolist(), kinds):
             entry = acc.setdefault((rec.heuristic, d), [0, 0, 0, 0])

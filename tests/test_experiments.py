@@ -121,11 +121,13 @@ def run_object_bytes() -> int:
 
 def batch_bytes(landscapes, runs) -> int:
     """Bytes the arrays of ``landscapes`` and of a batch of ``runs`` runs on
-    each of them hold, netcrawler proposals and each run's Generator
-    included; a group of one reads its table uncopied, so it counts twice,
-    as a batch of several copies it; a view counts as the array it views,
-    and an array held twice once."""
+    each of them hold, netcrawler proposals, each run's Generator and the
+    group's searcher arrays (built on first use) included; a group of one
+    reads its table uncopied, so it counts twice, as a batch of several
+    copies it; a view counts as the array it views, and an array held twice
+    once."""
     group = landscape_module._Group(landscapes)
+    group._targets, group._keys  # built into vars(group)
     state = hx._Runs(group, np.repeat(np.arange(len(landscapes)), runs),
                      np.zeros((len(landscapes) * runs, group.n), dtype=np.uint8), trace=False)
     arrays = {id(base): base for owner in (*landscapes, group, state)
@@ -280,18 +282,29 @@ class TestRunSweep:
         assert [vars(r) for r in report.records] == [vars(r) for r in run_sweep(config).records]
 
     @pytest.mark.parametrize("heuristic", ["nc", "ss"])
-    def test_traced_batch_peaks_near_what_it_keeps(self, heuristic):
+    def test_traced_batch_peaks_near_what_it_keeps(self, heuristic, monkeypatch):
+        # A profiled sweep keeps no run traces, only its records and counts:
         # 50 runs over 4 instances of one q run as one batch, and sweep-
-        # traced runs the 100 of q = 2 and 3 as one. The log fills the trace
-        # arrays round by round and scuba's guard reads its mutant deltas in
-        # blocks, so the batch's temporaries stay within 0.6 MB (MiB) of the
-        # records it keeps, and within 0.8 MiB at 100 runs, which peak at
-        # 0.68 (nc) and 0.62 (ss).
+        # traced runs the 100 of q = 2 and 3 as one. The batch's temporaries
+        # (its landscapes, group, run state, Generators and proposals) stay
+        # within 0.6 MB (MiB) of what it keeps, and within 0.8 MiB at 100
+        # runs, which peak at 0.75 (nc) and 0.67 (ss) above about 0.05 kept.
+        traces = []
+        search = hx._search
+
+        def recording_search(*args, **kwargs):
+            results = search(*args, **kwargs)
+            traces.extend(result.trace for result in results)
+            return results
+
         for q_values, bound in (((2,), 0.6), ((2, 3), 0.8)):
             config = SweepConfig(n=64, k_values=(4,), q_values=q_values, base_seed=42,
-                                 heuristics=(heuristic,), runs=50, instances=4,
-                                 keep_traces=True)
-            run_sweep(config)  # first-call allocations are not the batch's
+                                 heuristics=(heuristic,), runs=50, instances=4, profile=True)
+            with monkeypatch.context() as patch:
+                patch.setattr(hx, "_search", recording_search)
+                run_sweep(config)  # first-call allocations are not the batch's
+            assert len(traces) == 50 * len(q_values) and not any(traces)
+            traces.clear()
             gc.collect()
             tracemalloc.start()
             try:
@@ -300,6 +313,7 @@ class TestRunSweep:
             finally:
                 tracemalloc.stop()
             assert len(report.records) == 50 * len(q_values)
+            assert kept <= 0.1 * 2**20
             assert peak - kept <= bound * 2**20
 
     @pytest.mark.parametrize("n, k, q, mode, runs", [
@@ -454,15 +468,17 @@ class TestNeutralDegreeStats:
 
 
 class TestNeutralMutationProfile:
-    def test_requires_traces(self):
+    def test_requires_profile(self):
         report = run_sweep(small_config(heuristics=("ss",)))
-        with pytest.raises(ValueError, match="traces"):
+        assert report.profiles == {}
+        with pytest.raises(ValueError) as raised:
             neutral_mutation_profile(report)
+        assert str(raised.value) == "neutral_mutation_profile needs a sweep run with profile=True"
 
     def test_netcrawler_matches_degn_over_n(self):
         config = SweepConfig(n=16, k_values=(1,), q_values=(2,), base_seed=11,
                              heuristics=("nc",), runs=60, instances=3,
-                             step_max=300, keep_traces=True)
+                             step_max=300, profile=True)
         rows = neutral_mutation_profile(run_sweep(config))
         checked = 0
         for row in rows:
@@ -477,7 +493,7 @@ class TestNeutralMutationProfile:
     def test_scuba_rows_per_state_equals_per_step(self):
         config = SweepConfig(n=16, k_values=(2,), q_values=(2,), base_seed=13,
                              heuristics=("ss",), runs=30, instances=3,
-                             keep_traces=True)
+                             profile=True)
         rows = neutral_mutation_profile(run_sweep(config))
         assert rows, "scuba runs should produce profile rows"
         for row in rows:
@@ -496,7 +512,7 @@ class TestNeutralMutationProfile:
         monkeypatch.setattr(NkqLandscape, "generate", classmethod(counting_generate))
         config = SweepConfig(n=12, k_values=(0, 2), q_values=(2, 3), base_seed=8,
                              heuristics=("nc", "ss"), runs=5, instances=3,
-                             step_max=80, keep_traces=True)
+                             step_max=80, profile=True)
         report = run_sweep(config)
 
         def refuse(*args, **kwargs):
@@ -524,7 +540,7 @@ class TestNeutralMutationProfile:
     def test_profile_csv(self):
         config = SweepConfig(n=12, k_values=(1,), q_values=(2,), base_seed=3,
                              heuristics=("nc",), runs=5, instances=1,
-                             step_max=50, keep_traces=True)
+                             step_max=50, profile=True)
         rows = neutral_mutation_profile(run_sweep(config))
         buf = io.StringIO()
         write_profile_csv(rows, buf)
@@ -539,7 +555,7 @@ class TestProfileOrdering:
         # neutral-move probability at fixed degn: scuba >= netcrawler (q=3, n=64)
         config = SweepConfig(n=64, k_values=(4,), q_values=(3,), base_seed=2025,
                              heuristics=("nc", "ss"), runs=120, instances=10,
-                             step_max=300, keep_traces=True)
+                             step_max=300, profile=True)
         rows = neutral_mutation_profile(run_sweep(config))
         nc = {r.degn: r for r in rows if r.heuristic == "nc"}
         ss = {r.degn: r for r in rows if r.heuristic == "ss"}

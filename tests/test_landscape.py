@@ -310,6 +310,16 @@ class TestCachedGroup:
             landscape.batch_scan(np.zeros((1, 64), dtype=np.uint8))
         assert landscape._group is vars(landscape)["_group"]
 
+    def test_scans_build_no_searcher_arrays(self):
+        # batch_scan and batch_totals, the only scans degn and pathgraph
+        # make, read neither of the arrays only the searchers read, so a
+        # fresh landscape's group never builds them.
+        landscape = generate(64, 16, 2, seed=1)
+        states = np.zeros((2, 64), dtype=np.uint8)
+        landscape.batch_scan(states)
+        landscape.batch_totals(states)
+        assert not {"_targets", "_keys"} & vars(landscape._group).keys()
+
     def test_cached_group_makes_no_reference_cycle(self):
         # The group keeps no reference to its landscape, so the landscape
         # is freed by its reference count alone, with the cyclic GC off.

@@ -672,19 +672,43 @@ def test_profile_matches_rescan_oracle(data):
         base_seed=data.draw(st.integers(0, 2**32 - 1)),
         heuristics=("nc", "ss", "hc2"), runs=data.draw(st.integers(1, 3)),
         instances=data.draw(st.integers(1, 2)), step_max=data.draw(st.integers(1, 40)),
-        mode=data.draw(st.sampled_from(MODES)), keep_traces=True)
+        mode=data.draw(st.sampled_from(MODES)), profile=True)
     report = run_sweep(config)
     heuristics = ("nc", "ss", "hc2")
     assert _profile_as_tuples(neutral_mutation_profile(report, heuristics)) == \
         oracles.neutral_mutation_profile(report, heuristics)
     degns = {}
-    for rec in report.records:
-        if (rec.k, rec.q, rec.instance) not in degns:
-            degns[(rec.k, rec.q, rec.instance)] = oracles.memo_degn(generate(
-                n, rec.k, rec.q, config.mode, seed=rec.landscape_seed))
-        degn = degns[(rec.k, rec.q, rec.instance)]
-        for recorded, genotype in zip(rec.trace.degns.tolist(), rec.trace.genotypes().tolist()):
-            assert recorded == degn(tuple(genotype))
+    for rec, landscape, trace in oracles.replays(report):
+        key = (rec.k, rec.q, rec.landscape_seed)
+        if key not in degns:
+            degns[key] = oracles.memo_degn(landscape)
+        for recorded, genotype in zip(trace.degns.tolist(), trace.genotypes().tolist()):
+            assert recorded == degns[key](tuple(genotype))
+
+
+@pytest.mark.parametrize("step_max", [1, 31, 32, 33, 512, 513, 1025])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_profile_counts_match_traced_runs(step_max, data):
+    # The netcrawler's windows (_WINDOW = 32 proposals, more while few runs
+    # are live) and chunks (_PROPOSALS = 512) end at these budgets; a small
+    # _CRAWL_ENTRIES keeps every window at _WINDOW.
+    n = data.draw(st.integers(1, 10))
+    config = SweepConfig(
+        n=n, k_values=(data.draw(st.integers(0, n - 1)),),
+        q_values=tuple(sorted(set(data.draw(st.lists(
+            st.sampled_from((2, 3, 129)), min_size=1, max_size=2))))),
+        base_seed=data.draw(st.integers(0, 2**32 - 1)), runs=data.draw(st.integers(1, 12)),
+        instances=data.draw(st.integers(1, 3)), step_max=step_max, profile=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heuristics, "_CRAWL_ENTRIES", data.draw(st.sampled_from((1, 2**11))))
+        report = run_sweep(config)
+    counts = {h: np.zeros((4, n + 1), dtype=np.int64) for h in HEURISTICS}
+    for rec, _, trace in oracles.replays(report):
+        counts[rec.heuristic] += oracles.trace_counts(trace, n)
+    for h in HEURISTICS:
+        assert report.profiles[h].dtype == np.int64
+        assert report.profiles[h].tolist() == counts[h].tolist()
 
 
 # Chunks that keep a document close to valid (integers, signs, separators)

@@ -137,10 +137,9 @@ def _cmd_run(args) -> int:
     if landscape is None:
         landscape = generate(args.n, args.k, args.q, args.mode,
                              seed=ex.landscape_seed(seed, args.k, args.q, 0))
-    rs = ex.run_seed(seed, landscape.k, landscape.q, args.heuristic, 0, 0)
-    rng = np.random.default_rng(rs)
-    s0 = rng.integers(0, 2, size=landscape.n, dtype=np.uint8)
-    result = hx.search(landscape, args.heuristic, [s0], [rng], args.step_max, args.trace)[0]
+    (rs,), rngs, starts = next(ex._run_streams(seed, landscape.n, landscape.k,
+                                               [(landscape.q, args.heuristic, 0, 0)], 1))
+    result = hx.search(landscape, args.heuristic, starts, rngs, args.step_max, args.trace)[0]
     fv = result.fitness
     print(f"heuristic: {args.heuristic}")
     print(f"landscape: n={landscape.n} k={landscape.k} q={landscape.q} "

@@ -3,7 +3,11 @@
 Every run in a sweep is reproducible in isolation: the landscape of
 instance ``i`` in cell ``(k, q)`` and the RNG stream of run ``r`` are both
 derived from the sweep's base seed with :func:`derive_seed`, so repeating a
-configuration reproduces every output byte. All heuristics of a cell share
+configuration reproduces every output byte. :func:`derive_seed` is
+``SeedSequence``'s mix, written here once for one seed or, over uint64
+arrays, for a batch: a sweep mixes the run seeds of all heuristics of a
+group, and the PCG64 seeding words they give, in one pass, and draws each
+run's start from raw 32-bit halves. All heuristics of a cell share
 the same ``instances`` landscapes; run streams are heuristic-specific.
 Results aggregate into per-cell means (fitness, evaluations, step counters)
 plus the neutral-move statistics used for profile and step-count curves. A
@@ -34,9 +38,19 @@ _SAMPLE_STREAM = 103
 # (K=12 in threes) sweep-grid's peak RSS rose by up to 4 MB for some output
 # paths.
 _BATCH_BYTES = 2**21
-# Bytes tracemalloc sees one run's Generator (with its PCG64 and SeedSequence)
-# take as _run_group makes it, on numpy 2.4.
-_RUN_OBJECT_BYTES = 824
+# Bytes tracemalloc sees one run's Generator (with its PCG64) take as
+# _run_group makes it, on numpy 2.4, and one RunResult of a batch, less its
+# n alleles, on CPython 3.11 (its ints and float vary by a few dozen bytes).
+_RUN_OBJECT_BYTES = 544
+_RESULT_BYTES = 400
+
+# SeedSequence's hash constants (numpy.random.bit_generator), which NEP 19
+# keeps stable with its output.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
 SWEEP_HEADER = (
     "heuristic,n,k,q,runs,mean_fitness,std_fitness,"
@@ -50,6 +64,80 @@ PROFILE_HEADER = "heuristic,degn,steps,p_neutral_step,visits,p_neutral_state"
 STEP_STATS_HEADER = "k,q,runs,mean_steps,mean_flat"
 
 
+def _mix(entropy, n_words) -> list:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)``, word by
+    word, for 32-bit entropy words that are Python ints or equal-length
+    uint64 arrays, one entry per row; a word of the result is an array if
+    any entropy word is. The hash constants' sequence does not depend on the
+    data, so every row mixes at once."""
+    hash_a = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        # A uint64 array wraps where a Python int goes negative; both mask
+        # to the same 32 bits.
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state, hash_b = [], _INIT_B
+    for i in range(2 * n_words):
+        value = pool[i % _POOL_SIZE] ^ hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * hash_b & _MASK32
+        state.append(value ^ (value >> 16))
+    return [lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])]
+
+
+def _words(part: int) -> list[int]:
+    """The 32-bit words of a non-negative int, low first, at least one, as
+    ``SeedSequence`` reads an entropy part."""
+    words = [part & _MASK32]
+    while part := part >> 32:
+        words.append(part & _MASK32)
+    return words
+
+
+def _seed_state(parts, n_words) -> list:
+    """``SeedSequence(parts).generate_state(n_words, np.uint64)``: Python
+    ints when every part is a non-negative Python int, else uint64 arrays
+    with one entry per row, when some parts are uint64 arrays of one length.
+    An array entry enters as one word, or two where it is 2**32 or more, so
+    the rows mix in groups of one entropy layout."""
+    arrays = [j for j, p in enumerate(parts) if isinstance(p, np.ndarray)]
+    if not arrays:
+        return _mix([w for p in parts for w in _words(p)], n_words)
+    layout = sum((parts[j] > _MASK32).astype(np.int64) << b for b, j in enumerate(arrays))
+    out = np.empty((n_words, len(layout)), dtype=np.uint64)
+    # A set, not np.unique, which imports numpy.ma (1 MB) on first use.
+    for key in set(layout.tolist()):
+        rows = np.flatnonzero(layout == key)
+        words, b = [], 0
+        for p in parts:
+            if not isinstance(p, np.ndarray):
+                words += _words(p)
+                continue
+            words.append(p[rows] & _MASK32)
+            if key >> b & 1:
+                words.append(p[rows] >> 32)
+            b += 1
+        out[:, rows] = _mix(words, n_words)
+    return list(out)
+
+
 def derive_seed(*parts: int) -> int:
     """Stable 64-bit mix of non-negative integer parts.
 
@@ -58,7 +146,7 @@ def derive_seed(*parts: int) -> int:
     """
     for p in parts:
         check_seed(p, "seed part")
-    return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1, np.uint64)[0])
+    return _seed_state([int(p) for p in parts], 1)[0]
 
 
 def landscape_seed(base_seed: int, k: int, q: int, instance: int) -> int:
@@ -69,10 +157,51 @@ def landscape_seed(base_seed: int, k: int, q: int, instance: int) -> int:
 def run_seed(base_seed: int, k: int, q: int, heuristic: str, instance: int,
              run: int) -> int:
     """Seed of one run's RNG stream (initial genotype and tie-breaks)."""
-    # A heuristic's id in the seed is its position in HEURISTICS plus one,
-    # so reordering HEURISTICS would change every run stream.
+    # A heuristic's id is its position in HEURISTICS plus one (_run_streams).
     return derive_seed(base_seed, _RUN_STREAM, k, q,
                        hx.HEURISTICS.index(heuristic) + 1, instance, run)
+
+
+class _SeedWords:
+    """PCG64 seeding words mixed in bulk: each ``generate_state`` call, one
+    per PCG64 built from it, returns the next row of an (R, 4) uint64 array,
+    which for a run seed s is ``SeedSequence(s).generate_state(4,
+    np.uint64)``, so the PCG64 is ``default_rng(s)``'s."""
+
+    def __init__(self, words):
+        # A PCG64 takes an ISeedSequence. Registered here, not subclassed,
+        # so importing this module does not load numpy.random.
+        np.random.bit_generator.ISeedSequence.register(_SeedWords)
+        self._rows = iter(words)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return next(self._rows)
+
+
+def _run_streams(base_seed, n, k, rows, size):
+    """Yield ``(seeds, rngs, starts)`` for each ``size`` consecutive runs of
+    ``rows``, (q, heuristic, instance, run) tuples of cells of K ``k``:
+    their :func:`run_seed` values, their Generators, each
+    ``default_rng(seed)``'s, and the (size, n) uint8 start genotypes each
+    draws first. The seeds of all rows and their PCG64 seeding words are
+    mixed at once, the Generators built as each batch is asked for. A start
+    is ``integers(0, 2, size=n, dtype=np.uint8)``, read off the next
+    ``ceil(n/4)`` halves (:func:`~.heuristics._next_halves`), which that
+    draw consumes, leaving the same one buffered: bit j is the top bit of
+    little-endian byte j, numpy's Lemire map of a byte onto {0, 1}."""
+    # A heuristic's id in the seed is its position in HEURISTICS plus one,
+    # so reordering HEURISTICS would change every run stream.
+    cells = np.array([(q, hx.HEURISTICS.index(h) + 1, instance, run)
+                      for q, h, instance, run in rows], dtype=np.uint64).T
+    seeds, = _seed_state([int(base_seed), _RUN_STREAM, int(k), *cells], 1)
+    feed = _SeedWords(np.stack(_seed_state([seeds], 4), axis=1))
+    halves = -(-n // 4)
+    for low in range(0, seeds.size, size):
+        rngs = [np.random.Generator(np.random.PCG64(feed))
+                for _ in range(min(size, seeds.size - low))]
+        drawn = np.array([hx._next_halves(rng, halves) for rng in rngs])
+        starts = drawn.astype("<u4", copy=False).view(np.uint8)[:, :n] >> 7
+        yield seeds[low:low + size].tolist(), rngs, starts
 
 
 def check_grid(n, k_values, q_values, mode=RANDOM) -> None:
@@ -216,14 +345,16 @@ def _held_bytes(config: SweepConfig, landscape) -> int:
     the arrays of a throwaway group of one (the batch's group holds them,
     and its searchers build those a group builds on first use) and the
     batch's copy of its table, and its runs' positions, deltas, starts,
-    counters, proposals and Generators."""
+    counters, proposals, tie-break halves, Generators and results, and
+    each heuristic's seed and PCG64 seeding words for each run."""
     group = _Group([landscape])
     group._targets, group._keys  # built into vars(group)
     arrays = [landscape.links, landscape.tables, *vars(group).values()]
     runs = -(-config.runs // config.instances)
     return (sum(a.nbytes for a in arrays if isinstance(a, np.ndarray) and a.base is None)
             + landscape.tables.nbytes
-            + runs * (17 * config.n + 48 + 8 * hx._PROPOSALS + _RUN_OBJECT_BYTES))
+            + runs * (18 * config.n + 48 + 8 * hx._PROPOSALS + 4 * hx._BLOCK
+                      + _RUN_OBJECT_BYTES + _RESULT_BYTES + 40 * len(config.heuristics)))
 
 
 def _run_k(config: SweepConfig, k: int, profiles) -> dict[tuple[int, str], list[RunRecord]]:
@@ -262,10 +393,10 @@ def _run_group(config: SweepConfig, k: int, cells, landscapes, out, profiles) ->
     runs = [(i, q, inst, r) for i, (q, inst) in enumerate(cells)
             for r in range(inst, config.runs, config.instances)]
     at = np.array([i for i, *_ in runs], dtype=np.intp)
-    for h in config.heuristics:
-        seeds = [run_seed(config.base_seed, k, q, h, inst, r) for _, q, inst, r in runs]
-        rngs = [np.random.default_rng(rs) for rs in seeds]
-        starts = np.array([rng.integers(0, 2, size=config.n, dtype=np.uint8) for rng in rngs])
+    streams = _run_streams(config.base_seed, config.n, k,
+                           [(q, h, inst, r) for h in config.heuristics for _, q, inst, r in runs],
+                           len(runs))
+    for h, (seeds, rngs, starts) in zip(config.heuristics, streams):
         results = hx._search(batch, h, at, starts, rngs, config.step_max, False,
                              profiles.get(h))
         for (i, q, inst, r), rs, result in zip(runs, seeds, results):

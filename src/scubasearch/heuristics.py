@@ -37,8 +37,10 @@ netcrawler jumps each live run to its first accepted proposal in a window
 of the next ones, since a rejection leaves the state as it is. Each run
 reads only its own landscape and draws from its own stream only, what it
 would draw alone (the netcrawler's proposals in chunks, which continue one
-stream), so batching cannot change an output; the four searchers are
-batches of one. Locality over every genotype of a small landscape is
+stream; a tie-break ``integers(c)`` off the run's 32-bit halves, which
+:class:`_Halves` draws ``_BLOCK`` at a time, so a round makes no call per
+run but refills), so batching cannot change an output; the four searchers
+are batches of one. Locality over every genotype of a small landscape is
 :func:`~.pathgraph.census`.
 
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
@@ -93,6 +95,8 @@ _PROPOSALS = 512
 # _CRAWL_ENTRIES in all, so a small batch needs few rounds.
 _WINDOW = 32
 _CRAWL_ENTRIES = 2**11
+# Tie-break halves a run draws from its stream at a time (_Halves).
+_BLOCK = 16
 # Entries of the (n, n) pair gains one round of hc2 holds, so a batch holds
 # those of at most max(1, _PAIR_ENTRIES // n**2) runs at a time.
 _PAIR_ENTRIES = 2**18
@@ -271,17 +275,75 @@ class _Runs:
                     self.moves[:, 1].tolist(), evaluations.tolist(), traces)]
 
 
-def _draw(rngs, runs, picks):
+def _next_halves(rng, m) -> np.ndarray:
+    """``rng.integers(0, 2**32, size=m, dtype=np.uint32)``: the next m
+    32-bit halves of ``rng``'s stream, low half of each word first, a half
+    the Generator holds buffered first, and an odd last word's high half
+    left buffered. A PCG64 with none buffered gives its whole words from
+    one ``random_raw`` call, several times cheaper than ``integers``; the
+    last half of an odd m comes from ``integers``, which buffers the other
+    as the one draw would."""
+    bits = rng.bit_generator
+    if type(bits) is not np.random.PCG64 or bits.state["has_uint32"]:
+        return rng.integers(0, 2**32, size=m, dtype=np.uint32)
+    halves = bits.random_raw(m // 2).astype("<u8", copy=False).view("<u4")
+    if m % 2:
+        halves = np.append(halves, rng.integers(0, 2**32, dtype=np.uint32))
+    return halves
+
+
+class _Halves:
+    """Each run's next 32-bit halves of its stream, for its tie-breaks: row
+    r of ``block`` holds run r's, of which it has read ``used[r]``. A run
+    that has read all ``_BLOCK`` refills them with :func:`_next_halves`,
+    the halves its ``integers(c)`` calls would take."""
+
+    def __init__(self, rngs):
+        self.rngs = rngs
+        self.block = np.empty((len(rngs), _BLOCK), dtype=np.uint32)
+        self.used = np.full(len(rngs), _BLOCK)
+
+
+def _bounded(halves, runs, counts) -> np.ndarray:
+    """What ``integers(counts[i])`` of run ``runs[i]``'s own stream gives,
+    for every i at once, as int64: numpy's Lemire map of the run's next
+    half x, ``(x*c) >> 32``, rejecting x while ``x*c mod 2**32 < 2**32 %
+    c``. A count of one reads no half."""
+    draws = np.zeros(runs.size, dtype=np.int64)
+    tied = np.flatnonzero(counts > 1)
+    c = counts[tied].astype(np.uint64)
+    while tied.size:
+        rows = runs[tied]
+        used = halves.used[rows]
+        if used.max() == _BLOCK:
+            spent = used == _BLOCK
+            for r in rows[spent].tolist():
+                halves.block[r] = _next_halves(halves.rngs[r], _BLOCK)
+            used[spent] = 0
+        halves.used[rows] = used + 1
+        m = halves.block[rows, used] * c
+        draws[tied] = m >> 32
+        # A half is rejected with probability (2**32 % c) / 2**32, so
+        # rarely unless c is large.
+        again = (m & 0xFFFFFFFF) < 2**32 % c
+        tied, c = tied[again], c[again]
+    return draws
+
+
+def _draw(halves, runs, picks):
     """The locus each of ``runs`` moves at: run ``runs[i]`` draws one
-    ``integers(#candidates)`` from its own stream over its candidate loci,
-    row i of ``picks``, in ascending order."""
-    draws = [rngs[r].integers(c) for r, c in zip(runs.tolist(), picks.sum(axis=1).tolist())]
-    return (picks.cumsum(axis=1) > np.array(draws, dtype=np.int64)[:, None]).argmax(axis=1)
+    ``integers(#candidates)`` from its own stream (:func:`_bounded`) over
+    its candidate loci, row i of ``picks``, in ascending order."""
+    counts = picks.sum(axis=1)
+    if counts.size and counts.max() > 1:
+        draws = _bounded(halves, runs, counts)
+        return (picks.cumsum(axis=1) > draws[:, None]).argmax(axis=1)
+    return picks.argmax(axis=1)
 
 
-def _climb(runs, rngs, neutral_phase) -> list[RunResult]:
+def _climb(runs, halves, neutral_phase) -> list[RunResult]:
     """Hill climbing, or scuba when ``neutral_phase``, of each of ``runs``,
-    run i drawing from ``rngs[i]``; each round moves every live run once.
+    run i drawing from its ``halves``; each round moves every live run once.
 
     At each point: if ``neutral_phase`` and some neutral neighbor has a
     strictly higher evolvability than the point itself, flip to a uniformly
@@ -293,8 +355,8 @@ def _climb(runs, rngs, neutral_phase) -> list[RunResult]:
     group = runs.group
     block = group._scan_rows  # the guard reads mutant deltas in batch_scan's blocks
     # The neutral neighbors each run's guard has read.
-    guarded = np.zeros(len(rngs), dtype=np.int64)
-    live = np.arange(len(rngs))
+    guarded = np.zeros(len(runs.s0), dtype=np.int64)
+    live = np.arange(len(runs.s0))
     while live.size:
         d = runs.d[live]
         gain = d.max(axis=1)
@@ -319,17 +381,17 @@ def _climb(runs, rngs, neutral_phase) -> list[RunResult]:
             picks[at[best], loci[best]] = True
             moving |= flat
         live = live[moving]
-        runs.flip(live, _draw(rngs, live, picks[moving]))
+        runs.flip(live, _draw(halves, live, picks[moving]))
     steps = runs.moves.sum(axis=1)
     return runs.results(steps, group.n * (steps + 1 + guarded))
 
 
-def _climb2(runs, rngs) -> list[RunResult]:
-    """:func:`hill_climb2` of each of ``runs``, run i drawing from
-    ``rngs[i]``; each round moves every live run once, reading the pair
+def _climb2(runs, halves) -> list[RunResult]:
+    """:func:`hill_climb2` of each of ``runs``, run i drawing from its
+    ``halves``; each round moves every live run once, reading the pair
     gains of ``max(1, _PAIR_ENTRIES // n**2)`` runs at a time."""
     n = runs.group.n
-    live = np.arange(len(rngs))
+    live = np.arange(len(runs.s0))
     chunk = max(1, _PAIR_ENTRIES // (n * n))
     while live.size:
         moved = []
@@ -345,7 +407,7 @@ def _climb2(runs, rngs) -> list[RunResult]:
             picks = np.where((d.max(axis=1) == ext)[:, None], d, best) == ext[:, None]
             moving = np.flatnonzero(ext > 0)
             rows = rows[moving]
-            loci = _draw(rngs, rows, picks[moving])
+            loci = _draw(halves, rows, picks[moving])
             runs.flip(rows, loci, gains[moving, loci])
             moved.append(rows)
         live = np.concatenate(moved)
@@ -394,7 +456,9 @@ def search(landscape, heuristic, starts, rngs, step_max=300, trace=False) -> lis
     """One run of ``heuristic`` on ``landscape`` from each genotype of
     ``starts``, run i drawing its tie-breaks and proposals from ``rngs[i]``
     only, so each result is the one the run gives alone; the runs advance
-    together. The engine's one checked door: every input is checked here,
+    together. Tie-breaks are drawn ``_BLOCK`` halves at a time, so a
+    Generator may be left up to one block past the last half its run
+    used. The engine's one checked door: every input is checked here,
     before anything is built."""
     if not isinstance(landscape, NkqLandscape):
         raise LandscapeError(f"search takes one NkqLandscape, got {type(landscape).__name__}")
@@ -421,8 +485,8 @@ def _search(group, heuristic, instances, starts, rngs, step_max, trace,
     if heuristic == "nc":
         return _crawl(runs, rngs, step_max)
     if heuristic == "hc2":
-        return _climb2(runs, rngs)
-    return _climb(runs, rngs, neutral_phase=heuristic == "ss")
+        return _climb2(runs, _Halves(rngs))
+    return _climb(runs, _Halves(rngs), neutral_phase=heuristic == "ss")
 
 
 def hill_climb(landscape, s0, rng, trace=False) -> RunResult:

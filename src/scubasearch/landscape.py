@@ -429,7 +429,9 @@ class _Group:
     - The by-locus row of key ``i*n + l``: ``_counts[key]`` entries from
       ``_starts[key]`` of ``_comps`` (the components reading locus l of
       instance i, ascending) and ``_weights`` (l's weight in each),
-      unpadded; ``_targets[e]`` lists the loci entry e's component reads.
+      unpadded; ``_row_starts[i, l]`` is that start within instance i's
+      block of n*(k+1) entries; ``_targets[e]`` lists the loci entry e's
+      component reads.
     - ``_masks``, XORed into a position, reach the component's distance-2
       table ball: 0, the ``_bits``, then the ``_bits[_pa] | _bits[_pb]``.
       ``_keys[i, j, p]``, C-ordered so gathered rows ravel uncopied, is the
@@ -462,6 +464,11 @@ class _Group:
         self._comps, self._weights = entries % n, self._bits[slots]
         self._counts = np.bincount(readers, minlength=len(landscapes) * n)
         self._starts = np.cumsum(self._counts) - self._counts
+        # Instance i's n*(k+1) entries are the i-th block, and its rows'
+        # starts within it are below n*(k+1) <= MAX_TABLE_ENTRIES, so int32
+        # holds them.
+        self._row_starts = (self._starts.reshape(-1, n)
+                            - n * (k + 1) * np.arange(len(landscapes))[:, None]).astype(np.int32)
 
     @cached_property
     def _targets(self) -> np.ndarray:
@@ -497,8 +504,7 @@ class _Group:
         comps = self._comps[entries]
         vals = self._tab[pos]
         dvals = self._tab[pos[:, comps] ^ self._weights[entries]] - vals[:, comps]
-        deltas = np.add.reduceat(dvals, self._starts[i * self.n:(i + 1) * self.n] - i * size,
-                                 axis=1, dtype=np.int64)
+        deltas = np.add.reduceat(dvals, self._row_starts[i], axis=1, dtype=np.int64)
         return pos, vals.sum(axis=1, dtype=np.int64), deltas
 
     def _pair_gains(self, idx, d, instances) -> np.ndarray:

@@ -103,15 +103,15 @@ class TestSeedDerivation:
 
 def run_object_bytes() -> int:
     """Bytes tracemalloc sees one run's Generator take, made as
-    ``_run_group`` makes it: the growth from 128 more runs, per run, so
-    one-off allocations cancel. The starts it draws are stacked into the
-    run state's ``s0``, which ``batch_bytes`` counts."""
-    seeds = [run_seed(1, 0, 2, "hc", 0, r) for r in range(192)]
-    rngs, traced = [None] * len(seeds), []
+    ``_run_group`` makes it (:func:`experiments._run_streams`): the growth
+    from 128 more runs, per run, so one-off allocations cancel. The starts
+    it draws are stacked into the run state's ``s0``, which ``batch_bytes``
+    counts."""
+    streams = experiments._run_streams(1, 64, 0, [(2, "hc", 0, r) for r in range(192)], 1)
+    rngs, traced = [None] * 192, []
     tracemalloc.start()
     try:
-        for r, seed in enumerate(seeds):
-            rngs[r] = np.random.default_rng(seed)
+        for r, (_, (rngs[r],), _) in enumerate(streams):
             if r in (63, 191):
                 traced.append(tracemalloc.get_traced_memory()[0])
     finally:
@@ -119,10 +119,35 @@ def run_object_bytes() -> int:
     return (traced[1] - traced[0]) // 128
 
 
-def batch_bytes(landscapes, runs) -> int:
+def result_bytes(n=64) -> int:
+    """Bytes tracemalloc sees one hc RunResult of a sweep's batch take, its
+    ints, float and view of the batch's terminals included, less its ``n``
+    alleles: the bytes that dropping 128 of them frees, per result.
+    CPython's free lists keep some of what is dropped, so this moves by a
+    few dozen bytes with what ran before."""
+    landscape = generate(n, 0, 2, seed=1)
+    streams = experiments._run_streams(1, n, 0, [(2, "hc", 0, r) for r in range(128)], 128)
+    _, rngs, starts = next(streams)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        results = hx._search(landscape._group, "hc", np.zeros(128, dtype=np.intp), starts,
+                             rngs, 300, False)
+        held = tracemalloc.get_traced_memory()[0]
+        results = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return freed // 128 - n
+
+
+def batch_bytes(landscapes, runs, heuristics=len(HEURISTICS)) -> int:
     """Bytes the arrays of ``landscapes`` and of a batch of ``runs`` runs on
-    each of them hold, netcrawler proposals, each run's Generator and the
-    group's searcher arrays (built on first use) included; a group of one
+    each of them hold, netcrawler proposals, tie-break halves, each run's
+    Generator, the alleles of its result, each of ``heuristics``' run seeds
+    and seeding words and the group's searcher arrays (built on first use)
+    included, with :data:`experiments._RESULT_BYTES` for the rest of each
+    result (``test_result_bytes_match_their_measure``); a group of one
     reads its table uncopied, so it counts twice, as a batch of several
     copies it; a view counts as the array it views, and an array held twice
     once."""
@@ -134,8 +159,9 @@ def batch_bytes(landscapes, runs) -> int:
               for value in vars(owner).values() if isinstance(value, np.ndarray)
               for base in [value if value.base is None else value.base]}
     copy = landscapes[0].tables.nbytes if len(landscapes) == 1 else 0
-    return (copy + sum(a.nbytes for a in arrays.values())
-            + len(landscapes) * runs * (8 * hx._PROPOSALS + run_object_bytes()))
+    per_run = (8 * hx._PROPOSALS + hx._Halves([None]).block.nbytes + run_object_bytes()
+               + experiments._RESULT_BYTES + group.n + 40 * heuristics)
+    return copy + sum(a.nbytes for a in arrays.values()) + len(landscapes) * runs * per_run
 
 
 def track_groups(monkeypatch) -> list[int]:
@@ -202,7 +228,7 @@ class TestRunSweep:
         most_alive = track_landscapes(monkeypatch)
         report = run_sweep(config)
         assert most_alive == [1, 2, 3, 4] * 3
-        held = max(batch_bytes([generate(config.n, k, q, seed=1)], 3)
+        held = max(batch_bytes([generate(config.n, k, q, seed=1)], 3, len(config.heuristics))
                    for k in config.k_values for q in config.q_values)
         assert max(most_alive) * held <= experiments._BATCH_BYTES
         assert [(r.heuristic, r.k, r.q, r.run) for r in report.records] == [
@@ -263,7 +289,7 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "generate", tracked_generate)
         run_sweep(config)
         assert len(made) == instances
-        held = batch_bytes([generate(64, 0, 2, seed=1)], runs // instances)
+        held = batch_bytes([generate(64, 0, 2, seed=1)], runs // instances, 1)
         assert instances * 128 < experiments._BATCH_BYTES < instances * held
         assert 1 < max(alive) < instances
         assert max(alive) * held <= experiments._BATCH_BYTES
@@ -338,6 +364,9 @@ class TestRunSweep:
         for batch in (landscapes[:1], landscapes):
             over = len(batch) * min(held) - batch_bytes(batch, runs)
             assert 0 <= over <= 8 * len(batch) * runs + (len(batch) - 1) * shared
+
+    def test_result_bytes_match_their_measure(self):
+        assert abs(result_bytes() - experiments._RESULT_BYTES) <= 48
 
     def test_dispatch_rejects_unknown(self):
         landscape = generate(6, 1, 2, seed=1)

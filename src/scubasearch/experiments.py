@@ -199,7 +199,8 @@ def _run_streams(base_seed, n, k, rows, size):
     for low in range(0, seeds.size, size):
         rngs = [np.random.Generator(np.random.PCG64(feed))
                 for _ in range(min(size, seeds.size - low))]
-        drawn = np.array([hx._next_halves(rng, halves) for rng in rngs])
+        # A Generator built from seeding words holds no buffered half.
+        drawn = np.array([hx._next_halves(rng, halves, False) for rng in rngs])
         starts = drawn.astype("<u4", copy=False).view(np.uint8)[:, :n] >> 7
         yield seeds[low:low + size].tolist(), rngs, starts
 

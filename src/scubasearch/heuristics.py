@@ -22,8 +22,14 @@ scuba ``(1+Degn(s))*n`` per inner-guard evaluation.
 
 The searchers carry the one-bit deltas ``d`` of the current point instead
 of rescanning it: a proposal at locus l reads ``total + d[l]``, and a move
-updates ``d`` from the components that read the flipped locus. The charges
-are the queries, not this compute. :func:`search` advances the runs of one
+updates ``d`` from the components that read the flipped locus. hc2 carries
+each run's pair sums too, a symmetric (n, n) matrix of the two-bit
+interaction terms of the components that read both loci of a pair, in the
+smallest signed dtype holding ``2*n*(q-1) + 1`` (a pair's sum is a gain of
+two flips less a one-bit delta, each a difference of two totals), and a
+move adds the new terms less the old of the components that read the
+flipped locus. The charges are the queries, not this compute: each step is
+still charged as a full scan. :func:`search` advances the runs of one
 landscape together in one run state, over the kernels of its cached group
 of one (:class:`~.landscape._Group`, which derives every array they read);
 a sweep builds one group of an instance group's landscapes, of one K and
@@ -31,8 +37,9 @@ any of its q values, for all its heuristics (:func:`_search`). Each round
 moves its moving runs with one flip update: the climbers move every live
 run once, scuba's guard reading every live run's neutral neighbors from
 blocks of mutant deltas, flip updates of copies of their rows, and hc2
-their distance-2 balls from one batch of pair gains, whose rows are its
-moved runs' new deltas, so its flip update only moves table positions; the
+their distance-2 balls off their pair sums plus ``d``, a chunk of runs at a
+time, each to its end: the gains' rows are its moved runs' new deltas, so
+its flip update only moves table positions and pair sums; the
 netcrawler jumps each live run to its first accepted proposal in a window
 of the next ones, since a rejection leaves the state as it is. Each run
 reads only its own landscape and draws from its own stream only, what it
@@ -97,8 +104,10 @@ _WINDOW = 32
 _CRAWL_ENTRIES = 2**11
 # Tie-break halves a run draws from its stream at a time (_Halves).
 _BLOCK = 16
-# Entries of the (n, n) pair gains one round of hc2 holds, so a batch holds
-# those of at most max(1, _PAIR_ENTRIES // n**2) runs at a time.
+# Entries of the (n, n) pair sums hc2 carries for a chunk of runs, each
+# chunk run to its end, so a batch holds those of at most
+# max(1, _PAIR_ENTRIES // n**2) runs at a time, plus one round's gains of
+# as many, each entry at most 8 bytes (int16 on the paper grid).
 _PAIR_ENTRIES = 2**18
 
 
@@ -275,18 +284,26 @@ class _Runs:
                     self.moves[:, 1].tolist(), evaluations.tolist(), traces)]
 
 
-def _next_halves(rng, m) -> np.ndarray:
+def _buffered(rng) -> bool:
+    """Whether ``rng`` is a PCG64 Generator holding a buffered half, read
+    off its state (a dict of Python ints, about a microsecond)."""
+    bits = rng.bit_generator
+    return type(bits) is np.random.PCG64 and bool(bits.state["has_uint32"])
+
+
+def _next_halves(rng, m, buffered) -> np.ndarray:
     """``rng.integers(0, 2**32, size=m, dtype=np.uint32)``: the next m
     32-bit halves of ``rng``'s stream, low half of each word first, a half
     the Generator holds buffered first, and an odd last word's high half
-    left buffered. A PCG64 with none buffered gives its whole words from
-    one ``random_raw`` call, several times cheaper than ``integers``; the
-    last half of an odd m comes from ``integers``, which buffers the other
-    as the one draw would."""
-    bits = rng.bit_generator
-    if type(bits) is not np.random.PCG64 or bits.state["has_uint32"]:
+    left buffered; ``buffered`` is :func:`_buffered` of ``rng``, which the
+    caller knows (m halves leave one buffered exactly when it differs from
+    m being odd). A PCG64 with none buffered gives its whole words from one
+    ``random_raw`` call, several times cheaper than ``integers``; the last
+    half of an odd m comes from ``integers``, which buffers the other as
+    the one draw would."""
+    if buffered or type(rng.bit_generator) is not np.random.PCG64:
         return rng.integers(0, 2**32, size=m, dtype=np.uint32)
-    halves = bits.random_raw(m // 2).astype("<u8", copy=False).view("<u4")
+    halves = rng.bit_generator.random_raw(m // 2).astype("<u8", copy=False).view("<u4")
     if m % 2:
         halves = np.append(halves, rng.integers(0, 2**32, dtype=np.uint32))
     return halves
@@ -295,13 +312,24 @@ def _next_halves(rng, m) -> np.ndarray:
 class _Halves:
     """Each run's next 32-bit halves of its stream, for its tie-breaks: row
     r of ``block`` holds run r's, of which it has read ``used[r]``. A run
-    that has read all ``_BLOCK`` refills them with :func:`_next_halves`,
-    the halves its ``integers(c)`` calls would take."""
+    that has read all ``_BLOCK`` refills them (:meth:`refill`) with
+    :func:`_next_halves`, the halves its ``integers(c)`` calls would take;
+    whether its stream holds a buffered half (``buffered[r]``) is read at
+    its first refill and follows from then on."""
 
     def __init__(self, rngs):
         self.rngs = rngs
         self.block = np.empty((len(rngs), _BLOCK), dtype=np.uint32)
         self.used = np.full(len(rngs), _BLOCK)
+        self.buffered = [None] * len(rngs)
+
+    def refill(self, r) -> None:
+        """Draw run r's next ``_BLOCK`` halves into its row of ``block``."""
+        rng, buffered = self.rngs[r], self.buffered[r]
+        if buffered is None:
+            buffered = _buffered(rng)
+        self.block[r] = _next_halves(rng, _BLOCK, buffered)
+        self.buffered[r] = buffered != (_BLOCK % 2 == 1)
 
 
 def _bounded(halves, runs, counts) -> np.ndarray:
@@ -318,7 +346,7 @@ def _bounded(halves, runs, counts) -> np.ndarray:
         if used.max() == _BLOCK:
             spent = used == _BLOCK
             for r in rows[spent].tolist():
-                halves.block[r] = _next_halves(halves.rngs[r], _BLOCK)
+                halves.refill(r)
             used[spent] = 0
         halves.used[rows] = used + 1
         m = halves.block[rows, used] * c
@@ -333,12 +361,14 @@ def _bounded(halves, runs, counts) -> np.ndarray:
 def _draw(halves, runs, picks):
     """The locus each of ``runs`` moves at: run ``runs[i]`` draws one
     ``integers(#candidates)`` from its own stream (:func:`_bounded`) over
-    its candidate loci, row i of ``picks``, in ascending order."""
-    counts = picks.sum(axis=1)
-    if counts.size and counts.max() > 1:
-        draws = _bounded(halves, runs, counts)
-        return (picks.cumsum(axis=1) > draws[:, None]).argmax(axis=1)
-    return picks.argmax(axis=1)
+    its candidate loci, row i of ``picks``, in ascending order, all read
+    off one ``flatnonzero`` of ``picks``."""
+    n = picks.shape[1]
+    at = np.flatnonzero(picks)
+    # Row i's candidates are at[bounds[i]:bounds[i + 1]].
+    bounds = np.searchsorted(at, np.arange(0, picks.size + 1, n))
+    starts = bounds[:-1]
+    return at[starts + _bounded(halves, runs, bounds[1:] - starts)] % n
 
 
 def _climb(runs, halves, neutral_phase) -> list[RunResult]:
@@ -388,17 +418,18 @@ def _climb(runs, halves, neutral_phase) -> list[RunResult]:
 
 def _climb2(runs, halves) -> list[RunResult]:
     """:func:`hill_climb2` of each of ``runs``, run i drawing from its
-    ``halves``; each round moves every live run once, reading the pair
-    gains of ``max(1, _PAIR_ENTRIES // n**2)`` runs at a time."""
-    n = runs.group.n
-    live = np.arange(len(runs.s0))
+    ``halves``, in chunks of ``max(1, _PAIR_ENTRIES // n**2)`` runs, each
+    run to its end; each round moves every live run of the chunk once. A
+    chunk carries its runs' pair sums across moves: built once, then moved
+    with each run's flip by the components that read the flipped locus."""
+    group, n = runs.group, runs.group.n
     chunk = max(1, _PAIR_ENTRIES // (n * n))
-    while live.size:
-        moved = []
-        for first in range(0, live.size, chunk):
-            rows = live[first:first + chunk]
-            d = runs.d[rows]
-            gains = runs.group._pair_gains(runs.idx[rows], d, runs.instances[rows])
+    for first in range(0, len(runs.s0), chunk):
+        live = np.arange(first, min(first + chunk, len(runs.s0)))
+        pairs = group._pair_sums(runs.idx[live], runs.instances[live])
+        while live.size:
+            d = runs.d[live]
+            gains = group._pair_gains(pairs[live - first], d)
             # Locus a's best gain is the best one in its one-bit mutant's
             # neighborhood: the mutant itself (0 more) or a pair, the point
             # itself (a flipped back, -d[a] more) included.
@@ -406,11 +437,11 @@ def _climb2(runs, halves) -> list[RunResult]:
             ext = best.max(axis=1)
             picks = np.where((d.max(axis=1) == ext)[:, None], d, best) == ext[:, None]
             moving = np.flatnonzero(ext > 0)
-            rows = rows[moving]
-            loci = _draw(halves, rows, picks[moving])
-            runs.flip(rows, loci, gains[moving, loci])
-            moved.append(rows)
-        live = np.concatenate(moved)
+            live = live[moving]
+            loci = _draw(halves, live, picks[moving])
+            group._move_pairs(pairs, runs.idx[first:], live - first,
+                              runs.instances[live] * n + loci)
+            runs.flip(live, loci, gains[moving, loci])
     steps = runs.moves.sum(axis=1)
     return runs.results(steps, (steps + 1) * (n + n * (n - 1) // 2))
 

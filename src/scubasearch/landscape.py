@@ -434,8 +434,10 @@ class _Group:
       component reads.
     - ``_masks``, XORed into a position, reach the component's distance-2
       table ball: 0, the ``_bits``, then the ``_bits[_pa] | _bits[_pb]``.
-      ``_keys[i, j, p]``, C-ordered so gathered rows ravel uncopied, is the
-      flat n x n position of the pair ``_loci[i, j, [_pa[p], _pb[p]]]``.
+      ``_keys[i, j, p]`` (C-ordered) is the flat n x n position of the pair
+      ``_loci[i, j, [_pa[p], _pb[p]]]``; hc2's pair sums of a row, a
+      symmetric (n, n) matrix, hold each pair's terms in ``_pair_dtype``,
+      the smallest signed dtype holding ``-(2*n*(q-1) + 1)``.
     - ``_scan_rows``: the rows of a scan block, at most :data:`_SCAN_ENTRIES` entries.
 
     Only the searchers read ``_targets`` and ``_keys``, so each is built on
@@ -454,6 +456,7 @@ class _Group:
         self._pa, self._pb = np.triu_indices(k + 1, 1)
         self._masks = np.concatenate(([0], self._bits, self._bits[self._pa] | self._bits[self._pb]))
         self._scan_rows = max(1, _SCAN_ENTRIES // (n * (k + 1)))
+        self._pair_dtype = _table_dtype(2 * max(self.max_totals) + 1)
         self._loci = np.stack([np.column_stack((np.arange(n), other.links))
                                for other in landscapes])
         self._offsets = np.arange(len(landscapes) * n, dtype=np.int64).reshape(-1, n) << (k + 1)
@@ -507,28 +510,68 @@ class _Group:
         deltas = np.add.reduceat(dvals, self._row_starts[i], axis=1, dtype=np.int64)
         return pos, vals.sum(axis=1, dtype=np.int64), deltas
 
-    def _pair_gains(self, idx, d, instances) -> np.ndarray:
-        """``(R, n, n)`` int64: row [r, a] holds the one-bit deltas of row r
-        of the positions ``idx`` and deltas ``d`` of instance ``instances[r]``
-        with locus a flipped: ``d[b]`` plus the terms of the components
-        reading both a and b, and ``-d[a]`` at b == a. One gather of each
-        component's distance-2 table ball forms all n*C(k+1, 2) terms, and
-        one scatter sums them by pair."""
-        rows, n = d.shape
-        ball = self._tab[idx[:, :, None] ^ self._masks]
+    def _ball_terms(self, pos) -> np.ndarray:
+        """``pos.shape + (C(k+1, 2),)`` in ``_pair_dtype``: for each flat
+        table position x and pair p of its component's index bits, of
+        weights a = ``_bits[_pa[p]]`` and b = ``_bits[_pb[p]]``, the two-bit
+        interaction term ``T[x^a^b] - T[x^a] - T[x^b] + T[x]``, from one
+        gather of the component's distance-2 table ball: the one gather of
+        hc2's pair sums, built (:meth:`_pair_sums`) or moved
+        (:meth:`_move_pairs`)."""
+        ball = self._tab[pos[..., None] ^ self._masks]
         t0, t1, t2 = ball[..., :1], ball[..., 1:self.k + 2], ball[..., self.k + 2:]
         # Each difference fits the table dtype and a term, +-2(q-1), the
-        # dtype holding -2q; the scatter sums in int64.
-        terms = np.subtract(t2 - t1[..., self._pa], t1[..., self._pb] - t0,
-                            dtype=_table_dtype(2 * self.q))
+        # pair dtype.
+        return np.subtract(t2 - t1[..., self._pa], t1[..., self._pb] - t0,
+                           dtype=self._pair_dtype)
+
+    def _pair_sums(self, idx, instances) -> np.ndarray:
+        """``(R, n, n)`` in ``_pair_dtype``, symmetric: entry [r, a, b] sums
+        the two-bit terms of the components of row r of the table positions
+        ``idx`` on instance ``instances[r]`` that read both a and b, 0 at
+        a == b, from one scatter of each component's terms by pair and one
+        transposed sum. At most n components add to an entry, each a term
+        within 2(q-1), so every entry, and every partial sum of a scatter
+        here or in :meth:`_move_pairs`, is at most 2n(q-1) from 0."""
+        rows, n = idx.shape
+        pairs = np.zeros((rows, n, n), dtype=self._pair_dtype)
         at = self._keys[instances]
         at += (n * n) * np.arange(rows)[:, None, None]
-        sums = np.zeros((rows, n, n), dtype=np.int64)
-        np.add.at(sums.reshape(-1), at.ravel(), terms.astype(np.int64).ravel())
-        gains = sums + sums.transpose(0, 2, 1)
-        gains += d[:, None, :]
-        gains.reshape(rows, -1)[:, ::n + 1] = -d
-        return gains
+        # numpy's fast path of ufunc.at takes flat indices.
+        np.add.at(pairs.reshape(-1), at.ravel(), self._ball_terms(idx).ravel())
+        pairs += pairs.transpose(0, 2, 1)
+        return pairs
+
+    def _move_pairs(self, pairs, idx, rows, keys) -> None:
+        """Move the pair sums ``pairs`` (:meth:`_pair_sums`) of row
+        ``rows[r]`` of the table positions ``idx`` across the flip of the
+        locus of key ``keys[r]``, before :meth:`_flip` makes it: only the
+        components of the key's by-locus segment change position, from i
+        to i^w, and their terms at i^w less those at i are added at each
+        pair and its transpose."""
+        n = self.n
+        runs, entries = self._segments(rows, keys)
+        comps = self._comps[entries]
+        i = idx[runs, comps]
+        terms = self._ball_terms(np.stack((i ^ self._weights[entries], i)))
+        terms = (terms[0] - terms[1]).ravel()
+        # An entry's instance is its block's.
+        at = self._keys[entries // (n * (self.k + 1)), comps]
+        a, b = np.divmod(at, n)
+        base = (n * n) * runs[:, None]
+        for pair in (at, b * n + a):
+            np.add.at(pairs.reshape(-1), (pair + base).ravel(), terms)
+
+    def _pair_gains(self, pairs, d) -> np.ndarray:
+        """``(R, n, n)`` in the dtype of the pair sums ``pairs``
+        (:meth:`_pair_sums`) of the rows of the one-bit deltas ``d``: row
+        [r, a] holds row r's one-bit deltas with locus a flipped, ``d[r, b]
+        + pairs[r, a, b]``, and ``-d[r, a]`` at b == a. Written into
+        ``pairs``, which is returned."""
+        rows, n = d.shape
+        pairs += d.astype(pairs.dtype, copy=False)[:, None, :]
+        pairs.reshape(rows, -1)[:, ::n + 1] = -d
+        return pairs
 
     def _mutant_deltas(self, idx, d, rows, keys) -> np.ndarray:
         """``(len(rows), n)`` int64: row r holds the one-bit deltas of row
@@ -537,6 +580,16 @@ class _Group:
         out = d[rows]
         self._flip(idx[rows], out, np.arange(len(rows)), keys)
         return out
+
+    def _segments(self, rows, keys):
+        """``(runs, entries)``, one per entry of the by-locus row of key
+        ``keys[r]``, for every r at once: its row ``rows[r]`` and its index
+        into ``_comps``, ``_weights`` and ``_targets``."""
+        counts = self._counts[keys]
+        runs = np.repeat(rows, counts)
+        entries = np.repeat(self._starts[keys] - np.cumsum(counts) + counts, counts)
+        entries += np.arange(entries.size)
+        return runs, entries
 
     def _flip(self, idx, d, rows, keys, deltas=None) -> None:
         """Flip the locus of key ``keys[r]`` of row ``rows[r]`` of the (R, n)
@@ -549,10 +602,7 @@ class _Group:
         2014), negating the flipped locus's, in one scatter on flattened
         indices of the C-contiguous ``d``. A segment names each component
         once, so the new positions go in with one assignment."""
-        counts = self._counts[keys]
-        runs = np.repeat(rows, counts)
-        entries = np.repeat(self._starts[keys] - np.cumsum(counts) + counts, counts)
-        entries += np.arange(entries.size)
+        runs, entries = self._segments(rows, keys)
         comps = self._comps[entries]
         i = idx[runs, comps]
         j = i ^ self._weights[entries]

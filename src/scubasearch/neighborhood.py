@@ -4,9 +4,10 @@ The neighborhood ``V`` of a genotype is itself plus its ``n`` one-bit
 mutants; the extended neighborhood ``V2`` is everything within Hamming
 distance 2, ``n + n*(n-1)/2`` points besides the genotype itself.
 :func:`extended_scan` reads their totals off the one-bit deltas and pair
-gains of one genotype (:meth:`~.landscape._Group._pair_gains` of the
-landscape's cached group, the kernel hc2 reads for a batch of runs); each
-searcher in :mod:`.heuristics` states its own query charge. Locality over
+sums of one genotype (:meth:`~.landscape._Group._pair_sums` of the
+landscape's cached group, which hc2 builds for a chunk of runs and carries
+across their moves); each searcher in :mod:`.heuristics` states its own
+query charge. Locality over
 every genotype of a small landscape is :func:`~.pathgraph.census`.
 """
 
@@ -21,5 +22,6 @@ def extended_scan(landscape, s):
     entry ``[i, j]`` is the total with loci ``i`` and ``j`` both flipped,
     the diagonal the total of ``s``; refused past hc2's ``n*n`` bound."""
     check_pair_totals(landscape.n)
-    idx, totals, d = landscape._group._row_deltas(as_genotype(s, landscape.n)[None])
-    return (totals + d)[0, :, None] + landscape._group._pair_gains(idx, d, [0])[0]
+    group = landscape._group
+    idx, totals, d = group._row_deltas(as_genotype(s, landscape.n)[None])
+    return (totals + d)[0, :, None] + group._pair_gains(group._pair_sums(idx, [0]), d)[0]

@@ -9,7 +9,8 @@ every integer, so any float arithmetic in a scan path shows as an inexact
 total. The q values at the edges of the table dtypes (128 | 129,
 2**15 | 2**15+1, 2**31 | 2**31+1) put the largest entries each dtype holds
 into the scans, so a sum or a pair term computed in the table dtype instead
-of int64 wraps and shows.
+of int64 wraps and shows; hc2's carried pair sums are drawn at q on either
+side of their own dtype's edges (``pair_edges``).
 """
 
 import contextlib
@@ -138,8 +139,8 @@ def test_pair_gains_match_oracle(q, data):
     # C-ordered ball keys ravel in the scatter without a copy.
     assert group._keys.flags.c_contiguous
     runs = _Runs(group, instances, rows, trace=False)
-    gains = group._pair_gains(runs.idx, runs.d, instances)
-    assert gains.dtype == np.int64 and gains.shape == (len(rows), n, n)
+    gains = group._pair_gains(group._pair_sums(runs.idx, instances), runs.d)
+    assert gains.dtype == group._pair_dtype and gains.shape == (len(rows), n, n)
     for r, (row, i) in enumerate(zip(rows.tolist(), instances.tolist())):
         assert np.diagonal(gains[r]).tolist() == (-runs.d[r]).tolist()
         for a in range(n):
@@ -149,6 +150,73 @@ def test_pair_gains_match_oracle(q, data):
                 oracles.naive_total(landscapes[i], oracles.flip(mutant, b)) - total
                 for b in range(n)
             ]
+
+
+def pair_edges(n):
+    """The q values on either side of the pair dtype's int16 | int32 and
+    int32 | int64 edges for ``n`` loci, where ``2*n*(q-1) + 1`` passes 2**15
+    and 2**31."""
+    return tuple(q for bound in (2**15, 2**31)
+                 for q in ((bound - 1) // (2 * n) + 1, (bound - 1) // (2 * n) + 2))
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_carried_pair_sums_match_fresh_build(data):
+    # hc2 carries each run's pair sums across its moves, moving only the
+    # components that read the flipped locus, in the smallest dtype that
+    # holds 2n(q-1) + 1: after any sequence of moves of any runs, P + d
+    # with -d on the diagonal is what a fresh build gives, and the oracle.
+    n = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(0, min(n - 1, 5)))
+    q = data.draw(st.sampled_from(Q_VALUES + pair_edges(n)))
+    mates = (q, *(x for x in Q_VALUES if x < q and _table_dtype(x) == _table_dtype(q)))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True))
+    landscapes = [generate(n, k, data.draw(st.sampled_from(mates)) if i else q,
+                           data.draw(st.sampled_from(MODES)), seed=seed)
+                  for i, seed in enumerate(seeds)]
+    rows = genotype_rows(data, n, max_size=4)
+    instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
+                                            min_size=len(rows), max_size=len(rows))))
+    group = landscape_module._Group(landscapes)
+    runs = _Runs(group, instances, rows, trace=False)
+    pairs = group._pair_sums(runs.idx, instances)
+    assert pairs.dtype == group._pair_dtype == _table_dtype(2 * n * (q - 1) + 1)
+    edges = dict(zip(pair_edges(n), (np.int16, np.int32, np.int32, np.int64)))
+    if q in edges:
+        assert pairs.dtype == edges[q]
+    for _ in range(data.draw(st.integers(1, 6))):
+        moved = np.array(sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))))
+        loci = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=moved.size,
+                                           max_size=moved.size)))
+        gains = group._pair_gains(pairs[moved], runs.d[moved])
+        group._move_pairs(pairs, runs.idx, moved, instances[moved] * n + loci)
+        runs.flip(moved, loci, gains[np.arange(moved.size), loci])
+        assert pairs.dtype == group._pair_dtype
+        assert (group._pair_gains(pairs.copy(), runs.d).tolist()
+                == group._pair_gains(group._pair_sums(runs.idx, instances), runs.d).tolist())
+    gains = group._pair_gains(pairs, runs.d)
+    for r, (row, i) in enumerate(zip((runs.idx & 1).tolist(), instances.tolist())):
+        for a in range(n):
+            mutant = oracles.flip(tuple(row), a)
+            total = oracles.naive_total(landscapes[i], mutant)
+            assert gains[r, a].tolist() == [
+                oracles.naive_total(landscapes[i], oracles.flip(mutant, b)) - total
+                for b in range(n)
+            ]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_hill_climb2_at_the_largest_totals(k):
+    # n*(q-1) = 2**62 - 1, check_params' edge: a pair sum reaches 2n(q-1),
+    # which int64 holds, though 2*n*q does not (its dtype would be object).
+    n, q = 3, (2**62 - 1) // 3 + 1
+    landscape = generate(n, k, q, seed=k)
+    assert landscape._group._pair_dtype == np.int64
+    for seed in range(8):
+        s = np.random.default_rng([k, seed]).integers(0, 2, n, dtype=np.uint8)
+        got = _as_oracle_run(hill_climb2(landscape, s, np.random.default_rng(seed), trace=True))
+        assert got == oracles.hill_climb2(landscape, s, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("q", Q_VALUES)

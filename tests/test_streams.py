@@ -84,7 +84,7 @@ def test_next_halves_match_one_uint32_draw(seed, skip, m):
     rng, want = np.random.default_rng(seed), np.random.default_rng(seed)
     for generator in (rng, want):
         generator.integers(0, 2**32, size=skip, dtype=np.uint32)
-    halves = hx._next_halves(rng, m)
+    halves = hx._next_halves(rng, m, hx._buffered(rng))
     assert halves.dtype == np.uint32
     assert halves.tolist() == want.integers(0, 2**32, size=m, dtype=np.uint32).tolist()
     assert position(rng) == position(want)
@@ -115,8 +115,17 @@ def test_tie_breaks_match_sequential_integers(block, seed, buffered, rounds):
                 rng.integers(0, 2, size=5, dtype=np.uint8)  # two halves, one buffered
         return rngs
 
+    # A run reads whether its stream holds a buffered half once, at its
+    # first refill, and follows it from then on.
+    reads, read = [], hx._buffered
+
+    def counted(rng):
+        reads.append(id(rng))
+        return read(rng)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hx, "_BLOCK", block)
+        patch.setattr(hx, "_buffered", counted)
         halves, sequential = hx._Halves(streams()), streams()
         for draws in rounds:
             draws = dict(draws)  # one draw per run per round
@@ -125,6 +134,7 @@ def test_tie_breaks_match_sequential_integers(block, seed, buffered, rounds):
             got = hx._bounded(halves, runs, counts)
             assert got.dtype == np.int64
             assert got.tolist() == [int(sequential[r].integers(c)) for r, c in draws.items()]
+    assert len(reads) == len(set(reads))
 
 
 def test_draw_picks_the_drawn_candidate():

@@ -160,11 +160,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    heuristics = tuple(args.heuristics.split(","))
     config = ex.SweepConfig(
         n=args.n, k_values=args.k, q_values=args.q, base_seed=0,
-        heuristics=tuple(args.heuristics.split(",")), runs=args.runs,
+        heuristics=heuristics, runs=args.runs,
         instances=args.instances, step_max=args.step_max, mode=args.mode,
-        profile=args.profile_out is not None,
+        profile=() if args.profile_out is None
+        else tuple(h for h in heuristics if h in ex.PROFILE_HEURISTICS),
     )
     config.base_seed = _resolve_seed(args)
     report = ex.run_sweep(config)

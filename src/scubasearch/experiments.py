@@ -61,6 +61,8 @@ RECORDS_HEADER = (
     "fitness_total,steps,flat,gate,evaluations"
 )
 PROFILE_HEADER = "heuristic,degn,steps,p_neutral_step,visits,p_neutral_state"
+# The heuristics whose neutral-mutation profile a sweep writes.
+PROFILE_HEURISTICS = ("nc", "ss")
 STEP_STATS_HEADER = "k,q,runs,mean_steps,mean_flat"
 
 
@@ -225,8 +227,9 @@ class SweepConfig:
 
     ``runs`` runs per cell are spread round-robin over ``instances``
     landscapes (run ``r`` uses instance ``r % instances``). ``profile``
-    counts every heuristic's steps and visits by source neutral degree into
-    :attr:`SweepReport.profiles`, which the neutral-mutation profile reads.
+    names the heuristics, each one of ``heuristics``, whose steps and visits
+    are counted by source neutral degree into :attr:`SweepReport.profiles`,
+    which the neutral-mutation profile reads; the others count nothing.
     """
 
     n: int
@@ -238,12 +241,13 @@ class SweepConfig:
     instances: int = 10
     step_max: int = 300
     mode: str = RANDOM
-    profile: bool = False
+    profile: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.k_values = tuple(self.k_values)
         self.q_values = tuple(self.q_values)
         self.heuristics = tuple(self.heuristics)
+        self.profile = tuple(self.profile)
         # Checked before the conversion, so a float k or q is refused, not truncated.
         check_grid(self.n, self.k_values, self.q_values, self.mode)
         self.k_values = tuple(map(int, self.k_values))
@@ -253,6 +257,11 @@ class SweepConfig:
                 raise ValueError(f"unknown heuristic {h!r}")
         if len(set(self.heuristics)) != len(self.heuristics):
             raise ValueError("heuristics must not repeat")
+        for h in self.profile:
+            if h not in self.heuristics:
+                raise ValueError(f"profiled heuristic {h!r} is not one of {self.heuristics}")
+        if len(set(self.profile)) != len(self.profile):
+            raise ValueError("profile must not repeat")
         if "hc2" in self.heuristics:
             hx.check_pair_totals(self.n)
         hx.check_counts({"runs": self.runs, "heuristics": len(self.heuristics)},
@@ -299,10 +308,10 @@ class CellStats:
 class SweepReport:
     """All per-run records of a sweep, aggregable per cell in config order.
 
-    A profiled sweep also holds ``profiles[h]``, heuristic h's (4, n+1)
-    int64 counts over all its runs, indexed by the neutral degree of the
-    state each step leaves: steps, neutral steps, visits closed and neutral
-    visits closed (:mod:`~.heuristics`). An unprofiled one holds none.
+    It also holds ``profiles[h]`` for each heuristic h of the sweep's
+    ``profile``: h's (4, n+1) int64 counts over all its runs, indexed by the
+    neutral degree of the state each step leaves: steps, neutral steps,
+    visits closed and neutral visits closed (:mod:`~.heuristics`).
     """
 
     config: SweepConfig
@@ -421,9 +430,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     files written from it never depend on the grouping or on scheduling.
     """
     report = SweepReport(config)
-    if config.profile:
-        report.profiles = {h: np.zeros((4, config.n + 1), dtype=np.int64)
-                           for h in config.heuristics}
+    report.profiles = {h: np.zeros((4, config.n + 1), dtype=np.int64) for h in config.profile}
     by_k = {k: _run_k(config, k, report.profiles) for k in config.k_values}
     for h in config.heuristics:
         for k in config.k_values:
@@ -488,7 +495,7 @@ class ProfileRow:
 
 
 def neutral_mutation_profile(report: SweepReport,
-                             heuristics=("nc", "ss")) -> list[ProfileRow]:
+                             heuristics=PROFILE_HEURISTICS) -> list[ProfileRow]:
     """Empirical P(neutral move | source Degn = d) per heuristic.
 
     Reads the counts a profiled sweep's engine kept
@@ -497,11 +504,15 @@ def neutral_mutation_profile(report: SweepReport,
     of its source state; scuba bins every move. A rejection keeps the
     state, so a visit closes on each step that is not a rejection, and that
     step's source degree is the visit's. Bins never observed are absent
-    from the result, not zero. A report of a sweep run without ``profile``
-    raises ``ValueError``.
+    from the result, not zero, and so are heuristics the sweep did not
+    run. A heuristic of ``heuristics`` that the sweep ran without counting
+    it (not in its ``profile``) raises ``ValueError``.
     """
-    if not report.config.profile:
-        raise ValueError("neutral_mutation_profile needs a sweep run with profile=True")
+    uncounted = [h for h in heuristics
+                 if h in report.config.heuristics and h not in report.profiles]
+    if uncounted:
+        raise ValueError(f"neutral_mutation_profile needs a sweep with {', '.join(uncounted)} "
+                         f"in its profile")
     rows = []
     for h in sorted(set(heuristics) & report.profiles.keys()):
         counts = report.profiles[h]

@@ -36,19 +36,20 @@ a sweep builds one group of an instance group's landscapes, of one K and
 any of its q values, for all its heuristics (:func:`_search`). Each round
 moves its moving runs with one flip update: the climbers move every live
 run once, scuba's guard reading every live run's neutral neighbors from
-blocks of mutant deltas, flip updates of copies of their rows, and hc2
-their distance-2 balls off their pair sums plus ``d``, a chunk of runs at a
-time, each to its end: the gains' rows are its moved runs' new deltas, so
-its flip update only moves table positions and pair sums; the
-netcrawler jumps each live run to its first accepted proposal in a window
-of the next ones, since a rejection leaves the state as it is. Each run
-reads only its own landscape and draws from its own stream only, what it
-would draw alone (the netcrawler's proposals in chunks, which continue one
-stream; a tie-break ``integers(c)`` off the run's 32-bit halves, which
-:class:`_Halves` draws ``_BLOCK`` at a time, so a round makes no call per
-run but refills), so batching cannot change an output; the four searchers
-are batches of one. Locality over every genotype of a small landscape is
-:func:`~.pathgraph.census`.
+blocks of mutant deltas, the flip terms of each neighbor's segment, read
+off its run's table positions in place, added to a copy of the run's
+deltas, and hc2 their distance-2 balls off their pair sums plus ``d``, a
+chunk of runs at a time, each to its end: the gains' rows are its moved
+runs' new deltas, so its flip update only moves table positions and pair
+sums; the netcrawler jumps each live run to its first accepted proposal in
+a window of the next ones, since a rejection leaves the state as it is.
+Each run reads only its own landscape and draws from its own stream only,
+what it would draw alone (the netcrawler's proposals in chunks, which
+continue one stream; a tie-break ``integers(c)`` off the run's 32-bit
+halves, which :class:`_Halves` draws ``_BLOCK`` at a time, so a round
+makes no call per run but refills), so batching cannot change an output;
+the four searchers are batches of one. Locality over every genotype of a
+small landscape is :func:`~.pathgraph.census`.
 
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
 genotype plus, per step, the flipped locus, the total, the kind of move and
@@ -380,10 +381,11 @@ def _climb(runs, halves, neutral_phase) -> list[RunResult]:
     chosen one of highest evolvability (flat move); else, if some neighbor is
     strictly fitter, flip to a uniformly chosen fittest one (gate move); else
     stop. Reading ``total + d`` is charged ``n`` queries, and scuba's guard,
-    read from the mutant deltas of the neutral neighbors, ``Degn * n`` more.
+    read from the mutant deltas of the neutral neighbors, ``Degn * n`` more;
+    the guard reads them in blocks of the group's ``_guard_rows``.
     """
     group = runs.group
-    block = group._scan_rows  # the guard reads mutant deltas in batch_scan's blocks
+    block = group._guard_rows
     # The neutral neighbors each run's guard has read.
     guarded = np.zeros(len(runs.s0), dtype=np.int64)
     live = np.arange(len(runs.s0))

@@ -44,9 +44,11 @@ _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
 # draw for q > 2**32), so the draw stays within a megabyte of its table.
 _DRAW_CHUNK = 2**15
 
-# Gathered table entries (rows x n*(k+1)) batch_scan and scuba's guard handle
-# per block of rows, at least one row, so their int64 temporaries stay near
-# 2**15 * 8 bytes each, in cache, whatever the batch size.
+# The int64 words a kernel's block of rows holds, at least one row, so its
+# temporaries stay near 2**15 * 8 bytes each, in cache, whatever the batch
+# size: batch_scan's n*(k+1) gathered entries a row, scuba's guard's n
+# copied deltas plus about four words for each of a mutant row's (k+1)**2
+# segment terms, and hc2's n distance-2 table balls a row (_Group).
 _SCAN_ENTRIES = 2**15
 
 
@@ -438,7 +440,12 @@ class _Group:
       ``_loci[i, j, [_pa[p], _pb[p]]]``; hc2's pair sums of a row, a
       symmetric (n, n) matrix, hold each pair's terms in ``_pair_dtype``,
       the smallest signed dtype holding ``-(2*n*(q-1) + 1)``.
-    - ``_scan_rows``: the rows of a scan block, at most :data:`_SCAN_ENTRIES` entries.
+    - The rows of a block, each about :data:`_SCAN_ENTRIES` int64 words and
+      at least one row: ``_scan_rows`` of a scan, whose rows gather n*(k+1)
+      entries; ``_guard_rows`` of scuba's guard (:meth:`_mutant_deltas`),
+      whose rows hold n deltas and (k+1)**2 terms of about four words each;
+      ``_ball_rows`` of hc2's pair sums, built or moved, whose rows gather n
+      distance-2 balls.
 
     Only the searchers read ``_targets`` and ``_keys``, so each is built on
     first use: a group that only scans (``batch_scan``, ``batch_totals``)
@@ -456,6 +463,8 @@ class _Group:
         self._pa, self._pb = np.triu_indices(k + 1, 1)
         self._masks = np.concatenate(([0], self._bits, self._bits[self._pa] | self._bits[self._pb]))
         self._scan_rows = max(1, _SCAN_ENTRIES // (n * (k + 1)))
+        self._guard_rows = max(1, _SCAN_ENTRIES // (n + 4 * (k + 1) ** 2))
+        self._ball_rows = max(1, _SCAN_ENTRIES // (n * self._masks.size))
         self._pair_dtype = _table_dtype(2 * max(self.max_totals) + 1)
         self._loci = np.stack([np.column_stack((np.arange(n), other.links))
                                for other in landscapes])
@@ -529,17 +538,20 @@ class _Group:
         """``(R, n, n)`` in ``_pair_dtype``, symmetric: entry [r, a, b] sums
         the two-bit terms of the components of row r of the table positions
         ``idx`` on instance ``instances[r]`` that read both a and b, 0 at
-        a == b, from one scatter of each component's terms by pair and one
-        transposed sum. At most n components add to an entry, each a term
-        within 2(q-1), so every entry, and every partial sum of a scatter
-        here or in :meth:`_move_pairs`, is at most 2n(q-1) from 0."""
+        a == b. Each block of ``_ball_rows`` rows takes one scatter of its
+        components' terms by pair and one transposed sum. At most n
+        components add to an entry, each a term within 2(q-1), so every
+        entry, and every partial sum of a scatter here or in
+        :meth:`_move_pairs`, is at most 2n(q-1) from 0."""
         rows, n = idx.shape
         pairs = np.zeros((rows, n, n), dtype=self._pair_dtype)
-        at = self._keys[instances]
-        at += (n * n) * np.arange(rows)[:, None, None]
-        # numpy's fast path of ufunc.at takes flat indices.
-        np.add.at(pairs.reshape(-1), at.ravel(), self._ball_terms(idx).ravel())
-        pairs += pairs.transpose(0, 2, 1)
+        for lo in range(0, rows, self._ball_rows):
+            block = slice(lo, lo + self._ball_rows)
+            at = self._keys[instances[block]]
+            at += (n * n) * np.arange(lo, lo + len(at))[:, None, None]
+            # numpy's fast path of ufunc.at takes flat indices.
+            np.add.at(pairs.reshape(-1), at.ravel(), self._ball_terms(idx[block]).ravel())
+            pairs[block] += pairs[block].transpose(0, 2, 1)
         return pairs
 
     def _move_pairs(self, pairs, idx, rows, keys) -> None:
@@ -548,19 +560,23 @@ class _Group:
         locus of key ``keys[r]``, before :meth:`_flip` makes it: only the
         components of the key's by-locus segment change position, from i
         to i^w, and their terms at i^w less those at i are added at each
-        pair and its transpose."""
+        pair and its transpose, ``_ball_rows * n`` entries at a time, so each
+        ball gather is a build block's."""
         n = self.n
-        runs, entries = self._segments(rows, keys)
-        comps = self._comps[entries]
-        i = idx[runs, comps]
-        terms = self._ball_terms(np.stack((i ^ self._weights[entries], i)))
-        terms = (terms[0] - terms[1]).ravel()
-        # An entry's instance is its block's.
-        at = self._keys[entries // (n * (self.k + 1)), comps]
-        a, b = np.divmod(at, n)
-        base = (n * n) * runs[:, None]
-        for pair in (at, b * n + a):
-            np.add.at(pairs.reshape(-1), (pair + base).ravel(), terms)
+        segments = self._segments(rows, keys)
+        step = self._ball_rows * n
+        for lo in range(0, segments[0].size, step):
+            runs, entries = (part[lo:lo + step] for part in segments)
+            comps = self._comps[entries]
+            i = idx[runs, comps]
+            terms = np.subtract(self._ball_terms(i ^ self._weights[entries]),
+                                self._ball_terms(i)).ravel()
+            # An entry's instance is its block's.
+            at = self._keys[entries // (n * (self.k + 1)), comps]
+            a, b = np.divmod(at, n)
+            base = (n * n) * runs[:, None]
+            for pair in (at, b * n + a):
+                np.add.at(pairs.reshape(-1), (pair + base).ravel(), terms)
 
     def _pair_gains(self, pairs, d) -> np.ndarray:
         """``(R, n, n)`` in the dtype of the pair sums ``pairs``
@@ -576,9 +592,11 @@ class _Group:
     def _mutant_deltas(self, idx, d, rows, keys) -> np.ndarray:
         """``(len(rows), n)`` int64: row r holds the one-bit deltas of row
         ``rows[r]`` of the (R, n) table positions ``idx`` and one-bit deltas
-        ``d`` with the locus of key ``keys[r]`` flipped."""
+        ``d`` with the locus of key ``keys[r]`` flipped: a copy of ``d[rows]``
+        with the terms of :meth:`_add_terms` added, read off ``idx`` in place."""
+        local, entries = self._segments(np.arange(len(rows)), keys)
         out = d[rows]
-        self._flip(idx[rows], out, np.arange(len(rows)), keys)
+        self._add_terms(out, local, entries, idx[rows[local], self._comps[entries]])
         return out
 
     def _segments(self, rows, keys):
@@ -591,31 +609,37 @@ class _Group:
         entries += np.arange(entries.size)
         return runs, entries
 
+    def _add_terms(self, d, runs, entries, i) -> None:
+        """Add to row ``runs[e]`` of the C-contiguous one-bit deltas ``d``
+        the change that moving the component of segment entry ``entries[e]``
+        from table position ``i[e]`` to j = i^w makes: the delta at each
+        locus it reads, at weight w, moves by ``T[j^w] - T[j] - T[i^w] +
+        T[i]`` (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
+        2014), the flipped locus's negating, in one scatter on flattened
+        indices."""
+        tab, a = self._tab, i[:, None]
+        b = a ^ self._weights[entries, None]
+        # Each difference fits the table dtype; a term reaches +-2(q-1).
+        terms = np.subtract(tab[b ^ self._bits] - tab[b], tab[a ^ self._bits] - tab[a],
+                            dtype=np.int64)
+        at = self._targets[entries] + self.n * runs[:, None]
+        np.add.at(d.reshape(-1), at.ravel(), terms.ravel())
+
     def _flip(self, idx, d, rows, keys, deltas=None) -> None:
         """Flip the locus of key ``keys[r]`` of row ``rows[r]`` of the (R, n)
         table positions ``idx`` and one-bit deltas ``d``, in place, for all
         the rows, which must be distinct, at once. Row r of ``deltas``, if
-        given, is row ``rows[r]``'s new deltas; otherwise each component of
-        the rows' segments, from table position i to j, moves the delta at
-        each locus it reads, at weight w, by ``T[j^w] - T[j] - T[i^w] +
-        T[i]`` (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
-        2014), negating the flipped locus's, in one scatter on flattened
-        indices of the C-contiguous ``d``. A segment names each component
+        given, is row ``rows[r]``'s new deltas; otherwise the rows' segments
+        move ``d`` (:meth:`_add_terms`). A segment names each component
         once, so the new positions go in with one assignment."""
         runs, entries = self._segments(rows, keys)
         comps = self._comps[entries]
         i = idx[runs, comps]
-        j = i ^ self._weights[entries]
         if deltas is None:
-            tab, a, b = self._tab, i[:, None], j[:, None]
-            # Each difference fits the table dtype; a term reaches +-2(q-1).
-            terms = np.subtract(tab[b ^ self._bits] - tab[b], tab[a ^ self._bits] - tab[a],
-                                dtype=np.int64)
-            at = self._targets[entries] + self.n * runs[:, None]
-            np.add.at(d.reshape(-1), at.ravel(), terms.ravel())
+            self._add_terms(d, runs, entries, i)
         else:
             d[rows] = deltas
-        idx[runs, comps] = j
+        idx[runs, comps] = i ^ self._weights[entries]
 
 
 def generate(n, k, q, mode=RANDOM, seed=None) -> NkqLandscape:

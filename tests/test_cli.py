@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dotgrammar import validate_dot
-from scubasearch import NkqLandscape, deserialize, generate, heuristics, save_landscape
+from scubasearch import (PROFILE_HEADER, NkqLandscape, deserialize, generate, heuristics,
+                         save_landscape)
 from scubasearch.cli import main
 
 
@@ -99,6 +100,30 @@ class TestSweep:
             outs.append((out.read_bytes(), recs.read_bytes(),
                          prof.read_bytes(), steps.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_profile_counts_only_what_it_writes(self, tmp_path, monkeypatch):
+        # The profile file holds nc's and ss's rows alone, so only their
+        # batches count steps; a sweep of neither writes the header alone.
+        counted = []
+        search = heuristics._search
+
+        def recording_search(group, heuristic, *args):
+            counted.append((heuristic, args[-1] is not None))
+            return search(group, heuristic, *args)
+
+        monkeypatch.setattr(heuristics, "_search", recording_search)
+        prof = tmp_path / "prof.csv"
+        for names, want in (("hc,nc,hc2,ss", {"nc", "ss"}), ("hc,hc2", set())):
+            counted.clear()
+            assert run_cli(
+                "sweep", "--n", "8", "--k", "1", "--q", "2", "--heuristics", names,
+                "--runs", "2", "--instances", "1", "--seed", "3",
+                "--out", str(tmp_path / "out.csv"), "--profile-out", str(prof),
+            ) == 0
+            assert {h for h, profiled in counted if profiled} == want
+            header, *rows = prof.read_text().splitlines()
+            assert header == PROFILE_HEADER
+            assert {row.split(",")[0] for row in rows} == want
 
     def test_paper_grid_flags_accepted(self, tmp_path):
         # the full experimental grid parses; tiny budgets keep it quick

@@ -325,7 +325,8 @@ class TestRunSweep:
 
         for q_values, bound in (((2,), 0.6), ((2, 3), 0.8)):
             config = SweepConfig(n=64, k_values=(4,), q_values=q_values, base_seed=42,
-                                 heuristics=(heuristic,), runs=50, instances=4, profile=True)
+                                 heuristics=(heuristic,), runs=50, instances=4,
+                                 profile=(heuristic,))
             with monkeypatch.context() as patch:
                 patch.setattr(hx, "_search", recording_search)
                 run_sweep(config)  # first-call allocations are not the batch's
@@ -388,6 +389,11 @@ class TestRunSweep:
             small_config(k_values=(2, 0, 2))
         with pytest.raises(ValueError, match="q_values must not repeat"):
             small_config(q_values=(2, 3, 2))
+        # A profile counts heuristics the sweep runs, each once.
+        with pytest.raises(ValueError, match="profiled heuristic 'nc'"):
+            small_config(profile=("nc",))
+        with pytest.raises(ValueError, match="profile must not repeat"):
+            small_config(profile=("ss", "ss"))
         with pytest.raises(ValueError):
             small_config(runs=0)
         with pytest.raises(ValueError):
@@ -502,12 +508,12 @@ class TestNeutralMutationProfile:
         assert report.profiles == {}
         with pytest.raises(ValueError) as raised:
             neutral_mutation_profile(report)
-        assert str(raised.value) == "neutral_mutation_profile needs a sweep run with profile=True"
+        assert str(raised.value) == "neutral_mutation_profile needs a sweep with ss in its profile"
 
     def test_netcrawler_matches_degn_over_n(self):
         config = SweepConfig(n=16, k_values=(1,), q_values=(2,), base_seed=11,
                              heuristics=("nc",), runs=60, instances=3,
-                             step_max=300, profile=True)
+                             step_max=300, profile=("nc",))
         rows = neutral_mutation_profile(run_sweep(config))
         checked = 0
         for row in rows:
@@ -522,7 +528,7 @@ class TestNeutralMutationProfile:
     def test_scuba_rows_per_state_equals_per_step(self):
         config = SweepConfig(n=16, k_values=(2,), q_values=(2,), base_seed=13,
                              heuristics=("ss",), runs=30, instances=3,
-                             profile=True)
+                             profile=("ss",))
         rows = neutral_mutation_profile(run_sweep(config))
         assert rows, "scuba runs should produce profile rows"
         for row in rows:
@@ -541,7 +547,7 @@ class TestNeutralMutationProfile:
         monkeypatch.setattr(NkqLandscape, "generate", classmethod(counting_generate))
         config = SweepConfig(n=12, k_values=(0, 2), q_values=(2, 3), base_seed=8,
                              heuristics=("nc", "ss"), runs=5, instances=3,
-                             step_max=80, profile=True)
+                             step_max=80, profile=("nc", "ss"))
         report = run_sweep(config)
 
         def refuse(*args, **kwargs):
@@ -569,7 +575,7 @@ class TestNeutralMutationProfile:
     def test_profile_csv(self):
         config = SweepConfig(n=12, k_values=(1,), q_values=(2,), base_seed=3,
                              heuristics=("nc",), runs=5, instances=1,
-                             step_max=50, profile=True)
+                             step_max=50, profile=("nc",))
         rows = neutral_mutation_profile(run_sweep(config))
         buf = io.StringIO()
         write_profile_csv(rows, buf)
@@ -584,7 +590,7 @@ class TestProfileOrdering:
         # neutral-move probability at fixed degn: scuba >= netcrawler (q=3, n=64)
         config = SweepConfig(n=64, k_values=(4,), q_values=(3,), base_seed=2025,
                              heuristics=("nc", "ss"), runs=120, instances=10,
-                             step_max=300, profile=True)
+                             step_max=300, profile=("nc", "ss"))
         rows = neutral_mutation_profile(run_sweep(config))
         nc = {r.degn: r for r in rows if r.heuristic == "nc"}
         ss = {r.degn: r for r in rows if r.heuristic == "ss"}

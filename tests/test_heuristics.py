@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,6 +295,28 @@ class TestScuba:
         assert a.terminal.tolist() == b.terminal.tolist()
         assert (a.steps, a.flat_count, a.gate_count, a.evaluations) == \
                (b.steps, b.flat_count, b.gate_count, b.evaluations)
+
+
+@pytest.mark.parametrize("heuristic, k, runs, bound", [("ss", 2, 256, 1.5), ("hc2", 16, 64, 4)])
+def test_search_peak_is_bounded(heuristic, k, runs, bound):
+    # n=64, q=2. Scuba's 256 runs read 5203 neutral neighbors in their
+    # first round; in guard blocks the search peaks at 1.25 MiB, and one
+    # block of them all peaks near 4.7. hc2's 64 runs are one chunk
+    # whose distance-2 balls, built and moved in ball blocks, peak at 2.4
+    # MiB, and gathered whole at 10.3.
+    landscape = generate(64, k, 2, seed=5)
+    starts = np.random.default_rng(0).integers(0, 2, (runs, 64), dtype=np.uint8)
+    # A first search builds the landscape's group and its lazy arrays.
+    search(landscape, heuristic, starts[:1], [np.random.default_rng(0)])
+    rngs = [np.random.default_rng(seed) for seed in range(runs)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        search(landscape, heuristic, starts, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 2**20
 
 
 @pytest.mark.slow

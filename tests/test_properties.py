@@ -129,13 +129,18 @@ def test_pair_gains_match_oracle(q, data):
     # Row [r, a] of _pair_gains: the one-bit deltas of row r with locus a
     # flipped, so the diagonal is -d. A batch of rows over a group of
     # landscapes checks that each row's terms land in its own block, read
-    # off its own instance's table and ball keys.
+    # off its own instance's table and ball keys, built a row or two of
+    # balls at a time.
     landscapes = data.draw(landscape_group(dtype_mates(q), max_n=12))
-    n = landscapes[0].n
+    n, k = landscapes[0].n, landscapes[0].k
     rows = genotype_rows(data, n, max_size=3)
     instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
                                             min_size=len(rows), max_size=len(rows))))
-    group = landscape_module._Group(landscapes)
+    block = data.draw(st.integers(1, 2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landscape_module, "_SCAN_ENTRIES", block * n * (1 + (k + 1) * (k + 2) // 2))
+        group = landscape_module._Group(landscapes)
+    assert group._ball_rows == block
     # C-ordered ball keys ravel in the scatter without a copy.
     assert group._keys.flags.c_contiguous
     runs = _Runs(group, instances, rows, trace=False)
@@ -167,6 +172,7 @@ def test_carried_pair_sums_match_fresh_build(data):
     # components that read the flipped locus, in the smallest dtype that
     # holds 2n(q-1) + 1: after any sequence of moves of any runs, P + d
     # with -d on the diagonal is what a fresh build gives, and the oracle.
+    # Built a row of balls at a time, and moved n segment entries at a time.
     n = data.draw(st.integers(1, 12))
     k = data.draw(st.integers(0, min(n - 1, 5)))
     q = data.draw(st.sampled_from(Q_VALUES + pair_edges(n)))
@@ -178,7 +184,10 @@ def test_carried_pair_sums_match_fresh_build(data):
     rows = genotype_rows(data, n, max_size=4)
     instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
                                             min_size=len(rows), max_size=len(rows))))
-    group = landscape_module._Group(landscapes)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landscape_module, "_SCAN_ENTRIES", 1)
+        group = landscape_module._Group(landscapes)
+    assert group._ball_rows == 1
     runs = _Runs(group, instances, rows, trace=False)
     pairs = group._pair_sums(runs.idx, instances)
     assert pairs.dtype == group._pair_dtype == _table_dtype(2 * n * (q - 1) + 1)
@@ -525,8 +534,11 @@ def test_score_vector_follows_flips(q, data):
                                        max_size=2 * n)))
     loci = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=rows.size,
                                        max_size=rows.size)))
+    held = runs.idx.tolist(), runs.d.tolist()
     got = runs.group._mutant_deltas(runs.idx, runs.d, rows, instances[rows] * n + loci)
     assert got.dtype == np.int64 and got.shape == (rows.size, n)
+    # The mutant deltas read the run state in place and write none of it.
+    assert (runs.idx.tolist(), runs.d.tolist()) == held
     mutants = states[rows]
     mutants[np.arange(rows.size), loci] ^= 1
     for r, (i, mutant) in enumerate(zip(instances[rows], mutants)):
@@ -585,8 +597,9 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
     # Runs advanced together stop in different rounds, and small q gives
     # ties to break; step_max reaches past one chunk of netcrawler proposals,
     # and hc2 reads the pair totals of `chunk` runs at a time, so a batch may
-    # span several chunks, the last one short; scuba's guard reads its mutant
-    # deltas in blocks of a few rows. The runs are spread at random over one
+    # span several chunks, the last one short, and builds and moves them in
+    # blocks of a row or two of balls; scuba's guard reads its mutant deltas
+    # in blocks of a few rows. The runs are spread at random over one
     # to three landscapes of one (n, k), their q values drawn from one table
     # dtype, so chunks and blocks straddle them. The netcrawler reads a
     # window of a few proposals per round, wider as runs finish, so windows
@@ -610,7 +623,10 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
         patch.setattr(heuristics, "_CRAWL_ENTRIES", crawl)
         patch.setattr(landscape_module, "_SCAN_ENTRIES", block * n * (landscapes[0].k + 1))
         group = landscape_module._Group(landscapes)
+        k = landscapes[0].k
         assert group._scan_rows == block
+        assert group._guard_rows == max(1, block * n * (k + 1) // (n + 4 * (k + 1) ** 2))
+        assert group._ball_rows == max(1, block * (k + 1) // (1 + (k + 1) * (k + 2) // 2))
         batch = heuristics._search(group, heuristic, np.array(instances, dtype=np.intp), starts,
                                    [np.random.default_rng(seed) for seed in seeds], step_max,
                                    True)
@@ -740,7 +756,7 @@ def test_profile_matches_rescan_oracle(data):
         base_seed=data.draw(st.integers(0, 2**32 - 1)),
         heuristics=("nc", "ss", "hc2"), runs=data.draw(st.integers(1, 3)),
         instances=data.draw(st.integers(1, 2)), step_max=data.draw(st.integers(1, 40)),
-        mode=data.draw(st.sampled_from(MODES)), profile=True)
+        mode=data.draw(st.sampled_from(MODES)), profile=("nc", "ss", "hc2"))
     report = run_sweep(config)
     heuristics = ("nc", "ss", "hc2")
     assert _profile_as_tuples(neutral_mutation_profile(report, heuristics)) == \
@@ -767,7 +783,7 @@ def test_profile_counts_match_traced_runs(step_max, data):
         q_values=tuple(sorted(set(data.draw(st.lists(
             st.sampled_from((2, 3, 129)), min_size=1, max_size=2))))),
         base_seed=data.draw(st.integers(0, 2**32 - 1)), runs=data.draw(st.integers(1, 12)),
-        instances=data.draw(st.integers(1, 3)), step_max=step_max, profile=True)
+        instances=data.draw(st.integers(1, 3)), step_max=step_max, profile=HEURISTICS)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(heuristics, "_CRAWL_ENTRIES", data.draw(st.sampled_from((1, 2**11))))
         report = run_sweep(config)

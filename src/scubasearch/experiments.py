@@ -443,24 +443,32 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
 def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
                                   mode=RANDOM) -> np.ndarray:
-    """Mean neutral degree of uniform-random genotypes, one value per instance."""
+    """Mean neutral degree of uniform-random genotypes, one value per instance.
+
+    Each drawn chunk is scanned one block of the scan kernel's rows at a
+    time (:meth:`~.landscape.NkqLandscape.batch_scan`: ``_SCAN_ENTRIES //
+    n`` rows, components outer and rows inner, deltas in the smallest dtype
+    holding ``n*(q-1)``) and counted there, so no (samples, n) int64 flip
+    matrix is held; the chunks drawn, and so the stream, do not depend on
+    the block."""
     check_params(n, k, q, mode)
     hx.check_counts({"samples": samples, "instances": instances})
     means = np.empty(instances)
-    # Rows drawn per rng call. batch_scan bounds its own temporaries, so
-    # this bounds only the draw; it stays as it is because a uint8 draw
-    # drops its buffered bytes at the end of each call, so another chunk
-    # would move the stream whenever n is not a multiple of 4.
+    # Rows drawn per rng call. It stays as it is because a uint8 draw drops
+    # its buffered bytes at the end of each call, so another chunk would
+    # move the stream whenever n is not a multiple of 4.
     chunk = max(1, 4_000_000 // (n * (k + 1)))
     for inst in range(instances):
         landscape = generate(n, k, q, mode,
                              seed=landscape_seed(seed, k, q, inst))
         rng = np.random.default_rng(derive_seed(seed, _SAMPLE_STREAM, k, q, inst))
+        block = landscape._group._scan_rows
         acc = 0
         for done in range(0, samples, chunk):
             states = rng.integers(0, 2, size=(min(chunk, samples - done), n), dtype=np.uint8)
-            totals, flips = landscape.batch_scan(states)
-            acc += int((flips == totals[:, None]).sum())
+            for lo in range(0, len(states), block):
+                totals, flips = landscape.batch_scan(states[lo:lo + block])
+                acc += np.count_nonzero(flips == totals[:, None])
         means[inst] = acc / samples
         # Drop this instance's landscape before the next one is generated.
         del landscape

@@ -44,11 +44,12 @@ _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
 # draw for q > 2**32), so the draw stays within a megabyte of its table.
 _DRAW_CHUNK = 2**15
 
-# The int64 words a kernel's block of rows holds, at least one row, so its
-# temporaries stay near 2**15 * 8 bytes each, in cache, whatever the batch
-# size: batch_scan's n*(k+1) gathered entries a row, scuba's guard's n
-# copied deltas plus about four words for each of a mutant row's (k+1)**2
-# segment terms, and hc2's n distance-2 table balls a row (_Group).
+# The int64 words a kernel's block holds, at least one row or component, so
+# its temporaries stay near 2**15 * 8 bytes each, in cache, whatever the
+# batch size (_Group): the scan's blocks of rows, n positions a row, and
+# within one its blocks of components, k+1 neighbors a component and row;
+# scuba's guard's n copied deltas plus about four words for each of a mutant
+# row's (k+1)**2 segment terms; and hc2's n distance-2 table balls a row.
 _SCAN_ENTRIES = 2**15
 
 
@@ -378,10 +379,13 @@ class NkqLandscape:
 
         Returns ``(totals, flip_totals)`` with shapes (batch,) and
         (batch, n); ``flip_totals[b, l]`` is the total of row b with locus l
-        flipped. One gather per affected component, not per genotype. Rows
-        are scanned in blocks of at most :data:`_SCAN_ENTRIES` gathered
-        entries (at least one row) written into the two outputs, so the
-        scan's temporaries stay bounded whatever the batch size.
+        flipped. Each call of the scan kernel (:meth:`_Group._row_deltas`)
+        takes one block of ``_SCAN_ENTRIES // n`` rows, at least one, so the
+        positions, deltas and temporaries it holds stay near a megabyte
+        whatever the batch size. It goes through a block's components outer
+        and its rows inner, so each table gather reads a few components'
+        tables and stays in cache. A block's deltas, in the smallest signed
+        dtype holding ``n*(q-1)``, add to its totals in the int64 outputs.
         """
         states = _alleles(states, 2, self.n)
         totals = np.empty(len(states), dtype=np.int64)
@@ -431,21 +435,26 @@ class _Group:
     - The by-locus row of key ``i*n + l``: ``_counts[key]`` entries from
       ``_starts[key]`` of ``_comps`` (the components reading locus l of
       instance i, ascending) and ``_weights`` (l's weight in each),
-      unpadded; ``_row_starts[i, l]`` is that start within instance i's
-      block of n*(k+1) entries; ``_targets[e]`` lists the loci entry e's
-      component reads.
+      unpadded; ``_targets[e]`` lists the loci entry e's component reads.
     - ``_masks``, XORed into a position, reach the component's distance-2
       table ball: 0, the ``_bits``, then the ``_bits[_pa] | _bits[_pb]``.
       ``_keys[i, j, p]`` (C-ordered) is the flat n x n position of the pair
       ``_loci[i, j, [_pa[p], _pb[p]]]``; hc2's pair sums of a row, a
       symmetric (n, n) matrix, hold each pair's terms in ``_pair_dtype``,
       the smallest signed dtype holding ``-(2*n*(q-1) + 1)``.
+    - The scan (:meth:`_row_deltas`) sums each one-bit delta, at most n
+      differences within q-1 of 0, in ``_delta_dtype``, the smallest signed
+      dtype holding ``-(n*(q-1) + 1)``, by rank: ``_slabs[i, r]`` loci of
+      instance i have more than r readers, ``_ranked[i]`` lists its loci by
+      reader count, largest first, and entry p of component j fills row
+      ``_dest[i, j, p]`` of the scan's rank-major difference matrix.
     - The rows of a block, each about :data:`_SCAN_ENTRIES` int64 words and
-      at least one row: ``_scan_rows`` of a scan, whose rows gather n*(k+1)
-      entries; ``_guard_rows`` of scuba's guard (:meth:`_mutant_deltas`),
-      whose rows hold n deltas and (k+1)**2 terms of about four words each;
-      ``_ball_rows`` of hc2's pair sums, built or moved, whose rows gather n
-      distance-2 balls.
+      at least one row: ``_scan_rows`` of a scan, whose rows hold n
+      positions, and whose blocks go through their components in blocks of
+      about as many gathered entries; ``_guard_rows`` of scuba's guard
+      (:meth:`_mutant_deltas`), whose rows hold n deltas and (k+1)**2 terms
+      of about four words each; ``_ball_rows`` of hc2's pair sums, built or
+      moved, whose rows gather n distance-2 balls.
 
     Only the searchers read ``_targets`` and ``_keys``, so each is built on
     first use: a group that only scans (``batch_scan``, ``batch_totals``)
@@ -462,9 +471,10 @@ class _Group:
         self._bits = np.left_shift(1, np.arange(k + 1, dtype=np.int64))
         self._pa, self._pb = np.triu_indices(k + 1, 1)
         self._masks = np.concatenate(([0], self._bits, self._bits[self._pa] | self._bits[self._pb]))
-        self._scan_rows = max(1, _SCAN_ENTRIES // (n * (k + 1)))
+        self._scan_rows = max(1, _SCAN_ENTRIES // n)
         self._guard_rows = max(1, _SCAN_ENTRIES // (n + 4 * (k + 1) ** 2))
         self._ball_rows = max(1, _SCAN_ENTRIES // (n * self._masks.size))
+        self._delta_dtype = _table_dtype(max(self.max_totals) + 1)
         self._pair_dtype = _table_dtype(2 * max(self.max_totals) + 1)
         self._loci = np.stack([np.column_stack((np.arange(n), other.links))
                                for other in landscapes])
@@ -472,15 +482,29 @@ class _Group:
         # One stable sort of the reader keys i*n + l orders the entries by
         # key and, within a key, by component.
         readers = (self._loci + n * np.arange(len(landscapes))[:, None, None]).ravel()
-        entries, slots = np.divmod(np.argsort(readers, kind="stable"), k + 1)
+        order = np.argsort(readers, kind="stable")
+        entries, slots = np.divmod(order, k + 1)
         self._comps, self._weights = entries % n, self._bits[slots]
         self._counts = np.bincount(readers, minlength=len(landscapes) * n)
         self._starts = np.cumsum(self._counts) - self._counts
-        # Instance i's n*(k+1) entries are the i-th block, and its rows'
-        # starts within it are below n*(k+1) <= MAX_TABLE_ENTRIES, so int32
-        # holds them.
-        self._row_starts = (self._starts.reshape(-1, n)
-                            - n * (k + 1) * np.arange(len(landscapes))[:, None]).astype(np.int32)
+        # The r-th reader of a locus, in component order, has rank r; rank
+        # r's rows of instance i follow those of lower ranks, one a locus
+        # read more than r times, in _ranked[i] order. Each array is held in
+        # the smallest unsigned dtype holding its values, n or below n(k+1),
+        # and is the same size for every instance of one (n, k).
+        counts = self._counts.reshape(-1, n)
+        ranked = np.argsort(-counts, axis=1, kind="stable")
+        place = np.empty_like(ranked)
+        np.put_along_axis(place, ranked, np.arange(n), axis=1)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size) - self._starts[readers[order]]
+        rank = rank.reshape(self._loci.shape)
+        instance = np.arange(len(landscapes))[:, None, None]
+        slabs = np.bincount((instance * n + rank).ravel(),
+                            minlength=len(landscapes) * n).reshape(-1, n)
+        dest = (np.cumsum(slabs, axis=1) - slabs)[instance, rank] + place[instance, self._loci]
+        self._ranked, self._slabs = (a.astype(np.min_scalar_type(n)) for a in (ranked, slabs))
+        self._dest = dest.astype(np.min_scalar_type(n * (k + 1) - 1))
 
     @cached_property
     def _targets(self) -> np.ndarray:
@@ -507,17 +531,53 @@ class _Group:
 
     def _row_deltas(self, states: np.ndarray, i=0):
         """``(pos, totals, deltas)`` of each row of a (batch, n) genotype
-        matrix on instance i: :meth:`_base_indices`, int64 totals, and
-        ``deltas[b, l]`` (int64), the change of row b's total when locus l
-        flips. ``states`` is not checked; the public entry points do."""
-        pos = self._base_indices(states, i)
-        size = self.n * (self.k + 1)
-        entries = slice(i * size, (i + 1) * size)
-        comps = self._comps[entries]
-        vals = self._tab[pos]
-        dvals = self._tab[pos[:, comps] ^ self._weights[entries]] - vals[:, comps]
-        deltas = np.add.reduceat(dvals, self._row_starts[i], axis=1, dtype=np.int64)
-        return pos, vals.sum(axis=1, dtype=np.int64), deltas
+        matrix on instance i: the (batch, n) int64 flat table positions of
+        the entries its components read, int64 totals, and ``deltas[b, l]``,
+        in ``_delta_dtype``, the change of row b's total when locus l
+        flips. ``pos`` and ``deltas`` are transposed views of (n, batch)
+        arrays. ``states`` is not checked; the public entry points do.
+
+        The rows go in blocks of ``_scan_rows``, the components of a block
+        of R rows ``_SCAN_ENTRIES // ((k+1)*R)`` at a time (at least one):
+        their positions and values, then one (C, k+1, R) gather of their
+        one-bit neighbors, whose differences fill their rows of one (n(k+1),
+        R) matrix in ``_delta_dtype``. Rows go inner, so a gather reads C
+        components' tables, not all n for every row, and stays in cache at
+        K=16. The matrix is rank-major (``_slabs``), so each rank's rows add
+        onto the first rank's in one contiguous add, and a locus's partial
+        sums, like its delta, lie within n(q-1) of 0."""
+        n, k = self.n, self.k
+        loci, offsets, dest = self._loci[i], self._offsets[i], self._dest[i]
+        weights = self._bits.astype(np.int32)
+        pos = np.empty((n, len(states)), dtype=np.int64)
+        totals = np.zeros(len(states), dtype=np.int64)
+        deltas = np.empty((n, len(states)), dtype=self._delta_dtype)
+        for lo in range(0, len(states), self._scan_rows):
+            rows = slice(lo, lo + self._scan_rows)
+            alleles = np.ascontiguousarray(states[rows].T, dtype=np.uint8)
+            width = alleles.shape[1]
+            diffs = np.empty((n * (k + 1), width), dtype=self._delta_dtype)
+            step = max(1, _SCAN_ENTRIES // ((k + 1) * width))
+            for c in range(0, n, step):
+                comps = slice(c, c + step)
+                at = pos[comps, rows]
+                # A packed index is below 2**(k+1) <= MAX_TABLE_ENTRIES, so
+                # int32 holds it exactly.
+                np.add(np.einsum("cpr,p->cr", alleles[loci[comps]], weights),
+                       offsets[comps, None], out=at)
+                vals = self._tab[at]
+                totals[rows] += vals.sum(axis=0, dtype=np.int64)
+                # Each difference fits the table dtype.
+                diffs[dest[comps].ravel()] = (self._tab[at[:, None] ^ self._bits[:, None]]
+                                              - vals[:, None]).reshape(-1, width)
+            top = n
+            for size in self._slabs[i, 1:].tolist():
+                if not size:
+                    break
+                diffs[:size] += diffs[top:top + size]
+                top += size
+            deltas[self._ranked[i], rows] = diffs[:n]
+        return pos.T, totals, deltas.T
 
     def _ball_terms(self, pos) -> np.ndarray:
         """``pos.shape + (C(k+1, 2),)`` in ``_pair_dtype``: for each flat

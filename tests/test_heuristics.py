@@ -297,13 +297,16 @@ class TestScuba:
                (b.steps, b.flat_count, b.gate_count, b.evaluations)
 
 
-@pytest.mark.parametrize("heuristic, k, runs, bound", [("ss", 2, 256, 1.5), ("hc2", 16, 64, 4)])
+@pytest.mark.parametrize("heuristic, k, runs, bound",
+                         [("ss", 2, 256, 1.5), ("ss", 16, 256, 2.5), ("hc2", 16, 64, 4)])
 def test_search_peak_is_bounded(heuristic, k, runs, bound):
     # n=64, q=2. Scuba's 256 runs read 5203 neutral neighbors in their
-    # first round; in guard blocks the search peaks at 1.25 MiB, and one
-    # block of them all peaks near 4.7. hc2's 64 runs are one chunk
-    # whose distance-2 balls, built and moved in ball blocks, peak at 2.4
-    # MiB, and gathered whole at 10.3.
+    # first round at K=2; in guard blocks the search peaks at 0.95 MiB, and
+    # one block of them all peaks near 4.7. At K=16 the start-up scan of
+    # all 256 runs takes the scan kernel's row blocks and peaks at 1.0 MiB
+    # (4.7 in one block); the search peaks at 2.3, in a flip. hc2's 64 runs
+    # are one chunk whose distance-2 balls, built and moved in ball blocks,
+    # peak at 2.4 MiB, and gathered whole at 10.3.
     landscape = generate(64, k, 2, seed=5)
     starts = np.random.default_rng(0).integers(0, 2, (runs, 64), dtype=np.uint8)
     # A first search builds the landscape's group and its lazy arrays.

@@ -284,8 +284,9 @@ class TestBatchGenotypes:
 
     def test_scan_memory_is_bounded_above_its_outputs(self):
         # 2000 rows at n=64, K=16. Scanned in one block, the gather's index
-        # arrays would take some 33 MB; in blocks they stay near 1 MB, so
-        # the bound is fixed rather than a share of the batch.
+        # arrays would take some 33 MB; in blocks of 512 rows the scan holds
+        # 1.5 MiB above its outputs, so the bound is fixed rather than a
+        # share of the batch.
         landscape = generate(64, 16, 2, seed=3)
         states = np.random.default_rng(3).integers(0, 2, (2000, 64), dtype=np.uint8)
         tracemalloc.start()

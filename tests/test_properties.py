@@ -270,13 +270,15 @@ def _check_scan(landscape, states, totals, flips, oracle_rows):
 @given(data=st.data())
 def test_blocked_batch_scan_equals_rows_alone(data):
     # The block size is drawn from below one row (a block still holds one)
-    # to four rows of gathered entries, and the batch from empty to past
-    # several blocks, the last one short.
+    # to 4(k+1) rows of positions, and the batch from empty to past several
+    # blocks, the last one short. A block of R rows goes through
+    # entries // ((k+1)*R) components at a time, at least one: from one
+    # component to all n, so component blocks end short of n too.
     landscape, _ = data.draw(landscape_and_genotype(data.draw(st.sampled_from(
         (2, 3, 100, 2**40)))))
     n, k = landscape.n, landscape.k
     entries = data.draw(st.integers(1, 4 * n * (k + 1)))
-    rows = data.draw(st.integers(0, 6 * max(1, entries // (n * (k + 1)))))
+    rows = data.draw(st.integers(0, 3 * max(1, entries // n) + 2))
     states = np.array(data.draw(st.lists(
         st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=rows, max_size=rows)),
         dtype=np.uint8).reshape(rows, n)
@@ -284,19 +286,74 @@ def test_blocked_batch_scan_equals_rows_alone(data):
         patch.setattr(landscape_module, "_SCAN_ENTRIES", entries)
         totals, flips = landscape.batch_scan(states)
     # The landscape's group, built by that first scan, blocks at the patch.
-    assert landscape._group._scan_rows == max(1, entries // (n * (k + 1)))
+    assert landscape._group._scan_rows == max(1, entries // n)
     _check_scan(landscape, states, totals, flips, range(rows))
 
 
 def test_blocked_batch_scan_at_paper_scale():
-    # n=64, K=16 with the shipped block size: two whole blocks and a short
-    # one. The oracle reads the rows on each side of every block boundary.
+    # n=64, K=16 with the shipped block size: two whole blocks of 512 rows,
+    # each gone through 3 components at a time, and a short one of 7 rows,
+    # whose components are one block. The oracle reads the rows on each
+    # side of every row-block boundary.
     landscape = generate(64, 16, 100, seed=15)
-    block = landscape_module._SCAN_ENTRIES // (64 * 17)
+    block = landscape_module._SCAN_ENTRIES // 64
+    assert landscape_module._SCAN_ENTRIES // (17 * block) == 3
     states = np.random.default_rng(15).integers(0, 2, (2 * block + 7, 64), dtype=np.uint8)
     totals, flips = landscape.batch_scan(states)
+    assert landscape._group._scan_rows == block
     _check_scan(landscape, states, totals, flips,
                 (0, block - 1, block, 2 * block - 1, 2 * block, len(states) - 1))
+
+
+def delta_edges():
+    """``(n, q, dtype)``: n*(q-1) just below, at and just past the largest
+    value of int8, int16 and int32, with n up to 8, and the one-bit delta
+    dtype it takes."""
+    wider = {2**7 - 1: np.int16, 2**15 - 1: np.int32, 2**31 - 1: np.int64}
+    for bound, narrow in zip(wider, (np.int8, np.int16, np.int32)):
+        for top in (bound - 1, bound, bound + 1):
+            n = max(d for d in range(1, 9) if top % d == 0)
+            yield n, top // n + 1, narrow if top <= bound else wider[bound]
+
+
+def extreme_landscape(n, q, sign):
+    """Every component reads every locus (k = n-1) and holds q-1 at index
+    0 and 0 elsewhere (``sign`` -1), or the reverse (+1), so at the all-zero
+    genotype every one-bit delta is ``sign * n*(q-1)``."""
+    tables = np.full((n, 2**n), q - 1 if sign > 0 else 0)
+    tables[:, 0] = q - 1 - tables[:, 0]
+    links = [[j for j in range(n) if j != i] for i in range(n)]
+    return NkqLandscape(n, n - 1, q, MODES[0], links, tables)
+
+
+@pytest.mark.parametrize("n, q, dtype", list(delta_edges()))
+def test_delta_dtype_edges(n, q, dtype):
+    # The scan sums each one-bit delta in the smallest signed dtype holding
+    # n*(q-1); the extreme landscapes reach +-n(q-1), which one dtype less
+    # would wrap. A group holding a smaller q of the same table dtype as
+    # well scans both in the dtype its largest q sets.
+    rows = np.vstack([np.zeros((1, n)), np.ones((1, n)),
+                      np.random.default_rng(q).integers(0, 2, (3, n))]).astype(np.uint8)
+    landscapes = [extreme_landscape(n, q, 1), extreme_landscape(n, q, -1),
+                  generate(n, n - 1, q, seed=n)]
+    if q > 2 and _table_dtype(q - 1) == _table_dtype(q):
+        landscapes.insert(0, extreme_landscape(n, q - 1, 1))
+    group = landscape_module._Group(landscapes)
+    assert group._delta_dtype == dtype
+    for i, landscape in enumerate(landscapes):
+        _, totals, deltas = group._row_deltas(rows, i)
+        alone_totals, flips = landscape.batch_scan(rows)
+        assert deltas.dtype == dtype
+        assert landscape._group._delta_dtype == _table_dtype(landscape.max_total + 1)
+        for b, row in enumerate(rows.tolist()):
+            total = oracles.naive_total(landscape, tuple(row))
+            want = [oracles.naive_total(landscape, oracles.flip(tuple(row), a)) - total
+                    for a in range(n)]
+            assert totals[b] == alone_totals[b] == total
+            assert deltas[b].tolist() == (flips[b] - total).tolist() == want
+    up = len(landscapes) - 3
+    for i, sign in ((up, 1), (up + 1, -1)):
+        assert group._row_deltas(rows, i)[2][0].tolist() == [sign * n * (q - 1)] * n
 
 
 @pytest.mark.parametrize("q", Q_VALUES)
@@ -506,6 +563,15 @@ def test_neutral_degree_sampling_builds_one_group_per_landscape(monkeypatch):
     assert sizes == [1] * 7
 
 
+def test_neutral_degree_sampling_counts_every_row_whatever_the_block(monkeypatch):
+    # degn scans each drawn chunk one scan block at a time: blocks of three
+    # rows, the last one short, count what one block of all 50 rows counts.
+    whole = neutral_degree_instance_means(8, 2, 2, samples=50, instances=2, seed=4)
+    monkeypatch.setattr(landscape_module, "_SCAN_ENTRIES", 3 * 8)
+    blocked = neutral_degree_instance_means(8, 2, 2, samples=50, instances=2, seed=4)
+    assert blocked.tolist() == whole.tolist()
+
+
 @pytest.mark.parametrize("q", Q_VALUES)
 @settings(max_examples=50)
 @given(data=st.data())
@@ -599,7 +665,9 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
     # and hc2 reads the pair totals of `chunk` runs at a time, so a batch may
     # span several chunks, the last one short, and builds and moves them in
     # blocks of a row or two of balls; scuba's guard reads its mutant deltas
-    # in blocks of a few rows. The runs are spread at random over one
+    # in blocks of a few rows, and the start-up scan of an instance's R runs
+    # goes through block*n // R of their components at a time, in blocks of
+    # block*(k+1) rows. The runs are spread at random over one
     # to three landscapes of one (n, k), their q values drawn from one table
     # dtype, so chunks and blocks straddle them. The netcrawler reads a
     # window of a few proposals per round, wider as runs finish, so windows
@@ -624,7 +692,7 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
         patch.setattr(landscape_module, "_SCAN_ENTRIES", block * n * (landscapes[0].k + 1))
         group = landscape_module._Group(landscapes)
         k = landscapes[0].k
-        assert group._scan_rows == block
+        assert group._scan_rows == block * (k + 1)
         assert group._guard_rows == max(1, block * n * (k + 1) // (n + 4 * (k + 1) ** 2))
         assert group._ball_rows == max(1, block * (k + 1) // (1 + (k + 1) * (k + 2) // 2))
         batch = heuristics._search(group, heuristic, np.array(instances, dtype=np.intp), starts,

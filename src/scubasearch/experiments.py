@@ -25,7 +25,8 @@ from itertools import groupby, islice
 import numpy as np
 
 from . import heuristics as hx
-from .landscape import RANDOM, _Group, _table_dtype, check_params, check_seed, generate
+from .landscape import (RANDOM, _Group, _blocks, _table_dtype, check_params, check_seed,
+                        generate)
 
 _LANDSCAPE_STREAM = 101
 _RUN_STREAM = 102
@@ -446,11 +447,9 @@ def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
     """Mean neutral degree of uniform-random genotypes, one value per instance.
 
     Each drawn chunk is scanned one block of the scan kernel's rows at a
-    time (:meth:`~.landscape.NkqLandscape.batch_scan`: ``_SCAN_ENTRIES //
-    n`` rows, components outer and rows inner, deltas in the smallest dtype
-    holding ``n*(q-1)``) and counted there, so no (samples, n) int64 flip
-    matrix is held; the chunks drawn, and so the stream, do not depend on
-    the block."""
+    time (:meth:`~.landscape.NkqLandscape.batch_scan`) and counted there, so
+    no (samples, n) int64 flip matrix is held; the chunks drawn, and so the
+    stream, do not depend on the block."""
     check_params(n, k, q, mode)
     hx.check_counts({"samples": samples, "instances": instances})
     means = np.empty(instances)
@@ -462,12 +461,11 @@ def neutral_degree_instance_means(n, k, q, samples=1000, instances=10, seed=0,
         landscape = generate(n, k, q, mode,
                              seed=landscape_seed(seed, k, q, inst))
         rng = np.random.default_rng(derive_seed(seed, _SAMPLE_STREAM, k, q, inst))
-        block = landscape._group._scan_rows
         acc = 0
         for done in range(0, samples, chunk):
             states = rng.integers(0, 2, size=(min(chunk, samples - done), n), dtype=np.uint8)
-            for lo in range(0, len(states), block):
-                totals, flips = landscape.batch_scan(states[lo:lo + block])
+            for rows in _blocks(len(states), n):
+                totals, flips = landscape.batch_scan(states[rows])
                 acc += np.count_nonzero(flips == totals[:, None])
         means[inst] = acc / samples
         # Drop this instance's landscape before the next one is generated.

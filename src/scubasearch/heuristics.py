@@ -381,11 +381,9 @@ def _climb(runs, halves, neutral_phase) -> list[RunResult]:
     chosen one of highest evolvability (flat move); else, if some neighbor is
     strictly fitter, flip to a uniformly chosen fittest one (gate move); else
     stop. Reading ``total + d`` is charged ``n`` queries, and scuba's guard,
-    read from the mutant deltas of the neutral neighbors, ``Degn * n`` more;
-    the guard reads them in blocks of the group's ``_guard_rows``.
+    read from the mutant deltas of the neutral neighbors, ``Degn * n`` more.
     """
     group = runs.group
-    block = group._guard_rows
     # The neutral neighbors each run's guard has read.
     guarded = np.zeros(len(runs.s0), dtype=np.int64)
     live = np.arange(len(runs.s0))
@@ -401,10 +399,7 @@ def _climb(runs, halves, neutral_phase) -> list[RunResult]:
             # its best one-bit delta; flipping back (delta 0) is one of them.
             rows = live[at]
             keys = runs.instances[rows] * group.n + loci
-            lifts = np.empty(at.size, dtype=np.int64)
-            for b in range(0, at.size, block):
-                lifts[b:b + block] = group._mutant_deltas(
-                    runs.idx, runs.d, rows[b:b + block], keys[b:b + block]).max(axis=1)
+            lifts = group._mutant_lifts(runs.idx, runs.d, rows, keys)
             lift = np.full(live.size, -1, dtype=np.int64)
             np.maximum.at(lift, at, lifts)
             flat = lift > np.maximum(gain, 0)

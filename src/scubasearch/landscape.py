@@ -38,19 +38,18 @@ MAX_TABLE_ENTRIES = 2**27
 
 _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
 
-# Table entries generate draws per chunk, in flat row-major order whatever
-# the row width: at most 2**14 raw PCG64 words (128 KB), whose 2**15 halves
-# map through temporaries of at most 256 KB each (uint64 values, or the int64
-# draw for q > 2**32), so the draw stays within a megabyte of its table.
-_DRAW_CHUNK = 2**15
-
-# The int64 words a kernel's block holds, at least one row or component, so
-# its temporaries stay near 2**15 * 8 bytes each, in cache, whatever the
-# batch size (_Group): the scan's blocks of rows, n positions a row, and
-# within one its blocks of components, k+1 neighbors a component and row;
-# scuba's guard's n copied deltas plus about four words for each of a mutant
-# row's (k+1)**2 segment terms; and hc2's n distance-2 table balls a row.
+# The int64 words a kernel's block holds (_blocks), 256 KB, so its
+# temporaries stay in cache whatever the batch size; generate draws as many
+# table entries a chunk.
 _SCAN_ENTRIES = 2**15
+
+
+def _blocks(count, words):
+    """The one block rule: slices of ``range(count)``, each but the last
+    ``max(1, _SCAN_ENTRIES // words)`` long, for a kernel that holds about
+    ``words`` int64 words for each row of its work."""
+    step = max(1, _SCAN_ENTRIES // words)
+    return (slice(lo, lo + step) for lo in range(0, count, step))
 
 
 def _table_dtype(q: int) -> np.dtype:
@@ -213,15 +212,15 @@ def _draw_bounded(rng: np.random.Generator, q, out: np.ndarray) -> None:
     low half first, to ``(x*q) >> 32``, and rejects ``x`` when ``x*q mod
     2**32`` is below ``2**32 % q`` (Lemire, ACM TOMACS 2019), one call per
     value. Here that map runs vectorized over ``random_raw`` words, at most
-    :data:`_DRAW_CHUNK` halves' worth per chunk. A half the generator holds
-    buffered (the links drawn before the table can leave one) is read
-    first. Larger q takes 64-bit values, which ``integers`` draws here,
-    chunk by chunk.
+    :data:`_SCAN_ENTRIES` halves' worth per chunk, through uint64
+    temporaries of one word a half. A half the generator holds buffered
+    (the links drawn before the table can leave one) is read first. Larger
+    q takes 64-bit values, which ``integers`` draws here, chunk by chunk.
     """
     q = int(q)
     if q > 2**32:
-        for lo in range(0, out.size, _DRAW_CHUNK):
-            chunk = out[lo:lo + _DRAW_CHUNK]
+        for block in _blocks(out.size, 1):
+            chunk = out[block]
             chunk[:] = rng.integers(0, q, size=chunk.size, dtype=np.int64)
         return
     threshold, low = np.uint32(2**32 % q), np.uint32(q % 2**32)
@@ -243,7 +242,7 @@ def _draw_bounded(rng: np.random.Generator, q, out: np.ndarray) -> None:
     if bitgen.state["has_uint32"] and out.size:
         filled = put(accept(np.array([bitgen.state["uinteger"]], dtype=np.uint32)), 0)
     while filled < out.size:
-        words = bitgen.random_raw(-(-min(out.size - filled, _DRAW_CHUNK) // 2))
+        words = bitgen.random_raw(-(-min(out.size - filled, _SCAN_ENTRIES) // 2))
         filled = put(accept(words.astype("<u8", copy=False).view("<u4")), filled)
 
 
@@ -380,21 +379,15 @@ class NkqLandscape:
         Returns ``(totals, flip_totals)`` with shapes (batch,) and
         (batch, n); ``flip_totals[b, l]`` is the total of row b with locus l
         flipped. Each call of the scan kernel (:meth:`_Group._row_deltas`)
-        takes one block of ``_SCAN_ENTRIES // n`` rows, at least one, so the
-        positions, deltas and temporaries it holds stay near a megabyte
-        whatever the batch size. It goes through a block's components outer
-        and its rows inner, so each table gather reads a few components'
-        tables and stays in cache. A block's deltas, in the smallest signed
-        dtype holding ``n*(q-1)``, add to its totals in the int64 outputs.
+        takes one block of rows of n positions (:func:`_blocks`), whose
+        deltas add to its totals in the int64 outputs.
         """
         states = _alleles(states, 2, self.n)
         totals = np.empty(len(states), dtype=np.int64)
         flips = np.empty(states.shape, dtype=np.int64)
-        group = self._group
-        for lo in range(0, len(states), group._scan_rows):
-            hi = lo + group._scan_rows
-            _, totals[lo:hi], deltas = group._row_deltas(states[lo:hi])
-            np.add(totals[lo:hi, None], deltas, out=flips[lo:hi])
+        for rows in _blocks(len(states), self.n):
+            _, totals[rows], deltas = self._group._row_deltas(states[rows])
+            np.add(totals[rows, None], deltas, out=flips[rows])
         return totals, flips
 
     # -- misc ---------------------------------------------------------------
@@ -448,13 +441,10 @@ class _Group:
       instance i have more than r readers, ``_ranked[i]`` lists its loci by
       reader count, largest first, and entry p of component j fills row
       ``_dest[i, j, p]`` of the scan's rank-major difference matrix.
-    - The rows of a block, each about :data:`_SCAN_ENTRIES` int64 words and
-      at least one row: ``_scan_rows`` of a scan, whose rows hold n
-      positions, and whose blocks go through their components in blocks of
-      about as many gathered entries; ``_guard_rows`` of scuba's guard
-      (:meth:`_mutant_deltas`), whose rows hold n deltas and (k+1)**2 terms
-      of about four words each; ``_ball_rows`` of hc2's pair sums, built or
-      moved, whose rows gather n distance-2 balls.
+    - Every kernel works in blocks of one rule (:func:`_blocks`), stating
+      where it blocks the int64 words it holds for each row of its work, so
+      what it holds stays bounded whatever the batch size; its results do
+      not depend on the blocking.
 
     Only the searchers read ``_targets`` and ``_keys``, so each is built on
     first use: a group that only scans (``batch_scan``, ``batch_totals``)
@@ -471,9 +461,6 @@ class _Group:
         self._bits = np.left_shift(1, np.arange(k + 1, dtype=np.int64))
         self._pa, self._pb = np.triu_indices(k + 1, 1)
         self._masks = np.concatenate(([0], self._bits, self._bits[self._pa] | self._bits[self._pb]))
-        self._scan_rows = max(1, _SCAN_ENTRIES // n)
-        self._guard_rows = max(1, _SCAN_ENTRIES // (n + 4 * (k + 1) ** 2))
-        self._ball_rows = max(1, _SCAN_ENTRIES // (n * self._masks.size))
         self._delta_dtype = _table_dtype(max(self.max_totals) + 1)
         self._pair_dtype = _table_dtype(2 * max(self.max_totals) + 1)
         self._loci = np.stack([np.column_stack((np.arange(n), other.links))
@@ -537,8 +524,8 @@ class _Group:
         flips. ``pos`` and ``deltas`` are transposed views of (n, batch)
         arrays. ``states`` is not checked; the public entry points do.
 
-        The rows go in blocks of ``_scan_rows``, the components of a block
-        of R rows ``_SCAN_ENTRIES // ((k+1)*R)`` at a time (at least one):
+        The rows go in blocks of n positions a row, the components of a
+        block of R rows in blocks of (k+1)*R gathered entries a component:
         their positions and values, then one (C, k+1, R) gather of their
         one-bit neighbors, whose differences fill their rows of one (n(k+1),
         R) matrix in ``_delta_dtype``. Rows go inner, so a gather reads C
@@ -552,14 +539,11 @@ class _Group:
         pos = np.empty((n, len(states)), dtype=np.int64)
         totals = np.zeros(len(states), dtype=np.int64)
         deltas = np.empty((n, len(states)), dtype=self._delta_dtype)
-        for lo in range(0, len(states), self._scan_rows):
-            rows = slice(lo, lo + self._scan_rows)
+        for rows in _blocks(len(states), n):
             alleles = np.ascontiguousarray(states[rows].T, dtype=np.uint8)
             width = alleles.shape[1]
             diffs = np.empty((n * (k + 1), width), dtype=self._delta_dtype)
-            step = max(1, _SCAN_ENTRIES // ((k + 1) * width))
-            for c in range(0, n, step):
-                comps = slice(c, c + step)
+            for comps in _blocks(n, (k + 1) * width):
                 at = pos[comps, rows]
                 # A packed index is below 2**(k+1) <= MAX_TABLE_ENTRIES, so
                 # int32 holds it exactly.
@@ -598,17 +582,17 @@ class _Group:
         """``(R, n, n)`` in ``_pair_dtype``, symmetric: entry [r, a, b] sums
         the two-bit terms of the components of row r of the table positions
         ``idx`` on instance ``instances[r]`` that read both a and b, 0 at
-        a == b. Each block of ``_ball_rows`` rows takes one scatter of its
-        components' terms by pair and one transposed sum. At most n
+        a == b. Each block of rows takes one scatter of its components'
+        terms by pair and one transposed sum: a row holds its n balls' index
+        words and pair targets, and its n*n sums. At most n
         components add to an entry, each a term within 2(q-1), so every
         entry, and every partial sum of a scatter here or in
         :meth:`_move_pairs`, is at most 2n(q-1) from 0."""
         rows, n = idx.shape
         pairs = np.zeros((rows, n, n), dtype=self._pair_dtype)
-        for lo in range(0, rows, self._ball_rows):
-            block = slice(lo, lo + self._ball_rows)
+        for block in _blocks(rows, n * (self._masks.size + self._pa.size + n)):
             at = self._keys[instances[block]]
-            at += (n * n) * np.arange(lo, lo + len(at))[:, None, None]
+            at += (n * n) * np.arange(rows)[block, None, None]
             # numpy's fast path of ufunc.at takes flat indices.
             np.add.at(pairs.reshape(-1), at.ravel(), self._ball_terms(idx[block]).ravel())
             pairs[block] += pairs[block].transpose(0, 2, 1)
@@ -620,13 +604,12 @@ class _Group:
         locus of key ``keys[r]``, before :meth:`_flip` makes it: only the
         components of the key's by-locus segment change position, from i
         to i^w, and their terms at i^w less those at i are added at each
-        pair and its transpose, ``_ball_rows * n`` entries at a time, so each
-        ball gather is a build block's."""
+        pair and its transpose, in blocks of entries that each hold one
+        ball's index words and about four words a pair term."""
         n = self.n
         segments = self._segments(rows, keys)
-        step = self._ball_rows * n
-        for lo in range(0, segments[0].size, step):
-            runs, entries = (part[lo:lo + step] for part in segments)
+        for block in _blocks(segments[0].size, self._masks.size + 4 * self._pa.size):
+            runs, entries = (part[block] for part in segments)
             comps = self._comps[entries]
             i = idx[runs, comps]
             terms = np.subtract(self._ball_terms(i ^ self._weights[entries]),
@@ -659,6 +642,15 @@ class _Group:
         self._add_terms(out, local, entries, idx[rows[local], self._comps[entries]])
         return out
 
+    def _mutant_lifts(self, idx, d, rows, keys) -> np.ndarray:
+        """``(len(rows),)`` int64: the largest of each row of
+        :meth:`_mutant_deltas`, scuba's guard, in blocks of rows of n copied
+        deltas and (k+1)**2 segment terms of about four words each."""
+        lifts = np.empty(len(rows), dtype=np.int64)
+        for block in _blocks(len(rows), self.n + 4 * (self.k + 1) ** 2):
+            lifts[block] = self._mutant_deltas(idx, d, rows[block], keys[block]).max(axis=1)
+        return lifts
+
     def _segments(self, rows, keys):
         """``(runs, entries)``, one per entry of the by-locus row of key
         ``keys[r]``, for every r at once: its row ``rows[r]`` and its index
@@ -675,15 +667,17 @@ class _Group:
         from table position ``i[e]`` to j = i^w makes: the delta at each
         locus it reads, at weight w, moves by ``T[j^w] - T[j] - T[i^w] +
         T[i]`` (Whitley & Chen, GECCO 2012; Chicano, Whitley & Sutton, GECCO
-        2014), the flipped locus's negating, in one scatter on flattened
-        indices."""
-        tab, a = self._tab, i[:, None]
-        b = a ^ self._weights[entries, None]
-        # Each difference fits the table dtype; a term reaches +-2(q-1).
-        terms = np.subtract(tab[b ^ self._bits] - tab[b], tab[a ^ self._bits] - tab[a],
-                            dtype=np.int64)
-        at = self._targets[entries] + self.n * runs[:, None]
-        np.add.at(d.reshape(-1), at.ravel(), terms.ravel())
+        2014), the flipped locus's negating, one scatter on flattened
+        indices a block of entries, each of k+1 terms of about four words."""
+        tab = self._tab
+        for block in _blocks(entries.size, 4 * (self.k + 1)):
+            a = i[block, None]
+            b = a ^ self._weights[entries[block], None]
+            # Each difference fits the table dtype; a term reaches +-2(q-1).
+            terms = np.subtract(tab[b ^ self._bits] - tab[b], tab[a ^ self._bits] - tab[a],
+                                dtype=np.int64)
+            at = self._targets[entries[block]] + self.n * runs[block, None]
+            np.add.at(d.reshape(-1), at.ravel(), terms.ravel())
 
     def _flip(self, idx, d, rows, keys, deltas=None) -> None:
         """Flip the locus of key ``keys[r]`` of row ``rows[r]`` of the (R, n)

@@ -155,12 +155,13 @@ def test_output_digest(case, tmp_path, capsys):
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("workload", ["sweep-grid", "sweep-traced"])
+@pytest.mark.parametrize("workload", ["sweep-grid", "sweep-traced", "degn-grid"])
 def test_benchmark_sweep_digests(workload, tmp_path, monkeypatch):
-    # The benchmark's sweeps at paper scale, seed 42, against the digests
+    # The benchmark's workloads at paper scale, seed 42, against the digests
     # perfbench/golden.json records for them: there the instances of one
     # K <= 8 share a group across q values, and a K=12 or K=16 one runs
-    # alone.
+    # alone; degn's 2000 samples at n=64 cross the scan's row blocks, and
+    # its component blocks end short of n.
     monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports child.py
     spec = runpy.run_path(str(PERFBENCH / "run.py"))["WORKLOADS"][workload]
     golden = json.loads((PERFBENCH / "golden.json").read_text())["42"][workload]

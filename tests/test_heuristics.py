@@ -298,15 +298,19 @@ class TestScuba:
 
 
 @pytest.mark.parametrize("heuristic, k, runs, bound",
-                         [("ss", 2, 256, 1.5), ("ss", 16, 256, 2.5), ("hc2", 16, 64, 4)])
+                         [("ss", 2, 256, 1.5), ("ss", 16, 256, 1.25), ("hc", 16, 256, 1.25),
+                          ("nc", 16, 256, 1.75), ("hc2", 16, 64, 4)])
 def test_search_peak_is_bounded(heuristic, k, runs, bound):
     # n=64, q=2. Scuba's 256 runs read 5203 neutral neighbors in their
-    # first round at K=2; in guard blocks the search peaks at 0.95 MiB, and
+    # first round at K=2; in guard blocks the search peaks at 0.99 MiB, and
     # one block of them all peaks near 4.7. At K=16 the start-up scan of
     # all 256 runs takes the scan kernel's row blocks and peaks at 1.0 MiB
-    # (4.7 in one block); the search peaks at 2.3, in a flip. hc2's 64 runs
-    # are one chunk whose distance-2 balls, built and moved in ball blocks,
-    # peak at 2.4 MiB, and gathered whole at 10.3.
+    # (4.7 in one block), which sets the peak of ss (1.05) and hc (1.02);
+    # the flip's terms, in blocks too, peaked at 2.3 when scattered whole.
+    # The netcrawler's 256 x 512 proposals take it to 1.51. Each K=16 bound
+    # is its peak plus about 0.2 MiB. hc2's 64 runs are one chunk whose
+    # distance-2 balls, built and moved in blocks, peak at 1.7 MiB, and
+    # gathered whole at 10.3.
     landscape = generate(64, k, 2, seed=5)
     starts = np.random.default_rng(0).integers(0, 2, (runs, 64), dtype=np.uint8)
     # A first search builds the landscape's group and its lazy arrays.

@@ -23,6 +23,8 @@ from scubasearch import (
     search,
     serialize,
 )
+from scubasearch import landscape as landscape_module
+from scubasearch.heuristics import _Runs
 
 
 class TestGenerate:
@@ -155,7 +157,7 @@ class TestGenerate:
         assert np.array_equal(got, want)
 
     def test_generate_peaks_at_its_table(self):
-        # The table is drawn in _DRAW_CHUNK-entry chunks straight into the array
+        # The table is drawn in _SCAN_ENTRIES-entry chunks straight into the array
         # the landscape keeps, so nothing near its 8 MB is allocated twice.
         generate(64, 2, 100, seed=1)
         tracemalloc.start()
@@ -296,6 +298,41 @@ class TestBatchGenotypes:
         finally:
             tracemalloc.stop()
         assert peak - totals.nbytes - flips.nbytes <= 2 * 2**20
+
+
+@pytest.mark.parametrize("q", [2, 100])
+@pytest.mark.parametrize("k", [0, 2, 16])
+@pytest.mark.parametrize("kernel", ["scan", "guard", "flip", "pair build", "pair move"])
+def test_kernel_peak_is_bounded_above_its_outputs(kernel, k, q):
+    # Every _Group kernel works in blocks of one rule, so each holds at most
+    # eight blocks' worth of temporaries (8 x _SCAN_ENTRIES int64 words, 2
+    # MiB) above its outputs, whatever K and q. 600 runs at n=64 pass a
+    # scan block, 1200 mutant rows several guard blocks, and a flip's
+    # segment entries, a build's rows and a move's entries several blocks
+    # of their own at K > 0. The largest peak, the scan's at K=16, q=100,
+    # is 1.42 MiB; a flip there peaked at 3.9 MiB when its terms went whole.
+    landscape = generate(64, k, q, seed=k + q)
+    group = landscape._group
+    rng = np.random.default_rng(k)
+    states = rng.integers(0, 2, (600, 64), dtype=np.uint8)
+    runs = _Runs(group, np.zeros(600, dtype=np.intp), states, trace=False)
+    mutants, keys = rng.integers(0, 600, 1200), rng.integers(0, 64, 1200)
+    moved, loci = np.arange(600), rng.integers(0, 64, 600)
+    pairs = group._pair_sums(runs.idx, runs.instances) if kernel == "pair move" else None
+    call = {"scan": lambda: group._row_deltas(states),
+            "guard": lambda: group._mutant_lifts(runs.idx, runs.d, mutants, keys),
+            "flip": lambda: group._flip(runs.idx, runs.d, moved, loci),
+            "pair build": lambda: group._pair_sums(runs.idx, runs.instances),
+            "pair move": lambda: group._move_pairs(pairs, runs.idx, moved, loci)}[kernel]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        outputs = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del outputs
+    assert peak - held <= 8 * landscape_module._SCAN_ENTRIES * 8
 
 
 class TestCachedGroup:

@@ -89,6 +89,12 @@ def genotype_rows(data, n, min_size=1, max_size=4):
                     dtype=np.uint8).reshape(-1, n)
 
 
+def block_rows(words):
+    """Rows a kernel of ``words`` int64 words a row takes a block, by the
+    one block rule at the current ``_SCAN_ENTRIES``."""
+    return next(landscape_module._blocks(1, words)).stop
+
+
 def fresh_scan(landscapes, instances, states):
     """``(pos, totals, deltas)`` of each row of ``states``, scanned alone by
     the group of one of landscape ``instances[r]``, its table positions
@@ -130,21 +136,23 @@ def test_pair_gains_match_oracle(q, data):
     # flipped, so the diagonal is -d. A batch of rows over a group of
     # landscapes checks that each row's terms land in its own block, read
     # off its own instance's table and ball keys, built a row or two of
-    # balls at a time.
+    # balls at a time: a build row holds n balls, each of 1 + (k+1)**2 index
+    # words and pair targets, and n*n pair sums.
     landscapes = data.draw(landscape_group(dtype_mates(q), max_n=12))
     n, k = landscapes[0].n, landscapes[0].k
     rows = genotype_rows(data, n, max_size=3)
     instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
                                             min_size=len(rows), max_size=len(rows))))
     block = data.draw(st.integers(1, 2))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(landscape_module, "_SCAN_ENTRIES", block * n * (1 + (k + 1) * (k + 2) // 2))
-        group = landscape_module._Group(landscapes)
-    assert group._ball_rows == block
+    group = landscape_module._Group(landscapes)
     # C-ordered ball keys ravel in the scatter without a copy.
     assert group._keys.flags.c_contiguous
     runs = _Runs(group, instances, rows, trace=False)
-    gains = group._pair_gains(group._pair_sums(runs.idx, instances), runs.d)
+    words = n * (1 + (k + 1) ** 2 + n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landscape_module, "_SCAN_ENTRIES", block * words)
+        assert block_rows(words) == block
+        gains = group._pair_gains(group._pair_sums(runs.idx, instances), runs.d)
     assert gains.dtype == group._pair_dtype and gains.shape == (len(rows), n, n)
     for r, (row, i) in enumerate(zip(rows.tolist(), instances.tolist())):
         assert np.diagonal(gains[r]).tolist() == (-runs.d[r]).tolist()
@@ -172,7 +180,7 @@ def test_carried_pair_sums_match_fresh_build(data):
     # components that read the flipped locus, in the smallest dtype that
     # holds 2n(q-1) + 1: after any sequence of moves of any runs, P + d
     # with -d on the diagonal is what a fresh build gives, and the oracle.
-    # Built a row of balls at a time, and moved n segment entries at a time.
+    # Built a row of balls at a time, and moved a segment entry at a time.
     n = data.draw(st.integers(1, 12))
     k = data.draw(st.integers(0, min(n - 1, 5)))
     q = data.draw(st.sampled_from(Q_VALUES + pair_edges(n)))
@@ -184,35 +192,36 @@ def test_carried_pair_sums_match_fresh_build(data):
     rows = genotype_rows(data, n, max_size=4)
     instances = np.array(data.draw(st.lists(st.integers(0, len(landscapes) - 1),
                                             min_size=len(rows), max_size=len(rows))))
+    group = landscape_module._Group(landscapes)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(landscape_module, "_SCAN_ENTRIES", 1)
-        group = landscape_module._Group(landscapes)
-    assert group._ball_rows == 1
-    runs = _Runs(group, instances, rows, trace=False)
-    pairs = group._pair_sums(runs.idx, instances)
-    assert pairs.dtype == group._pair_dtype == _table_dtype(2 * n * (q - 1) + 1)
-    edges = dict(zip(pair_edges(n), (np.int16, np.int32, np.int32, np.int64)))
-    if q in edges:
-        assert pairs.dtype == edges[q]
-    for _ in range(data.draw(st.integers(1, 6))):
-        moved = np.array(sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))))
-        loci = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=moved.size,
-                                           max_size=moved.size)))
-        gains = group._pair_gains(pairs[moved], runs.d[moved])
-        group._move_pairs(pairs, runs.idx, moved, instances[moved] * n + loci)
-        runs.flip(moved, loci, gains[np.arange(moved.size), loci])
-        assert pairs.dtype == group._pair_dtype
-        assert (group._pair_gains(pairs.copy(), runs.d).tolist()
-                == group._pair_gains(group._pair_sums(runs.idx, instances), runs.d).tolist())
-    gains = group._pair_gains(pairs, runs.d)
-    for r, (row, i) in enumerate(zip((runs.idx & 1).tolist(), instances.tolist())):
-        for a in range(n):
-            mutant = oracles.flip(tuple(row), a)
-            total = oracles.naive_total(landscapes[i], mutant)
-            assert gains[r, a].tolist() == [
-                oracles.naive_total(landscapes[i], oracles.flip(mutant, b)) - total
-                for b in range(n)
-            ]
+        # One row, ball or segment entry a block, whatever its words.
+        assert block_rows(1) == 1
+        runs = _Runs(group, instances, rows, trace=False)
+        pairs = group._pair_sums(runs.idx, instances)
+        assert pairs.dtype == group._pair_dtype == _table_dtype(2 * n * (q - 1) + 1)
+        edges = dict(zip(pair_edges(n), (np.int16, np.int32, np.int32, np.int64)))
+        if q in edges:
+            assert pairs.dtype == edges[q]
+        for _ in range(data.draw(st.integers(1, 6))):
+            moved = np.array(sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))))
+            loci = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=moved.size,
+                                               max_size=moved.size)))
+            gains = group._pair_gains(pairs[moved], runs.d[moved])
+            group._move_pairs(pairs, runs.idx, moved, instances[moved] * n + loci)
+            runs.flip(moved, loci, gains[np.arange(moved.size), loci])
+            assert pairs.dtype == group._pair_dtype
+            assert (group._pair_gains(pairs.copy(), runs.d).tolist()
+                    == group._pair_gains(group._pair_sums(runs.idx, instances), runs.d).tolist())
+        gains = group._pair_gains(pairs, runs.d)
+        for r, (row, i) in enumerate(zip((runs.idx & 1).tolist(), instances.tolist())):
+            for a in range(n):
+                mutant = oracles.flip(tuple(row), a)
+                total = oracles.naive_total(landscapes[i], mutant)
+                assert gains[r, a].tolist() == [
+                    oracles.naive_total(landscapes[i], oracles.flip(mutant, b)) - total
+                    for b in range(n)
+                ]
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -285,8 +294,8 @@ def test_blocked_batch_scan_equals_rows_alone(data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(landscape_module, "_SCAN_ENTRIES", entries)
         totals, flips = landscape.batch_scan(states)
-    # The landscape's group, built by that first scan, blocks at the patch.
-    assert landscape._group._scan_rows == max(1, entries // n)
+        # A scan row holds n positions.
+        assert block_rows(n) == max(1, entries // n)
     _check_scan(landscape, states, totals, flips, range(rows))
 
 
@@ -300,7 +309,7 @@ def test_blocked_batch_scan_at_paper_scale():
     assert landscape_module._SCAN_ENTRIES // (17 * block) == 3
     states = np.random.default_rng(15).integers(0, 2, (2 * block + 7, 64), dtype=np.uint8)
     totals, flips = landscape.batch_scan(states)
-    assert landscape._group._scan_rows == block
+    assert block_rows(64) == block
     _check_scan(landscape, states, totals, flips,
                 (0, block - 1, block, 2 * block - 1, 2 * block, len(states) - 1))
 
@@ -416,7 +425,7 @@ def test_generate_draws_one_draw_in_any_chunks(q, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     chunk = data.draw(st.integers(1, 3 * 2 ** (k + 1)))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(landscape_module, "_DRAW_CHUNK", chunk)
+        patch.setattr(landscape_module, "_SCAN_ENTRIES", chunk)
         landscape = generate(n, k, q, mode, seed=seed)
     assert landscape.tables.dtype == _table_dtype(q)
     assert np.array_equal(landscape.tables, oracles.generated_tables(n, k, q, mode, seed))
@@ -429,7 +438,8 @@ def test_generate_draws_one_draw_in_any_chunks(q, data):
 # The q the raw-word draw maps itself: every one up to 2**32, 2**32 included.
 RAW_DRAW_QS = tuple(q for q in Q_VALUES if q < 2**32) + (2**32,)
 # Sizes on both sides of the first two chunk edges.
-CHUNK_EDGE_SIZES = tuple(m * landscape_module._DRAW_CHUNK + d for m in (1, 2) for d in (-1, 0, 1))
+CHUNK_EDGE_SIZES = tuple(m * landscape_module._SCAN_ENTRIES + d
+                         for m in (1, 2) for d in (-1, 0, 1))
 
 
 @pytest.mark.parametrize("q", RAW_DRAW_QS)
@@ -692,9 +702,11 @@ def test_batch_of_runs_equals_runs_alone(heuristic, data):
         patch.setattr(landscape_module, "_SCAN_ENTRIES", block * n * (landscapes[0].k + 1))
         group = landscape_module._Group(landscapes)
         k = landscapes[0].k
-        assert group._scan_rows == block * (k + 1)
-        assert group._guard_rows == max(1, block * n * (k + 1) // (n + 4 * (k + 1) ** 2))
-        assert group._ball_rows == max(1, block * (k + 1) // (1 + (k + 1) * (k + 2) // 2))
+        assert block_rows(n) == block * (k + 1)
+        assert block_rows(n + 4 * (k + 1) ** 2) == max(1, block * n * (k + 1)
+                                                       // (n + 4 * (k + 1) ** 2))
+        assert block_rows(n * (1 + (k + 1) ** 2 + n)) == max(1, block * (k + 1)
+                                                             // (1 + (k + 1) ** 2 + n))
         batch = heuristics._search(group, heuristic, np.array(instances, dtype=np.intp), starts,
                                    [np.random.default_rng(seed) for seed in seeds], step_max,
                                    True)

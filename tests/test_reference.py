@@ -21,10 +21,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scubasearch import cli
+from scubasearch import landscape
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "scubasearch"
 REFERENCE_NAME = "scubasearch_reference"
@@ -118,3 +120,25 @@ def test_run_matches_reference(n, k, q, seed, heuristic, step_max, mode):
 def test_degn_matches_reference(grid, seed, samples, instances):
     assert_same(["degn", *grid, "--samples", str(samples), "--instances", str(instances),
                  "--seed", str(seed)], ("--out",))
+
+
+@settings(max_examples=40)
+@given(grid=grids(), seed=SEEDS, entries=st.integers(1, 2**9), runs=st.integers(1, 5),
+       instances=st.integers(1, 3), samples=st.integers(1, 40),
+       heuristics=st.lists(st.sampled_from(("hc", "nc", "hc2", "ss")), min_size=1,
+                           unique=True))
+@example(grid=["--n", "12", "--k", "0,5", "--q", "2,300", "--mode", "random"], seed=3,
+         entries=1, runs=5, instances=3, samples=40, heuristics=["hc", "nc", "hc2", "ss"])
+def test_small_blocks_match_reference(grid, seed, entries, runs, instances, samples,
+                                      heuristics):
+    # Our kernels' blocks shrunk to `entries` int64 words (_SCAN_ENTRIES),
+    # down to one row, component or segment entry a block, while the
+    # reference keeps its own: every scan, guard, flip term and ball block
+    # is crossed, and no byte may depend on where the blocks end.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(landscape, "_SCAN_ENTRIES", entries)
+        assert_same(["sweep", *grid, "--heuristics", ",".join(heuristics), "--runs", str(runs),
+                     "--instances", str(instances), "--seed", str(seed)],
+                    ("--out", "--records-out", "--profile-out", "--stepstats-out"))
+        assert_same(["degn", *grid, "--samples", str(samples), "--instances", str(instances),
+                     "--seed", str(seed)], ("--out",))

@@ -20,36 +20,16 @@ queries, so hill climbing costs ``n*(steps+1)``, the netcrawler
 ``step_max``, two-step hill climbing ``(n + n*(n-1)/2)*(steps+1)``, and
 scuba ``(1+Degn(s))*n`` per inner-guard evaluation.
 
-The searchers carry the one-bit deltas ``d`` of the current point instead
-of rescanning it: a proposal at locus l reads ``total + d[l]``, and a move
-updates ``d`` from the components that read the flipped locus. hc2 carries
-each run's pair sums too, a symmetric (n, n) matrix of the two-bit
-interaction terms of the components that read both loci of a pair, in the
-smallest signed dtype holding ``2*n*(q-1) + 1`` (a pair's sum is a gain of
-two flips less a one-bit delta, each a difference of two totals), and a
-move adds the new terms less the old of the components that read the
-flipped locus. The charges are the queries, not this compute: each step is
-still charged as a full scan. :func:`search` advances the runs of one
-landscape together in one run state, over the kernels of its cached group
-of one (:class:`~.landscape._Group`, which derives every array they read);
-a sweep builds one group of an instance group's landscapes, of one K and
-any of its q values, for all its heuristics (:func:`_search`). Each round
-moves its moving runs with one flip update: the climbers move every live
-run once, scuba's guard reading every live run's neutral neighbors from
-blocks of mutant deltas, the flip terms of each neighbor's segment, read
-off its run's table positions in place, added to a copy of the run's
-deltas, and hc2 their distance-2 balls off their pair sums plus ``d``, a
-chunk of runs at a time, each to its end: the gains' rows are its moved
-runs' new deltas, so its flip update only moves table positions and pair
-sums; the netcrawler jumps each live run to its first accepted proposal in
-a window of the next ones, since a rejection leaves the state as it is.
-Each run reads only its own landscape and draws from its own stream only,
-what it would draw alone (the netcrawler's proposals in chunks, which
-continue one stream; a tie-break ``integers(c)`` off the run's 32-bit
-halves, which :class:`_Halves` draws ``_BLOCK`` at a time, so a round
-makes no call per run but refills), so batching cannot change an output;
-the four searchers are batches of one. Locality over every genotype of a
-small landscape is :func:`~.pathgraph.census`.
+The charges are the queries, not the compute: the searchers carry the
+one-bit deltas ``d`` of the current point across moves (and hc2 its pair
+sums) instead of rescanning it, yet each step is charged as a full scan.
+:func:`search` advances the runs of one landscape together in one run state
+(:class:`_Runs`), and a sweep the runs of a group of instances
+(:func:`_search`), over the kernels of :class:`~.landscape._Group`. Each run
+reads only its own landscape and draws from its own stream only what it
+would draw alone, so batching cannot change an output; the four searchers
+are batches of one. Locality over every genotype of a small landscape is
+:func:`~.pathgraph.census`.
 
 With ``trace=True`` a run also returns a compact :class:`Trace`: the start
 genotype plus, per step, the flipped locus, the total, the kind of move and
@@ -106,9 +86,9 @@ _CRAWL_ENTRIES = 2**11
 # Tie-break halves a run draws from its stream at a time (_Halves).
 _BLOCK = 16
 # Entries of the (n, n) pair sums hc2 carries for a chunk of runs, each
-# chunk run to its end, so a batch holds those of at most
-# max(1, _PAIR_ENTRIES // n**2) runs at a time, plus one round's gains of
-# as many, each entry at most 8 bytes (int16 on the paper grid).
+# chunk run to its end, so a batch holds those of at most max(1,
+# _PAIR_ENTRIES // n**2) runs at a time (64 at n=64), plus one round's
+# gains of as many, each entry at most 8 bytes (int16 on the paper grid).
 _PAIR_ENTRIES = 2**18
 
 
@@ -444,8 +424,9 @@ def _climb2(runs, halves) -> list[RunResult]:
 
 
 def _crawl(runs, rngs, step_max) -> list[RunResult]:
-    """The netcrawler of each of ``runs``, run i drawing from ``rngs[i]``,
-    its proposals ``_PROPOSALS`` at a time. Each round reads, for every run
+    """The netcrawler of each of ``runs``, run i drawing from ``rngs[i]``
+    its proposals ``_PROPOSALS`` at a time, by one ``integers(n, size=...)``
+    call a chunk; the chunks continue one stream. Each round reads, for every run
     with proposals left in the chunk, a window of the next ones at its
     current point: a run with an accepted one moves straight to the first,
     and a run without one rejects them all and stays."""

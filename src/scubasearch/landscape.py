@@ -40,7 +40,8 @@ _HEADER_KEYS = ("n", "k", "q", "mode", "seed")
 
 # The int64 words a kernel's block holds (_blocks), 256 KB, so its
 # temporaries stay in cache whatever the batch size; generate draws as many
-# table entries a chunk.
+# table entries a chunk. A scan block holds its difference matrix beside
+# them (_Group._row_deltas).
 _SCAN_ENTRIES = 2**15
 
 
@@ -367,10 +368,13 @@ class NkqLandscape:
 
     def batch_totals(self, states) -> np.ndarray:
         """Totals of each row of a (batch, n) genotype matrix of bool or
-        integer 0/1 alleles."""
+        integer 0/1 alleles, from the scan kernel in blocks, as
+        :meth:`batch_scan` takes them."""
         states = _alleles(states, 2, self.n)
-        group = self._group
-        return group._tab[group._base_indices(states)].sum(axis=1, dtype=np.int64)
+        totals = np.empty(len(states), dtype=np.int64)
+        for rows in _blocks(len(states), self.n):
+            totals[rows] = self._group._row_deltas(states[rows])[1]
+        return totals
 
     def batch_scan(self, states):
         """Totals of each row and of every one-bit mutant of each row of a
@@ -507,15 +511,6 @@ class _Group:
         return np.ascontiguousarray(self._loci[..., self._pa] * self.n
                                     + self._loci[..., self._pb])
 
-    def _base_indices(self, states: np.ndarray, i=0) -> np.ndarray:
-        """(batch, n) flat table positions of the entry each component of
-        instance i reads, for each row of a (batch, n) genotype matrix."""
-        states = np.ascontiguousarray(states, dtype=np.uint8)
-        # A packed index is below 2**(k+1) <= MAX_TABLE_ENTRIES, so int32
-        # holds it exactly.
-        return (np.einsum("bjp,p->bj", states[:, self._loci[i]], self._bits.astype(np.int32))
-                + self._offsets[i])
-
     def _row_deltas(self, states: np.ndarray, i=0):
         """``(pos, totals, deltas)`` of each row of a (batch, n) genotype
         matrix on instance i: the (batch, n) int64 flat table positions of
@@ -532,7 +527,10 @@ class _Group:
         components' tables, not all n for every row, and stays in cache at
         K=16. The matrix is rank-major (``_slabs``), so each rank's rows add
         onto the first rank's in one contiguous add, and a locus's partial
-        sums, like its delta, lie within n(q-1) of 0."""
+        sums, like its delta, lie within n(q-1) of 0. The block rule counts
+        n words a row, yet a block also holds that matrix, up to 1.42 MiB
+        at K=16, q=100, the largest peak of any kernel; counting it would
+        cut a K=16 block from 512 rows to about 97, which slowed ``degn``."""
         n, k = self.n, self.k
         loci, offsets, dest = self._loci[i], self._offsets[i], self._dest[i]
         weights = self._bits.astype(np.int32)

@@ -206,6 +206,40 @@ class TestGraph:
         assert err.count("\n") == 1 and "n=13" in err
 
 
+class TestCornerInvocations:
+    # Each command must exit 0 and write non-empty files.
+    COMMANDS = [
+        # int8, int16 and int64 tables and pair sums, a netcrawler budget past
+        # one 512-proposal chunk, a two-word base seed, a profile.
+        "sweep --n 10 --k 0,2 --q 2,300,8589934592 --runs 4 --instances 2 --seed 4294967297"
+        " --step-max 600 --out sweep.csv --records-out records.csv --profile-out profile.csv",
+        # A run whose seed must be one of the sweep's records.
+        "run --heuristic ss --n 10 --k 2 --q 300 --seed 4294967297",
+        # A landscape written to a file,
+        "gen --n 10 --k 2 --q 3 --seed 1 --out landscape.txt",
+        # and hc2 on it once loaded, scanned by its cached group.
+        "run --heuristic hc2 --landscape landscape.txt --seed 1",
+        # int8, int16 and int64 deltas, and 4000 samples past a scan block.
+        "degn --n 10 --k 0,2 --q 2,300,8589934592 --samples 4000 --instances 2 --seed 1"
+        " --out degn.csv",
+        # scuba's moves over every genotype of an n = 8 landscape, and its census.
+        "graph --heuristic ss --n 8 --k 2 --q 2 --seed 1 --out graph.dot --census census.csv",
+    ]
+
+    def test_commands_write_their_files(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        printed = []
+        for command in self.COMMANDS:
+            assert main(command.split()) == 0, command
+            printed.append(capsys.readouterr().out)
+        for name in ("sweep.csv", "records.csv", "profile.csv", "landscape.txt", "degn.csv",
+                     "graph.dot", "census.csv"):
+            assert (tmp_path / name).stat().st_size > 0, name
+        run_seed, = [line.split(": ")[1] for line in printed[1].splitlines()
+                     if line.startswith("run seed: ")]
+        assert f",{run_seed}," in (tmp_path / "records.csv").read_text()
+
+
 class TestErrorHandling:
     def test_unknown_flag(self):
         assert run_cli("gen", "--n", "4", "--k", "1", "--q", "2", "--seed", "1",

@@ -288,16 +288,19 @@ class TestBatchGenotypes:
         # 2000 rows at n=64, K=16. Scanned in one block, the gather's index
         # arrays would take some 33 MB; in blocks of 512 rows the scan holds
         # 1.5 MiB above its outputs, so the bound is fixed rather than a
-        # share of the batch.
+        # share of the batch. batch_totals reads the same blocks (its
+        # positions in one call would peak at 2.58 MiB).
         landscape = generate(64, 16, 2, seed=3)
         states = np.random.default_rng(3).integers(0, 2, (2000, 64), dtype=np.uint8)
-        tracemalloc.start()
-        try:
-            totals, flips = landscape.batch_scan(states)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - totals.nbytes - flips.nbytes <= 2 * 2**20
+        for scan in ("batch_scan", "batch_totals"):
+            tracemalloc.start()
+            try:
+                outputs = getattr(landscape, scan)(states)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = sum(a.nbytes for a in (outputs if scan == "batch_scan" else [outputs]))
+            assert peak - held <= 2 * 2**20, scan
 
 
 @pytest.mark.parametrize("q", [2, 100])

@@ -463,7 +463,7 @@ def test_raw_word_draw_equals_integers(q, seed, buffered, size):
 @settings(max_examples=30)
 @given(data=st.data())
 @example(data=None)
-def test_base_indices_match_oracle(data):
+def test_row_positions_match_oracle(data):
     # Table positions up to k = 16, the paper grid's largest, where an
     # index packs 17 bits.
     if data is None:
@@ -476,7 +476,7 @@ def test_base_indices_match_oracle(data):
                              seed=data.draw(st.integers(0, 2**32 - 1)))
         rows = np.array(data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
                                            min_size=1, max_size=4)), dtype=np.uint8)
-    pos = landscape._group._base_indices(rows)
+    pos = landscape._group._row_deltas(rows)[0]
     assert pos.dtype == np.int64
     assert pos.tolist() == [oracles.table_positions(landscape, row) for row in rows]
 

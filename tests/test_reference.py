@@ -9,7 +9,8 @@ corners fixed configurations miss: q from 2 to 2**40 (int8 to int64
 tables), both link modes, base seeds above 2**32 and 2**64 (two- and
 three-word seed entropy), n with an odd number of start halves
 (``ceil(n/4)``) and ``--step-max`` at and past the netcrawler's windows and
-chunks.
+chunks. Each of our invocations runs under a time limit, so a search that
+spins instead of finishing fails the test rather than hanging the suite.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import importlib
 import importlib.util
 import io
 import os
+import signal
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +36,9 @@ REFERENCE_NAME = "scubasearch_reference"
 Q_VALUES = (2, 3, 4, 5, 100, 129, 300, 70000, 2**32, 2**32 + 1, 2**40)
 SEEDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 + 2**33))
 STEP_MAX = (1, 7, 31, 32, 33, 300, 513)
+# Seconds one of our invocations may take, about 100 times the slowest
+# drawn here.
+TIME_LIMIT = 10
 
 
 def reference_main():
@@ -71,8 +76,30 @@ def invoke(main, argv, outputs):
     return code, stdout.getvalue(), files
 
 
+class Spin(BaseException):
+    """An invocation ran past its time limit. Not an ``Exception``, so
+    neither ``cli.main`` nor hypothesis catches it: the test fails at once
+    with the argv, where shrinking would wait out the limit at every step."""
+
+
+@contextlib.contextmanager
+def time_limit(seconds, argv):
+    """Raise :class:`Spin` from inside the block once ``seconds`` pass."""
+    def expire(signum, frame):
+        raise Spin(f"no result within {seconds} s: {argv}")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def assert_same(argv, outputs):
-    ours = invoke(cli.main, argv, outputs)
+    with time_limit(TIME_LIMIT, argv):
+        ours = invoke(cli.main, argv, outputs)
     assert ours == invoke(reference_main(), argv, outputs), argv
     assert ours[0] == 0, argv
 
@@ -142,3 +169,22 @@ def test_small_blocks_match_reference(grid, seed, entries, runs, instances, samp
                     ("--out", "--records-out", "--profile-out", "--stepstats-out"))
         assert_same(["degn", *grid, "--samples", str(samples), "--instances", str(instances),
                      "--seed", str(seed)], ("--out",))
+
+
+@settings(max_examples=100)
+@given(n=st.integers(1, 10), k=st.integers(0, 9), q=st.sampled_from(Q_VALUES), seed=SEEDS,
+       heuristic=st.sampled_from(("hc", "nc", "hc2", "ss")),
+       mode=st.sampled_from(("random", "adjacent")))
+@example(n=10, k=9, q=2**40, seed=2**64 + 3, heuristic="ss", mode="random")
+def test_graph_matches_reference(n, k, q, seed, heuristic, mode):
+    assert_same(["graph", "--heuristic", heuristic, "--n", str(n), "--k", str(min(k, n - 1)),
+                 "--q", str(q), "--mode", mode, "--seed", str(seed)], ("--out", "--census"))
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 14), k=st.integers(0, 9), q=st.sampled_from(Q_VALUES), seed=SEEDS,
+       mode=st.sampled_from(("random", "adjacent")))
+@example(n=14, k=9, q=2**32 + 1, seed=2**32, mode="random")
+def test_gen_matches_reference(n, k, q, seed, mode):
+    assert_same(["gen", "--n", str(n), "--k", str(min(k, n - 1)), "--q", str(q),
+                 "--mode", mode, "--seed", str(seed)], ("--out",))
